@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint trace-smoke chaos-smoke recovery-smoke codesign-smoke bench-smoke metrics-smoke kernel-bench check
+.PHONY: all build vet test race lint trace-smoke chaos-smoke recovery-smoke codesign-smoke bench-smoke metrics-smoke kernel-bench perf-smoke check
 
 all: check
 
@@ -134,5 +134,16 @@ kernel-bench:
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkKernel -benchmem \
 		-cpuprofile kernel-bench.pprof -o kernel-bench.test | tee kernel-bench.txt
 	rm -f kernel-bench.test
+
+# perf-smoke keeps the whole-stack benchmark (bench/perf, a Go module
+# of its own that `go test ./...` does not reach) building and honest:
+# its unit tests, then a 3-second untraced run of all four workloads
+# through the BENCHMARK.json command. run.sh exits non-zero on any
+# failed output check (sizes, device byte counters, read-back, the BCH
+# data canaries, the cross-repetition digest). CI uploads
+# bench/perf/out/ so every commit carries its end-to-end numbers.
+perf-smoke:
+	$(GO) test -C bench/perf ./...
+	bash bench/perf/run.sh --seconds 3 --trace 0
 
 check: build vet race lint

@@ -412,6 +412,7 @@ func (d *Device) Read(p *sim.Proc, ch, lbn, off, size int) ([]byte, error) {
 	t.End(d.env.Now(), dma)
 	p.Join(flash)
 	if chErr != nil {
+		d.stack.Abort()
 		return nil, chErr
 	}
 	d.stack.Complete(p)
@@ -475,6 +476,7 @@ func (d *Device) write(p *sim.Proc, ch, lbn int, data []byte, erase bool, tag *f
 	t.End(d.env.Now(), dma)
 	p.Join(flash)
 	if chErr != nil {
+		d.stack.Abort()
 		return chErr
 	}
 	d.stack.Complete(p)
@@ -494,6 +496,7 @@ func (d *Device) ScanFilter(p *sim.Proc, ch, lbn int, selectivity float64) (int,
 	d.stack.Submit(p)
 	matched, err := d.channels[ch].ScanFilter(p, lbn, selectivity)
 	if err != nil {
+		d.stack.Abort()
 		return 0, err
 	}
 	if matched > 0 {
@@ -517,6 +520,7 @@ func (d *Device) Erase(p *sim.Proc, ch, lbn int) error {
 	defer end()
 	d.stack.Submit(p)
 	if err := d.channels[ch].Erase(p, lbn); err != nil {
+		d.stack.Abort()
 		return err
 	}
 	d.stack.Complete(p)

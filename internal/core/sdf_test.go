@@ -316,3 +316,46 @@ func TestScanFilterMovesOnlyMatchesOverPCIe(t *testing.T) {
 	env.RunUntilDone(w)
 	env.Close()
 }
+
+// A request the device fails must leave the in-flight gauge: every
+// command on a dead channel errors after Submit, and none may stay
+// counted between Submit and Complete.
+func TestFailedRequestsLeaveInflight(t *testing.T) {
+	cfg := testConfig()
+	cfg.Channels = 2
+	env := sim.NewEnv()
+	defer env.Close()
+	d, err := New(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := env.Go("t", func(p *sim.Proc) {
+		if err := d.EraseWrite(p, 0, 0, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		d.Channel(0).Kill()
+		for i := 0; i < 3; i++ {
+			if _, err := d.Read(p, 0, 0, 0, d.PageSize()); err == nil {
+				t.Error("read on a dead channel succeeded")
+			}
+		}
+		if err := d.EraseWrite(p, 0, 1, nil); err == nil {
+			t.Error("write on a dead channel succeeded")
+		}
+		if err := d.Erase(p, 0, 0); err == nil {
+			t.Error("erase on a dead channel succeeded")
+		}
+		if _, err := d.ScanFilter(p, 0, 0, 0.5); err == nil {
+			t.Error("scan on a dead channel succeeded")
+		}
+		// The healthy channel still completes normally.
+		if err := d.EraseWrite(p, 1, 0, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	env.RunUntilDone(w)
+	if got := d.stack.Inflight(); got != 0 {
+		t.Errorf("Inflight = %d after all requests returned, want 0", got)
+	}
+}

@@ -196,6 +196,15 @@ func (s *Stack) Complete(p *sim.Proc) {
 	}
 }
 
+// Abort takes a submitted request out of flight without charging any
+// completion cost: the device failed it, so no completion interrupt is
+// modelled, but the request is no longer between Submit and Complete.
+func (s *Stack) Abort() {
+	if s.inflight > 0 {
+		s.inflight--
+	}
+}
+
 // Inflight returns how many requests are between Submit and Complete.
 func (s *Stack) Inflight() int { return s.inflight }
 

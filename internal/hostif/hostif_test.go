@@ -9,6 +9,7 @@ import (
 
 func TestPCIeFullDuplex(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	pcie := PCIe11x8(env)
 	var readEnd, writeEnd time.Duration
 	e9 := func(rate float64) int { return int(rate) } // 1 second of traffic
@@ -31,6 +32,7 @@ func TestPCIeFullDuplex(t *testing.T) {
 
 func TestPCIeFairSharing(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	pcie := PCIe11x8(env)
 	done := 0
 	for i := 0; i < 4; i++ {
@@ -51,6 +53,7 @@ func TestPCIeFairSharing(t *testing.T) {
 
 func TestSATAHalfDuplex(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	sata := SATA2(env)
 	var ends []time.Duration
 	n := int(sata.ReadRate()) / 10 // 100 ms of traffic each
@@ -74,6 +77,7 @@ func TestSATAHalfDuplex(t *testing.T) {
 
 func TestStackCosts(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	s := NewStack(env, StackParams{SubmitCost: 4 * time.Microsecond, CompleteCost: 9 * time.Microsecond, CPUs: 1})
 	env.Go("req", func(p *sim.Proc) {
 		s.Submit(p)
@@ -87,6 +91,7 @@ func TestStackCosts(t *testing.T) {
 
 func TestInterruptMergingReducesCompletionCost(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	merged := NewStack(env, StackParams{CompleteCost: 8 * time.Microsecond, InterruptMerge: 4, CPUs: 1})
 	plain := NewStack(env, StackParams{CompleteCost: 8 * time.Microsecond, CPUs: 1})
 	if merged.PerRequestCost() != 2*time.Microsecond {
@@ -99,6 +104,7 @@ func TestInterruptMergingReducesCompletionCost(t *testing.T) {
 
 func TestStackCPUBound(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	s := NewStack(env, StackParams{SubmitCost: 10 * time.Microsecond, CPUs: 2})
 	for i := 0; i < 4; i++ {
 		env.Go("req", func(p *sim.Proc) { s.Submit(p) })
@@ -110,8 +116,34 @@ func TestStackCPUBound(t *testing.T) {
 	}
 }
 
+func TestAbortLeavesFlightWithoutCharge(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	s := NewStack(env, StackParams{SubmitCost: 10 * time.Microsecond, CompleteCost: 20 * time.Microsecond, CPUs: 1})
+	env.Go("ok", func(p *sim.Proc) {
+		s.Submit(p)
+		s.Complete(p)
+	})
+	env.Go("failed", func(p *sim.Proc) {
+		s.Submit(p)
+		if s.Inflight() == 0 {
+			t.Error("submitted request not in flight")
+		}
+		s.Abort()
+	})
+	env.Run()
+	if s.Inflight() != 0 {
+		t.Fatalf("Inflight = %d, want 0", s.Inflight())
+	}
+	// Two submits and one completion on one CPU; the abort charges nothing.
+	if env.Now() != 40*time.Microsecond {
+		t.Fatalf("elapsed = %v, want 40µs", env.Now())
+	}
+}
+
 func TestKernelVsBypassGap(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	kernel := NewStack(env, KernelStack())
 	bypass := NewStack(env, BypassStack())
 	k := kernel.PerRequestCost()
@@ -129,6 +161,7 @@ func TestKernelVsBypassGap(t *testing.T) {
 
 func TestMovedCounts(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	pcie := PCIe11x8(env)
 	env.Go("x", func(p *sim.Proc) {
 		pcie.ToHost(p, 1000)

@@ -30,6 +30,7 @@ func tinyParams() Params {
 func runOp(t *testing.T, fn func(env *sim.Env, p *sim.Proc)) time.Duration {
 	t.Helper()
 	env := sim.NewEnv()
+	defer env.Close()
 	env.Go("test", func(p *sim.Proc) { fn(env, p) })
 	env.Run()
 	return env.Now()
@@ -157,6 +158,7 @@ func TestOperationTiming(t *testing.T) {
 
 func TestPlanesOperateInParallel(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	c := New(env, tinyParams())
 	for i := 0; i < 2; i++ {
 		plane := c.Plane(i)
@@ -175,6 +177,7 @@ func TestPlanesOperateInParallel(t *testing.T) {
 
 func TestPlaneSerializesOps(t *testing.T) {
 	env := sim.NewEnv()
+	defer env.Close()
 	c := New(env, tinyParams())
 	pl := c.Plane(0)
 	for i := 0; i < 2; i++ {

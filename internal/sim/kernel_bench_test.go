@@ -22,6 +22,7 @@ import (
 func BenchmarkKernelScheduleFire(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
+	defer env.Close()
 	remaining := b.N
 	var fire func()
 	fire = func() {
@@ -40,6 +41,7 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 func BenchmarkKernelParkResume(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
+	defer env.Close()
 	env.Go("worker", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Wait(time.Microsecond)
@@ -54,6 +56,7 @@ func BenchmarkKernelParkResume(b *testing.B) {
 func BenchmarkKernelTimelineOccupy(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
+	defer env.Close()
 	tl := NewTimeline(env, 1)
 	for w := 0; w < 4; w++ {
 		n := b.N / 4
@@ -76,6 +79,7 @@ func BenchmarkKernelTimelineOccupy(b *testing.B) {
 func BenchmarkKernelResourceContention(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
+	defer env.Close()
 	res := NewResource(env, 1)
 	for w := 0; w < 4; w++ {
 		n := b.N / 4
@@ -100,6 +104,7 @@ func BenchmarkKernelResourceContention(b *testing.B) {
 func BenchmarkKernelHeapChurn(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
+	defer env.Close()
 	remaining := b.N
 	var fire func()
 	delay := time.Duration(0)
@@ -131,6 +136,7 @@ func BenchmarkKernelHeapChurn(b *testing.B) {
 func BenchmarkKernelSameInstantChurn(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
+	defer env.Close()
 	const workers = 64
 	tl := NewTimeline(env, workers)
 	for w := 0; w < workers; w++ {
@@ -148,34 +154,66 @@ func BenchmarkKernelSameInstantChurn(b *testing.B) {
 	env.Run()
 }
 
-// allocsPerEvent builds a workload on a fresh Env, runs it to
-// completion, and returns heap allocations per dispatched event.
-func allocsPerEvent(build func(env *Env)) float64 {
+// BenchmarkKernelSpawnJoin measures the request shape of every layer
+// above the kernel: spawn a short-lived worker process and join it.
+// After the first iteration the worker runs on a recycled carrier, so
+// an op is one Proc, one body closure, and three events.
+func BenchmarkKernelSpawnJoin(b *testing.B) {
+	b.ReportAllocs()
 	env := NewEnv()
+	defer env.Close()
+	env.Go("parent", func(p *Proc) { spawnJoin(p, b.N, 1) })
+	env.Run()
+}
+
+// spawnJoin runs rounds of: spawn fan workers whose body closes over
+// per-worker state (as request closures do), then join them all.
+func spawnJoin(p *Proc, rounds, fan int) {
+	env := p.Env()
+	kids := make([]*Proc, fan)
+	for i := 0; i < rounds; i++ {
+		for k := range kids {
+			d := time.Duration(k+1) * time.Microsecond
+			kids[k] = env.Go("worker", func(wp *Proc) { wp.Wait(d) })
+		}
+		for _, kid := range kids {
+			p.Join(kid)
+		}
+	}
+}
+
+// runAllocs builds a workload on a fresh Env, runs it to completion,
+// and returns the heap allocations and dispatched events of the run.
+func runAllocs(build func(env *Env)) (allocs, events float64) {
+	env := NewEnv()
+	defer env.Close()
 	build(env)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	env.Run()
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(env.Events())
+	return float64(after.Mallocs - before.Mallocs), float64(env.Events())
 }
 
 // TestKernelFastPathAllocs asserts the -benchmem property the
 // benchmarks report: steady-state fast-path traffic does not allocate.
 // Bounds are loose (0.05 allocs/event) to absorb one-time costs —
-// heap growth, goroutine stacks — without letting a per-event closure
-// (1+ allocs/event) sneak back in.
+// heap growth, coroutine stacks — without letting a per-event closure
+// (1+ allocs/event) sneak back in. A case with spawns > 0 is bounded
+// per spawn instead: the Proc handle and the caller's body closure, 2,
+// where creating a coroutine per spawn costs ~15.
 func TestKernelFastPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	const bound = 0.05
 	cases := []struct {
-		name  string
-		build func(env *Env)
+		name   string
+		spawns int
+		build  func(env *Env)
 	}{
-		{"timed-callback-chain", func(env *Env) {
+		{"timed-callback-chain", 0, func(env *Env) {
 			remaining := 200000
 			var fire func()
 			fire = func() {
@@ -186,14 +224,14 @@ func TestKernelFastPathAllocs(t *testing.T) {
 			}
 			env.Schedule(time.Microsecond, fire)
 		}},
-		{"proc-wait-loop", func(env *Env) {
+		{"proc-wait-loop", 0, func(env *Env) {
 			env.Go("worker", func(p *Proc) {
 				for i := 0; i < 100000; i++ {
 					p.Wait(time.Microsecond)
 				}
 			})
 		}},
-		{"timeline-occupy", func(env *Env) {
+		{"timeline-occupy", 0, func(env *Env) {
 			tl := NewTimeline(env, 2)
 			for w := 0; w < 3; w++ {
 				env.Go("worker", func(p *Proc) {
@@ -207,7 +245,7 @@ func TestKernelFastPathAllocs(t *testing.T) {
 		// batches 64 wakeups into one grant (grant pool) and drains one
 		// bucket per instant (bucket free list). Steady state must
 		// recycle both — a leak here shows up as ~1/64 allocs/event.
-		{"same-instant-grant-burst", func(env *Env) {
+		{"same-instant-grant-burst", 0, func(env *Env) {
 			tl := NewTimeline(env, 64)
 			for w := 0; w < 64; w++ {
 				env.Go("worker", func(p *Proc) {
@@ -217,11 +255,22 @@ func TestKernelFastPathAllocs(t *testing.T) {
 				})
 			}
 		}},
+		// Request churn: 8 workers spawned and joined per round, so the
+		// carrier pool holds 8 and every later spawn must reuse one.
+		{"spawn-join-churn", 8 * 5000, func(env *Env) {
+			env.Go("parent", func(p *Proc) { spawnJoin(p, 5000, 8) })
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := allocsPerEvent(tc.build)
-			if got > bound {
+			allocs, events := runAllocs(tc.build)
+			if tc.spawns > 0 {
+				if got := allocs / float64(tc.spawns); got > 2+bound {
+					t.Errorf("%s: %.4f allocs/spawn, want <= %.2f", tc.name, got, 2+bound)
+				}
+				return
+			}
+			if got := allocs / events; got > bound {
 				t.Errorf("%s: %.4f allocs/event, want <= %.2f", tc.name, got, bound)
 			}
 		})

@@ -106,11 +106,34 @@ type SharedLink struct {
 	last   int64  // virtual time of last progress update
 	gen    uint64 // invalidates stale completion events
 	moved  int64
+	// Finished xfers and fired ticks are reused, so a transfer in steady
+	// state allocates nothing.
+	freeXfers []*xfer
+	freeTicks []*linkTick
 }
 
+// xfer is one in-flight transfer: the bytes it still has to move and
+// the process parked in Transfer until they reach zero.
 type xfer struct {
-	remaining float64 // bytes
-	done      *Signal
+	remaining float64
+	proc      *Proc
+}
+
+// linkTick is one scheduled progress event. fire is its method value,
+// bound once, so rescheduling passes a ready func to Env.Schedule
+// instead of building a closure over gen.
+type linkTick struct {
+	l    *SharedLink
+	gen  uint64
+	fire func()
+}
+
+func (t *linkTick) run() {
+	l, current := t.l, t.gen == t.l.gen
+	l.freeTicks = append(l.freeTicks, t)
+	if current {
+		l.complete()
+	}
 }
 
 // NewSharedLink returns a fair-share link with the given aggregate data
@@ -161,10 +184,17 @@ func (l *SharedLink) Transfer(p *Proc, n int) {
 		l.env.tracer.Emit(l.env.Now(), trace.KindXferBegin, 0, 0, l.name, "", int64(n))
 	}
 	l.advance()
-	x := &xfer{remaining: float64(n), done: NewSignal(l.env)}
+	var x *xfer
+	if k := len(l.freeXfers); k > 0 {
+		x = l.freeXfers[k-1]
+		l.freeXfers = l.freeXfers[:k-1]
+	} else {
+		x = new(xfer)
+	}
+	x.remaining, x.proc = float64(n), p
 	l.active = append(l.active, x)
 	l.reschedule()
-	p.Await(x.done)
+	p.park() // until complete wakes x.proc
 	l.moved += int64(n)
 	if full {
 		l.env.tracer.Emit(l.env.Now(), trace.KindXferEnd, 0, 0, l.name, "", int64(n))
@@ -209,13 +239,16 @@ func (l *SharedLink) reschedule() {
 	// Round up one nanosecond so the completion check sees zero
 	// remaining despite floating-point truncation.
 	eta++
-	gen := l.gen
-	l.env.Schedule(eta, func() {
-		if gen != l.gen {
-			return
-		}
-		l.complete()
-	})
+	var t *linkTick
+	if k := len(l.freeTicks); k > 0 {
+		t = l.freeTicks[k-1]
+		l.freeTicks = l.freeTicks[:k-1]
+	} else {
+		t = &linkTick{l: l}
+		t.fire = t.run
+	}
+	t.gen = l.gen
+	l.env.Schedule(eta, t.fire)
 }
 
 // complete finishes all transfers that have drained and reschedules.
@@ -226,7 +259,9 @@ func (l *SharedLink) complete() {
 		// One virtual nanosecond of budget is less than one byte at any
 		// realistic rate, so treat sub-byte residue as done.
 		if x.remaining < 1 {
-			x.done.Fire()
+			l.env.wake(x.proc)
+			x.proc = nil
+			l.freeXfers = append(l.freeXfers, x)
 		} else {
 			kept = append(kept, x)
 		}

@@ -7,6 +7,7 @@ import (
 
 func TestPriorityResourceOrdersByPriority(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewPriorityResource(e, 1)
 	var order []string
 	hold := func(name string, prio int, arrive time.Duration) {
@@ -33,6 +34,7 @@ func TestPriorityResourceOrdersByPriority(t *testing.T) {
 
 func TestPriorityResourceFIFOWithinClass(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewPriorityResource(e, 1)
 	var order []int
 	for i := 0; i < 5; i++ {
@@ -55,6 +57,7 @@ func TestPriorityResourceFIFOWithinClass(t *testing.T) {
 
 func TestPriorityResourceNonPreemptive(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewPriorityResource(e, 1)
 	var lowDone, highDone time.Duration
 	e.Go("low", func(p *Proc) {
@@ -82,6 +85,7 @@ func TestPriorityResourceNonPreemptive(t *testing.T) {
 
 func TestPriorityResourceCapacity(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewPriorityResource(e, 2)
 	done := 0
 	for i := 0; i < 4; i++ {
@@ -103,6 +107,7 @@ func TestPriorityResourceCapacity(t *testing.T) {
 
 func TestPriorityResourceIdleAndWaiting(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewPriorityResource(e, 1)
 	if !r.Idle() {
 		t.Fatal("fresh resource not idle")

@@ -7,11 +7,12 @@
 // garbage-collection jitter.
 //
 // The kernel follows the classic process-interaction style (cf. SimPy):
-// a simulation is a set of processes, each a goroutine, of which exactly
-// one runs at any instant. A process blocks by waiting for virtual time
-// to pass (Proc.Wait), for a Signal to fire (Proc.Await), or for a
-// Resource or Queue to become available. The scheduler resumes processes
-// in strict (time, sequence) order, so event ordering is deterministic.
+// a simulation is a set of processes, each running on a pooled coroutine
+// carrier, of which exactly one runs at any instant. A process blocks by
+// waiting for virtual time to pass (Proc.Wait), for a Signal to fire
+// (Proc.Await), or for a Resource or Queue to become available. The
+// scheduler resumes processes in strict (time, sequence) order, so event
+// ordering is deterministic.
 //
 // Two structural choices make the hot loop cheap (DESIGN.md "Kernel
 // round 2"):
@@ -25,7 +26,8 @@
 //     scheduling allocates nothing.
 //
 //   - Control moves between processes by runtime coroutine switch
-//     (iter.Pull): each process is a pull-iterator coroutine, and a
+//     (iter.Pull): a process body runs on a carrier, a pull-iterator
+//     coroutine that outlives it and is reused by later spawns, and a
 //     handoff is a direct stack switch — no channel, no scheduler pass,
 //     no goroutine ready/park round trip. The goroutine that holds
 //     control pops and dispatches events itself; when a process's own
@@ -251,11 +253,17 @@ type Env struct {
 	// process deposits the successor here before yielding, and the
 	// driver loop trampolines into it. nil means re-evaluate the stop
 	// conditions and dispatch from the queue.
-	xfer   *Proc
-	procs  []*Proc
-	closed bool
-	fail   *procPanic
-	tracer *trace.Collector
+	xfer *Proc
+	// liveHead/liveTail list the started, unfinished processes in start
+	// order (Close unwinds them in that order); a finishing process
+	// unlinks itself, so the Env holds nothing of a finished one. idle
+	// holds the carriers whose body has returned, ready for the next
+	// spawn.
+	liveHead, liveTail *Proc
+	idle               []*carrier
+	closed             bool
+	fail               *procPanic
+	tracer             *trace.Collector
 	// limit and stopProc are the active run bounds; activeGrant is a
 	// partially delivered batched grant; lastGrant and grantPool back
 	// grant absorption and recycling.
@@ -365,7 +373,7 @@ func (e *Env) runEvents(self *Proc) *Proc {
 		if e.fail != nil || e.closed {
 			return nil
 		}
-		if sp := e.stopProc; sp != nil && sp.done {
+		if sp := e.stopProc; sp != nil && sp.Done() {
 			return nil
 		}
 		// A partially delivered grant resumes before any queue pop: its
@@ -383,7 +391,7 @@ func (e *Env) runEvents(self *Proc) *Proc {
 				ent.fn()
 				continue
 			}
-			if p := ent.proc; p != nil && !p.done {
+			if p := ent.proc; p != nil && !p.Done() {
 				return p
 			}
 			continue
@@ -406,12 +414,10 @@ func (e *Env) runEvents(self *Proc) *Proc {
 		e.fired++
 		if p := ev.proc; p != nil {
 			if p.fn != nil {
-				fn := p.fn
-				p.fn = nil
-				e.spawn(p, fn)
+				e.spawn(p)
 				return p
 			}
-			if p.done {
+			if p.Done() {
 				continue
 			}
 			return p
@@ -428,13 +434,13 @@ func (e *Env) drive() {
 	for {
 		if p := e.xfer; p != nil {
 			e.xfer = nil
-			p.resumeFn()
+			p.c.resumeFn()
 			continue
 		}
 		if f := e.fail; f != nil {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", f.proc, f.value))
 		}
-		if sp := e.stopProc; sp != nil && sp.done {
+		if sp := e.stopProc; sp != nil && sp.Done() {
 			return
 		}
 		if e.activeGrant == nil {
@@ -446,27 +452,41 @@ func (e *Env) drive() {
 			}
 		}
 		if next := e.runEvents(nil); next != nil {
-			next.resumeFn()
+			next.c.resumeFn()
 		}
 	}
 }
 
-// Proc is a simulation process: a coroutine created with iter.Pull.
-// Methods on Proc may only be called from the goroutine running that
-// process. resumeFn/stopFn switch into the coroutine and are invoked
-// only from the driver goroutine; yieldFn switches back out and is
-// invoked only from inside the coroutine.
+// Proc is the handle of a simulation process: its identity, its pending
+// body, and its completion state. The coroutine that runs the body is a
+// carrier, borrowed from the Env for the body's duration only, so the
+// handle stays valid (Done, Join, DoneSignal) long after its carrier
+// has moved on to other processes. Blocking methods on Proc may only be
+// called from inside that process.
 type Proc struct {
+	env  *Env
+	name string
+	fn   func(*Proc) // body, pending until its carrier switches in
+	c    *carrier    // running the body; nil before start and after finish
+	span trace.SpanID
+	// doneSig fires when the body returns. It lives in the handle so a
+	// spawn plus a Join allocates the Proc and nothing else.
+	doneSig Signal
+	// prev/next link the process into Env.liveHead while it runs.
+	prev, next *Proc
+}
+
+// carrier is the expensive half of a process: an iter.Pull coroutine
+// with its grown stack and switch closures. It runs one body at a time
+// and between bodies waits on Env.idle. resumeFn/stopFn switch into the
+// coroutine and are invoked only from the driver goroutine; yieldFn
+// switches back out and is invoked only from inside the coroutine.
+type carrier struct {
 	env      *Env
-	name     string
-	fn       func(*Proc) // body, pending until the start event fires
+	proc     *Proc // the process being run; nil while idle
 	resumeFn func() (struct{}, bool)
 	stopFn   func()
 	yieldFn  func(struct{}) bool
-	started  bool
-	done     bool
-	doneSig  *Signal
-	span     trace.SpanID
 }
 
 // Name returns the process name given at spawn time.
@@ -486,53 +506,101 @@ func (p *Proc) Span() trace.SpanID { return p.span }
 
 // Go spawns a new process. The process starts at the current virtual
 // time (after already-scheduled events at that time). Go may be called
-// before Run or from inside another process.
+// before Run or from inside another process. It panics on a closed Env,
+// where the start event could never fire.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
+	if e.closed {
+		panic("sim: Go on closed Env")
+	}
 	p := &Proc{env: e, name: name, fn: fn}
-	e.procs = append(e.procs, p)
+	p.doneSig.env = e
 	e.scheduleAt(e.now, event{proc: p})
 	return p
 }
 
-// spawn creates the process coroutine; control then transfers to it
-// like any other resume, and the body starts on that first switch.
-// The dispatch chain between spawn and first resume is unbroken (the
-// driver trampolines the deposited transfer before checking any stop
-// condition), so a started process always enters its body.
-func (e *Env) spawn(p *Proc, fn func(*Proc)) {
+// spawn binds p to a carrier, an idle one when there is one; control
+// then transfers to the carrier like any other resume, and the body
+// starts on that switch. The dispatch chain between spawn and first
+// resume is unbroken (the driver trampolines the deposited transfer
+// before checking any stop condition), so a started process always
+// enters its body.
+func (e *Env) spawn(p *Proc) {
 	if e.tracer.Full() {
 		e.tracer.Emit(e.Now(), trace.KindProcSpawn, 0, 0, p.name, "", 0)
 	}
-	p.started = true
-	p.resumeFn, p.stopFn = iter.Pull(func(yield func(struct{}) bool) {
-		p.yieldFn = yield
-		p.main(fn)
-	})
+	var c *carrier
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		c = &carrier{env: e}
+		c.resumeFn, c.stopFn = iter.Pull(c.loop)
+	}
+	c.proc, p.c = p, c
+	p.prev = e.liveTail
+	if p.prev != nil {
+		p.prev.next = p
+	} else {
+		e.liveHead = p
+	}
+	e.liveTail = p
 }
 
-// main is the body of a process coroutine: run the user function, then
-// unwind through exit. When it returns, control switches back to the
-// driver's pending resumeFn/stopFn call.
-func (p *Proc) main(fn func(*Proc)) {
-	defer p.exit()
+// loop is the body of a carrier coroutine: run the process it was bound
+// to, then wait on the idle list for the next one. The idle yield
+// leaves Env.xfer nil, so the driver re-evaluates its stop conditions
+// and continues dispatch exactly as it does when a coroutine returns.
+// A body that panicked, or was unwound by Close, ends the coroutine
+// instead: its stack is not trusted with another process.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yieldFn = yield
+	e := c.env
+	for c.run() {
+		e.idle = append(e.idle, c)
+		if !yield(struct{}{}) {
+			return // Close is draining the idle list
+		}
+	}
+}
+
+// run executes the bound process to completion and reports whether the
+// carrier may take another.
+func (c *carrier) run() (reusable bool) {
+	p := c.proc
+	fn := p.fn
+	p.fn = nil
+	defer func() {
+		r := recover()
+		reusable = r == nil
+		c.proc = nil
+		p.exit(r)
+	}()
 	fn(p)
+	return
 }
 
-// exit runs as the process coroutine unwinds: it records a panic (if
-// any) and completes the process. Control returns to the driver when
-// the coroutine body finishes; the driver re-evaluates its stop
-// conditions and continues dispatch.
-func (p *Proc) exit() {
+// exit completes a process as its body unwinds with recovered value r
+// (nil for a normal return): it records a panic, releases the carrier
+// and the Env's reference, and fires the done signal.
+func (p *Proc) exit(r any) {
 	e := p.env
-	r := recover()
-	_, stopped := r.(stopSentinel)
-	if r != nil && !stopped && e.fail == nil {
+	if _, stopped := r.(stopSentinel); r != nil && !stopped && e.fail == nil {
 		e.fail = &procPanic{proc: p.name, value: r}
 	}
-	p.done = true
-	if p.doneSig != nil {
-		p.doneSig.Fire()
+	p.c = nil
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.liveHead = p.next
 	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		e.liveTail = p.prev
+	}
+	p.prev, p.next = nil, nil
+	p.doneSig.Fire()
 }
 
 // park blocks the current process until another component wakes it via
@@ -549,7 +617,7 @@ func (p *Proc) park() {
 	}
 	if next := e.runEvents(p); next != p {
 		e.xfer = next
-		if !p.yieldFn(struct{}{}) || e.closed {
+		if !p.c.yieldFn(struct{}{}) || e.closed {
 			// stopFn was called: Close is draining this coroutine.
 			panic(stopSentinel{})
 		}
@@ -592,27 +660,14 @@ func (p *Proc) WaitUntil(at time.Duration) {
 }
 
 // Done reports whether the process has finished.
-func (p *Proc) Done() bool { return p.done }
+func (p *Proc) Done() bool { return p.doneSig.fired }
 
 // DoneSignal returns a Signal that fires when the process finishes. The
 // same signal is returned on every call.
-func (p *Proc) DoneSignal() *Signal {
-	if p.doneSig == nil {
-		p.doneSig = NewSignal(p.env)
-		if p.done {
-			p.doneSig.Fire()
-		}
-	}
-	return p.doneSig
-}
+func (p *Proc) DoneSignal() *Signal { return &p.doneSig }
 
 // Join blocks until the other process finishes.
-func (p *Proc) Join(other *Proc) {
-	if other.done {
-		return
-	}
-	p.Await(other.DoneSignal())
-}
+func (p *Proc) Join(other *Proc) { p.Await(&other.doneSig) }
 
 // Run processes events until the queue is empty. It panics with the
 // original value if any process panicked.
@@ -646,30 +701,40 @@ func (e *Env) run(limit int64) {
 	}
 }
 
-// Close terminates all blocked processes, unwinding their coroutines.
-// After Close the environment must not be used. Close is idempotent.
-// It must be called from outside Run (not from a process).
+// Close terminates all blocked processes, in start order, unwinding
+// their coroutines, then ends the idle carriers: afterwards no
+// coroutine of this Env exists. After Close the environment must not be
+// used. Close is idempotent. It must be called from outside Run (not
+// from a process).
 func (e *Env) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	for _, p := range e.procs {
-		if p.started && !p.done {
-			// stopFn switches in with yield returning false; park panics
-			// the stop sentinel and the coroutine unwinds through its
-			// deferred exit before control returns here.
-			p.stopFn()
-		}
+	for p := e.liveHead; p != nil; {
+		next := p.next
+		// stopFn switches in with yield returning false; park panics the
+		// stop sentinel and the coroutine unwinds through exit (which
+		// unlinks p) and ends before control returns here.
+		p.c.stopFn()
+		p = next
 	}
+	for _, c := range e.idle {
+		c.stopFn()
+	}
+	e.idle = nil
 }
 
 // Signal is a one-shot broadcast event: processes Await it, and a later
 // Fire releases all of them. Awaiting an already-fired signal returns
 // immediately.
 type Signal struct {
-	env     *Env
-	fired   bool
+	env   *Env
+	fired bool
+	// first is the earliest waiter, held inline so the common
+	// one-waiter signal (a Join) needs no slice; waiters are the later
+	// ones in arrival order, non-empty only while first is set.
+	first   *Proc
 	waiters []*Proc
 }
 
@@ -684,10 +749,14 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
+	if s.first == nil {
+		return
+	}
+	s.env.wake(s.first)
 	for _, w := range s.waiters {
 		s.env.wake(w)
 	}
-	s.waiters = nil
+	s.first, s.waiters = nil, nil
 }
 
 // Fired reports whether the signal has been triggered.
@@ -698,7 +767,11 @@ func (p *Proc) Await(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	if s.first == nil {
+		s.first = p
+	} else {
+		s.waiters = append(s.waiters, p)
+	}
 	p.park()
 }
 

@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"sdf/internal/trace"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", e.Now())
 	}
@@ -14,6 +18,7 @@ func TestClockStartsAtZero(t *testing.T) {
 
 func TestWaitAdvancesClock(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	var at time.Duration
 	e.Go("w", func(p *Proc) {
 		p.Wait(5 * time.Millisecond)
@@ -27,6 +32,7 @@ func TestWaitAdvancesClock(t *testing.T) {
 
 func TestSequentialWaits(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	var at time.Duration
 	e.Go("w", func(p *Proc) {
 		p.Wait(time.Millisecond)
@@ -43,6 +49,7 @@ func TestSequentialWaits(t *testing.T) {
 func TestProcessesInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		e := NewEnv()
+		defer e.Close()
 		var order []string
 		for _, n := range []string{"a", "b", "c"} {
 			name := n
@@ -75,6 +82,7 @@ func TestProcessesInterleaveDeterministically(t *testing.T) {
 
 func TestZeroDelayEventsFIFO(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -90,6 +98,7 @@ func TestZeroDelayEventsFIFO(t *testing.T) {
 
 func TestRunUntilStopsClock(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	ticks := 0
 	e.Go("t", func(p *Proc) {
 		for {
@@ -104,11 +113,11 @@ func TestRunUntilStopsClock(t *testing.T) {
 	if e.Now() != 5500*time.Millisecond {
 		t.Fatalf("Now() = %v, want 5.5s", e.Now())
 	}
-	e.Close()
 }
 
 func TestRunUntilThenResume(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	ticks := 0
 	e.Go("t", func(p *Proc) {
 		for i := 0; i < 10; i++ {
@@ -128,6 +137,7 @@ func TestRunUntilThenResume(t *testing.T) {
 
 func TestSignalReleasesAllWaiters(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	s := NewSignal(e)
 	woke := 0
 	for i := 0; i < 4; i++ {
@@ -148,6 +158,7 @@ func TestSignalReleasesAllWaiters(t *testing.T) {
 
 func TestAwaitFiredSignalReturnsImmediately(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	s := NewSignal(e)
 	s.Fire()
 	var at time.Duration
@@ -163,6 +174,7 @@ func TestAwaitFiredSignalReturnsImmediately(t *testing.T) {
 
 func TestResourceSerializes(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewResource(e, 1)
 	var ends []time.Duration
 	for i := 0; i < 3; i++ {
@@ -184,6 +196,7 @@ func TestResourceSerializes(t *testing.T) {
 
 func TestResourceCapacityTwo(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewResource(e, 2)
 	var ends []time.Duration
 	for i := 0; i < 4; i++ {
@@ -205,6 +218,7 @@ func TestResourceCapacityTwo(t *testing.T) {
 
 func TestResourceFIFOOrder(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewResource(e, 1)
 	var order []int
 	for i := 0; i < 5; i++ {
@@ -227,6 +241,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 
 func TestTryAcquire(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewResource(e, 1)
 	if !r.TryAcquire() {
 		t.Fatal("first TryAcquire failed")
@@ -242,6 +257,7 @@ func TestTryAcquire(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	q := NewQueue[int](e)
 	var got []int
 	e.Go("consumer", func(p *Proc) {
@@ -265,6 +281,7 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueBurstPutWakesAllGetters(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	q := NewQueue[int](e)
 	served := 0
 	for i := 0; i < 3; i++ {
@@ -287,6 +304,7 @@ func TestQueueBurstPutWakesAllGetters(t *testing.T) {
 
 func TestJoin(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	var at time.Duration
 	worker := e.Go("worker", func(p *Proc) {
 		p.Wait(7 * time.Millisecond)
@@ -303,6 +321,7 @@ func TestJoin(t *testing.T) {
 
 func TestJoinFinishedProcess(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	worker := e.Go("worker", func(p *Proc) {})
 	joined := false
 	e.Go("joiner", func(p *Proc) {
@@ -334,6 +353,7 @@ func TestCloseUnwindsBlockedProcesses(t *testing.T) {
 
 func TestProcessPanicPropagates(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	e.Go("boom", func(p *Proc) {
 		panic("kaboom")
 	})
@@ -347,6 +367,7 @@ func TestProcessPanicPropagates(t *testing.T) {
 
 func TestUseReleasesOnReturn(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	r := NewResource(e, 1)
 	e.Go("u", func(p *Proc) {
 		r.Use(p, func() { p.Wait(time.Millisecond) })
@@ -368,6 +389,7 @@ func TestByteTime(t *testing.T) {
 
 func TestLinkSerializesTransfers(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	l := NewLink(e, 1e6, 0) // 1 MB/s
 	var ends []time.Duration
 	for i := 0; i < 3; i++ {
@@ -390,6 +412,7 @@ func TestLinkSerializesTransfers(t *testing.T) {
 
 func TestLinkOverhead(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	l := NewLink(e, 1e6, 10*time.Millisecond)
 	var end time.Duration
 	e.Go("x", func(p *Proc) {
@@ -404,6 +427,7 @@ func TestLinkOverhead(t *testing.T) {
 
 func TestSharedLinkFairSharing(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	l := NewSharedLink(e, 1e6) // 1 MB/s
 	var ends [2]time.Duration
 	for i := 0; i < 2; i++ {
@@ -425,6 +449,7 @@ func TestSharedLinkFairSharing(t *testing.T) {
 
 func TestSharedLinkLateArrival(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	l := NewSharedLink(e, 1e6)
 	var endA, endB time.Duration
 	e.Go("a", func(p *Proc) {
@@ -449,6 +474,7 @@ func TestSharedLinkLateArrival(t *testing.T) {
 
 func TestSharedLinkSequentialTransfers(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	l := NewSharedLink(e, 1e6)
 	var end time.Duration
 	e.Go("x", func(p *Proc) {
@@ -464,6 +490,7 @@ func TestSharedLinkSequentialTransfers(t *testing.T) {
 
 func TestSharedLinkManyConcurrent(t *testing.T) {
 	e := NewEnv()
+	defer e.Close()
 	l := NewSharedLink(e, 44e6)
 	done := 0
 	for i := 0; i < 44; i++ {
@@ -479,5 +506,197 @@ func TestSharedLinkManyConcurrent(t *testing.T) {
 	// 44 x 1MB at 44 MB/s aggregate: all finish together at ~1s.
 	if d := e.Now() - time.Second; d < -time.Millisecond || d > time.Millisecond {
 		t.Fatalf("finished at %v, want ~1s", e.Now())
+	}
+}
+
+// The carrier tests below pin the lifecycle of pooled coroutines: a
+// process body borrows a carrier, the handle outlives it, and Close
+// ends every carrier whether blocked or idle.
+
+func TestProcHandleOutlivesCarrier(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	first := e.Go("first", func(p *Proc) { p.Wait(time.Millisecond) })
+	e.Run()
+	if len(e.idle) != 1 {
+		t.Fatalf("idle carriers = %d after one process, want 1", len(e.idle))
+	}
+	c := e.idle[0]
+	// A second process takes the same carrier and blocks on it.
+	gate := NewSignal(e)
+	var ranOn *carrier
+	second := e.Go("second", func(p *Proc) {
+		ranOn = p.c
+		p.Await(gate)
+	})
+	e.Run()
+	if ranOn != c {
+		t.Fatal("second process did not reuse the idle carrier")
+	}
+	if !first.Done() || !first.DoneSignal().Fired() {
+		t.Fatal("finished handle lost its state when its carrier was reused")
+	}
+	if second.Done() {
+		t.Fatal("blocked process reports done")
+	}
+	joined := false
+	e.Go("joiner", func(p *Proc) {
+		p.Join(first) // already finished: returns at once
+		p.Await(second.DoneSignal())
+		joined = true
+	})
+	e.Go("release", func(p *Proc) { gate.Fire() })
+	e.Run()
+	if !joined || !second.Done() {
+		t.Fatalf("joined = %v, second.Done = %v, want both true", joined, second.Done())
+	}
+}
+
+func TestPanicOnRecycledCarrier(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	e.Go("warm", func(p *Proc) {})
+	e.Run()
+	c := e.idle[0]
+	var ranOn *carrier
+	e.Go("boom", func(p *Proc) {
+		ranOn = p.c
+		panic("kaboom")
+	})
+	func() {
+		defer func() {
+			want := `sim: process "boom" panicked: kaboom`
+			if r := recover(); r != want {
+				t.Errorf("Run panicked with %v, want %q", r, want)
+			}
+		}()
+		e.Run()
+	}()
+	if ranOn != c {
+		t.Fatal("panicking process did not run on the recycled carrier")
+	}
+	if len(e.idle) != 0 {
+		t.Fatalf("idle carriers = %d, want 0: a carrier whose body panicked must not be pooled", len(e.idle))
+	}
+}
+
+func TestCloseEndsIdleAndBlockedCarriers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv()
+	const idle, blocked = 5, 3
+	for i := 0; i < idle; i++ {
+		e.Go("short", func(p *Proc) { p.Wait(time.Millisecond) })
+	}
+	cleaned := 0
+	for i := 0; i < blocked; i++ {
+		e.Go("stuck", func(p *Proc) {
+			defer func() { cleaned++ }()
+			p.Wait(time.Hour)
+		})
+	}
+	e.RunUntil(time.Second)
+	if len(e.idle) != idle {
+		t.Fatalf("idle carriers = %d, want %d", len(e.idle), idle)
+	}
+	if got := runtime.NumGoroutine(); got != before+idle+blocked {
+		t.Fatalf("goroutines = %d with %d carriers alive, want %d", got, idle+blocked, before+idle+blocked)
+	}
+	e.Close()
+	e.Close() // idempotent
+	if cleaned != blocked {
+		t.Fatalf("cleaned = %d, want %d", cleaned, blocked)
+	}
+	if e.liveHead != nil || e.liveTail != nil || len(e.idle) != 0 {
+		t.Fatal("Close left processes or carriers registered")
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("goroutines = %d after Close, want %d", got, before)
+	}
+}
+
+func TestGoFromFinishingProcess(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	var child *Proc
+	var at time.Duration
+	e.Go("parent", func(p *Proc) {
+		p.Wait(time.Millisecond)
+		// The last thing the body does: by the time the child's start
+		// event fires, this carrier is idle and the child takes it.
+		defer func() {
+			child = e.Go("child", func(cp *Proc) {
+				cp.Wait(time.Millisecond)
+				at = e.Now()
+			})
+		}()
+	})
+	e.RunUntil(time.Millisecond)
+	if child == nil || child.Done() {
+		t.Fatal("child not spawned by the finishing parent")
+	}
+	// RunUntilDone must stop on a process that runs on a recycled
+	// carrier, leaving later events queued.
+	e.Schedule(time.Hour, func() {})
+	e.RunUntilDone(child)
+	if !child.Done() || at != 2*time.Millisecond || e.Now() != at {
+		t.Fatalf("child done = %v at %v, clock %v; want done at 2ms", child.Done(), at, e.Now())
+	}
+	if len(e.idle) != 1 {
+		t.Fatalf("idle carriers = %d, want 1: parent and child share one", len(e.idle))
+	}
+}
+
+func TestGoOnClosedEnvPanics(t *testing.T) {
+	e := NewEnv()
+	e.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Go on a closed Env did not panic")
+		}
+	}()
+	e.Go("late", func(p *Proc) {})
+}
+
+// TestFullTraceUnchangedByCarrierPool replays a small scenario that
+// spawns, joins, parks on every primitive and finishes processes in
+// bursts, with the tracer at LevelFull, and compares the event stream
+// (spawn/park/resume, acquire/release, transfers) with the hash the
+// per-spawn-coroutine kernel produced for it.
+func TestFullTraceUnchangedByCarrierPool(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	tr := trace.NewCollector()
+	tr.SetLevel(trace.LevelFull)
+	e.SetTracer(tr)
+	res := NewResource(e, 2)
+	res.SetName("res")
+	link := NewSharedLink(e, 1e6)
+	link.SetName("link")
+	all := NewSignal(e)
+	e.Go("root", func(p *Proc) {
+		for round := 0; round < 3; round++ {
+			var kids []*Proc
+			for k := 0; k < 4; k++ {
+				n := 1000 * (k + 1)
+				kids = append(kids, e.Go("kid", func(kp *Proc) {
+					res.Acquire(kp)
+					link.Transfer(kp, n)
+					res.Release()
+					if n == 2000 {
+						e.Go("grandkid", func(gp *Proc) { gp.Await(all) })
+					}
+				}))
+			}
+			for _, kid := range kids {
+				p.Join(kid)
+			}
+			p.Wait(time.Millisecond)
+		}
+		all.Fire()
+	})
+	e.Run()
+	const want = "912ff95e363a0d1a2bd8e9461cfde511b6aa7b0d7798795f8e727a2bb0db4d52"
+	if got := tr.Hash(); got != want {
+		t.Fatalf("full trace hash = %s (%d events), want %s", got, tr.Len(), want)
 	}
 }
