@@ -112,25 +112,34 @@ metrics-smoke:
 	grep -q 'gen3/read_p99  *VIOLATED' slo-report.txt
 	rm -f METRICS_faults_a.prom METRICS_faults_a.jsonl BENCH_faults_a.json slo-report.txt
 
-# bench-smoke regenerates the Figure 7 benchmark JSON in quick mode
-# and diffs its determinism-sensitive fields (tables, metrics) against
-# the committed baseline in bench/baseline/ — catching silent drift of
-# the paper numbers while letting the recorded wall-clock/events-per-
-# second perf trajectory move freely. CI uploads the fresh JSON as an
-# artifact, so the perf history is one download per commit.
+# bench-smoke regenerates, in quick mode, the benchmark JSON of every
+# experiment with a committed baseline in bench/baseline/ and diffs its
+# determinism-sensitive fields (tables, metrics) against it — catching
+# silent drift of the paper numbers while letting the recorded wall-
+# clock/events-per-second perf trajectory move freely (printed, never
+# judged). A new BENCH_<experiment>.json dropped into the directory is
+# picked up by name. CI uploads the fresh JSON as an artifact, so the
+# perf history is one download per commit.
 bench-smoke:
-	$(GO) run ./cmd/sdfbench -quick -json figure7
-	$(GO) run ./cmd/sdfctl bench diff bench/baseline/BENCH_figure7.json BENCH_figure7.json
-	$(GO) run ./cmd/sdfctl bench diff -perf bench/baseline/BENCH_figure7.json BENCH_figure7.json
+	@set -e; for base in bench/baseline/BENCH_*.json; do \
+		json=$${base##*/}; exp=$${json#BENCH_}; exp=$${exp%.json}; \
+		$(GO) run ./cmd/sdfbench -quick -json $$exp; \
+		$(GO) run ./cmd/sdfctl bench diff $$base $$json; \
+		$(GO) run ./cmd/sdfctl bench diff -perf $$base $$json; \
+	done
 
 # kernel-bench is the scheduler perf gate (DESIGN.md "Kernel round 2"):
 # it fails on an allocation regression in the pooled fast paths
 # (TestKernelFastPathAllocs, the numeric form of the -benchmem
-# columns), then records the BenchmarkKernel* suite with allocation
-# accounting and a CPU profile. CI uploads kernel-bench.txt and
-# kernel-bench.pprof, so every commit carries its kernel perf history.
+# columns) or on a device command or rpcnet fan-out that costs more
+# than a handful of events or allocates per request
+# (TestCommandBudget), then records the BenchmarkKernel* suite with
+# allocation accounting and a CPU profile. CI uploads kernel-bench.txt
+# and kernel-bench.pprof, so every commit carries its kernel perf
+# history.
 kernel-bench:
 	$(GO) test ./internal/sim -run TestKernelFastPathAllocs -count=1 -v
+	$(GO) test ./internal/core -run TestCommandBudget -count=1 -v
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkKernel -benchmem \
 		-cpuprofile kernel-bench.pprof -o kernel-bench.test | tee kernel-bench.txt
 	rm -f kernel-bench.test
@@ -142,8 +151,27 @@ kernel-bench:
 # failed output check (sizes, device byte counters, read-back, the BCH
 # data canaries, the cross-repetition digest). CI uploads
 # bench/perf/out/ so every commit carries its end-to-end numbers.
+#
+# TestProtocolEmitsEveryName runs apart from the rest: at its tiny size
+# a measured phase is now 5-8 ms of CPU, under the 10 ms period of the
+# CPU profiler whose first tick lands at a random phase, so a pass
+# whose three profiles all come back empty fails the check "cpu
+# profile: no samples" one run in three to ten. That one outcome — and
+# nothing else the test can report — is retried; any other failure
+# fails the target at once. Drop the loop when bench/perf's tiny run
+# stops requiring a sample (ROADMAP, open items).
 perf-smoke:
-	$(GO) test -C bench/perf ./...
+	$(GO) test -C bench/perf -skip '^TestProtocolEmitsEveryName$$' ./...
+	@for try in 1 2 3 4 5; do \
+		echo "$(GO) test -C bench/perf -count=1 -run '^TestProtocolEmitsEveryName$$' ./... (try $$try of 5)"; \
+		if out=$$($(GO) test -C bench/perf -count=1 -run '^TestProtocolEmitsEveryName$$' ./... 2>&1); then \
+			echo "$$out"; exit 0; \
+		fi; \
+		echo "$$out"; \
+		echo "$$out" | grep -q 'perf_test.go:[0-9]*:' || exit 1; \
+		echo "$$out" | grep 'perf_test.go:[0-9]*:' | \
+			grep -qv 'output checks failed: \[cpu profile: no samples\]$$' && exit 1; \
+	done; exit 1
 	bash bench/perf/run.sh --seconds 3 --trace 0
 
 check: build vet race lint

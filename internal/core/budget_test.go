@@ -1,0 +1,129 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"sdf/internal/rpcnet"
+	"sdf/internal/sim"
+)
+
+// budgetRig drives one command at a time through a long-lived process,
+// so a command can be the body of testing.AllocsPerRun: do hands the
+// worker an op and runs the simulation until it has finished. events
+// is the scheduler dispatches the last op took, counted around the op
+// inside the worker.
+type budgetRig struct {
+	env    *sim.Env
+	jobs   *sim.Queue[func(*sim.Proc)]
+	events uint64
+}
+
+func newBudgetRig() *budgetRig {
+	r := &budgetRig{env: sim.NewEnv()}
+	r.jobs = sim.NewQueue[func(*sim.Proc)](r.env)
+	r.env.Go("budget", func(p *sim.Proc) {
+		for {
+			op := r.jobs.Get(p)
+			before := r.env.Events()
+			op(p)
+			r.events = r.env.Events() - before
+		}
+	})
+	return r
+}
+
+func (r *budgetRig) do(op func(*sim.Proc)) {
+	r.jobs.Put(op)
+	r.env.Run()
+}
+
+// TestCommandBudget is the gate on what a request costs the simulator
+// once every layer it crosses does O(1) kernel work (DESIGN.md §10,
+// §15): a device command is a handful of scheduler events whatever its
+// size, and neither it nor an rpcnet fan-out allocates in steady state.
+// A per-page park or a per-request record shows up here as hundreds of
+// events or allocations.
+func TestCommandBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	cfg := testConfig()
+	cfg.Channels = 2
+	rig := newBudgetRig()
+	defer rig.env.Close()
+	d, err := New(rig.env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(size int) func(*sim.Proc) {
+		return func(p *sim.Proc) {
+			_, err := d.Read(p, 0, 0, 0, size)
+			fail(err)
+		}
+	}
+	erase := func(p *sim.Proc) { fail(d.Erase(p, 1, 0)) }
+	write := func(p *sim.Proc) { fail(d.Write(p, 1, 0, nil)) }
+	eraseWrite := func(p *sim.Proc) { erase(p); write(p) }
+	rig.do(func(p *sim.Proc) { fail(d.EraseWrite(p, 0, 0, nil)) })
+
+	for _, c := range []struct {
+		name      string
+		op        func(*sim.Proc)
+		maxEvents uint64
+	}{
+		{"8 KB read", read(d.PageSize()), 8},
+		{"8 MB read", read(d.BlockSize()), 8},
+	} {
+		rig.do(c.op) // warm the record pool and the carriers
+		if allocs := testing.AllocsPerRun(20, func() { rig.do(c.op) }); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per command, want 0", c.name, allocs)
+		}
+		if rig.events > c.maxEvents {
+			t.Errorf("%s: %d scheduler events, budget %d", c.name, rig.events, c.maxEvents)
+		}
+	}
+
+	// A write needs an erased block each time, and the erase is outside
+	// the budget, so the write is counted on its own. Wear leveling
+	// hands each erase the least-worn free block: the steady state —
+	// every block written once, its spare slab recycled when its turn
+	// comes again — takes a full rotation of the plane to reach.
+	for i := 0; i < 2*cfg.Channel.Nand.BlocksPerPlane; i++ {
+		rig.do(eraseWrite)
+	}
+	var allocs uint64
+	for i := 0; i < 20; i++ {
+		rig.do(erase)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rig.do(write)
+		runtime.ReadMemStats(&after)
+		allocs += after.Mallocs - before.Mallocs
+	}
+	if allocs != 0 {
+		t.Errorf("8 MB write: %d allocations in 20 commands, want 0", allocs)
+	}
+	if rig.events > 16 {
+		t.Errorf("8 MB write: %d scheduler events, budget 16", rig.events)
+	}
+
+	// A batch-44 Call of no-op sub-requests: 44 rpcnet/sub processes, no
+	// response, nothing allocated but the odd slice growth.
+	net := rpcnet.NewNetwork(rig.env, rpcnet.DefaultConfig())
+	client := net.NewClient()
+	batch := make([]rpcnet.SubRequest, 44)
+	for i := range batch {
+		batch[i] = func(*sim.Proc) int { return 0 }
+	}
+	call := func(p *sim.Proc) { client.Call(p, 64, batch) }
+	rig.do(call)
+	if allocs := testing.AllocsPerRun(20, func() { rig.do(call) }); allocs > 2 {
+		t.Errorf("batch-44 Call: %.0f allocations, budget 2", allocs)
+	}
+}

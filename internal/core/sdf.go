@@ -50,6 +50,66 @@ type Device struct {
 	channels []*flashchan.Channel
 	pcie     *hostif.Interface
 	stack    *hostif.Stack
+	free     []*ioReq // request records between uses
+}
+
+// ioReq is one Read or write in flight: the helper process that runs
+// the channel command while the caller drives the DMA, with the
+// command's arguments and results as fields. The Proc is embedded and
+// the two bodies are method values bound when the record is first
+// built, so a request served from the free list allocates nothing
+// (DESIGN.md §15). Records are made on demand, never ahead of time.
+type ioReq struct {
+	d    *Device
+	proc sim.Proc
+	read func(*sim.Proc)
+	prog func(*sim.Proc)
+
+	op                 trace.SpanID
+	ch, lbn, off, size int
+	data               []byte
+	erase, tagged      bool
+	tag                flashchan.WriteID
+
+	out []byte
+	err error
+}
+
+func (d *Device) getReq() *ioReq {
+	if n := len(d.free); n > 0 {
+		r := d.free[n-1]
+		d.free = d.free[:n-1]
+		return r
+	}
+	r := &ioReq{d: d}
+	r.read, r.prog = r.runRead, r.runWrite
+	return r
+}
+
+// putReq recycles a record whose process has been joined.
+func (d *Device) putReq(r *ioReq) {
+	r.data, r.out, r.err = nil, nil, nil
+	d.free = append(d.free, r)
+}
+
+func (r *ioReq) runRead(wp *sim.Proc) {
+	wp.SetSpan(r.op)
+	r.out, r.err = r.d.channels[r.ch].ReadAt(wp, r.lbn, r.off, r.size)
+}
+
+func (r *ioReq) runWrite(wp *sim.Proc) {
+	wp.SetSpan(r.op)
+	ch := r.d.channels[r.ch]
+	switch {
+	case r.erase && r.tagged:
+		r.err = ch.EraseWriteTagged(wp, r.lbn, r.data, r.tag)
+	case r.erase:
+		r.err = ch.EraseWrite(wp, r.lbn, r.data)
+	case r.tagged:
+		r.err = ch.WriteTagged(wp, r.lbn, r.data, r.tag)
+	default:
+		r.err = ch.Write(wp, r.lbn, r.data)
+	}
 }
 
 // New builds the device and its channel engines on env.
@@ -397,20 +457,18 @@ func (d *Device) Read(p *sim.Proc, ch, lbn, off, size int) ([]byte, error) {
 	end := d.beginOp(p, "sdf/read")
 	defer end()
 	d.stack.Submit(p)
-	op := p.Span()
 	t := d.env.Tracer()
-	var data []byte
-	var chErr error
-	flash := d.env.Go("sdf/read", func(wp *sim.Proc) {
-		wp.SetSpan(op)
-		data, chErr = d.channels[ch].ReadAt(wp, lbn, off, size)
-	})
+	r := d.getReq()
+	r.op, r.ch, r.lbn, r.off, r.size = p.Span(), ch, lbn, off, size
+	flash := d.env.Start(&r.proc, "sdf/read", r.read)
 	// DMA streams pages to host memory as the channel produces them;
 	// modelled as a concurrent transfer of the full payload.
-	dma := t.Begin(d.env.Now(), op, "pcie/to-host", trace.PhaseBus)
+	dma := t.Begin(d.env.Now(), r.op, "pcie/to-host", trace.PhaseBus)
 	d.pcie.ToHost(p, size)
 	t.End(d.env.Now(), dma)
 	p.Join(flash)
+	data, chErr := r.out, r.err
+	d.putReq(r)
 	if chErr != nil {
 		d.stack.Abort()
 		return nil, chErr
@@ -455,26 +513,19 @@ func (d *Device) write(p *sim.Proc, ch, lbn int, data []byte, erase bool, tag *f
 	end := d.beginOp(p, name)
 	defer end()
 	d.stack.Submit(p)
-	op := p.Span()
 	t := d.env.Tracer()
-	var chErr error
-	flash := d.env.Go("sdf/write", func(wp *sim.Proc) {
-		wp.SetSpan(op)
-		switch {
-		case erase && tag != nil:
-			chErr = d.channels[ch].EraseWriteTagged(wp, lbn, data, *tag)
-		case erase:
-			chErr = d.channels[ch].EraseWrite(wp, lbn, data)
-		case tag != nil:
-			chErr = d.channels[ch].WriteTagged(wp, lbn, data, *tag)
-		default:
-			chErr = d.channels[ch].Write(wp, lbn, data)
-		}
-	})
-	dma := t.Begin(d.env.Now(), op, "pcie/to-device", trace.PhaseBus)
+	r := d.getReq()
+	r.op, r.ch, r.lbn, r.data, r.erase = p.Span(), ch, lbn, data, erase
+	if r.tagged = tag != nil; r.tagged {
+		r.tag = *tag // by value: a kept pointer would put the caller's ID on the heap
+	}
+	flash := d.env.Start(&r.proc, "sdf/write", r.prog)
+	dma := t.Begin(d.env.Now(), r.op, "pcie/to-device", trace.PhaseBus)
 	d.pcie.ToDevice(p, d.BlockSize())
 	t.End(d.env.Now(), dma)
 	p.Join(flash)
+	chErr := r.err
+	d.putReq(r)
 	if chErr != nil {
 		d.stack.Abort()
 		return chErr

@@ -168,7 +168,7 @@ func (ch *Channel) checkpointLocked(p *sim.Proc) error {
 	}
 	parent := p.Span()
 	for pg, rec := range chunks {
-		p.WaitUntil(ch.transferAsync(len(rec), parent))
+		p.WaitUntil(ch.transferAt(ch.env.Now(), len(rec), parent))
 		if err := ps.plane.ProgramOOB(p, phys, pg, nil, rec); err != nil {
 			ch.cpFailures++
 			return fmt.Errorf("flashchan: checkpoint program: %w", err)

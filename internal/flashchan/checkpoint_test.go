@@ -161,6 +161,31 @@ func TestCheckpointRequiresSpares(t *testing.T) {
 	}
 }
 
+// TestSparesMustLeaveLogicalBlocks rejects a spare pool as large as the
+// plane: LogicalBlocks would be zero or negative and every command
+// would fail its address check ("logical block 0 of -8").
+func TestSparesMustLeaveLogicalBlocks(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	cfg := DefaultConfig()
+	cfg.Nand.BlocksPerPlane = 8 // below the default spare pool of 16
+	if _, err := New(env, cfg); err == nil {
+		t.Fatal("New accepted SparePerPlane 16 with 8 blocks per plane")
+	}
+	cfg.SparePerPlane = 8
+	if _, err := New(env, cfg); err == nil {
+		t.Fatal("New accepted SparePerPlane == BlocksPerPlane")
+	}
+	cfg.SparePerPlane = 7
+	ch, err := New(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.LogicalBlocks() != 1 {
+		t.Fatalf("logical blocks = %d, want 1", ch.LogicalBlocks())
+	}
+}
+
 // TestCheckpointAgeTrigger sets a write period too large to ever fire
 // and a small virtual-time bound, and requires the age trigger to
 // checkpoint anyway — plus the age accessor to reset on success.

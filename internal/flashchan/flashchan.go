@@ -189,6 +189,8 @@ type Channel struct {
 	deadRejects  int64 // commands refused while offline
 	checkpoints  int64 // checkpoints written and verified
 	cpFailures   int64 // checkpoint attempts that failed
+
+	wr blockWrite // the block write in service (program.go)
 }
 
 type parityKey struct {
@@ -202,6 +204,10 @@ func New(env *sim.Env, cfg Config) (*Channel, error) {
 	}
 	if cfg.CheckpointEvery > 0 && cfg.SparePerPlane <= cpSlots {
 		return nil, fmt.Errorf("flashchan: checkpointing needs SparePerPlane > %d", cpSlots)
+	}
+	if cfg.SparePerPlane < 0 || cfg.SparePerPlane >= cfg.Nand.BlocksPerPlane {
+		return nil, fmt.Errorf("flashchan: SparePerPlane %d leaves no logical blocks of %d per plane",
+			cfg.SparePerPlane, cfg.Nand.BlocksPerPlane)
 	}
 	if cfg.CheckpointMaxAge > 0 && cfg.CheckpointEvery <= 0 {
 		return nil, fmt.Errorf("flashchan: CheckpointMaxAge requires CheckpointEvery > 0")
@@ -253,17 +259,15 @@ func New(env *sim.Env, cfg Config) (*Channel, error) {
 	return ch, nil
 }
 
-// transferAsync claims the bus's next FIFO slot for one page and
-// returns the virtual instant the wires go quiet, without blocking or
-// parking anything: the channel bus is pure timed occupancy, so the
-// old pump process (a park per page on Get plus another inside
-// Transfer) collapses into a Timeline reservation. Callers that must
-// observe completion wait with WaitUntil. The span brackets wire
-// occupancy only (command cycles + data), not the time the transfer
-// sat queued behind other pages — identical bounds to what the pump
-// recorded, emitted eagerly with the slot's computed timestamps.
-func (ch *Channel) transferAsync(n int, parent trace.SpanID) time.Duration {
-	start, end := ch.bus.Reserve(n)
+// transferAt claims the bus's next FIFO slot for n bytes that are ready
+// to ship at instant at (now or later) and returns the instant the
+// wires go quiet, without blocking or parking anything: the channel bus
+// is pure timed occupancy. Callers that must observe completion wait
+// with WaitUntil. The span brackets wire occupancy only (command
+// cycles + data), not the time the transfer sat queued behind other
+// pages, and is emitted eagerly with the slot's computed timestamps.
+func (ch *Channel) transferAt(at time.Duration, n int, parent trace.SpanID) time.Duration {
+	start, end := ch.bus.ReserveAt(at, n)
 	t := ch.env.Tracer()
 	span := t.Begin(start, parent, "chan/bus", trace.PhaseBus)
 	t.End(end, span)
@@ -396,6 +400,9 @@ func (ch *Channel) PowerOff() {
 	for _, chip := range ch.chips {
 		chip.PowerOff()
 	}
+	// A block write in flight resolves against the cut now; the command
+	// collects the verdict when its park ends.
+	ch.settleWrite()
 }
 
 // Alive reports whether the engine is serving commands.
@@ -647,77 +654,25 @@ func (ch *Channel) writeLocked(p *sim.Proc, lbn int, data []byte, tag *WriteID) 
 			return fmt.Errorf("%w: logical block %d, plane %d", ErrNotErased, lbn, i)
 		}
 	}
-	pageSize := ch.cfg.Nand.PageSize
-	pagesPerBlock := ch.cfg.Nand.PagesPerBlock
-	stripe := ch.stripeBytes()
 	// One sequence number per write command: all planes and pages of
 	// this logical block share it, so the recovery scan can tell a
 	// complete cross-plane generation from a torn one.
 	seq := ch.nextSeq
 	ch.nextSeq++
-	errs := make([]error, len(ch.planes))
-	parent := p.Span()
-	var workers []*sim.Proc
-	for i := range ch.planes {
-		pi := i
-		w := ch.env.Go("flashchan/write", func(wp *sim.Proc) {
-			wp.SetSpan(parent)
-			ps := &ch.planes[pi]
-			phys := ps.mapping[lbn]
-			// One flash-phase span per plane covers the whole program
-			// loop: with cache programming the plane is array-busy
-			// nearly end to end, and per-page spans would multiply the
-			// event volume 256x for no extra insight.
-			t := ch.env.Tracer()
-			span := t.Begin(ch.env.Now(), parent, "nand/program", trace.PhaseFlash)
-			// Cache programming: while page pg programs from the data
-			// register, page pg+1 streams over the bus into the cache
-			// register, so sustained writes are program-limited.
-			pending := ch.transferAsync(pageSize, parent)
-			var bcrc uint32 // running fold of the page CRCs
-			// The media model copies the spare synchronously, so one
-			// stack buffer serves every page of this worker.
-			var oobBuf [oobSize]byte
-			for pg := 0; pg < pagesPerBlock; pg++ {
-				var payload []byte
-				if data != nil {
-					off := pi*stripe + pg*pageSize
-					payload = data[off : off+pageSize]
-				}
-				wp.WaitUntil(pending)
-				if pg+1 < pagesPerBlock {
-					pending = ch.transferAsync(pageSize, parent)
-				}
-				oob, fold := makePageOOB(tag, seq, lbn, pg, pagesPerBlock, payload, bcrc)
-				bcrc = fold
-				encodeOOBInto(oob, oobBuf[:])
-				if err := ps.plane.ProgramOOB(wp, phys, pg, payload, oobBuf[:]); err != nil {
-					errs[pi] = err
-					t.End(ch.env.Now(), span)
-					return
-				}
-				if ch.parity != nil && payload != nil {
-					ch.storeParity(pi, phys, pg, payload)
-				}
-			}
-			t.End(ch.env.Now(), span)
-		})
-		workers = append(workers, w)
-	}
-	for _, w := range workers {
-		p.Join(w)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	ch.bytesWritten += int64(ch.BlockSize())
 	m := blockMeta{seq: seq}
 	if tag != nil {
 		m.id = *tag
 		m.tagged = true
 	}
+	ch.wr.lbn, ch.wr.data, ch.wr.seq, ch.wr.tag, ch.wr.tagged = lbn, data, seq, m.id, m.tagged
+	// The whole command is laid out now and parks once; its pages reach
+	// the media when it wakes, or at the cut if power dies first.
+	p.WaitUntil(ch.scheduleWrite(p.Span()))
+	ch.settleWrite()
+	if err := ch.wr.failed; err != nil {
+		return err
+	}
+	ch.bytesWritten += int64(ch.BlockSize())
 	ch.meta[lbn] = m
 	return nil
 }
@@ -781,55 +736,76 @@ func (ch *Channel) ReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error) {
 		return nil, err
 	}
 
+	// The engine holds the planes and the bus until it releases, so the
+	// whole pipeline — array read of page n+1 under the bus transfer of
+	// page n — is known now: walk it on a local cursor, reserving each
+	// slot at the instant the step would have reached it, and park once
+	// for the outcome (DESIGN.md §10).
 	var out []byte
 	if ch.cfg.Nand.RetainData {
-		out = make([]byte, 0, size)
+		out = make([]byte, size)
 	}
 	t := ch.env.Tracer()
 	parent := p.Span()
 	stripe := ch.stripeBytes()
+	cur := ch.env.Now()
 	var pending time.Duration // wires-quiet instant of the in-flight page (0 = none)
+	var err error
 	lastPi, lastPhys := -1, 0 // mapping lookup cache: pi changes once per stripe
-	for done := 0; done < size; {
+	for done := 0; done < size; done += pageSize {
 		pi := (off + done) / stripe
-		within := (off + done) % stripe
-		pg := within / pageSize
+		pg := (off + done) % stripe / pageSize
 		ps := &ch.planes[pi]
 		if pi != lastPi {
 			phys, ok := ps.mapping[lbn]
 			if !ok {
-				return nil, fmt.Errorf("%w: logical block %d never written", ErrBadAddress, lbn)
+				err = fmt.Errorf("%w: logical block %d never written", ErrBadAddress, lbn)
+				break
 			}
 			lastPi, lastPhys = pi, phys
 		}
 		phys := lastPhys
-		span := t.Begin(ch.env.Now(), parent, "nand/read", trace.PhaseFlash)
-		data, err := ps.plane.ReadPage(p, phys, pg)
-		if err != nil {
-			t.End(ch.env.Now(), span)
-			return nil, err
-		}
-		t.End(ch.env.Now(), span)
-		if ch.code != nil {
-			data, err = ch.correct(pi, phys, pg, data)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if ch.cfg.VerifyCRC && data != nil {
-			if err := ch.verifyCRC(ps.plane, pi, phys, pg, data); err != nil {
-				return nil, err
-			}
-		}
+		var page []byte
 		if out != nil {
-			out = append(out, data...)
+			page = out[done : done+pageSize]
 		}
-		// Wait for the cache register to drain, then ship this page.
-		p.WaitUntil(pending)
-		pending = ch.transferAsync(pageSize, parent)
-		done += pageSize
+		span := t.Begin(cur, parent, "nand/read", trace.PhaseFlash)
+		loaded, stored, rerr := ps.plane.ReadPageAt(cur, phys, pg, page)
+		t.End(loaded, span)
+		cur = loaded
+		if err = rerr; err != nil {
+			break
+		}
+		if stored {
+			if ch.code != nil {
+				if err = ch.correct(pi, phys, pg, page); err != nil {
+					break
+				}
+			}
+			if ch.cfg.VerifyCRC {
+				if err = ch.verifyCRC(ps.plane, pi, phys, pg, page); err != nil {
+					break
+				}
+			}
+		}
+		// The cache register drains, then this page ships.
+		if pending > cur {
+			cur = pending
+		}
+		pending = ch.transferAt(cur, pageSize, parent)
+	}
+	if err != nil {
+		p.WaitUntil(cur) // the instant the failing step reported
+		return nil, err
 	}
 	p.WaitUntil(pending)
+	// A power cut takes effect at command granularity: the read resolves
+	// at its scheduled end, as lost if a chip it read from died.
+	for pi := off / stripe; pi <= (off+size-1)/stripe; pi++ {
+		if ch.chips[ch.planes[pi].chip].PoweredOff() {
+			return nil, fmt.Errorf("%w: plane %d", ErrPowerLoss, pi)
+		}
+	}
 	ch.bytesRead += int64(size)
 	return out, nil
 }
@@ -848,10 +824,10 @@ func (ch *Channel) storeParity(pi, phys, pg int, payload []byte) {
 
 // correct runs the BCH decoder over each sector of a page read,
 // fixing injected bit errors in place.
-func (ch *Channel) correct(pi, phys, pg int, data []byte) ([]byte, error) {
+func (ch *Channel) correct(pi, phys, pg int, data []byte) error {
 	parities, ok := ch.parity[parityKey{pi, phys, pg}]
 	if !ok {
-		return data, nil // written without ECC (timing-only payloads)
+		return nil // written without ECC (timing-only payloads)
 	}
 	sector := ch.cfg.ECCSector
 	for s := 0; s < len(parities); s++ {
@@ -859,12 +835,12 @@ func (ch *Channel) correct(pi, phys, pg int, data []byte) ([]byte, error) {
 		n, err := ch.code.Decode(data[s*sector:(s+1)*sector], par)
 		if err != nil {
 			ch.eccFailures++
-			return nil, fmt.Errorf("%w: plane %d block %d page %d sector %d",
+			return fmt.Errorf("%w: plane %d block %d page %d sector %d",
 				ErrUncorrectable, pi, phys, pg, s)
 		}
 		ch.eccCorrected += int64(n)
 	}
-	return data, nil
+	return nil
 }
 
 // ScanFilter reads an entire logical block through the channel and

@@ -405,6 +405,50 @@ func TestECCUncorrectableSurfaces(t *testing.T) {
 	})
 }
 
+// TestReadOfPayloadlessBlockIsZeroFilled reads, in data mode, a block
+// that was programmed without a payload: the read must return exactly
+// the bytes asked for, all zero, and must not touch the error-injection
+// stream — a later read of real data sees the bit errors it would have
+// seen had the empty block never been read.
+func TestReadOfPayloadlessBlockIsZeroFilled(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Nand.BaseBER = 1e-4
+	data := make([]byte, cfg.Nand.PageSize*cfg.Nand.PagesPerBlock*cfg.Chips*cfg.Nand.Planes)
+	rand.New(rand.NewSource(21)).Read(data)
+	var noisy [2][]byte
+	for round := range noisy {
+		run(t, cfg, func(env *sim.Env, ch *Channel, p *sim.Proc) {
+			if err := ch.EraseWrite(p, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := ch.EraseWrite(p, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+			if round == 1 {
+				size := 3 * ch.PageSize()
+				got, err := ch.ReadAt(p, 1, ch.BlockSize()/2-ch.PageSize(), size) // crosses a plane
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != size || !bytes.Equal(got, make([]byte, size)) {
+					t.Fatalf("read of a payload-less block returned %d bytes (want %d, all zero)", len(got), size)
+				}
+			}
+			got, err := ch.ReadAt(p, 0, 0, ch.BlockSize())
+			if err != nil {
+				t.Fatal(err)
+			}
+			noisy[round] = got
+		})
+	}
+	if bytes.Equal(noisy[0], data) {
+		t.Fatal("no bit errors injected: the test cannot see the RNG stream")
+	}
+	if !bytes.Equal(noisy[0], noisy[1]) {
+		t.Fatal("reading a payload-less block consumed error-injection draws")
+	}
+}
+
 func TestECCRequiresDataMode(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ECC = true

@@ -1,0 +1,414 @@
+package flashchan
+
+// Differential tests: the closed-form ReadAt/writeLocked against the
+// park-per-page reference in pipeline_ref_test.go. Same seeded case run
+// through both must agree on every instant, span, counter and byte.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"sdf/internal/sim"
+	"sdf/internal/trace"
+)
+
+// diffCmd is one command of a differential case.
+type diffCmd struct {
+	delay     time.Duration // issue instant, after the set-up writes
+	kind      int           // 0 read, 1 erase-write, 2 erase then write
+	lbn       int
+	off, size int
+	data      []byte
+}
+
+type diffCase struct {
+	cfg    Config
+	setup  [][]byte // payload per preloaded block (nil entries: timing-only)
+	cmds   []diffCmd
+	filler int // block written without a payload, -1 if none
+}
+
+// diffResult is everything a run exposes that the two pipelines must
+// agree on.
+type diffResult struct {
+	doneAt   []time.Duration
+	errs     []string
+	sums     []uint32 // CRC of each command's returned bytes
+	lens     []int
+	spans    []string
+	busMoved int64
+	counters string
+	probe    []byte // a final raw read: the chips' RNG streams, continued
+	endAt    time.Duration
+}
+
+// newDiffCase draws a case: geometry and timing regime (the default
+// program-bound one, a bus-bound one, and one whose bus slot divides
+// TRead and TProg so transfers and pulses keep landing on the same
+// instant), data mode, and 1–8 commands issued in a burst or staggered.
+func newDiffCase(seed int64) diffCase {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := smallConfig()
+	cfg.Seed = seed
+	cfg.Nand.PagesPerBlock = 4 << rng.Intn(2)
+	cfg.PrioritizeReads = rng.Intn(2) == 0
+	mode := rng.Intn(6)
+	switch {
+	case mode == 0: // ECC + CRC over a noisy medium (slow codec: small pages)
+		cfg.Nand.PageSize = 2 << 10
+		cfg.Nand.PagesPerBlock = 4
+		cfg.ECC, cfg.VerifyCRC = true, true
+		cfg.Nand.BaseBER = 2e-4
+	case mode <= 2: // raw bit errors, no codec: the RNG stream shows in the bytes
+		cfg.Nand.BaseBER = 1e-4
+		cfg.VerifyCRC = mode == 2 // most reads then fail their CRC, on a known page
+	case mode == 3:
+		cfg.VerifyCRC = true
+	default:
+		cfg.Nand.RetainData = false
+	}
+	switch rng.Intn(3) {
+	case 1: // bus-bound programs
+		cfg.Nand.TProg = 100 * time.Microsecond
+	case 2: // ties: slot = 200 µs, TRead = 1 slot, TProg = 4 slots
+		cfg.BusOverhead = 0
+		cfg.BusRate = float64(cfg.Nand.PageSize) / 200e-6
+		cfg.Nand.TRead = sim.ByteTime(cfg.Nand.PageSize, cfg.BusRate)
+		cfg.Nand.TProg = 4 * cfg.Nand.TRead
+	}
+	c := diffCase{cfg: cfg, filler: -1}
+	blockSize := cfg.Nand.PageSize * cfg.Nand.PagesPerBlock * cfg.Chips * cfg.Nand.Planes
+	payload := func() []byte {
+		if !cfg.Nand.RetainData {
+			return nil
+		}
+		b := make([]byte, blockSize)
+		rng.Read(b)
+		return b
+	}
+	nset := 2 + rng.Intn(2)
+	for i := 0; i < nset; i++ {
+		c.setup = append(c.setup, payload())
+	}
+	if cfg.Nand.RetainData && !cfg.ECC {
+		c.filler = nset // data mode, block programmed without payload
+	}
+	pages := blockSize / cfg.Nand.PageSize
+	burst := rng.Intn(2) == 0
+	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+		cmd := diffCmd{lbn: rng.Intn(nset + 2)} // two lbns start unwritten
+		if !burst {
+			cmd.delay = time.Duration(rng.Intn(3000)) * time.Microsecond
+		}
+		switch k := rng.Intn(10); {
+		case k < 6:
+			first := rng.Intn(pages)
+			cmd.off = first * cfg.Nand.PageSize
+			cmd.size = (1 + rng.Intn(pages-first)) * cfg.Nand.PageSize
+		case k < 8:
+			cmd.kind, cmd.data = 1, payload()
+		default:
+			cmd.kind, cmd.data = 2, payload()
+		}
+		c.cmds = append(c.cmds, cmd)
+	}
+	return c
+}
+
+// run plays the case through the reference pipeline (ref) or the
+// shipped one.
+func (c diffCase) run(t *testing.T, ref bool) diffResult {
+	t.Helper()
+	env := sim.NewEnv()
+	defer env.Close()
+	col := trace.NewCollector()
+	env.SetTracer(col)
+	ch, err := New(env, c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, write, eraseWrite := ch.ReadAt, ch.write, ch.eraseWrite
+	if ref {
+		read, write, eraseWrite = ch.refReadAt, ch.refWrite, ch.refEraseWrite
+	}
+	n := len(c.cmds)
+	res := diffResult{
+		doneAt: make([]time.Duration, n), errs: make([]string, n),
+		sums: make([]uint32, n), lens: make([]int, n),
+	}
+	root := func(p *sim.Proc, name string) {
+		p.SetSpan(col.Begin(env.Now(), 0, name, trace.PhaseOp))
+	}
+	env.Go("setup", func(p *sim.Proc) {
+		root(p, "setup")
+		for lbn, data := range c.setup {
+			if err := eraseWrite(p, lbn, data, &WriteID{Lo: uint64(lbn + 1)}); err != nil {
+				t.Errorf("setup write %d: %v", lbn, err)
+			}
+		}
+		if c.filler >= 0 {
+			if err := eraseWrite(p, c.filler, nil, nil); err != nil {
+				t.Errorf("filler write: %v", err)
+			}
+		}
+		for i := range c.cmds {
+			i, cmd := i, c.cmds[i]
+			env.Go("cmd", func(p *sim.Proc) {
+				p.Wait(cmd.delay)
+				root(p, fmt.Sprintf("cmd%d", i))
+				var out []byte
+				var err error
+				switch cmd.kind {
+				case 0:
+					out, err = read(p, cmd.lbn, cmd.off, cmd.size)
+				case 1:
+					err = eraseWrite(p, cmd.lbn, cmd.data, &WriteID{Hi: 7, Lo: uint64(i)})
+				default:
+					if err = ch.Erase(p, cmd.lbn); err == nil {
+						err = write(p, cmd.lbn, cmd.data, nil)
+					}
+				}
+				res.doneAt[i] = env.Now()
+				if err != nil {
+					res.errs[i] = err.Error()
+				}
+				res.sums[i], res.lens[i] = crc32.ChecksumIEEE(out), len(out)
+			})
+		}
+	})
+	env.Run()
+	res.endAt = env.Now()
+	res.spans = spanKeys(col)
+	res.busMoved = ch.bus.Moved()
+	for _, chip := range ch.chips {
+		r, pr, er := chip.Counters()
+		res.counters += fmt.Sprintf("chip %d/%d/%d ", r, pr, er)
+	}
+	rd, wr, er := ch.Counters()
+	cor, fail := ch.ECCStats()
+	res.counters += fmt.Sprintf("chan %d/%d/%d ecc %d/%d seq %d", rd, wr, er, cor, fail, ch.nextSeq)
+	// Continue each chip's RNG stream through one more read of block 0,
+	// by the shipped pipeline on both sides: equal bytes (and, under
+	// ECC, equal correction counts) mean equal RNG states.
+	probe := env.Go("probe", func(p *sim.Proc) {
+		out, err := ch.ReadAt(p, 0, 0, ch.BlockSize())
+		res.probe = append(out, fmt.Sprint(err, ch.eccCorrected)...)
+	})
+	env.RunUntilDone(probe)
+	return res
+}
+
+// spanKeys returns every closed span as "name start end parent-name",
+// sorted: emission order and span IDs differ between the pipelines (one
+// emits as it goes, the other at admission), the spans must not.
+func spanKeys(col *trace.Collector) []string {
+	type open struct {
+		name, parent string
+		at           time.Duration
+	}
+	names := map[trace.SpanID]string{0: "-"}
+	opened := map[trace.SpanID]open{}
+	var keys []string
+	for _, ev := range col.Events() {
+		switch ev.Kind {
+		case trace.KindSpanBegin:
+			names[ev.Span] = ev.Name
+			opened[ev.Span] = open{name: ev.Name, parent: names[ev.Parent], at: ev.At}
+		case trace.KindSpanEnd:
+			o := opened[ev.Span]
+			keys = append(keys, fmt.Sprintf("%s %d %d %s", o.name, o.at, ev.At, o.parent))
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func TestPipelineMatchesReference(t *testing.T) {
+	seeds := 60
+	if testing.Short() {
+		seeds = 12
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		c := newDiffCase(seed)
+		want, got := c.run(t, true), c.run(t, false)
+		for i := range c.cmds {
+			if want.doneAt[i] != got.doneAt[i] || want.errs[i] != got.errs[i] {
+				t.Errorf("seed %d cmd %d (%+v): reference done at %v (%q), closed form at %v (%q)",
+					seed, i, cmdShape(c.cmds[i]), want.doneAt[i], want.errs[i], got.doneAt[i], got.errs[i])
+			}
+			if want.sums[i] != got.sums[i] || want.lens[i] != got.lens[i] {
+				t.Errorf("seed %d cmd %d: returned bytes differ (len %d vs %d)", seed, i, want.lens[i], got.lens[i])
+			}
+			if c.cmds[i].kind == 0 && got.errs[i] == "" && c.cfg.Nand.RetainData && got.lens[i] != c.cmds[i].size {
+				t.Errorf("seed %d cmd %d: data-mode read returned %d bytes, want %d", seed, i, got.lens[i], c.cmds[i].size)
+			}
+		}
+		if want.endAt != got.endAt {
+			t.Errorf("seed %d: run ends at %v, reference %v", seed, got.endAt, want.endAt)
+		}
+		if want.busMoved != got.busMoved || want.counters != got.counters {
+			t.Errorf("seed %d: counters differ:\n ref  %d %s\n got  %d %s", seed,
+				want.busMoved, want.counters, got.busMoved, got.counters)
+		}
+		if !bytes.Equal(want.probe, got.probe) {
+			t.Errorf("seed %d: chip RNG streams diverged", seed)
+		}
+		if len(want.spans) != len(got.spans) {
+			t.Errorf("seed %d: %d spans, reference %d", seed, len(got.spans), len(want.spans))
+			continue
+		}
+		for i := range want.spans {
+			if want.spans[i] != got.spans[i] {
+				t.Errorf("seed %d: span multiset differs at %d: reference %q, closed form %q",
+					seed, i, want.spans[i], got.spans[i])
+				break
+			}
+		}
+	}
+}
+
+func cmdShape(c diffCmd) diffCmd { c.data = nil; return c }
+
+// planeImage is what one plane's mapped block retains after a cut.
+type planeImage struct {
+	writePtr int
+	torn     []bool
+	spares   [][]byte
+}
+
+// cutRun starts one tagged erase-write over a previously written block,
+// cuts the channel's power at the given instant, and returns what each
+// plane of the new generation holds, the command's verdict, the pulse
+// starts the closed form scheduled, and the instant the command
+// returned.
+func cutRun(t *testing.T, cfg Config, data []byte, cut time.Duration, ref bool) ([]planeImage, error, [][]time.Duration, time.Duration) {
+	t.Helper()
+	env := sim.NewEnv()
+	defer env.Close()
+	ch, err := New(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eraseWrite := ch.eraseWrite
+	if ref {
+		eraseWrite = ch.refEraseWrite
+	}
+	var verdict error
+	var done time.Duration
+	env.Go("w", func(p *sim.Proc) {
+		verdict = eraseWrite(p, 0, data, &WriteID{Lo: 9})
+		done = env.Now()
+	})
+	if cut >= 0 {
+		env.Schedule(cut, ch.PowerOff)
+	}
+	env.Run()
+	var pulses [][]time.Duration
+	for k := range ch.wr.workers {
+		pulses = append(pulses, append([]time.Duration(nil), ch.wr.workers[k].pulses...))
+	}
+	images := make([]planeImage, len(ch.planes))
+	for k := range ch.planes {
+		ps := &ch.planes[k]
+		phys, ok := ps.mapping[0]
+		if !ok {
+			images[k].writePtr = -2 // the erase never mapped a block
+			continue
+		}
+		img := planeImage{writePtr: ps.plane.WritePtr(phys)}
+		for pg := 0; pg < cfg.Nand.PagesPerBlock; pg++ {
+			img.torn = append(img.torn, ps.plane.Torn(phys, pg))
+			img.spares = append(img.spares, ps.plane.Spare(phys, pg))
+		}
+		images[k] = img
+	}
+	return images, verdict, pulses, done
+}
+
+// TestPowerCutMatchesReference cuts power at seeded instants inside an
+// EraseWriteTagged — every pulse start, one nanosecond either side of
+// every pulse boundary, mid-pulse, mid-transfer, and uniformly drawn
+// ones — and requires the write pointer, torn set and spares the closed
+// form leaves on each plane to equal the reference's. A cut exactly on
+// a pulse end is left out (in the program-bound regime that is also the
+// next pulse's start): there the reference's outcome follows the order
+// the kernel dispatches the cut and the wake-up in, the closed form's
+// is fixed (programmed).
+//
+// The instant the failed command returns is the one thing not equal,
+// and is pinned here: the reference's planes each gave up at their next
+// step after the cut (within one TProg), the closed form parks once and
+// returns at the end of the schedule it was admitted with — never
+// earlier than the reference, the media already settled at the cut
+// (DESIGN.md §9, command granularity).
+func TestPowerCutMatchesReference(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Nand.PagesPerBlock = 6
+	data := make([]byte, cfg.Nand.PageSize*cfg.Nand.PagesPerBlock*cfg.Chips*cfg.Nand.Planes)
+	rand.New(rand.NewSource(11)).Read(data)
+	_, err, pulses, uncut := cutRun(t, cfg, data, -1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cuts []time.Duration
+	var last time.Duration
+	ends := map[time.Duration]bool{}
+	for _, plane := range pulses {
+		for _, s := range plane {
+			e := s + cfg.Nand.TProg
+			ends[e] = true
+			cuts = append(cuts, s, s+1, e-1, e+1, s+cfg.Nand.TProg/3)
+			if e > last {
+				last = e
+			}
+		}
+	}
+	first := pulses[0][0]
+	cuts = append(cuts, first-100*time.Microsecond, first-1) // first transfers in flight
+	rng := rand.New(rand.NewSource(12))
+	for len(cuts) < 240 {
+		cuts = append(cuts, time.Duration(rng.Int63n(int64(last+time.Millisecond))))
+	}
+	tried := 0
+	for _, cut := range cuts {
+		if ends[cut] {
+			continue
+		}
+		tried++
+		want, wantErr, _, wantDone := cutRun(t, cfg, data, cut, true)
+		got, gotErr, scheduled, gotDone := cutRun(t, cfg, data, cut, false)
+		if errors.Is(wantErr, ErrPowerLoss) != errors.Is(gotErr, ErrPowerLoss) || (wantErr == nil) != (gotErr == nil) {
+			t.Errorf("cut %v: reference verdict %v, closed form %v", cut, wantErr, gotErr)
+		}
+		switch {
+		case len(scheduled) > 0 && len(scheduled[0]) > 0 && cut < uncut: // cut inside the admitted write
+			if gotDone != uncut || wantDone > gotDone || wantDone > cut+cfg.Nand.TProg {
+				t.Errorf("cut %v: closed form returned at %v (want its scheduled end %v), reference at %v", cut, gotDone, uncut, wantDone)
+			}
+		case gotDone != wantDone: // cut during the erase, or after the command
+			t.Errorf("cut %v: closed form returned at %v, reference at %v", cut, gotDone, wantDone)
+		}
+		for k := range want {
+			w, g := want[k], got[k]
+			if w.writePtr != g.writePtr {
+				t.Errorf("cut %v plane %d: write pointer %d, reference %d", cut, k, g.writePtr, w.writePtr)
+				continue
+			}
+			for pg := range w.torn {
+				if w.torn[pg] != g.torn[pg] || !bytes.Equal(w.spares[pg], g.spares[pg]) {
+					t.Errorf("cut %v plane %d page %d: torn %v spare %x, reference torn %v spare %x",
+						cut, k, pg, g.torn[pg], g.spares[pg], w.torn[pg], w.spares[pg])
+				}
+			}
+		}
+	}
+	if tried < 200 {
+		t.Fatalf("only %d cut instants tried, want at least 200", tried)
+	}
+}

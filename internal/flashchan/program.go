@@ -1,0 +1,208 @@
+package flashchan
+
+import (
+	"time"
+
+	"sdf/internal/trace"
+)
+
+// blockWrite is the block write the engine is serving: its arguments
+// and, per plane, the program pulses scheduleWrite laid out. The media
+// sees none of it until settleWrite, which runs when the command's one
+// park ends — or at the instant the power dies, so what Persistent
+// captures after a cut never holds a page from the future. The record
+// lives in the Channel (the engine serves one command at a time) and
+// its slices are reused, so a write allocates nothing in steady state.
+type blockWrite struct {
+	active  bool  // scheduled, not yet settled
+	failed  error // settleWrite's verdict, for the command to collect
+	lbn     int
+	data    []byte
+	tag     WriteID
+	tagged  bool
+	seq     uint64
+	parent  trace.SpanID
+	steps   int // worker steps scheduled so far
+	workers []progWorker
+}
+
+// progWorker is one plane's share of a block write: the cache-program
+// recurrence "when page pg's transfer has landed, put page pg+1 on the
+// bus, then pulse page pg". It is a process in all but the coroutine:
+// scheduleWrite steps the planes' workers in the (instant, scheduling
+// order) sequence the kernel would have resumed them in, which is what
+// decides who gets the bus first when two of them are ready together.
+//
+// Three rules of package sim are mirrored here, and nothing else of the
+// kernel: Proc.WaitUntil returns without an event when the instant is
+// not in the future (stepWorker falls through when the transfer has
+// landed); Timeline.Occupy always costs one event, even for a slot that
+// starts now (a pulse end is always a step); and an event's tie-break
+// sequence is drawn when it is scheduled, not when it fires (park
+// stamps blockWrite.steps). pipeline_ref_test.go keeps the four real
+// processes and pipeline_diff_test.go holds this loop to them; a change
+// to those kernel rules has to be made here too.
+type progWorker struct {
+	phys    int
+	pg      int           // page it is transferring or pulsing
+	wake    time.Duration // instant of its next step
+	order   int           // blockWrite.steps when that step was scheduled: same-instant tie-break
+	pulsing bool          // the step is page pg's pulse ending, not its transfer landing
+	pending time.Duration // wires-quiet instant of its in-flight transfer
+	done    bool
+	end     time.Duration // instant it finished or failed
+	err     error
+	span    trace.SpanID
+	pulses  []time.Duration // start of each scheduled pulse, by page
+}
+
+// scheduleWrite lays out ch.wr on the bus and the four planes and
+// returns the instant the last plane finishes. The engine mutex makes
+// those timelines private to the command, so every instant a worker
+// process would have observed is computable now (DESIGN.md §10).
+func (ch *Channel) scheduleWrite(parent trace.SpanID) time.Duration {
+	w := &ch.wr
+	if w.workers == nil {
+		w.workers = make([]progWorker, len(ch.planes))
+	}
+	w.parent, w.steps = parent, 0
+	t := ch.env.Tracer()
+	now := ch.env.Now()
+	for k := range w.workers {
+		wk := &w.workers[k]
+		*wk = progWorker{phys: ch.planes[k].mapping[w.lbn], pulses: wk.pulses[:0]}
+		// One flash-phase span per plane covers the whole program loop:
+		// with cache programming the plane is array-busy nearly end to
+		// end, and per-page spans would multiply the event volume 256x
+		// for no extra insight.
+		wk.span = t.Begin(now, parent, "nand/program", trace.PhaseFlash)
+		wk.pending = ch.transferAt(now, ch.cfg.Nand.PageSize, parent)
+		ch.stepWorker(k, now)
+	}
+	var end time.Duration
+	for {
+		next := -1
+		for k := range w.workers {
+			wk := &w.workers[k]
+			if wk.done {
+				if wk.end > end {
+					end = wk.end
+				}
+				continue
+			}
+			if next < 0 || wk.wake < w.workers[next].wake ||
+				wk.wake == w.workers[next].wake && wk.order < w.workers[next].order {
+				next = k
+			}
+		}
+		if next < 0 {
+			break
+		}
+		ch.stepWorker(next, w.workers[next].wake)
+	}
+	w.active = true
+	return end
+}
+
+// stepWorker runs plane k's worker from instant cur to its next park:
+// on its transfer landing (skipped when it already has, as WaitUntil
+// does) or on a pulse ending (always a step, as Occupy is). Cache
+// programming: while page pg programs from the data register, page
+// pg+1 streams over the bus into the cache register, so sustained
+// writes are program-limited.
+func (ch *Channel) stepWorker(k int, cur time.Duration) {
+	w := &ch.wr
+	wk := &w.workers[k]
+	pl := ch.planes[k].plane
+	if wk.pulsing {
+		wk.pulsing = false
+		if wk.pg++; wk.pg == ch.cfg.Nand.PagesPerBlock {
+			ch.endWorker(wk, cur, nil)
+			return
+		}
+	}
+	if wk.pending > cur {
+		w.park(wk, wk.pending)
+		return
+	}
+	if wk.pg+1 < ch.cfg.Nand.PagesPerBlock {
+		wk.pending = ch.transferAt(cur, ch.cfg.Nand.PageSize, w.parent)
+	}
+	if wk.pg == 0 {
+		// Nothing else can touch the block while the engine holds it,
+		// so the first page's admission check covers them all.
+		if err := pl.Programmable(wk.phys, 0, nil); err != nil {
+			ch.endWorker(wk, cur, err)
+			return
+		}
+	}
+	start, end := pl.Timeline().ReserveAt(cur, ch.cfg.Nand.TProg)
+	wk.pulses = append(wk.pulses, start)
+	wk.pulsing = true
+	w.park(wk, end)
+}
+
+// park schedules wk's next step at instant at, after every step
+// scheduled before it.
+func (w *blockWrite) park(wk *progWorker, at time.Duration) {
+	wk.wake, wk.order = at, w.steps
+	w.steps++
+}
+
+func (ch *Channel) endWorker(wk *progWorker, at time.Duration, err error) {
+	wk.done, wk.end, wk.err = true, at, err
+	ch.env.Tracer().End(at, wk.span)
+}
+
+// settleWrite applies ch.wr's scheduled pulses to the media, plane by
+// plane in page order: the out-of-band record (write ID, sequence,
+// CRCs), the payload, the BCH parity. nand.Plane.SettleProgram decides
+// each pulse's fate — on a chip that lost power the plane stops at the
+// first pulse the cut reached (torn if it had begun). The first
+// plane's failure, if any plane fell short, is left in wr.failed;
+// a second call (the command waking after PowerOff settled it) is a
+// no-op.
+func (ch *Channel) settleWrite() {
+	w := &ch.wr
+	if !w.active {
+		return
+	}
+	w.active = false
+	pageSize := ch.cfg.Nand.PageSize
+	pagesPerBlock := ch.cfg.Nand.PagesPerBlock
+	stripe := ch.stripeBytes()
+	var tag *WriteID
+	if w.tagged {
+		tag = &w.tag
+	}
+	w.failed = nil
+	for k := range w.workers {
+		wk := &w.workers[k]
+		ps := &ch.planes[k]
+		err := wk.err
+		var bcrc uint32 // running fold of the page CRCs
+		// The media model copies the spare synchronously, so one stack
+		// buffer serves every page.
+		var oobBuf [oobSize]byte
+		for pg, start := range wk.pulses {
+			var payload []byte
+			if w.data != nil {
+				o := k*stripe + pg*pageSize
+				payload = w.data[o : o+pageSize]
+			}
+			oob, fold := makePageOOB(tag, w.seq, w.lbn, pg, pagesPerBlock, payload, bcrc)
+			bcrc = fold
+			encodeOOBInto(oob, oobBuf[:])
+			if err = ps.plane.SettleProgram(wk.phys, pg, start, payload, oobBuf[:]); err != nil {
+				break
+			}
+			if ch.parity != nil && payload != nil {
+				ch.storeParity(k, wk.phys, pg, payload)
+			}
+		}
+		if w.failed == nil {
+			w.failed = err
+		}
+	}
+	w.data = nil
+}

@@ -101,8 +101,8 @@ func encodeOOB(oob pageOOB) []byte {
 }
 
 // encodeOOBInto serializes into a caller-owned buffer of oobSize
-// bytes. The write path reuses one stack buffer per worker — the
-// media model copies the spare into its arena immediately, so the
+// bytes. The write path reuses one stack buffer per plane — the
+// media model copies the spare into its store immediately, so the
 // buffer never escapes.
 func encodeOOBInto(oob pageOOB, buf []byte) {
 	binary.LittleEndian.PutUint64(buf[0:], oob.id.Hi)

@@ -89,7 +89,6 @@ func (i *Interface) SetRateFactor(f float64) {
 // RateFactor returns the current degradation factor.
 func (i *Interface) RateFactor() float64 { return i.read.RateFactor() }
 
-// Moved returns total (toHost, toDevice) bytes.
 // RegisterMetrics exports the interface's cumulative byte movement
 // and its current rate factor (1 = healthy; fault plans degrade it).
 func (i *Interface) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
@@ -101,6 +100,7 @@ func (i *Interface) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label
 	r.GaugeFunc("hostif_rate_factor", func() float64 { return i.read.RateFactor() }, labels...)
 }
 
+// Moved returns total (toHost, toDevice) bytes.
 func (i *Interface) Moved() (toHost, toDevice int64) {
 	if i.read == i.write {
 		return i.read.Moved(), i.read.Moved()

@@ -116,60 +116,100 @@ type planeMedia struct {
 	blocks        []block
 	pagesPerBlock int
 	data          map[int64][]byte // pageIndex -> payload (RetainData mode)
-	// spares holds out-of-band recovery metadata per block as a lazily
-	// allocated page->bytes slab; the byte payloads are carved out of
-	// arena in bulk, so programming a page's ~41-byte OOB area costs no
-	// per-page allocation or map churn on the simulator's hottest write
-	// path.
-	spares [][][]byte
-	arena  []byte
-	torn   map[int64]bool // pages whose program pulse power loss cut
+	// spares holds out-of-band recovery metadata: one lazily allocated
+	// flat slab per block, pagesPerBlock slots of equal stride (so the
+	// stride is len(slab)/pagesPerBlock and needs no header). A slot is
+	// one length byte (stored +1, 0 = no spare) followed by the bytes.
+	// The block's first spare picks the stride; a later one that does
+	// not fit — checkpoint chunks run to a full page — goes to long. An
+	// erase returns the slab whole to freeSlabs, which the next block
+	// programmed on this plane reuses, so retained bytes follow the
+	// blocks that currently hold data and steady-state programming
+	// allocates nothing.
+	spares    [][]byte
+	long      map[int64][]byte // pageIndex -> spare that overflows its slot
+	freeSlabs [][]byte
+	torn      map[int64]bool // pages whose program pulse power loss cut
 	// interruptedErases counts erase pulses cut by power loss; the
 	// recovery scan reports them as partially-erased blocks.
 	interruptedErases int
 }
 
-// setSpare retains a copy of a page's out-of-band bytes, appending the
-// payload to the plane's spare arena.
+// maxSlotSpare is the longest spare a slab slot can hold: its length
+// byte stores len+1.
+const maxSlotSpare = 254
+
+// setSpare retains a copy of a page's out-of-band bytes.
 func (pm *planeMedia) setSpare(blockIdx, page int, sp []byte) {
-	sl := pm.spares[blockIdx]
-	if sl == nil {
-		sl = make([][]byte, pm.pagesPerBlock)
-		pm.spares[blockIdx] = sl
+	slab := pm.spares[blockIdx]
+	if slab == nil && len(sp) <= maxSlotSpare {
+		slab = pm.newSlab((1 + len(sp)) * pm.pagesPerBlock)
+		pm.spares[blockIdx] = slab
 	}
-	if len(sp) > cap(pm.arena)-len(pm.arena) {
-		size := 64 << 10
-		if len(sp) > size {
-			size = len(sp)
+	stride := len(slab) / pm.pagesPerBlock
+	if len(sp) >= stride { // no slab, or too long for its slots
+		if pm.long == nil {
+			pm.long = make(map[int64][]byte)
 		}
-		pm.arena = make([]byte, 0, size)
+		pm.long[int64(blockIdx)*int64(pm.pagesPerBlock)+int64(page)] = append([]byte(nil), sp...)
+		return
 	}
-	n := len(pm.arena)
-	pm.arena = append(pm.arena, sp...)
-	sl[page] = pm.arena[n : n+len(sp) : n+len(sp)]
+	slot := slab[page*stride : (page+1)*stride]
+	slot[0] = byte(len(sp) + 1)
+	copy(slot[1:], sp)
+}
+
+// newSlab returns a zeroed slab of n bytes, recycling an erased
+// block's when it is large enough.
+func (pm *planeMedia) newSlab(n int) []byte {
+	if k := len(pm.freeSlabs); k > 0 {
+		slab := pm.freeSlabs[k-1]
+		pm.freeSlabs[k-1] = nil
+		pm.freeSlabs = pm.freeSlabs[:k-1]
+		if cap(slab) >= n {
+			slab = slab[:n]
+			clear(slab)
+			return slab
+		}
+	}
+	return make([]byte, n)
 }
 
 // getSpare returns the retained out-of-band bytes, nil if none. The
-// returned slice aliases the arena; callers copy before exposing it.
+// returned slice aliases the store; callers copy before exposing it.
 func (pm *planeMedia) getSpare(blockIdx, page int) []byte {
-	sl := pm.spares[blockIdx]
-	if sl == nil {
+	if len(pm.long) > 0 {
+		if sp, ok := pm.long[int64(blockIdx)*int64(pm.pagesPerBlock)+int64(page)]; ok {
+			return sp
+		}
+	}
+	slab := pm.spares[blockIdx]
+	if slab == nil {
 		return nil
 	}
-	return sl[page]
+	stride := len(slab) / pm.pagesPerBlock
+	slot := slab[page*stride : (page+1)*stride]
+	if slot[0] == 0 {
+		return nil
+	}
+	return slot[1:slot[0]]
 }
 
 // wipe clears one block's retained pages (payloads, spares, torn
 // marks), as an erase pulse does. The per-page map walks are guarded
 // so the common case — timing-only media with no torn pages — erases
-// in O(pagesPerBlock) pointer stores with no map traffic.
+// without map traffic.
 func (pm *planeMedia) wipe(blockIdx, pagesPerBlock int) {
-	if sl := pm.spares[blockIdx]; sl != nil {
-		for i := range sl {
-			sl[i] = nil
-		}
+	if slab := pm.spares[blockIdx]; slab != nil {
+		pm.freeSlabs = append(pm.freeSlabs, slab)
+		pm.spares[blockIdx] = nil
 	}
 	base := int64(blockIdx) * int64(pagesPerBlock)
+	if len(pm.long) > 0 {
+		for i := 0; i < pagesPerBlock; i++ {
+			delete(pm.long, base+int64(i))
+		}
+	}
 	if pm.data != nil {
 		for i := 0; i < pagesPerBlock; i++ {
 			delete(pm.data, base+int64(i))
@@ -231,7 +271,7 @@ func New(env *sim.Env, params Params) *Chip {
 		pm := &planeMedia{
 			blocks:        make([]block, params.BlocksPerPlane),
 			pagesPerBlock: params.PagesPerBlock,
-			spares:        make([][][]byte, params.BlocksPerPlane),
+			spares:        make([][]byte, params.BlocksPerPlane),
 			torn:          make(map[int64]bool),
 		}
 		if params.RetainData {
@@ -310,7 +350,8 @@ func (c *Chip) Media() *Media { return c.media }
 // Operations already past their admission check resolve when their
 // array pulse would have completed: a program whose pulse had begun
 // leaves a torn page (counted in the write pointer, no payload or
-// spare retained, reads as ErrTornPage after remount), an erase
+// spare retained, reads as ErrTornPage after remount; a pulse ending
+// at the very instant of the cut completed — SettleProgram), an erase
 // mid-pulse leaves a partially-erased block (wear charged, retained
 // pages gone, block needs a fresh erase). Pulses that had not started
 // leave no trace. All resolutions return ErrPowerLoss.
@@ -393,33 +434,78 @@ func (pl *Plane) pageIndex(blockIdx, page int) int64 {
 
 // ReadPage performs an array read of one page, taking TRead of plane
 // time. In data mode it returns the stored payload with wear-dependent
-// bit errors injected; in timing-only mode it returns nil.
+// bit errors injected (zeros for a page programmed without one); in
+// timing-only mode it returns nil.
 func (pl *Plane) ReadPage(p *sim.Proc, blockIdx, page int) ([]byte, error) {
-	if err := pl.checkAddr(blockIdx, page); err != nil {
+	if err := pl.readable(blockIdx, page); err != nil {
 		return nil, err
-	}
-	if pl.chip.off {
-		return nil, fmt.Errorf("%w: plane %d", ErrPowerLoss, pl.index)
-	}
-	b := &pl.m.blocks[blockIdx]
-	if page >= b.writePtr {
-		return nil, fmt.Errorf("%w: plane %d block %d page %d", ErrUnwritten, pl.index, blockIdx, page)
 	}
 	pl.tl.Occupy(p, pl.chip.params.TRead)
 	if pl.chip.off {
 		return nil, fmt.Errorf("%w: plane %d", ErrPowerLoss, pl.index)
 	}
-	if pl.m.torn[pl.pageIndex(blockIdx, page)] {
-		return nil, fmt.Errorf("%w: plane %d block %d page %d", ErrTornPage, pl.index, blockIdx, page)
+	var out []byte
+	if pl.m.data != nil {
+		out = make([]byte, pl.chip.params.PageSize)
+	}
+	if _, err := pl.sense(blockIdx, page, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadPageAt is the non-parking ReadPage: the array read is admitted
+// at the future instant at, its plane slot reserved, and its result
+// produced now — into dst (PageSize bytes; nil in timing-only mode).
+// It returns the instant the page register is loaded, or, with an
+// error, the instant the plane reports it; stored is false when the
+// page holds no payload (dst is then zero-filled and no bit errors are
+// drawn). The caller owns the plane until that instant — a channel
+// engine holding its mutex — and checks Chip.PoweredOff itself once it
+// gets there: the cells it reads cannot change in between.
+func (pl *Plane) ReadPageAt(at time.Duration, blockIdx, page int, dst []byte) (end time.Duration, stored bool, err error) {
+	if err := pl.readable(blockIdx, page); err != nil {
+		return at, false, err
+	}
+	_, end = pl.tl.ReserveAt(at, pl.chip.params.TRead)
+	stored, err = pl.sense(blockIdx, page, dst)
+	return end, stored, err
+}
+
+// readable is the admission check of an array read.
+func (pl *Plane) readable(blockIdx, page int) error {
+	if err := pl.checkAddr(blockIdx, page); err != nil {
+		return err
+	}
+	if pl.chip.off {
+		return fmt.Errorf("%w: plane %d", ErrPowerLoss, pl.index)
+	}
+	if page >= pl.m.blocks[blockIdx].writePtr {
+		return fmt.Errorf("%w: plane %d block %d page %d", ErrUnwritten, pl.index, blockIdx, page)
+	}
+	return nil
+}
+
+// sense is what the array read delivers: the torn-page verdict, the
+// read count, and in data mode the payload with bit errors injected,
+// written into dst. It reports whether the page holds a payload.
+func (pl *Plane) sense(blockIdx, page int, dst []byte) (stored bool, err error) {
+	idx := pl.pageIndex(blockIdx, page)
+	if pl.m.torn[idx] {
+		return false, fmt.Errorf("%w: plane %d block %d page %d", ErrTornPage, pl.index, blockIdx, page)
 	}
 	pl.chip.reads++
 	if pl.m.data == nil {
-		return nil, nil
+		return false, nil
 	}
-	stored := pl.m.data[pl.pageIndex(blockIdx, page)]
-	out := append([]byte(nil), stored...)
-	pl.injectErrors(out, b.eraseCount)
-	return out, nil
+	payload, ok := pl.m.data[idx]
+	if !ok {
+		clear(dst)
+		return false, nil
+	}
+	copy(dst, payload)
+	pl.injectErrors(dst, pl.m.blocks[blockIdx].eraseCount)
+	return true, nil
 }
 
 // injectErrors flips a Poisson-distributed number of random bits, with
@@ -472,6 +558,19 @@ func (pl *Plane) Program(p *sim.Proc, blockIdx, page int, data []byte) error {
 // spare is programmed in the same pulse as the page, so power loss
 // either retains both or tears both; a torn page retains neither.
 func (pl *Plane) ProgramOOB(p *sim.Proc, blockIdx, page int, data, spare []byte) error {
+	if err := pl.Programmable(blockIdx, page, data); err != nil {
+		return err
+	}
+	pl.tl.Occupy(p, pl.chip.params.TProg)
+	return pl.SettleProgram(blockIdx, page, pl.chip.env.Now()-pl.chip.params.TProg, data, spare)
+}
+
+// Programmable is the admission check of a page program: the address,
+// power, the block's health and erase state, in-order programming, and
+// the payload size. ProgramOOB runs it before its pulse; a channel
+// engine that schedules a whole block's pulses on Timeline and settles
+// them with SettleProgram runs it for the first page.
+func (pl *Plane) Programmable(blockIdx, page int, data []byte) error {
 	if err := pl.checkAddr(blockIdx, page); err != nil {
 		return err
 	}
@@ -492,20 +591,33 @@ func (pl *Plane) ProgramOOB(p *sim.Proc, blockIdx, page int, data, spare []byte)
 	if data != nil && len(data) != pl.chip.params.PageSize {
 		return fmt.Errorf("nand: program payload %d bytes, want %d", len(data), pl.chip.params.PageSize)
 	}
-	pl.tl.Occupy(p, pl.chip.params.TProg)
-	if pl.chip.off {
-		// The plane timeline put this pulse at [Now-TProg, Now). If it
-		// began before the power died, the cells saw a partial pulse:
-		// the page is torn — occupied but unreadable. Otherwise the
-		// pulse never started and the block is untouched.
-		if pl.chip.env.Now()-pl.chip.params.TProg < pl.chip.offAt {
-			b.writePtr++
+	return nil
+}
+
+// SettleProgram resolves the program pulse that held the plane over
+// [pulseStart, pulseStart+TProg) — the one place the power-cut rule for
+// programs lives. A pulse that ended at or before the cut (or on a
+// powered chip) is programmed: the write pointer advances and the cells
+// retain the payload (data mode) and the spare. A pulse the cut
+// straddles leaves a torn page — counted in the write pointer, neither
+// payload nor spare retained, ErrTornPage after remount. A pulse that
+// had not begun leaves no trace. The last two return ErrPowerLoss. It
+// takes no simulated time and may run at or after the pulse's end, on a
+// dead chip too: ProgramOOB calls it when its pulse ends, a channel
+// engine that laid a block's pulses out ahead of time when its command
+// wakes or the power dies. The page must be the block's next
+// (Programmable).
+func (pl *Plane) SettleProgram(blockIdx, page int, pulseStart time.Duration, data, spare []byte) error {
+	c := pl.chip
+	if c.off && pulseStart+c.params.TProg > c.offAt {
+		if pulseStart < c.offAt {
+			pl.m.blocks[blockIdx].writePtr++
 			pl.m.torn[pl.pageIndex(blockIdx, page)] = true
 		}
 		return fmt.Errorf("%w: plane %d block %d page %d", ErrPowerLoss, pl.index, blockIdx, page)
 	}
-	b.writePtr++
-	pl.chip.programs++
+	pl.m.blocks[blockIdx].writePtr++
+	c.programs++
 	if pl.m.data != nil && data != nil {
 		pl.m.data[pl.pageIndex(blockIdx, page)] = append([]byte(nil), data...)
 	}

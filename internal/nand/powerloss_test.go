@@ -3,6 +3,7 @@ package nand
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"sdf/internal/sim"
 )
@@ -211,5 +212,50 @@ func TestMountGeometryMismatch(t *testing.T) {
 	bad.PagesPerBlock *= 2
 	if _, err := Mount(env, bad, chip.Media()); err == nil {
 		t.Fatal("mount with mismatched geometry succeeded")
+	}
+}
+
+// TestSettleProgramCutRule pins the power-cut rule for one program
+// pulse at its boundaries: ended at or before the cut — programmed;
+// straddling it — torn; begun at or after it — no trace.
+func TestSettleProgramCutRule(t *testing.T) {
+	params := plParams()
+	cut := 10 * params.TProg
+	for _, tc := range []struct {
+		name     string
+		start    time.Duration
+		writePtr int
+		torn     bool
+		lost     bool
+	}{
+		{"ended before the cut", cut - params.TProg - 1, 1, false, false},
+		{"ended at the cut", cut - params.TProg, 1, false, false},
+		{"one ns short of ending", cut - params.TProg + 1, 1, true, true},
+		{"one ns into the pulse", cut - 1, 1, true, true},
+		{"would begin at the cut", cut, 0, false, true},
+		{"would begin after the cut", cut + 1, 0, false, true},
+	} {
+		env := sim.NewEnv()
+		chip := New(env, params)
+		pl := chip.Plane(0)
+		done := env.Go("t", func(p *sim.Proc) {
+			if err := pl.Erase(p, 0); err != nil {
+				t.Error(err)
+			}
+		})
+		env.RunUntilDone(done)
+		env.Schedule(cut-env.Now(), chip.PowerOff)
+		env.Run()
+		err := pl.SettleProgram(0, 0, tc.start, make([]byte, params.PageSize), []byte{7})
+		if errors.Is(err, ErrPowerLoss) != tc.lost || (err == nil) == tc.lost {
+			t.Errorf("%s: error %v, want power loss %v", tc.name, err, tc.lost)
+		}
+		if pl.WritePtr(0) != tc.writePtr || pl.Torn(0, 0) != tc.torn {
+			t.Errorf("%s: writePtr %d torn %v, want %d %v", tc.name, pl.WritePtr(0), pl.Torn(0, 0), tc.writePtr, tc.torn)
+		}
+		if kept := pl.Spare(0, 0) != nil; kept != (!tc.lost) {
+			t.Errorf("%s: spare retained %v, want %v", tc.name, kept, !tc.lost)
+		}
+		env.Close()
 	}
 }

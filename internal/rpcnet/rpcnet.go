@@ -78,6 +78,8 @@ type Network struct {
 	rng      *rand.Rand
 	lossRate float64
 
+	free []*call // call records between uses
+
 	calls     metrics.Counter
 	inflight  int // Calls between entry and return
 	drops     int64
@@ -170,6 +172,70 @@ func (n *Network) NewClient() *Client {
 // executes Do, which returns the number of response payload bytes.
 type SubRequest func(p *sim.Proc) int
 
+// call is one Call in flight: the response count its sub-requests add
+// to, and a record per sub-request. The records embed their two
+// processes and carry the process bodies as method values bound when
+// the slice is built, so a Call served from the free list allocates
+// nothing (DESIGN.md §15).
+type call struct {
+	client    *Client
+	respBytes int
+	subs      []subCall
+}
+
+// subCall is one sub-request: the rpcnet/sub process that executes it
+// and the rpcnet/srvtx process that pushes its response through the
+// server NIC pool.
+type subCall struct {
+	call *call
+	do   SubRequest
+	size int
+
+	sub, srvtx sim.Proc
+	run, send  func(*sim.Proc)
+}
+
+// getCall returns a record with batch sub-request slots.
+func (n *Network) getCall(c *Client, batch int) *call {
+	var k *call
+	if i := len(n.free); i > 0 {
+		k = n.free[i-1]
+		n.free = n.free[:i-1]
+	} else {
+		k = new(call)
+	}
+	k.client, k.respBytes = c, 0
+	if cap(k.subs) < batch {
+		k.subs = make([]subCall, batch)
+		for i := range k.subs {
+			s := &k.subs[i]
+			s.call, s.run, s.send = k, s.execute, s.respond
+		}
+	}
+	k.subs = k.subs[:batch]
+	return k
+}
+
+// execute is the rpcnet/sub process: the per-op CPU cost, the
+// sub-request's own work, then the response over the client NIC while
+// srvtx carries it over the server's.
+func (s *subCall) execute(wp *sim.Proc) {
+	c := s.call.client
+	n := c.net
+	n.cpu.Acquire(wp)
+	wp.Wait(n.cfg.SubRequestCPU)
+	n.cpu.Release()
+	s.size = s.do(wp)
+	s.call.respBytes += s.size
+	if s.size > 0 {
+		srv := n.env.Start(&s.srvtx, "rpcnet/srvtx", s.send)
+		c.nic.Transfer(wp, s.size)
+		wp.Join(srv)
+	}
+}
+
+func (s *subCall) respond(tp *sim.Proc) { s.call.client.net.server.Transfer(tp, s.size) }
+
 // Call performs one synchronous batched request: reqBytes travel to
 // the server, the batch executes concurrently (each sub-request pays
 // the per-op CPU cost and then its own storage work), and each
@@ -187,29 +253,18 @@ func (c *Client) Call(p *sim.Proc, reqBytes int, batch []SubRequest) int {
 	if reqBytes > 0 {
 		c.nic.Transfer(p, reqBytes)
 	}
-	respBytes := 0
-	var workers []*sim.Proc
-	for _, sub := range batch {
-		sub := sub
-		w := n.env.Go("rpcnet/sub", func(wp *sim.Proc) {
-			n.cpu.Acquire(wp)
-			wp.Wait(n.cfg.SubRequestCPU)
-			n.cpu.Release()
-			size := sub(wp)
-			respBytes += size
-			if size > 0 {
-				srv := n.env.Go("rpcnet/srvtx", func(tp *sim.Proc) {
-					n.server.Transfer(tp, size)
-				})
-				c.nic.Transfer(wp, size)
-				wp.Join(srv)
-			}
-		})
-		workers = append(workers, w)
+	k := n.getCall(c, len(batch))
+	for i, sub := range batch {
+		s := &k.subs[i]
+		s.do = sub
+		n.env.Start(&s.sub, "rpcnet/sub", s.run)
 	}
-	for _, w := range workers {
-		p.Join(w)
+	for i := range k.subs {
+		p.Join(&k.subs[i].sub)
+		k.subs[i].do = nil
 	}
+	respBytes := k.respBytes
+	n.free = append(n.free, k)
 	return respBytes
 }
 

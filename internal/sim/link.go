@@ -80,8 +80,15 @@ func (l *Link) Transfer(p *Proc, n int) {
 // with Proc.WaitUntil(end). This is the zero-park form device models
 // use on their hottest paths.
 func (l *Link) Reserve(n int) (start, end time.Duration) {
+	return l.ReserveAt(l.env.Now(), n)
+}
+
+// ReserveAt is Reserve for a transfer that reaches the link at the
+// future instant at (see Timeline.ReserveAt). The hold uses the rate
+// in force now: a schedule is fixed when it is admitted.
+func (l *Link) ReserveAt(at time.Duration, n int) (start, end time.Duration) {
 	l.moved += int64(n)
-	return l.tl.Reserve(l.holdFor(n))
+	return l.tl.ReserveAt(at, l.holdFor(n))
 }
 
 // Rate returns the link data rate in bytes per second.

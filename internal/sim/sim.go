@@ -508,11 +508,23 @@ func (p *Proc) Span() trace.SpanID { return p.span }
 // time (after already-scheduled events at that time). Go may be called
 // before Run or from inside another process. It panics on a closed Env,
 // where the start event could never fire.
-func (e *Env) Go(name string, fn func(*Proc)) *Proc {
+func (e *Env) Go(name string, fn func(*Proc)) *Proc { return e.Start(new(Proc), name, fn) }
+
+// Start is Go on caller-owned storage: it spawns the process on p and
+// returns p. A layer that spawns a helper per request embeds the Proc
+// in a pooled request record and passes a method value bound once, so
+// the spawn allocates nothing. p may be a zero Proc or one whose
+// previous body has returned (Done); Start panics while p is still
+// pending or running, because its handle state would be overwritten
+// under the joiners' feet.
+func (e *Env) Start(p *Proc, name string, fn func(*Proc)) *Proc {
 	if e.closed {
 		panic("sim: Go on closed Env")
 	}
-	p := &Proc{env: e, name: name, fn: fn}
+	if p.env != nil && !p.Done() {
+		panic(fmt.Sprintf("sim: Start on live process %q", p.name))
+	}
+	*p = Proc{env: e, name: name, fn: fn}
 	p.doneSig.env = e
 	e.scheduleAt(e.now, event{proc: p})
 	return p

@@ -700,3 +700,165 @@ func TestFullTraceUnchangedByCarrierPool(t *testing.T) {
 		t.Fatalf("full trace hash = %s (%d events), want %s", got, tr.Len(), want)
 	}
 }
+
+// startRec is a request record in the style Env.Start exists for: the
+// Proc embedded, the body a method value bound once.
+type startRec struct {
+	proc Proc
+	run  func(*Proc)
+	hold time.Duration
+	runs int
+}
+
+func newStartRec() *startRec {
+	r := &startRec{}
+	r.run = r.body
+	return r
+}
+
+func (r *startRec) body(p *Proc) {
+	p.Wait(r.hold)
+	r.runs++
+}
+
+func TestStartReusesStorageAfterJoin(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	r := newStartRec()
+	r.hold = time.Millisecond
+	var handles [3]*Proc
+	var doneAt [3]time.Duration
+	root := e.Go("root", func(p *Proc) {
+		for i := range handles {
+			handles[i] = e.Start(&r.proc, "helper", r.run)
+			if handles[i].Done() {
+				t.Errorf("round %d: restarted process reads as done", i)
+			}
+			p.Join(handles[i])
+			doneAt[i] = e.Now()
+		}
+	})
+	e.RunUntilDone(root)
+	if r.runs != 3 {
+		t.Fatalf("body ran %d times, want 3", r.runs)
+	}
+	for i, h := range handles {
+		if h != &r.proc {
+			t.Fatalf("round %d: Start returned %p, want the caller's storage %p", i, h, &r.proc)
+		}
+		if want := time.Duration(i+1) * time.Millisecond; doneAt[i] != want {
+			t.Fatalf("round %d joined at %v, want %v", i, doneAt[i], want)
+		}
+	}
+	if e.liveHead != nil || len(e.idle) != 2 {
+		t.Fatalf("live list %v, idle carriers %d; want none live and root's + helper's carrier idle", e.liveHead, len(e.idle))
+	}
+}
+
+func TestStartOnLiveProcPanics(t *testing.T) {
+	for _, stage := range []string{"pending", "running"} {
+		e := NewEnv()
+		r := newStartRec()
+		r.hold = time.Hour
+		e.Start(&r.proc, "helper", r.run)
+		if stage == "running" {
+			e.RunUntil(time.Second) // parked in its Wait
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Start on a %s process did not panic", stage)
+				}
+			}()
+			e.Start(&r.proc, "again", r.run)
+		}()
+		e.Close()
+	}
+}
+
+func TestCloseUnwindsProcessesStartedOnStorage(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv()
+	recs := []*startRec{newStartRec(), newStartRec(), newStartRec()}
+	cleaned := 0
+	for _, r := range recs {
+		r.hold = time.Hour
+		e.Start(&r.proc, "stuck", func(p *Proc) {
+			defer func() { cleaned++ }()
+			r.run(p)
+		})
+	}
+	e.RunUntil(time.Second)
+	e.Close()
+	if cleaned != len(recs) {
+		t.Fatalf("Close unwound %d of %d blocked processes", cleaned, len(recs))
+	}
+	for i, r := range recs {
+		if !r.proc.Done() || r.runs != 0 {
+			t.Fatalf("record %d: done %v, body completions %d; want unwound mid-body", i, r.proc.Done(), r.runs)
+		}
+	}
+	if e.liveHead != nil || e.liveTail != nil {
+		t.Fatal("Close left processes registered")
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("goroutines = %d after Close, want %d", got, before)
+	}
+}
+
+// TestReserveAtMatchesSteppedReservations lays a two-stage pipeline
+// out in one go with ReserveAt and checks every slot against the same
+// pipeline walked by a process that parks at each step and calls
+// Reserve there.
+func TestReserveAtMatchesSteppedReservations(t *testing.T) {
+	const stages = 6
+	stageA, stageB := 70*time.Microsecond, 200*time.Microsecond
+	type slot struct{ start, end time.Duration }
+	var stepped, planned []slot
+
+	e := NewEnv()
+	a, b := NewTimeline(e, 1), NewLink(e, 1e6, 0)
+	b.Reserve(300) // the bus starts busy: the first page must queue
+	walker := e.Go("walker", func(p *Proc) {
+		p.Wait(50 * time.Microsecond)
+		var pending time.Duration
+		for i := 0; i < stages; i++ {
+			s, end := a.Reserve(stageA)
+			stepped = append(stepped, slot{s, end})
+			p.WaitUntil(end)
+			p.WaitUntil(pending)
+			s, pending = b.Reserve(int(stageB / time.Microsecond))
+			stepped = append(stepped, slot{s, pending})
+		}
+	})
+	e.RunUntilDone(walker)
+	e.Close()
+
+	e = NewEnv()
+	defer e.Close()
+	a, b = NewTimeline(e, 1), NewLink(e, 1e6, 0)
+	b.Reserve(300)
+	e.RunUntil(50 * time.Microsecond)
+	cur, pending := e.Now(), time.Duration(0)
+	for i := 0; i < stages; i++ {
+		s, end := a.ReserveAt(cur, stageA)
+		planned = append(planned, slot{s, end})
+		if cur = end; pending > cur {
+			cur = pending
+		}
+		s, pending = b.ReserveAt(cur, int(stageB/time.Microsecond))
+		planned = append(planned, slot{s, pending})
+	}
+	for i := range stepped {
+		if stepped[i] != planned[i] {
+			t.Fatalf("slot %d: planned %v, stepped %v", i, planned[i], stepped[i])
+		}
+	}
+	// An arrival instant in the past is clamped to now, like Reserve.
+	if s, _ := NewTimeline(e, 1).ReserveAt(0, stageA); s != e.Now() {
+		t.Fatalf("ReserveAt(0) on an idle timeline started at %v, want now (%v)", s, e.Now())
+	}
+	if b.Moved() != 300+stages*int64(stageB/time.Microsecond) {
+		t.Fatalf("link moved %d bytes", b.Moved())
+	}
+}

@@ -34,10 +34,11 @@ func NewTimeline(env *Env, capacity int) *Timeline {
 	return &Timeline{env: env, lanes: make([]int64, capacity)}
 }
 
-// claim assigns the next FIFO slot of length hold and returns its
-// bounds. The earliest-free lane wins; ties break toward the lowest
-// lane index, keeping assignment deterministic.
-func (t *Timeline) claim(hold time.Duration) (start, end int64) {
+// claim assigns the next FIFO slot of length hold to a request that
+// arrives at instant at (clamped to now) and returns its bounds. The
+// earliest-free lane wins; ties break toward the lowest lane index,
+// keeping assignment deterministic.
+func (t *Timeline) claim(at int64, hold time.Duration) (start, end int64) {
 	if hold < 0 {
 		hold = 0
 	}
@@ -48,8 +49,11 @@ func (t *Timeline) claim(hold time.Duration) (start, end int64) {
 		}
 	}
 	start = t.lanes[best]
-	if now := t.env.now; start < now {
-		start = now
+	if now := t.env.now; at < now {
+		at = now
+	}
+	if start < at {
+		start = at
 	}
 	end = start + int64(hold)
 	t.lanes[best] = end
@@ -61,7 +65,7 @@ func (t *Timeline) claim(hold time.Duration) (start, end int64) {
 // slot; back-to-back completions at one instant coalesce into a single
 // batched grant (see tlGrant), one scheduler operation for the burst.
 func (t *Timeline) Occupy(p *Proc, hold time.Duration) {
-	_, end := t.claim(hold)
+	_, end := t.claim(t.env.now, hold)
 	t.env.scheduleWake(end, p, nil)
 	p.park()
 }
@@ -70,7 +74,19 @@ func (t *Timeline) Occupy(p *Proc, hold time.Duration) {
 // bounds as virtual instants. Callers observe completion with
 // Proc.WaitUntil(end) — or not at all, for fire-and-forget occupancy.
 func (t *Timeline) Reserve(hold time.Duration) (start, end time.Duration) {
-	s, e := t.claim(hold)
+	return t.ReserveAt(t.env.Now(), hold)
+}
+
+// ReserveAt is Reserve for a request that arrives at the future instant
+// at: the slot starts at max(at, earliest lane-free instant). A caller
+// that owns the timeline for the length of a command (a channel engine
+// holding its mutex) uses it to lay the command's whole occupancy
+// schedule out at admission and park once for the result, instead of
+// parking at every step to learn the next arrival instant. Slots are
+// still handed out in call order, so the caller must reserve in the
+// order the arrivals would have happened.
+func (t *Timeline) ReserveAt(at, hold time.Duration) (start, end time.Duration) {
+	s, e := t.claim(int64(at), hold)
 	return time.Duration(s), time.Duration(e)
 }
 
@@ -79,7 +95,7 @@ func (t *Timeline) Reserve(hold time.Duration) (start, end time.Duration) {
 // must not call blocking Proc APIs (sdflint's inlinepark check
 // enforces this outside the kernel).
 func (t *Timeline) OccupyAsync(hold time.Duration, fn func()) {
-	_, end := t.claim(hold)
+	_, end := t.claim(t.env.now, hold)
 	t.env.scheduleWake(end, nil, fn)
 }
 
