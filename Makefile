@@ -131,9 +131,11 @@ bench-smoke:
 # kernel-bench is the scheduler perf gate (DESIGN.md "Kernel round 2"):
 # it fails on an allocation regression in the pooled fast paths
 # (TestKernelFastPathAllocs, the numeric form of the -benchmem
-# columns) or on a device command or rpcnet fan-out that costs more
+# columns), on a device command or rpcnet fan-out that costs more
 # than a handful of events or allocates per request
-# (TestCommandBudget), then records the BenchmarkKernel* suite with
+# (TestCommandBudget), or on programmed blocks that retain per-page
+# state (TestCommandBudgetRetainedHeap: -run matches both), then
+# records the BenchmarkKernel* suite with
 # allocation accounting and a CPU profile. CI uploads kernel-bench.txt
 # and kernel-bench.pprof, so every commit carries its kernel perf
 # history.
@@ -153,17 +155,19 @@ kernel-bench:
 # bench/perf/out/ so every commit carries its end-to-end numbers.
 #
 # TestProtocolEmitsEveryName runs apart from the rest: at its tiny size
-# a measured phase is now 5-8 ms of CPU, under the 10 ms period of the
+# a measured phase is a few ms of CPU, under the 10 ms period of the
 # CPU profiler whose first tick lands at a random phase, so a pass
 # whose three profiles all come back empty fails the check "cpu
-# profile: no samples" one run in three to ten. That one outcome — and
-# nothing else the test can report — is retried; any other failure
+# profile: no samples" — 18 runs in 40 on the reference box since the
+# write path stopped settling per page (14 in 40 before). That one
+# outcome — and nothing else the test can report — is retried, eight
+# times so that a run of misses stays under 1 %; any other failure
 # fails the target at once. Drop the loop when bench/perf's tiny run
 # stops requiring a sample (ROADMAP, open items).
 perf-smoke:
 	$(GO) test -C bench/perf -skip '^TestProtocolEmitsEveryName$$' ./...
-	@for try in 1 2 3 4 5; do \
-		echo "$(GO) test -C bench/perf -count=1 -run '^TestProtocolEmitsEveryName$$' ./... (try $$try of 5)"; \
+	@for try in 1 2 3 4 5 6 7 8; do \
+		echo "$(GO) test -C bench/perf -count=1 -run '^TestProtocolEmitsEveryName$$' ./... (try $$try of 8)"; \
 		if out=$$($(GO) test -C bench/perf -count=1 -run '^TestProtocolEmitsEveryName$$' ./... 2>&1); then \
 			echo "$$out"; exit 0; \
 		fi; \

@@ -61,6 +61,12 @@ type Journal struct {
 	manifest []manifestRecord
 	nextRun  uint64
 	halted   bool
+	// live counts, per ref, the manifest's adds that no del has cancelled
+	// yet, and liveRecords sums them: what replayManifest would find,
+	// kept as the records are appended so that deciding whether a rewrite
+	// is due costs no replay.
+	live        map[Ref]int
+	liveRecords int
 	// compactions counts manifest rewrites; truncatedPuts counts log
 	// records dropped at flush watermarks. Both feed the registry.
 	compactions   int64
@@ -136,11 +142,16 @@ func (j *Journal) appendRun(tier int, pts []*patch) bool {
 	}
 	id := j.nextRun
 	j.nextRun++
+	if j.live == nil {
+		j.live = make(map[Ref]int)
+	}
 	for _, pt := range pts {
 		j.manifest = append(j.manifest, manifestRecord{
 			op: manifestAdd, ref: pt.ref, tier: tier, runID: id,
 			keys: pt.keys, offs: pt.offs, sizes: pt.sizes,
 		})
+		j.live[pt.ref]++
+		j.liveRecords++
 	}
 	return true
 }
@@ -153,6 +164,14 @@ func (j *Journal) appendDel(ref Ref) {
 		return
 	}
 	j.manifest = append(j.manifest, manifestRecord{op: manifestDel, ref: ref})
+	// A del cancels one add of its ref; for a ref with none (never
+	// added, or already retired) it is a no-op, as in replayManifest.
+	if n := j.live[ref]; n > 0 {
+		if j.live[ref] = n - 1; n == 1 {
+			delete(j.live, ref)
+		}
+		j.liveRecords--
+	}
 	j.maybeCompact()
 }
 
@@ -247,19 +266,11 @@ func (j *Journal) replayManifest() []*rebuiltRun {
 // byte-identical tiers. It is skipped while halted: a compaction
 // racing the power cut must not reorder what the crash preserved.
 func (j *Journal) maybeCompact() {
-	if j == nil || j.halted {
+	if j == nil || j.halted || len(j.manifest) <= 2*j.liveRecords+manifestSlack {
 		return
 	}
-	runs := j.replayManifest()
-	live := 0
-	for _, rr := range runs {
-		live += len(rr.r)
-	}
-	if len(j.manifest) <= 2*live+manifestSlack {
-		return
-	}
-	compacted := make([]manifestRecord, 0, live)
-	for _, rr := range runs {
+	compacted := make([]manifestRecord, 0, j.liveRecords)
+	for _, rr := range j.replayManifest() {
 		for _, pt := range rr.r {
 			compacted = append(compacted, manifestRecord{
 				op: manifestAdd, ref: pt.ref, tier: rr.tier, runID: rr.runID,

@@ -3,6 +3,8 @@ package ccdb
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,4 +196,95 @@ func TestManifestCompactionSkippedWhileHalted(t *testing.T) {
 		t.Fatalf("halted journal compacted: %d -> %d records, %d compactions",
 			before, j.ManifestRecords(), j.Compactions())
 	}
+}
+
+// refMaybeCompact is maybeCompact as it was before the journal counted
+// its live records as they are appended: it replays the whole manifest
+// on every call to find out how many are live. Kept as the reference
+// TestManifestLiveCountMatchesReplay holds the incremental count to.
+func (j *Journal) refMaybeCompact() {
+	if j == nil || j.halted {
+		return
+	}
+	runs := j.replayManifest()
+	live := 0
+	for _, rr := range runs {
+		live += len(rr.r)
+	}
+	if len(j.manifest) <= 2*live+manifestSlack {
+		return
+	}
+	compacted := make([]manifestRecord, 0, live)
+	for _, rr := range runs {
+		for _, pt := range rr.r {
+			compacted = append(compacted, manifestRecord{
+				op: manifestAdd, ref: pt.ref, tier: rr.tier, runID: rr.runID,
+				keys: pt.keys, offs: pt.offs, sizes: pt.sizes,
+			})
+		}
+	}
+	j.manifest = compacted
+	j.compactions++
+}
+
+// TestManifestLiveCountMatchesReplay feeds seeded sequences of run
+// appends, retirements, retirements of refs never added or already
+// retired, and re-adds of retired refs to two journals — one compacting
+// on the incremental live count, one on the replay-every-time reference
+// — and requires the same manifest length and rewrite count after every
+// record, and the same replayed tiers at the end.
+func TestManifestLiveCountMatchesReplay(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := NewJournal(), NewJournal()
+		var added []Ref // every ref ever added: live, retired, or both in turn
+		for step := 0; step < 1500; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4 || len(added) == 0: // a run of one to three patches, some of them re-adds
+				var pts []*patch
+				for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+					ref := Ref(len(added) + 1)
+					if len(added) > 0 && rng.Intn(4) == 0 {
+						ref = added[rng.Intn(len(added))]
+					}
+					added = append(added, ref)
+					pts = append(pts, &patch{ref: ref, keys: []string{"k"}, offs: []int{0}, sizes: []int{1}})
+				}
+				tier := rng.Intn(3)
+				got.appendRun(tier, pts)
+				want.appendRun(tier, pts)
+			default:
+				ref := added[rng.Intn(len(added))] // live, or retired before: then a no-op
+				if op == 9 {
+					ref = Ref(1 << 40) // never added
+				}
+				got.appendDel(ref)
+				want.manifest = append(want.manifest, manifestRecord{op: manifestDel, ref: ref})
+				want.refMaybeCompact()
+			}
+			if got.ManifestRecords() != want.ManifestRecords() || got.Compactions() != want.Compactions() {
+				t.Fatalf("seed %d step %d: %d records after %d rewrites, reference %d after %d", seed, step,
+					got.ManifestRecords(), got.Compactions(), want.ManifestRecords(), want.Compactions())
+			}
+		}
+		if got.Compactions() == 0 {
+			t.Fatalf("seed %d: the manifest was never rewritten", seed)
+		}
+		if a, b := replayShape(got), replayShape(want); a != b {
+			t.Fatalf("seed %d: replayed tiers differ:\n got  %s\n want %s", seed, a, b)
+		}
+	}
+}
+
+// replayShape prints the runs a manifest replays to, in order.
+func replayShape(j *Journal) string {
+	var b strings.Builder
+	for _, rr := range j.replayManifest() {
+		fmt.Fprintf(&b, "t%d/r%d:", rr.tier, rr.runID)
+		for _, pt := range rr.r {
+			fmt.Fprintf(&b, "%d,", pt.ref)
+		}
+		b.WriteByte(' ')
+	}
+	return b.String()
 }

@@ -92,8 +92,8 @@ func TestCommandBudget(t *testing.T) {
 	// A write needs an erased block each time, and the erase is outside
 	// the budget, so the write is counted on its own. Wear leveling
 	// hands each erase the least-worn free block: the steady state —
-	// every block written once, its spare slab recycled when its turn
-	// comes again — takes a full rotation of the plane to reach.
+	// every block written once, its out-of-band record recycled when its
+	// turn comes again — takes a full rotation of the plane to reach.
 	for i := 0; i < 2*cfg.Channel.Nand.BlocksPerPlane; i++ {
 		rig.do(eraseWrite)
 	}
@@ -125,5 +125,57 @@ func TestCommandBudget(t *testing.T) {
 	rig.do(call)
 	if allocs := testing.AllocsPerRun(20, func() { rig.do(call) }); allocs > 2 {
 		t.Errorf("batch-44 Call: %.0f allocations, budget 2", allocs)
+	}
+}
+
+// TestCommandBudgetRetainedHeap is the gate on what a programmed block
+// costs the simulator to remember: its pages' out-of-band records are
+// kept as one run per plane over one record per block write (DESIGN.md
+// §15), so 256 timing-only 8 MB blocks on one channel — 262144 pages —
+// retain a few tens of KB, the FTL's own per-block map entry included.
+// A record per page is 11 MB here.
+func TestCommandBudgetRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not stable under the race detector")
+	}
+	const blocks = 256
+	cfg := testConfig()
+	cfg.Channels = 1
+	cfg.Channel.Nand.BlocksPerPlane = blocks + 1 + cfg.Channel.SparePerPlane
+	rig := newBudgetRig()
+	defer rig.env.Close()
+	d, err := New(rig.env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	each := func(op func(p *sim.Proc, lbn int) error) {
+		rig.do(func(p *sim.Proc) {
+			for lbn := 0; lbn < blocks; lbn++ {
+				if err := op(p, lbn); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a second cycle frees what the first one's sweep was still holding
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	each(func(p *sim.Proc, lbn int) error { return d.Erase(p, 0, lbn) })
+	rig.do(func(p *sim.Proc) { // the engine's one-time buffers are not the blocks'
+		if err := d.EraseWrite(p, 0, blocks, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	before := live()
+	each(func(p *sim.Proc, lbn int) error { return d.Write(p, 0, lbn, nil) })
+	retained := int64(live()) - int64(before)
+	runtime.KeepAlive(d)
+	t.Logf("%d blocks programmed: %d bytes retained (%.1f per block)", blocks, retained, float64(retained)/blocks)
+	if retained >= 64<<10 {
+		t.Errorf("%d programmed blocks retain %d bytes of heap, budget 64 KB", blocks, retained)
 	}
 }

@@ -184,6 +184,17 @@ func TestSparesMustLeaveLogicalBlocks(t *testing.T) {
 	if ch.LogicalBlocks() != 1 {
 		t.Fatalf("logical blocks = %d, want 1", ch.LogicalBlocks())
 	}
+	// Mount runs the same check over media that New accepted.
+	for _, spares := range []int{-1, 8, 16} {
+		cfg.SparePerPlane = spares
+		if _, err := Mount(env, cfg, ch.Persistent()); err == nil {
+			t.Fatalf("Mount accepted SparePerPlane %d with 8 blocks per plane", spares)
+		}
+	}
+	cfg.SparePerPlane = 7
+	if _, err := Mount(env, cfg, ch.Persistent()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCheckpointAgeTrigger sets a write period too large to ever fire

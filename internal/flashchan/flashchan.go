@@ -190,70 +190,90 @@ type Channel struct {
 	checkpoints  int64 // checkpoints written and verified
 	cpFailures   int64 // checkpoint attempts that failed
 
-	wr blockWrite // the block write in service (program.go)
+	wr  blockWrite  // the block write in service (program.go)
+	oob *oobPool    // its recycled out-of-band records (recovery.go)
+	cut *sim.Signal // fired by PowerOff: wakes the block write it cut
 }
 
 type parityKey struct {
 	plane, block, page int
 }
 
-// New builds a channel on env.
-func New(env *sim.Env, cfg Config) (*Channel, error) {
-	if cfg.Chips < 1 {
+// newChannel checks cfg and builds the channel that New and Mount then
+// give chips: no planes, no mapping.
+func newChannel(env *sim.Env, cfg Config) (*Channel, error) {
+	switch {
+	case cfg.Chips < 1:
 		return nil, fmt.Errorf("flashchan: need at least one chip")
-	}
-	if cfg.CheckpointEvery > 0 && cfg.SparePerPlane <= cpSlots {
+	case cfg.CheckpointEvery > 0 && cfg.SparePerPlane <= cpSlots:
 		return nil, fmt.Errorf("flashchan: checkpointing needs SparePerPlane > %d", cpSlots)
-	}
-	if cfg.SparePerPlane < 0 || cfg.SparePerPlane >= cfg.Nand.BlocksPerPlane {
+	case cfg.SparePerPlane < 0 || cfg.SparePerPlane >= cfg.Nand.BlocksPerPlane:
 		return nil, fmt.Errorf("flashchan: SparePerPlane %d leaves no logical blocks of %d per plane",
 			cfg.SparePerPlane, cfg.Nand.BlocksPerPlane)
-	}
-	if cfg.CheckpointMaxAge > 0 && cfg.CheckpointEvery <= 0 {
+	case cfg.CheckpointMaxAge > 0 && cfg.CheckpointEvery <= 0:
 		return nil, fmt.Errorf("flashchan: CheckpointMaxAge requires CheckpointEvery > 0")
+	case cfg.ECC && !cfg.Nand.RetainData:
+		return nil, fmt.Errorf("flashchan: ECC requires RetainData")
 	}
 	ch := &Channel{
 		cfg:     cfg,
 		env:     env,
 		bus:     sim.NewLink(env, cfg.BusRate, cfg.BusOverhead),
 		mu:      sim.NewPriorityResource(env, 1),
-		nextSeq: 1,
+		nextSeq: 1, // Recover re-derives it from mounted media
 		meta:    make(map[int]blockMeta),
 		cpSeq:   1,
-		lastCp:  env.Now(),
+		oob:     new(oobPool),
+		cut:     sim.NewSignal(env),
 	}
 	ch.SetLabel("chan")
-	for i := 0; i < cfg.Chips; i++ {
-		np := cfg.Nand
-		np.Seed = cfg.Seed*1000 + int64(i)
-		chip := nand.New(env, np)
-		ch.chips = append(ch.chips, chip)
-		for pl := 0; pl < chip.Planes(); pl++ {
-			pi := len(ch.planes)
-			ps := planeState{
-				plane:   chip.Plane(pl),
-				chip:    i,
-				mapping: make(map[int]int),
-			}
-			ps.free.plane = ps.plane
-			for b := 0; b < ps.plane.Blocks(); b++ {
-				if !ps.plane.Bad(b) && !ch.cpHome(pi, b) {
-					ps.free.idx = append(ps.free.idx, b)
-				}
-			}
-			heap.Init(&ps.free)
-			ch.planes = append(ch.planes, ps)
-		}
-	}
 	if cfg.ECC {
-		if !cfg.Nand.RetainData {
-			return nil, fmt.Errorf("flashchan: ECC requires RetainData")
-		}
 		code, err := bch.New(cfg.ECCM, cfg.ECCT, cfg.ECCSector)
 		if err != nil {
 			return nil, err
 		}
 		ch.code = code
+	}
+	return ch, nil
+}
+
+// addChip appends a chip's planes to the channel, unmapped and with
+// empty free pools.
+func (ch *Channel) addChip(chip *nand.Chip) {
+	for pl := 0; pl < chip.Planes(); pl++ {
+		ch.planes = append(ch.planes, planeState{
+			plane:   chip.Plane(pl),
+			chip:    len(ch.chips),
+			mapping: make(map[int]int),
+		})
+		ps := &ch.planes[len(ch.planes)-1]
+		ps.free.plane = ps.plane
+	}
+	ch.chips = append(ch.chips, chip)
+}
+
+// New builds a channel on env.
+func New(env *sim.Env, cfg Config) (*Channel, error) {
+	ch, err := newChannel(env, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ch.lastCp = env.Now()
+	for i := 0; i < cfg.Chips; i++ {
+		np := cfg.Nand
+		np.Seed = cfg.Seed*1000 + int64(i)
+		ch.addChip(nand.New(env, np))
+	}
+	for pi := range ch.planes {
+		ps := &ch.planes[pi]
+		for b := 0; b < ps.plane.Blocks(); b++ {
+			if !ps.plane.Bad(b) && !ch.cpHome(pi, b) {
+				ps.free.idx = append(ps.free.idx, b)
+			}
+		}
+		heap.Init(&ps.free)
+	}
+	if ch.code != nil {
 		ch.parity = make(map[parityKey][][]byte)
 	}
 	return ch, nil
@@ -400,9 +420,10 @@ func (ch *Channel) PowerOff() {
 	for _, chip := range ch.chips {
 		chip.PowerOff()
 	}
-	// A block write in flight resolves against the cut now; the command
-	// collects the verdict when its park ends.
+	// A block write in flight resolves against the cut now, and its
+	// command wakes to collect the verdict.
 	ch.settleWrite()
+	ch.cut.Fire()
 }
 
 // Alive reports whether the engine is serving commands.
@@ -613,7 +634,7 @@ func (ch *Channel) erasePlane(p *sim.Proc, pi, lbn int) error {
 // The four planes program in parallel, fed round-robin over the bus,
 // so throughput is program-limited (~23 MB/s per channel).
 func (ch *Channel) Write(p *sim.Proc, lbn int, data []byte) error {
-	return ch.write(p, lbn, data, nil)
+	return ch.write(p, lbn, data, nil, false)
 }
 
 // WriteTagged is Write with the caller's 128-bit write ID stamped
@@ -621,10 +642,12 @@ func (ch *Channel) Write(p *sim.Proc, lbn int, data []byte) error {
 // mount-time recovery scan returns tagged blocks with their IDs, so
 // the block layer can rebuild its ID-to-block map after power loss.
 func (ch *Channel) WriteTagged(p *sim.Proc, lbn int, data []byte, id WriteID) error {
-	return ch.write(p, lbn, data, &id)
+	return ch.write(p, lbn, data, &id, false)
 }
 
-func (ch *Channel) write(p *sim.Proc, lbn int, data []byte, tag *WriteID) error {
+// write is the block-write command, after an erase of the block in the
+// same command when erase is set.
+func (ch *Channel) write(p *sim.Proc, lbn int, data []byte, tag *WriteID, erase bool) error {
 	if err := ch.checkLBN(lbn); err != nil {
 		return err
 	}
@@ -638,6 +661,11 @@ func (ch *Channel) write(p *sim.Proc, lbn int, data []byte, tag *WriteID) error 
 	defer ch.mu.Release()
 	if err := ch.checkAlive(); err != nil { // killed while queued
 		return err
+	}
+	if erase {
+		if err := ch.eraseLocked(p, lbn); err != nil {
+			return err
+		}
 	}
 	if err := ch.writeLocked(p, lbn, data, tag); err != nil {
 		return err
@@ -664,10 +692,11 @@ func (ch *Channel) writeLocked(p *sim.Proc, lbn int, data []byte, tag *WriteID) 
 		m.id = *tag
 		m.tagged = true
 	}
-	ch.wr.lbn, ch.wr.data, ch.wr.seq, ch.wr.tag, ch.wr.tagged = lbn, data, seq, m.id, m.tagged
-	// The whole command is laid out now and parks once; its pages reach
-	// the media when it wakes, or at the cut if power dies first.
-	p.WaitUntil(ch.scheduleWrite(p.Span()))
+	ch.wr.lbn, ch.wr.data, ch.wr.meta = lbn, data, m
+	// The whole command is laid out now and parks once, to the end of
+	// its schedule or the instant the power dies; its pages reach the
+	// media then.
+	p.AwaitUntil(ch.cut, ch.scheduleWrite(p.Span()))
 	ch.settleWrite()
 	if err := ch.wr.failed; err != nil {
 		return err
@@ -680,35 +709,13 @@ func (ch *Channel) writeLocked(p *sim.Proc, lbn int, data []byte, tag *WriteID) 
 // EraseWrite performs the erase-before-write sequence as a single
 // channel command, the common path in Baidu's block layer (§2.3).
 func (ch *Channel) EraseWrite(p *sim.Proc, lbn int, data []byte) error {
-	return ch.eraseWrite(p, lbn, data, nil)
+	return ch.write(p, lbn, data, nil, true)
 }
 
 // EraseWriteTagged is EraseWrite with a write ID stamped into the
 // out-of-band area (see WriteTagged).
 func (ch *Channel) EraseWriteTagged(p *sim.Proc, lbn int, data []byte, id WriteID) error {
-	return ch.eraseWrite(p, lbn, data, &id)
-}
-
-func (ch *Channel) eraseWrite(p *sim.Proc, lbn int, data []byte, tag *WriteID) error {
-	if err := ch.checkLBN(lbn); err != nil {
-		return err
-	}
-	if err := ch.checkAlive(); err != nil {
-		return err
-	}
-	ch.acquire(p, ch.writePrio())
-	defer ch.mu.Release()
-	if err := ch.checkAlive(); err != nil { // killed while queued
-		return err
-	}
-	if err := ch.eraseLocked(p, lbn); err != nil {
-		return err
-	}
-	if err := ch.writeLocked(p, lbn, data, tag); err != nil {
-		return err
-	}
-	ch.maybeCheckpoint(p)
-	return nil
+	return ch.write(p, lbn, data, &id, true)
 }
 
 // ReadAt reads size bytes at byte offset off within logical block lbn.

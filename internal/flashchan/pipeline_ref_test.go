@@ -7,10 +7,13 @@ package flashchan
 // (Plane.ReadPage, then the cache-register drain), refWriteLocked
 // spawns a worker per plane that parks once or twice per page. The only
 // edits are the ref prefix and correct's one-value return. This file is
-// the only place that loop survives.
+// the only place that loop survives — and, with makePageOOB and
+// encodeOOBInto below, the page-by-page construction of the out-of-band
+// records that writeOOB.Spare now renders on demand.
 
 import (
 	"fmt"
+	"hash/crc32"
 	"time"
 
 	"sdf/internal/sim"
@@ -212,3 +215,26 @@ func (ch *Channel) refReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error
 	ch.bytesRead += int64(size)
 	return out, nil
 }
+
+// makePageOOB builds the record for one page of a write command and
+// returns it with the updated block-CRC fold.
+func makePageOOB(tag *WriteID, seq uint64, lbn, page, pagesPerBlock int, payload []byte, fold uint32) (pageOOB, uint32) {
+	oob := pageOOB{seq: seq, lbn: lbn, page: page}
+	if tag != nil {
+		oob.id = *tag
+		oob.flags |= oobTagged
+	}
+	if payload != nil {
+		oob.crc = crc32.ChecksumIEEE(payload)
+		oob.flags |= oobHasCRC
+	}
+	fold = foldCRC(fold, oob.crc)
+	if page == pagesPerBlock-1 {
+		oob.flags |= oobLast
+		oob.bcrc = fold
+	}
+	return oob, fold
+}
+
+// encodeOOBInto serializes into a caller-owned buffer of oobSize bytes.
+func encodeOOBInto(oob pageOOB, buf []byte) { copy(buf, encodeOOB(oob)) }

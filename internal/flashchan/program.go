@@ -1,6 +1,7 @@
 package flashchan
 
 import (
+	"hash/crc32"
 	"time"
 
 	"sdf/internal/trace"
@@ -18,9 +19,7 @@ type blockWrite struct {
 	failed  error // settleWrite's verdict, for the command to collect
 	lbn     int
 	data    []byte
-	tag     WriteID
-	tagged  bool
-	seq     uint64
+	meta    blockMeta // the identity its pages are stamped with
 	parent  trace.SpanID
 	steps   int // worker steps scheduled so far
 	workers []progWorker
@@ -154,14 +153,13 @@ func (ch *Channel) endWorker(wk *progWorker, at time.Duration, err error) {
 	ch.env.Tracer().End(at, wk.span)
 }
 
-// settleWrite applies ch.wr's scheduled pulses to the media, plane by
-// plane in page order: the out-of-band record (write ID, sequence,
-// CRCs), the payload, the BCH parity. nand.Plane.SettleProgram decides
-// each pulse's fate — on a chip that lost power the plane stops at the
-// first pulse the cut reached (torn if it had begun). The first
-// plane's failure, if any plane fell short, is left in wr.failed;
-// a second call (the command waking after PowerOff settled it) is a
-// no-op.
+// settleWrite applies ch.wr's scheduled pulses to the media, one run per
+// plane: the pages' out-of-band records (write ID, sequence, CRCs) as
+// one writeOOB the runs share, the payload, the BCH parity.
+// nand.Plane.SettleProgramRun decides the pulses' fate, and where a
+// plane stops on a chip that lost power. The first plane's failure, if
+// any fell short, is left in wr.failed; a second call (the command
+// waking after PowerOff settled it) is a no-op.
 func (ch *Channel) settleWrite() {
 	w := &ch.wr
 	if !w.active {
@@ -169,35 +167,25 @@ func (ch *Channel) settleWrite() {
 	}
 	w.active = false
 	pageSize := ch.cfg.Nand.PageSize
-	pagesPerBlock := ch.cfg.Nand.PagesPerBlock
+	pages := ch.cfg.Nand.PagesPerBlock
 	stripe := ch.stripeBytes()
-	var tag *WriteID
-	if w.tagged {
-		tag = &w.tag
-	}
+	rec := ch.newOOB(w.lbn, w.meta, w.data != nil)
 	w.failed = nil
 	for k := range w.workers {
 		wk := &w.workers[k]
-		ps := &ch.planes[k]
-		err := wk.err
-		var bcrc uint32 // running fold of the page CRCs
-		// The media model copies the spare synchronously, so one stack
-		// buffer serves every page.
-		var oobBuf [oobSize]byte
-		for pg, start := range wk.pulses {
-			var payload []byte
-			if w.data != nil {
-				o := k*stripe + pg*pageSize
-				payload = w.data[o : o+pageSize]
-			}
-			oob, fold := makePageOOB(tag, w.seq, w.lbn, pg, pagesPerBlock, payload, bcrc)
-			bcrc = fold
-			encodeOOBInto(oob, oobBuf[:])
-			if err = ps.plane.SettleProgram(wk.phys, pg, start, payload, oobBuf[:]); err != nil {
-				break
-			}
-			if ch.parity != nil && payload != nil {
-				ch.storeParity(k, wk.phys, pg, payload)
+		var payload []byte
+		if w.data != nil {
+			payload = w.data[k*stripe : (k+1)*stripe]
+		}
+		n, err := ch.planes[k].plane.SettleProgramRun(wk.phys, 0, wk.pulses, payload, rec, k*pages)
+		if wk.err != nil { // refused at admission: no pulse was scheduled
+			err = wk.err
+		}
+		for pg := 0; pg < n && payload != nil; pg++ {
+			page := payload[pg*pageSize : (pg+1)*pageSize]
+			rec.crcs[k*pages+pg] = crc32.ChecksumIEEE(page)
+			if ch.parity != nil {
+				ch.storeParity(k, wk.phys, pg, page)
 			}
 		}
 		if w.failed == nil {

@@ -27,7 +27,6 @@ import (
 	"sort"
 	"time"
 
-	"sdf/internal/bch"
 	"sdf/internal/nand"
 	"sdf/internal/sim"
 	"sdf/internal/trace"
@@ -62,30 +61,81 @@ type pageOOB struct {
 	flags uint8
 }
 
-// makePageOOB builds the record for one page of a write command and
-// returns it with the updated block-CRC fold.
-func makePageOOB(tag *WriteID, seq uint64, lbn, page, pagesPerBlock int, payload []byte, fold uint32) (pageOOB, uint32) {
-	oob := pageOOB{seq: seq, lbn: lbn, page: page}
-	if tag != nil {
-		oob.id = *tag
+// writeOOB is the out-of-band record of one block write: the few words
+// every page's spare follows from, kept by the media in place of the
+// pages' encoded records (nand.SpareSource). Source page k*pages+pg is
+// page pg of the block on plane k, so the planes' runs share one record.
+type writeOOB struct {
+	blockMeta
+	crcs  []uint32 // payload CRC32 by source page; nil for a write without payload
+	pool  *oobPool
+	lbn   int32
+	pages int32 // pages per plane block
+	refs  int32 // runs the record still owes a Release
+}
+
+// oobPool holds the records whose every run has been erased, for the
+// next block writes. It is an object of its own: records outlive their
+// channel in the media a later one mounts, and must not keep it alive.
+type oobPool struct{ free []*writeOOB }
+
+// newOOB returns the record of a block write, for one run per plane;
+// the CRCs of a write with a payload are the caller's to fill in.
+func (ch *Channel) newOOB(lbn int, m blockMeta, payload bool) *writeOOB {
+	var rec *writeOOB
+	if n := len(ch.oob.free); n > 0 {
+		rec, ch.oob.free = ch.oob.free[n-1], ch.oob.free[:n-1]
+	} else {
+		rec = &writeOOB{pool: ch.oob}
+	}
+	pages := ch.cfg.Nand.PagesPerBlock
+	var crcs []uint32
+	if payload {
+		crcs = append(rec.crcs[:0], make([]uint32, len(ch.planes)*pages)...)
+	}
+	*rec = writeOOB{blockMeta: m, crcs: crcs, pool: rec.pool, lbn: int32(lbn),
+		pages: int32(pages), refs: int32(len(ch.planes))}
+	return rec
+}
+
+// Spare renders one page's record; the block-CRC fold of a plane's
+// pages is computed when its last page is asked for.
+func (w *writeOOB) Spare(i int) []byte {
+	pg := i % int(w.pages)
+	oob := pageOOB{id: w.id, seq: w.seq, lbn: int(w.lbn), page: pg}
+	if w.tagged {
 		oob.flags |= oobTagged
 	}
-	if payload != nil {
-		oob.crc = crc32.ChecksumIEEE(payload)
+	if w.crcs != nil {
 		oob.flags |= oobHasCRC
 	}
-	fold = foldCRC(fold, oob.crc)
-	if page == pagesPerBlock-1 {
+	oob.crc = w.crc(i)
+	if pg == int(w.pages)-1 {
 		oob.flags |= oobLast
-		oob.bcrc = fold
+		for j := i - pg; j <= i; j++ {
+			oob.bcrc = foldCRC(oob.bcrc, w.crc(j))
+		}
 	}
-	return oob, fold
+	return encodeOOB(oob)
+}
+
+// crc is source page i's payload CRC, 0 for a write without payload.
+func (w *writeOOB) crc(i int) uint32 {
+	if w.crcs == nil {
+		return 0
+	}
+	return w.crcs[i]
+}
+
+func (w *writeOOB) Release() {
+	if w.refs--; w.refs == 0 {
+		w.pool.free = append(w.pool.free, w)
+	}
 }
 
 // foldCRC chains one page CRC into the running block CRC. The body is
 // crc32.Update(acc, crc32.IEEETable, le32(pageCRC)) unrolled over the
-// four little-endian bytes: Update's slice argument defeats escape
-// analysis and costs a heap allocation per page on the write path.
+// four little-endian bytes, so that no slice is needed.
 func foldCRC(acc, pageCRC uint32) uint32 {
 	crc := ^acc
 	for i := 0; i < 4; i++ {
@@ -96,15 +146,6 @@ func foldCRC(acc, pageCRC uint32) uint32 {
 
 func encodeOOB(oob pageOOB) []byte {
 	buf := make([]byte, oobSize)
-	encodeOOBInto(oob, buf)
-	return buf
-}
-
-// encodeOOBInto serializes into a caller-owned buffer of oobSize
-// bytes. The write path reuses one stack buffer per plane — the
-// media model copies the spare into its store immediately, so the
-// buffer never escapes.
-func encodeOOBInto(oob pageOOB, buf []byte) {
 	binary.LittleEndian.PutUint64(buf[0:], oob.id.Hi)
 	binary.LittleEndian.PutUint64(buf[8:], oob.id.Lo)
 	binary.LittleEndian.PutUint64(buf[16:], oob.seq)
@@ -113,6 +154,7 @@ func encodeOOBInto(oob pageOOB, buf []byte) {
 	binary.LittleEndian.PutUint32(buf[32:], oob.crc)
 	binary.LittleEndian.PutUint32(buf[36:], oob.bcrc)
 	buf[40] = oob.flags
+	return buf
 }
 
 func decodeOOB(buf []byte) (pageOOB, bool) {
@@ -171,26 +213,13 @@ func (ch *Channel) Persistent() *Persistent {
 // environment. The channel comes up with empty FTL state — no logical
 // mapping, no free pools — and must run Recover before serving I/O.
 func Mount(env *sim.Env, cfg Config, state *Persistent) (*Channel, error) {
-	if cfg.Chips < 1 {
-		return nil, fmt.Errorf("flashchan: need at least one chip")
+	ch, err := newChannel(env, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if len(state.media) != cfg.Chips {
 		return nil, fmt.Errorf("flashchan: mount with %d chips of media, config wants %d", len(state.media), cfg.Chips)
 	}
-	if cfg.CheckpointEvery > 0 && cfg.SparePerPlane <= cpSlots {
-		return nil, fmt.Errorf("flashchan: checkpointing needs SparePerPlane > %d", cpSlots)
-	}
-	ch := &Channel{
-		cfg: cfg,
-		env: env,
-		bus: sim.NewLink(env, cfg.BusRate, cfg.BusOverhead),
-		mu:  sim.NewPriorityResource(env, 1),
-		// nextSeq is re-derived by Recover from the media.
-		nextSeq: 1,
-		meta:    make(map[int]blockMeta),
-		cpSeq:   1,
-	}
-	ch.SetLabel("chan")
 	for i := 0; i < cfg.Chips; i++ {
 		np := cfg.Nand
 		np.Seed = cfg.Seed*1000 + int64(i)
@@ -198,26 +227,9 @@ func Mount(env *sim.Env, cfg Config, state *Persistent) (*Channel, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch.chips = append(ch.chips, chip)
-		for pl := 0; pl < chip.Planes(); pl++ {
-			ch.planes = append(ch.planes, planeState{
-				plane:   chip.Plane(pl),
-				chip:    i,
-				mapping: make(map[int]int),
-			})
-			ps := &ch.planes[len(ch.planes)-1]
-			ps.free.plane = ps.plane
-		}
+		ch.addChip(chip)
 	}
-	if cfg.ECC {
-		if !cfg.Nand.RetainData {
-			return nil, fmt.Errorf("flashchan: ECC requires RetainData")
-		}
-		code, err := bch.New(cfg.ECCM, cfg.ECCT, cfg.ECCSector)
-		if err != nil {
-			return nil, err
-		}
-		ch.code = code
+	if ch.code != nil {
 		ch.parity = state.parity
 		if ch.parity == nil {
 			ch.parity = make(map[parityKey][][]byte)
@@ -544,8 +556,9 @@ func (ch *Channel) SeedRecoverable(lbn int, id WriteID) error {
 		return fmt.Errorf("flashchan: SeedRecoverable is incompatible with RetainData")
 	}
 	pagesPerBlock := ch.cfg.Nand.PagesPerBlock
-	seq := ch.nextSeq
+	m := blockMeta{id: id, tagged: true, seq: ch.nextSeq}
 	ch.nextSeq++
+	rec := ch.newOOB(lbn, m, false)
 	for i := range ch.planes {
 		ps := &ch.planes[i]
 		if _, ok := ps.mapping[lbn]; ok {
@@ -555,18 +568,11 @@ func (ch *Channel) SeedRecoverable(lbn int, id WriteID) error {
 			return fmt.Errorf("%w: plane %d", ErrOutOfSpace, i)
 		}
 		phys := heap.Pop(&ps.free).(int)
-		spares := make([][]byte, pagesPerBlock)
-		var fold uint32
-		for pg := 0; pg < pagesPerBlock; pg++ {
-			oob, f := makePageOOB(&id, seq, lbn, pg, pagesPerBlock, nil, fold)
-			fold = f
-			spares[pg] = encodeOOB(oob)
-		}
-		if err := ps.plane.PreloadSpares(phys, spares); err != nil {
+		if err := ps.plane.PreloadSpares(phys, pagesPerBlock, rec, i*pagesPerBlock); err != nil {
 			return err
 		}
 		ps.mapping[lbn] = phys
 	}
-	ch.meta[lbn] = blockMeta{id: id, tagged: true, seq: seq}
+	ch.meta[lbn] = m
 	return nil
 }

@@ -33,7 +33,7 @@ var InlinePark = &Analyzer{
 // blockingProcMethods are the (*sim.Proc) methods that park the
 // calling process.
 var blockingProcMethods = map[string]bool{
-	"Wait": true, "WaitUntil": true, "Await": true, "Join": true,
+	"Wait": true, "WaitUntil": true, "Await": true, "AwaitUntil": true, "Join": true,
 }
 
 // inlineCallback describes one entry point whose callback argument

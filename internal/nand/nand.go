@@ -110,89 +110,95 @@ type block struct {
 	bad        bool
 }
 
+// SpareSource renders out-of-band bytes on demand: Spare(i) returns a
+// fresh copy of what the source's i-th page carries. A command whose
+// pages' spares follow from a few words of state (a block write: one ID
+// and sequence number, the page number, a flag on the last page) hands
+// the media one source instead of a record per page, and must not change
+// it while a run refers to it. Each SettleProgramRun or PreloadSpares
+// given a source owes it one Release — when the block is next erased, or
+// at once if no page was retained — so the owner of a source shared by
+// several runs knows when it may reuse it.
+type SpareSource interface {
+	Spare(i int) []byte
+	Release()
+}
+
+// literalSpare is the source of a page programmed with explicit bytes.
+type literalSpare []byte
+
+func (l *literalSpare) Spare(int) []byte { return append([]byte(nil), *l...) }
+func (l *literalSpare) Release()         {}
+
+// spareRun is the out-of-band state a block retains, by value: pages
+// [first, first+n) carry src's pages base, base+1, ...
+type spareRun struct {
+	first, n, base int32
+	src            SpareSource
+}
+
+func (r *spareRun) spare(page int) []byte {
+	if r.src == nil || page < int(r.first) || page >= int(r.first+r.n) {
+		return nil
+	}
+	return r.src.Spare(int(r.base) + page - int(r.first))
+}
+
+// runList is the source of a block programmed by more than one command
+// (a checkpoint slot's chunks, one literal page each): the block's run
+// spans them all and page i of it is looked up here.
+type runList struct{ runs []spareRun }
+
+func (l *runList) Spare(i int) []byte {
+	page := int(l.runs[0].first) + i
+	for k := range l.runs {
+		if sp := l.runs[k].spare(page); sp != nil {
+			return sp
+		}
+	}
+	return nil
+}
+
+func (l *runList) Release() {
+	for _, r := range l.runs {
+		r.src.Release()
+	}
+}
+
 // planeMedia is one plane's persistent cell state: what the silicon
 // retains when power is cut.
 type planeMedia struct {
-	blocks        []block
-	pagesPerBlock int
-	data          map[int64][]byte // pageIndex -> payload (RetainData mode)
-	// spares holds out-of-band recovery metadata: one lazily allocated
-	// flat slab per block, pagesPerBlock slots of equal stride (so the
-	// stride is len(slab)/pagesPerBlock and needs no header). A slot is
-	// one length byte (stored +1, 0 = no spare) followed by the bytes.
-	// The block's first spare picks the stride; a later one that does
-	// not fit — checkpoint chunks run to a full page — goes to long. An
-	// erase returns the slab whole to freeSlabs, which the next block
-	// programmed on this plane reuses, so retained bytes follow the
-	// blocks that currently hold data and steady-state programming
-	// allocates nothing.
-	spares    [][]byte
-	long      map[int64][]byte // pageIndex -> spare that overflows its slot
-	freeSlabs [][]byte
-	torn      map[int64]bool // pages whose program pulse power loss cut
+	blocks []block
+	data   map[int64][]byte // pageIndex -> payload (RetainData mode)
+	spares []spareRun       // per block: its out-of-band bytes
+	torn   map[int64]bool   // pages whose program pulse power loss cut
 	// interruptedErases counts erase pulses cut by power loss; the
 	// recovery scan reports them as partially-erased blocks.
 	interruptedErases int
 }
 
-// maxSlotSpare is the longest spare a slab slot can hold: its length
-// byte stores len+1.
-const maxSlotSpare = 254
-
-// setSpare retains a copy of a page's out-of-band bytes.
-func (pm *planeMedia) setSpare(blockIdx, page int, sp []byte) {
-	slab := pm.spares[blockIdx]
-	if slab == nil && len(sp) <= maxSlotSpare {
-		slab = pm.newSlab((1 + len(sp)) * pm.pagesPerBlock)
-		pm.spares[blockIdx] = slab
-	}
-	stride := len(slab) / pm.pagesPerBlock
-	if len(sp) >= stride { // no slab, or too long for its slots
-		if pm.long == nil {
-			pm.long = make(map[int64][]byte)
-		}
-		pm.long[int64(blockIdx)*int64(pm.pagesPerBlock)+int64(page)] = append([]byte(nil), sp...)
+// addSpares records that pages [first, first+n) of a block carry src's
+// pages from base on; with no page to carry them, src is released at
+// once. A block's first run is stored in place; later ones fold it into
+// a runList.
+func (pm *planeMedia) addSpares(blockIdx, first, n, base int, src SpareSource) {
+	if n == 0 {
+		src.Release()
 		return
 	}
-	slot := slab[page*stride : (page+1)*stride]
-	slot[0] = byte(len(sp) + 1)
-	copy(slot[1:], sp)
-}
-
-// newSlab returns a zeroed slab of n bytes, recycling an erased
-// block's when it is large enough.
-func (pm *planeMedia) newSlab(n int) []byte {
-	if k := len(pm.freeSlabs); k > 0 {
-		slab := pm.freeSlabs[k-1]
-		pm.freeSlabs[k-1] = nil
-		pm.freeSlabs = pm.freeSlabs[:k-1]
-		if cap(slab) >= n {
-			slab = slab[:n]
-			clear(slab)
-			return slab
-		}
+	run := spareRun{int32(first), int32(n), int32(base), src}
+	r := &pm.spares[blockIdx]
+	if r.src == nil {
+		*r = run
+		return
 	}
-	return make([]byte, n)
-}
-
-// getSpare returns the retained out-of-band bytes, nil if none. The
-// returned slice aliases the store; callers copy before exposing it.
-func (pm *planeMedia) getSpare(blockIdx, page int) []byte {
-	if len(pm.long) > 0 {
-		if sp, ok := pm.long[int64(blockIdx)*int64(pm.pagesPerBlock)+int64(page)]; ok {
-			return sp
-		}
+	list, ok := r.src.(*runList)
+	if !ok {
+		list = &runList{runs: []spareRun{*r}}
+		*r = spareRun{first: r.first, src: list}
 	}
-	slab := pm.spares[blockIdx]
-	if slab == nil {
-		return nil
-	}
-	stride := len(slab) / pm.pagesPerBlock
-	slot := slab[page*stride : (page+1)*stride]
-	if slot[0] == 0 {
-		return nil
-	}
-	return slot[1:slot[0]]
+	list.runs = append(list.runs, run)
+	r.n = run.first + run.n - r.first
 }
 
 // wipe clears one block's retained pages (payloads, spares, torn
@@ -200,16 +206,11 @@ func (pm *planeMedia) getSpare(blockIdx, page int) []byte {
 // so the common case — timing-only media with no torn pages — erases
 // without map traffic.
 func (pm *planeMedia) wipe(blockIdx, pagesPerBlock int) {
-	if slab := pm.spares[blockIdx]; slab != nil {
-		pm.freeSlabs = append(pm.freeSlabs, slab)
-		pm.spares[blockIdx] = nil
+	if r := &pm.spares[blockIdx]; r.src != nil {
+		r.src.Release()
+		*r = spareRun{}
 	}
 	base := int64(blockIdx) * int64(pagesPerBlock)
-	if len(pm.long) > 0 {
-		for i := 0; i < pagesPerBlock; i++ {
-			delete(pm.long, base+int64(i))
-		}
-	}
 	if pm.data != nil {
 		for i := 0; i < pagesPerBlock; i++ {
 			delete(pm.data, base+int64(i))
@@ -269,10 +270,9 @@ func New(env *sim.Env, params Params) *Chip {
 	m := &Media{params: params}
 	for i := 0; i < params.Planes; i++ {
 		pm := &planeMedia{
-			blocks:        make([]block, params.BlocksPerPlane),
-			pagesPerBlock: params.PagesPerBlock,
-			spares:        make([][]byte, params.BlocksPerPlane),
-			torn:          make(map[int64]bool),
+			blocks: make([]block, params.BlocksPerPlane),
+			spares: make([]spareRun, params.BlocksPerPlane),
+			torn:   make(map[int64]bool),
 		}
 		if params.RetainData {
 			pm.data = make(map[int64][]byte)
@@ -350,8 +350,8 @@ func (c *Chip) Media() *Media { return c.media }
 // Operations already past their admission check resolve when their
 // array pulse would have completed: a program whose pulse had begun
 // leaves a torn page (counted in the write pointer, no payload or
-// spare retained, reads as ErrTornPage after remount; a pulse ending
-// at the very instant of the cut completed — SettleProgram), an erase
+// spare retained, reads as ErrTornPage after remount; the boundary
+// instants are SettleProgramRun's to state), an erase
 // mid-pulse leaves a partially-erased block (wear charged, retained
 // pages gone, block needs a fresh erase). Pulses that had not started
 // leave no trace. All resolutions return ErrPowerLoss.
@@ -376,9 +376,6 @@ func (c *Chip) SetBERBoost(ber float64) {
 	}
 	c.berBoost = ber
 }
-
-// BERBoost returns the currently injected extra raw BER.
-func (c *Chip) BERBoost() float64 { return c.berBoost }
 
 // Plane returns plane i.
 func (c *Chip) Plane(i int) *Plane { return c.planes[i] }
@@ -569,7 +566,7 @@ func (pl *Plane) ProgramOOB(p *sim.Proc, blockIdx, page int, data, spare []byte)
 // power, the block's health and erase state, in-order programming, and
 // the payload size. ProgramOOB runs it before its pulse; a channel
 // engine that schedules a whole block's pulses on Timeline and settles
-// them with SettleProgram runs it for the first page.
+// them with SettleProgramRun runs it for the first page.
 func (pl *Plane) Programmable(blockIdx, page int, data []byte) error {
 	if err := pl.checkAddr(blockIdx, page); err != nil {
 		return err
@@ -594,37 +591,65 @@ func (pl *Plane) Programmable(blockIdx, page int, data []byte) error {
 	return nil
 }
 
-// SettleProgram resolves the program pulse that held the plane over
-// [pulseStart, pulseStart+TProg) — the one place the power-cut rule for
-// programs lives. A pulse that ended at or before the cut (or on a
-// powered chip) is programmed: the write pointer advances and the cells
-// retain the payload (data mode) and the spare. A pulse the cut
-// straddles leaves a torn page — counted in the write pointer, neither
-// payload nor spare retained, ErrTornPage after remount. A pulse that
-// had not begun leaves no trace. The last two return ErrPowerLoss. It
-// takes no simulated time and may run at or after the pulse's end, on a
-// dead chip too: ProgramOOB calls it when its pulse ends, a channel
-// engine that laid a block's pulses out ahead of time when its command
-// wakes or the power dies. The page must be the block's next
-// (Programmable).
+// SettleProgram is SettleProgramRun for one page carrying explicit
+// out-of-band bytes (nil for none).
 func (pl *Plane) SettleProgram(blockIdx, page int, pulseStart time.Duration, data, spare []byte) error {
-	c := pl.chip
-	if c.off && pulseStart+c.params.TProg > c.offAt {
-		if pulseStart < c.offAt {
-			pl.m.blocks[blockIdx].writePtr++
-			pl.m.torn[pl.pageIndex(blockIdx, page)] = true
-		}
-		return fmt.Errorf("%w: plane %d block %d page %d", ErrPowerLoss, pl.index, blockIdx, page)
-	}
-	pl.m.blocks[blockIdx].writePtr++
-	c.programs++
-	if pl.m.data != nil && data != nil {
-		pl.m.data[pl.pageIndex(blockIdx, page)] = append([]byte(nil), data...)
-	}
+	var src SpareSource
 	if spare != nil {
-		pl.m.setSpare(blockIdx, page, spare)
+		lit := literalSpare(append([]byte(nil), spare...))
+		src = &lit
 	}
-	return nil
+	_, err := pl.SettleProgramRun(blockIdx, page, []time.Duration{pulseStart}, data, src, 0)
+	return err
+}
+
+// SettleProgramRun resolves the program pulses that held the plane over
+// [pulseStarts[i], pulseStarts[i]+TProg), in ascending order, for pages
+// first, first+1, ... of a block — the one place the power-cut rule for
+// programs lives. On a powered chip every page is programmed: the write
+// pointer advances, the cells retain the payload (data mode; data holds
+// the pages back to back, or is nil) and page first+i carries src's
+// spare base+i (src may be nil). On a chip that lost power the run stops
+// at the first pulse the cut reached. A pulse ending at the very instant
+// of the cut completed: pages whose pulse ended at or before it are
+// programmed; the next is torn if its pulse began strictly before it —
+// counted in the write pointer, neither payload nor spare retained,
+// ErrTornPage after remount — and untouched if not; nothing later leaves
+// a trace. It returns how many pages were programmed, with ErrPowerLoss
+// if not all. It takes no simulated time and may run at or after the
+// pulses' ends, on a dead chip too: ProgramOOB calls it when its pulse
+// ends, a channel engine that laid a block's pulses out ahead when its
+// command wakes or the power dies. first must be the block's next page
+// (Programmable).
+func (pl *Plane) SettleProgramRun(blockIdx, first int, pulseStarts []time.Duration, data []byte, src SpareSource, base int) (int, error) {
+	c := pl.chip
+	n, torn := len(pulseStarts), false
+	if c.off {
+		n = 0
+		for n < len(pulseStarts) && pulseStarts[n]+c.params.TProg <= c.offAt {
+			n++
+		}
+		torn = n < len(pulseStarts) && pulseStarts[n] < c.offAt
+	}
+	b := &pl.m.blocks[blockIdx]
+	b.writePtr += n
+	c.programs += int64(n)
+	if pl.m.data != nil && data != nil {
+		for i, size := 0, c.params.PageSize; i < n; i++ {
+			pl.m.data[pl.pageIndex(blockIdx, first+i)] = append([]byte(nil), data[i*size:(i+1)*size]...)
+		}
+	}
+	if src != nil {
+		pl.m.addSpares(blockIdx, first, n, base, src)
+	}
+	if torn {
+		b.writePtr++
+		pl.m.torn[pl.pageIndex(blockIdx, first+n)] = true
+	}
+	if n < len(pulseStarts) {
+		return n, fmt.Errorf("%w: plane %d block %d page %d", ErrPowerLoss, pl.index, blockIdx, first+n)
+	}
+	return n, nil
 }
 
 // Erase erases a block, taking TErase of plane time. A block whose
@@ -697,31 +722,18 @@ func (pl *Plane) Preload(blockIdx, pageCount int) error {
 	return nil
 }
 
-// PreloadSpares marks a block as erased with its first len(spares)
-// pages programmed and carrying the given out-of-band bytes, in zero
-// simulated time and without payloads (timing-only mode, like
-// Preload). The recovery experiment uses it to stage a pre-crash fill
-// whose mount-time scan finds real metadata, without simulating the
-// fill traffic.
-func (pl *Plane) PreloadSpares(blockIdx int, spares [][]byte) error {
-	if err := pl.checkAddr(blockIdx, 0); err != nil {
+// PreloadSpares marks a block as erased with its first pageCount pages
+// programmed and carrying src's spares base, base+1, ..., in zero
+// simulated time and without payloads (timing-only mode, like Preload).
+// The recovery experiment uses it to stage a pre-crash fill whose
+// mount-time scan finds real metadata, without simulating the fill
+// traffic.
+func (pl *Plane) PreloadSpares(blockIdx, pageCount int, src SpareSource, base int) error {
+	if err := pl.Preload(blockIdx, pageCount); err != nil {
 		return err
 	}
-	if len(spares) > pl.chip.params.PagesPerBlock {
-		return fmt.Errorf("%w: preload %d spares", ErrOutOfRange, len(spares))
-	}
-	if pl.m.data != nil {
-		return errors.New("nand: PreloadSpares is incompatible with RetainData")
-	}
-	b := &pl.m.blocks[blockIdx]
-	if b.bad {
-		return fmt.Errorf("%w: plane %d block %d", ErrBadBlock, pl.index, blockIdx)
-	}
 	pl.m.wipe(blockIdx, pl.chip.params.PagesPerBlock)
-	b.writePtr = len(spares)
-	for i, sp := range spares {
-		pl.m.setSpare(blockIdx, i, sp)
-	}
+	pl.m.addSpares(blockIdx, 0, pageCount, base, src)
 	return nil
 }
 
@@ -733,11 +745,7 @@ func (pl *Plane) Spare(blockIdx, page int) []byte {
 	if err := pl.checkAddr(blockIdx, page); err != nil {
 		return nil
 	}
-	sp := pl.m.getSpare(blockIdx, page)
-	if sp == nil {
-		return nil
-	}
-	return append([]byte(nil), sp...)
+	return pl.m.spares[blockIdx].spare(page)
 }
 
 // Torn reports whether a page's program pulse was cut by power loss.
@@ -775,17 +783,6 @@ func (pl *Plane) BadBlocks() int {
 		}
 	}
 	return n
-}
-
-// MaxWear returns the highest erase count in the plane.
-func (pl *Plane) MaxWear() int {
-	max := 0
-	for i := range pl.m.blocks {
-		if pl.m.blocks[i].eraseCount > max {
-			max = pl.m.blocks[i].eraseCount
-		}
-	}
-	return max
 }
 
 // Blocks returns the number of blocks in the plane.

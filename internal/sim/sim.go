@@ -272,6 +272,10 @@ type Env struct {
 	activeGrant *tlGrant
 	lastGrant   *tlGrant
 	grantPool   []*tlGrant
+	// stale holds the sequence numbers of queued resume events whose
+	// process has already been woken another way (AwaitUntil); they are
+	// dropped unfired when their instant comes.
+	stale []uint64
 }
 
 type procPanic struct {
@@ -413,6 +417,9 @@ func (e *Env) runEvents(self *Proc) *Proc {
 		}
 		e.fired++
 		if p := ev.proc; p != nil {
+			if len(e.stale) != 0 && e.dropStale(ev.seq) {
+				continue
+			}
 			if p.fn != nil {
 				e.spawn(p)
 				return p
@@ -671,6 +678,48 @@ func (p *Proc) WaitUntil(at time.Duration) {
 	p.park()
 }
 
+// AwaitUntil blocks the process until s fires or the instant at,
+// whichever comes first, and reports whether s has fired. When the
+// instant comes first it is WaitUntil to the event — one resume event,
+// scheduled now — so a caller can give a computed completion time an
+// early way out (a power cut) without moving anything in the schedule
+// while that way is not taken. When s fires first the resume event stays
+// queued and the kernel drops it unfired when its instant comes.
+func (p *Proc) AwaitUntil(s *Signal, at time.Duration) bool {
+	e := p.env
+	if s.fired || int64(at) <= e.now {
+		return s.fired
+	}
+	e.scheduleAt(int64(at), event{proc: p})
+	timer := e.seq
+	s.enroll(p)
+	p.park()
+	switch {
+	case e.now < int64(at): // s fired first
+		e.stale = append(e.stale, timer)
+	case s.fired:
+		// Both came at this instant. The resume event is the older of the
+		// two, so it is what woke p; Fire's wake is queued behind it and
+		// this park takes it.
+		p.park()
+	default:
+		s.forget(p)
+	}
+	return s.fired
+}
+
+// dropStale reports whether seq is a resume event AwaitUntil left behind,
+// and forgets it.
+func (e *Env) dropStale(seq uint64) bool {
+	for i, st := range e.stale {
+		if st == seq {
+			e.stale = append(e.stale[:i], e.stale[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
 // Done reports whether the process has finished.
 func (p *Proc) Done() bool { return p.doneSig.fired }
 
@@ -774,17 +823,39 @@ func (s *Signal) Fire() {
 // Fired reports whether the signal has been triggered.
 func (s *Signal) Fired() bool { return s.fired }
 
+// forget removes p from the waiters (AwaitUntil's instant came first).
+func (s *Signal) forget(p *Proc) {
+	if s.first != p {
+		for i, w := range s.waiters {
+			if w == p {
+				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+				break
+			}
+		}
+		return
+	}
+	s.first = nil
+	if len(s.waiters) > 0 {
+		s.first, s.waiters = s.waiters[0], s.waiters[1:]
+	}
+}
+
 // Await blocks the process until the signal fires.
 func (p *Proc) Await(s *Signal) {
 	if s.fired {
 		return
 	}
+	s.enroll(p)
+	p.park()
+}
+
+// enroll adds p to the processes Fire will wake.
+func (s *Signal) enroll(p *Proc) {
 	if s.first == nil {
 		s.first = p
 	} else {
 		s.waiters = append(s.waiters, p)
 	}
-	p.park()
 }
 
 // Resource is a counting semaphore with FIFO admission. It models a

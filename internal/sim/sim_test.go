@@ -172,6 +172,76 @@ func TestAwaitFiredSignalReturnsImmediately(t *testing.T) {
 	}
 }
 
+// TestAwaitUntil covers the three orders a signal and a deadline can
+// come in. After each, the process sleeps past every instant involved:
+// a wake-up left over from the wait (the unfired timer, the signal's
+// grant) would cut that sleep short.
+func TestAwaitUntil(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name   string
+		fireAt time.Duration // < 0: never
+		early  bool          // the Fire is scheduled before the wait's timer, so it precedes it at an equal instant
+		fired  bool
+		wakeAt time.Duration
+	}{
+		{"deadline first", -1, false, false, 5 * ms},
+		{"signal first", 2 * ms, false, true, 2 * ms},
+		{"same instant, signal dispatched first", 5 * ms, true, true, 5 * ms},
+		{"same instant, deadline dispatched first", 5 * ms, false, false, 5 * ms},
+		{"signal after the deadline", 7 * ms, false, false, 5 * ms},
+	} {
+		e := NewEnv()
+		s := NewSignal(e)
+		if tc.early {
+			e.Schedule(tc.fireAt, s.Fire)
+		}
+		var fired bool
+		var wokeAt, sleptTo time.Duration
+		var events uint64
+		e.Go("w", func(p *Proc) {
+			before := e.Events()
+			fired = p.AwaitUntil(s, 5*ms)
+			wokeAt, events = e.Now(), e.Events()-before
+			p.Wait(20 * ms)
+			sleptTo = e.Now()
+		})
+		if !tc.early && tc.fireAt >= 0 {
+			e.Go("firer", func(*Proc) { e.Schedule(tc.fireAt, s.Fire) }) // runs once w has parked
+		}
+		e.Run()
+		if fired != tc.fired || wokeAt != tc.wakeAt {
+			t.Errorf("%s: AwaitUntil returned %v at %v, want %v at %v", tc.name, fired, wokeAt, tc.fired, tc.wakeAt)
+		}
+		if sleptTo != wokeAt+20*ms {
+			t.Errorf("%s: a later 20 ms sleep ended at %v, want %v", tc.name, sleptTo, wokeAt+20*ms)
+		}
+		if tc.fireAt < 0 && events != 1 {
+			t.Errorf("%s: %d events, want the one WaitUntil costs", tc.name, events)
+		}
+		if s.first != nil || len(s.waiters) != 0 || len(e.stale) != 0 {
+			t.Errorf("%s: left behind waiters %v %v, stale timers %v", tc.name, s.first, s.waiters, e.stale)
+		}
+		e.Close()
+	}
+
+	// Not in the future, or already fired: no park.
+	e := NewEnv()
+	defer e.Close()
+	s := NewSignal(e)
+	e.Go("w", func(p *Proc) {
+		before := e.Events()
+		if p.AwaitUntil(s, e.Now()) {
+			t.Error("AwaitUntil of a past instant reported an unfired signal fired")
+		}
+		s.Fire()
+		if !p.AwaitUntil(s, time.Hour) || e.Events() != before {
+			t.Error("AwaitUntil of a fired signal parked or reported it unfired")
+		}
+	})
+	e.Run()
+}
+
 func TestResourceSerializes(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
