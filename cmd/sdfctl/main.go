@@ -17,11 +17,6 @@
 //	          the per-stage latency breakdown (count/mean/p50/p99 per
 //	          phase per device)
 //
-//	bench diff <a.json> <b.json>
-//	          compare two BENCH_<experiment>.json files on their
-//	          determinism-sensitive fields, ignoring the "perf" block
-//	          (host wall-clock, events/sec); exit 1 on any difference
-//
 //	faults [plan.json]
 //	          validate a fault plan and print its schedule; with no
 //	          argument, print the availability experiment's built-in
@@ -35,45 +30,13 @@
 //	metrics query <file.jsonl> <pattern>
 //	          print every sampled time series whose ID contains the
 //	          pattern: point count, time span, first/last/min/max
-//
-//	metrics diff <a> <b>
-//	          compare two metrics exports (.prom or .jsonl) series by
-//	          series; exit 1 on any difference
-//
-//	slo report [-full] [plan.json]
-//	          run the availability experiment with the observability
-//	          pipeline on and print each objective's verdict and error
-//	          budget burn (quick windows by default; -full runs the
-//	          full-length experiment)
-//
-//	recovery report <BENCH_recovery.json>
-//	          print the recovery experiment's checkpoint and journal
-//	          stats per fill level and enforce the bounded-recovery
-//	          contract: checkpointed probe counts must stay roughly
-//	          flat across the fill sweep (and beat the full scan at
-//	          every fill), and journal replay must cover only the
-//	          post-truncation tail; exit 1 on any violation
-//
-//	codesign report <BENCH_codesign.json>
-//	          print the co-scheduling experiment's read-tail comparison
-//	          and enforce the co-design contract: coordination must
-//	          improve SDF read p99 at matched read rates (<=15% skew),
-//	          the steady-state run must never fall back to forced
-//	          erases, the coordinated cluster must hold its p99 SLO
-//	          within budget, and the chaos stage must lose no
-//	          acknowledged data while staying above a zero availability
-//	          floor; exit 1 on any violation
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
-	"sort"
 	"time"
 
 	"sdf/internal/core"
@@ -91,7 +54,7 @@ func main() {
 	blocks := flag.Int("blocks", 16, "erase blocks per plane (scaled geometry)")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: sdfctl [-channels N] [-blocks N] info|exercise|wear|stack|trace|bench|faults|metrics|slo")
+		fmt.Fprintln(os.Stderr, "usage: sdfctl [-channels N] [-blocks N] info|exercise|wear|stack|trace|faults|metrics")
 		os.Exit(2)
 	}
 
@@ -110,22 +73,6 @@ func main() {
 			os.Exit(2)
 		}
 		traceSummarize(flag.Arg(2))
-	case "bench":
-		args := flag.Args()[1:]
-		perf := false
-		if len(args) > 1 && args[1] == "-perf" {
-			perf = true
-			args = append(args[:1], args[2:]...)
-		}
-		if len(args) != 3 || args[0] != "diff" {
-			fmt.Fprintln(os.Stderr, "usage: sdfctl bench diff [-perf] <a.json> <b.json>")
-			os.Exit(2)
-		}
-		if perf {
-			benchPerfDiff(args[1], args[2])
-		} else {
-			benchDiff(args[1], args[2])
-		}
 	case "faults":
 		if flag.NArg() > 2 {
 			fmt.Fprintln(os.Stderr, "usage: sdfctl faults [plan.json]")
@@ -142,292 +89,14 @@ func main() {
 			metricsSummarize(flag.Arg(2))
 		case flag.NArg() == 4 && flag.Arg(1) == "query":
 			metricsQuery(flag.Arg(2), flag.Arg(3))
-		case flag.NArg() == 4 && flag.Arg(1) == "diff":
-			metricsDiff(flag.Arg(2), flag.Arg(3))
 		default:
-			fmt.Fprintln(os.Stderr, "usage: sdfctl metrics summarize <file.prom> | query <file.jsonl> <pattern> | diff <a> <b>")
+			fmt.Fprintln(os.Stderr, "usage: sdfctl metrics summarize <file.prom> | query <file.jsonl> <pattern>")
 			os.Exit(2)
 		}
-	case "slo":
-		args := flag.Args()[1:]
-		quick := true
-		if len(args) > 1 && args[1] == "-full" {
-			quick = false
-			args = append(args[:1], args[2:]...)
-		}
-		if len(args) < 1 || args[0] != "report" || len(args) > 2 {
-			fmt.Fprintln(os.Stderr, "usage: sdfctl slo report [-full] [plan.json]")
-			os.Exit(2)
-		}
-		planPath := ""
-		if len(args) == 2 {
-			planPath = args[1]
-		}
-		sloReport(planPath, quick)
-	case "recovery":
-		if flag.NArg() != 3 || flag.Arg(1) != "report" {
-			fmt.Fprintln(os.Stderr, "usage: sdfctl recovery report <BENCH_recovery.json>")
-			os.Exit(2)
-		}
-		recoveryReport(flag.Arg(2))
-	case "codesign":
-		if flag.NArg() != 3 || flag.Arg(1) != "report" {
-			fmt.Fprintln(os.Stderr, "usage: sdfctl codesign report <BENCH_codesign.json>")
-			os.Exit(2)
-		}
-		codesignReport(flag.Arg(2))
 	default:
 		fmt.Fprintf(os.Stderr, "sdfctl: unknown command %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
-}
-
-// recoveryReport reads a BENCH_recovery.json written by sdfbench,
-// prints the checkpoint and journal stats behind the recovery table,
-// and enforces the bounded-recovery contract the checkpoint and the
-// truncating journal exist to provide. CI's recovery-smoke runs it so
-// a regression that quietly reverts recovery to O(device fill) fails
-// the build, not just the eyeball.
-func recoveryReport(path string) {
-	doc := loadBenchFields(path)
-	metricsAny, ok := doc["metrics"].(map[string]any)
-	if !ok {
-		log.Fatalf("%s: no metrics block", path)
-	}
-	met := func(key string) float64 {
-		v, ok := metricsAny[key].(float64)
-		if !ok {
-			log.Fatalf("%s: metric %q missing", path, key)
-		}
-		return v
-	}
-	rows, _ := doc["rows"].([]any)
-	var fills []string
-	for _, r := range rows {
-		cells, _ := r.([]any)
-		if len(cells) > 0 {
-			if fill, _ := cells[0].(string); len(fill) > 1 {
-				fills = append(fills, fill[:len(fill)-1])
-			}
-		}
-	}
-	if len(fills) == 0 {
-		log.Fatalf("%s: no fill rows", path)
-	}
-
-	violations := 0
-	fmt.Printf("checkpointed recovery bound (%s):\n", path)
-	fmt.Printf("  %-6s %14s %14s %10s %12s %12s\n",
-		"fill", "scan probes", "cp probes", "cp hits", "scan time", "cp time")
-	for _, f := range fills {
-		full := met("recovery_probed_pages_f" + f)
-		cp := met("recovery_cp_probed_pages_f" + f)
-		verdict := ""
-		if cp <= 0 || cp >= full {
-			verdict = "  VIOLATED: checkpointed scan not cheaper than full scan"
-			violations++
-		}
-		fmt.Printf("  %-6s %14.0f %14.0f %10.0f %9.2f ms %9.2f ms%s\n",
-			f+"%", full, cp,
-			met("recovery_cp_hits_f"+f),
-			met("recovery_ms_f"+f), met("recovery_cp_ms_f"+f), verdict)
-	}
-	cpLo := met("recovery_cp_probed_pages_f" + fills[0])
-	cpHi := met("recovery_cp_probed_pages_f" + fills[len(fills)-1])
-	fmt.Printf("  cp probe spread %.0f -> %.0f across the sweep (%.2fx; full scan %.0f -> %.0f)\n",
-		cpLo, cpHi, cpHi/cpLo,
-		met("recovery_probed_pages_f"+fills[0]),
-		met("recovery_probed_pages_f"+fills[len(fills)-1]))
-	if cpHi > 2*cpLo {
-		fmt.Println("  VIOLATED: checkpointed probes grew with fill; recovery is not bounded by post-checkpoint writes")
-		violations++
-	}
-
-	acked := met("recovery_journal_puts_acked")
-	truncated := met("recovery_journal_truncated_puts")
-	replayed := met("recovery_journal_replayed")
-	fmt.Printf("journal: %.0f puts acked, %.0f truncated at the flush watermark, %.0f replayed at remount (%.0f B of log at the crash)\n",
-		acked, truncated, replayed, met("recovery_journal_bytes_at_crash"))
-	if truncated == 0 {
-		fmt.Println("  VIOLATED: journal never truncated; replay is unbounded")
-		violations++
-	}
-	if replayed == 0 || replayed >= acked {
-		fmt.Println("  VIOLATED: journal replay not bounded to the post-truncation tail")
-		violations++
-	}
-	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "sdfctl: %d bounded-recovery violations in %s\n", violations, path)
-		os.Exit(1)
-	}
-	fmt.Println("bounded-recovery contract holds")
-}
-
-// codesignReport reads a BENCH_codesign.json written by sdfbench,
-// prints the erase/write co-scheduling comparison, and enforces the
-// co-design contract behind it. CI's codesign-smoke runs it so a
-// change that quietly breaks the coordination win — or regresses the
-// chaos stage into losing acknowledged data — fails the build.
-func codesignReport(path string) {
-	doc := loadBenchFields(path)
-	metricsAny, ok := doc["metrics"].(map[string]any)
-	if !ok {
-		log.Fatalf("%s: no metrics block", path)
-	}
-	met := func(key string) float64 {
-		v, ok := metricsAny[key].(float64)
-		if !ok {
-			log.Fatalf("%s: metric %q missing", path, key)
-		}
-		return v
-	}
-
-	violations := 0
-	violated := func(format string, args ...any) {
-		fmt.Printf("  VIOLATED: "+format+"\n", args...)
-		violations++
-	}
-
-	fmt.Printf("erase/write co-scheduling (%s):\n", path)
-	fmt.Printf("  %-18s %10s %10s %10s\n", "", "coord", "nocoord", "gen3")
-	for _, r := range [][2]string{
-		{"read p99 (ms)", "p99_ms"},
-		{"read p999 (ms)", "p999_ms"},
-		{"reads/s", "reads_per_s"},
-		{"writes acked/s", "writes_per_s"},
-		{"SLO p99 burn", "slo_p99_burn"},
-	} {
-		fmt.Printf("  %-18s %10.3f %10.3f %10.3f\n", r[0],
-			met("coord."+r[1]), met("nocoord."+r[1]), met("gen3."+r[1]))
-	}
-	fmt.Printf("  windows: %.0f granted, %.0f deferred, %.0f forced; %.0f reads routed around windows; %.0f writes delayed, %.0f shed\n",
-		met("coord.window_grants"), met("coord.deferred"), met("coord.forced"),
-		met("coord.window_deprioritized"), met("coord.delayed_writes"), met("coord.shed_writes"))
-	fmt.Printf("  chaos: floor %.0f B/s, %.0f lost, %.0f best-effort writes, %.0f forced erases, %.0f remounts, burn %.2f\n",
-		met("chaos.floor"), met("chaos.lost"), met("chaos.best_effort"),
-		met("chaos.forced"), met("chaos.remounts"), met("chaos.slo_p99_burn"))
-
-	if c, n := met("coord.p99_ms"), met("nocoord.p99_ms"); c >= n {
-		violated("coordination did not improve read p99 (%.3fms vs %.3fms uncoordinated)", c, n)
-	}
-	base := met("coord.reads_per_s")
-	for _, k := range []string{"nocoord.reads_per_s", "gen3.reads_per_s"} {
-		if skew := math.Abs(met(k)-base) / base; skew > 0.15 {
-			violated("%s skews %.0f%% from the coordinated cluster; the tail comparison is not at equal throughput", k, skew*100)
-		}
-	}
-	if f := met("coord.forced"); f != 0 {
-		violated("%.0f forced erases in the steady-state run; the window rotation is starving members", f)
-	}
-	if b := met("coord.slo_p99_burn"); b > 1 {
-		violated("coordinated cluster overspent its p99 error budget (burn %.2f)", b)
-	}
-	if l := met("chaos.lost"); l != 0 {
-		violated("chaos stage lost %.0f acknowledged reads", l)
-	}
-	if f := met("chaos.floor"); f <= 0 {
-		violated("chaos availability floor is zero; the cluster went fully dark")
-	}
-	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "sdfctl: %d co-design violations in %s\n", violations, path)
-		os.Exit(1)
-	}
-	fmt.Println("co-design contract holds")
-}
-
-// benchDiff compares two BENCH_<experiment>.json files on their
-// determinism-sensitive fields — everything except the "perf" block,
-// which records the host wall-clock of the run and legitimately
-// varies. Matching files exit 0; any other difference lists the
-// offending fields and exits 1. CI's bench-smoke and chaos-smoke use
-// it to assert that reruns and parallel runs reproduce the same
-// numbers while still letting the recorded events/sec move.
-func benchDiff(pathA, pathB string) {
-	a := loadBenchFields(pathA)
-	b := loadBenchFields(pathB)
-	delete(a, "perf")
-	delete(b, "perf")
-	keys := make(map[string]bool)
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	var diffs []string
-	for k := range keys {
-		// json.Marshal sorts map keys, so equal values marshal equal.
-		ja, _ := json.Marshal(a[k])
-		jb, _ := json.Marshal(b[k])
-		if !bytes.Equal(ja, jb) {
-			diffs = append(diffs, k)
-		}
-	}
-	if len(diffs) == 0 {
-		fmt.Printf("%s and %s match on all determinism-sensitive fields\n", pathA, pathB)
-		return
-	}
-	sort.Strings(diffs)
-	for _, k := range diffs {
-		fmt.Fprintf(os.Stderr, "sdfctl: field %q differs between %s and %s\n", k, pathA, pathB)
-	}
-	os.Exit(1)
-}
-
-// benchPerfDiff compares the host-cost "perf" blocks of two
-// BENCH_<experiment>.json files — the one pair of fields benchDiff
-// deliberately ignores. It prints the throughput trajectory (events,
-// wall time, events/sec, allocs/event) from a to b, so `sdfctl bench
-// diff -perf bench/baseline/BENCH_figure7.json BENCH_figure7.json`
-// answers "how much faster is the kernel than the recorded baseline".
-// Informational only: it always exits 0 on well-formed inputs.
-func benchPerfDiff(pathA, pathB string) {
-	perfOf := func(path string) map[string]float64 {
-		doc := loadBenchFields(path)
-		raw, ok := doc["perf"].(map[string]any)
-		if !ok {
-			log.Fatalf("%s: no perf block", path)
-		}
-		p := make(map[string]float64)
-		for k, v := range raw {
-			if f, ok := v.(float64); ok {
-				p[k] = f
-			}
-		}
-		return p
-	}
-	a, b := perfOf(pathA), perfOf(pathB)
-	fmt.Printf("perf delta (%s -> %s):\n", pathA, pathB)
-	row := func(label, key, format string, scale float64) {
-		va, oka := a[key]
-		vb, okb := b[key]
-		if !oka && !okb {
-			return
-		}
-		line := fmt.Sprintf("  %-13s "+format+" -> "+format, label, va*scale, vb*scale)
-		if oka && okb && va != 0 {
-			line += fmt.Sprintf("   (%+.1f%%)", (vb-va)/va*100)
-		} else if !oka {
-			line += "   (no baseline)"
-		}
-		fmt.Println(line)
-	}
-	row("events", "events", "%.0f", 1)
-	row("wall", "wall_seconds", "%.2fs", 1)
-	row("events/sec", "events_per_sec", "%.2fM", 1e-6)
-	row("allocs/event", "allocs_per_event", "%.3f", 1)
-}
-
-func loadBenchFields(path string) map[string]any {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	return doc
 }
 
 // traceSummarize reads a canonical JSONL trace and prints the

@@ -6,13 +6,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"sdf/internal/experiments"
-	"sdf/internal/fault"
 )
 
 // metricsSummarize reads a Prometheus text snapshot written by
@@ -71,77 +67,6 @@ func metricsQuery(path, pattern string) {
 	if matched == 0 {
 		fmt.Fprintf(os.Stderr, "sdfctl: no series matching %q in %s\n", pattern, path)
 		os.Exit(1)
-	}
-}
-
-// metricsDiff compares two metrics exports (either two .prom snapshots
-// or two .jsonl series files) series by series and exits 1 on any
-// difference, listing the offending series IDs.
-func metricsDiff(pathA, pathB string) {
-	a := readExportKeyed(pathA)
-	b := readExportKeyed(pathB)
-	keys := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	var diffs []string
-	for k := range keys {
-		va, okA := a[k]
-		vb, okB := b[k]
-		switch {
-		case !okA:
-			diffs = append(diffs, k+" (only in "+pathB+")")
-		case !okB:
-			diffs = append(diffs, k+" (only in "+pathA+")")
-		case va != vb:
-			diffs = append(diffs, k)
-		}
-	}
-	if len(diffs) == 0 {
-		fmt.Printf("%s and %s match on all %d series\n", pathA, pathB, len(a))
-		return
-	}
-	sort.Strings(diffs)
-	for _, d := range diffs {
-		fmt.Fprintf(os.Stderr, "sdfctl: series differs: %s\n", d)
-	}
-	os.Exit(1)
-}
-
-// sloReport runs the availability experiment with the observability
-// pipeline on and prints the SLO engine's verdict per objective — the
-// operator view of "did the cluster hold its promises under faults".
-// An optional fault-plan path overrides the built-in chaos schedule.
-func sloReport(planPath string, quick bool) {
-	opts := experiments.Options{Quick: quick, Metrics: true}
-	if planPath != "" {
-		pl, err := fault.Load(planPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.FaultPlan = pl
-	}
-	tab := experiments.Faults(opts)
-	obs := tab.Observability
-	if obs == nil {
-		log.Fatal("faults experiment returned no observability payload")
-	}
-	fmt.Printf("SLO report: faults experiment, %d alerts emitted\n\n", obs.Alerts)
-	missed := 0
-	for _, r := range obs.SLO {
-		fmt.Println(r.String())
-		if !r.Met {
-			missed++
-		}
-	}
-	fmt.Printf("\nsnapshot sha256 %s  series sha256 %s\n", obs.SnapshotSHA256[:12], obs.SeriesSHA256[:12])
-	if missed > 0 {
-		fmt.Printf("%d of %d objectives missed\n", missed, len(obs.SLO))
-	} else {
-		fmt.Printf("all %d objectives met\n", len(obs.SLO))
 	}
 }
 
@@ -256,24 +181,4 @@ func readSeriesJSONL(path string) []seriesRow {
 		log.Fatal(err)
 	}
 	return rows
-}
-
-// readExportKeyed loads either export format as series-ID → canonical
-// content, for diffing.
-func readExportKeyed(path string) map[string]string {
-	out := make(map[string]string)
-	if strings.HasSuffix(path, ".jsonl") {
-		for _, r := range readSeriesJSONL(path) {
-			pts, _ := json.Marshal(r.Points)
-			out[r.Series] = string(pts)
-		}
-		return out
-	}
-	families, _ := readProm(path)
-	for _, f := range families {
-		for _, s := range f.series {
-			out[s.id] = strconv.FormatFloat(s.value, 'g', -1, 64)
-		}
-	}
-	return out
 }

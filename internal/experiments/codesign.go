@@ -47,7 +47,7 @@ const (
 )
 
 // codesignP99SLO is this experiment's read-tail objective: 5 ms,
-// not the light-load 1 ms of metrics-smoke, because the mixed
+// not the light-load 1 ms of the faults experiment, because the mixed
 // workload's correlated compaction program bursts (1.4 ms a page,
 // replicated in lockstep) put a floor under SDF's p99 that no erase
 // coordination can remove. 5 ms sits above that floor and below the

@@ -2,8 +2,9 @@
 // paper's evaluation (§3) against the simulated devices. Each function
 // runs the corresponding workload and returns a Table whose rows put
 // our measurements next to the paper's published numbers, so the
-// harness (cmd/sdfbench, bench_test.go) can print paper-style output
-// and EXPERIMENTS.md can record the comparison.
+// harness (cmd/sdfbench) can print paper-style output and
+// EXPERIMENTS.md can record the comparison. A registry entry may carry
+// a contract (Entry.Check) that its table must satisfy.
 package experiments
 
 import (
@@ -26,19 +27,18 @@ type Options struct {
 	// cost in statistical stability.
 	Quick bool
 	// Tracer, when non-nil, collects virtual-time trace events from
-	// experiments that support tracing (currently Figure 8, the
-	// latency-decomposition experiment, and Faults). The same collector
-	// accumulates across the experiment's sequential simulations;
-	// exporters re-sort into canonical order.
+	// experiments that support tracing (Figure 8, Faults, Recovery and
+	// CoDesign). The same collector accumulates across the experiment's
+	// sequential simulations; exporters re-sort into canonical order.
 	Tracer *trace.Collector
 	// FaultPlan overrides the availability experiment's default fault
 	// schedule (sdfbench -faults plan.json).
 	FaultPlan *fault.Plan
 	// Stats, when non-nil, collects kernel counters from every sim.Env
-	// the experiment creates; RunAll sets it to report events/sec.
+	// the experiment creates; RunAll sets it to report events.
 	Stats *KernelStats
 	// Metrics enables the observability pipeline in experiments that
-	// support it (currently Faults): a per-device metrics registry, a
+	// support it (Faults and CoDesign): a per-device metrics registry, a
 	// virtual-time sampler, and an SLO engine. The results land in
 	// Table.Observability (sdfbench -metrics writes them out).
 	Metrics bool

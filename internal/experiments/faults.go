@@ -258,7 +258,7 @@ func availabilityRun(opts Options, kind deviceKind, pl *fault.Plan) availResult 
 				start := env.Now()
 				_, size, err := group.Get(p, key)
 				if err != nil {
-					// The smoke test asserts Stats().Lost == 0; keep
+					// The no_lost_reads objective counts these; keep
 					// looping so one failure can't stall the meter.
 					continue
 				}

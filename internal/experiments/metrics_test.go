@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"sdf/internal/metrics"
 )
 
 // obsResult fetches the observability payload or fails the test.
@@ -21,8 +19,8 @@ func obsResult(t *testing.T, tab Table) *Observability {
 // twice with the metrics pipeline on and requires byte-identical
 // exports: the Prometheus snapshot hash, the series JSONL hash, and
 // the SLO report must all match across seeded reruns. This is the
-// exporter half of the determinism contract (make metrics-smoke runs
-// the same check through sdfbench).
+// exporter half of the determinism contract (make verify checks the
+// same hashes through sdfbench).
 func TestFaultsObservabilityDeterministic(t *testing.T) {
 	opts := Options{Quick: true, Metrics: true}
 	a := obsResult(t, Faults(opts))
@@ -57,38 +55,6 @@ func TestFaultsObservabilityDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(string(a.Series), "cluster_read_latency_seconds") {
 		t.Error("series JSONL is missing the read-latency histogram")
-	}
-}
-
-// TestFaultsSLOSeparation checks the headline observability result:
-// under the standard chaos plan the SDF cluster meets the 1ms p99
-// read-latency objective while the parity Gen3 cluster violates it,
-// and neither loses a read.
-func TestFaultsSLOSeparation(t *testing.T) {
-	obs := obsResult(t, Faults(Options{Quick: true, Metrics: true}))
-	byName := make(map[string]metrics.ObjectiveResult, len(obs.SLO))
-	for _, r := range obs.SLO {
-		byName[r.Name] = r
-	}
-	need := []string{"sdf/read_p99", "gen3/read_p99", "sdf/no_lost_reads", "gen3/no_lost_reads", "sdf/availability", "gen3/availability"}
-	for _, n := range need {
-		if _, ok := byName[n]; !ok {
-			t.Fatalf("SLO report is missing objective %q (have %d results)", n, len(obs.SLO))
-		}
-	}
-	if r := byName["sdf/read_p99"]; !r.Met {
-		t.Errorf("SDF violated the p99 read-latency SLO: %+v", r)
-	}
-	if r := byName["gen3/read_p99"]; r.Met {
-		t.Errorf("Gen3 unexpectedly met the p99 read-latency SLO: %+v", r)
-	}
-	for _, dev := range []string{"sdf", "gen3"} {
-		if r := byName[dev+"/no_lost_reads"]; !r.Met || r.Violations != 0 {
-			t.Errorf("%s lost reads under the chaos plan: %+v", dev, r)
-		}
-	}
-	if r := byName["sdf/availability"]; !r.Met {
-		t.Errorf("SDF availability objective missed: %+v", r)
 	}
 }
 

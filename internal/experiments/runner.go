@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
 	"sdf/internal/sim"
+	"sdf/internal/trace"
 )
 
 // KernelStats aggregates scheduler counters across every sim.Env an
@@ -35,43 +35,15 @@ func (s *KernelStats) Events() uint64 {
 	return n
 }
 
-// Envs returns how many simulation environments the run created.
-func (s *KernelStats) Envs() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.envs)
-}
-
 // Result is one experiment's table plus its measured host cost.
 type Result struct {
 	Name   string
 	Table  Table
 	Wall   time.Duration // host wall-clock of the run, not virtual time
 	Events uint64        // kernel events fired across the run's envs
-	Envs   int           // sim.Envs the run created
-	// Allocs is the process-wide heap allocation count during the run
-	// (runtime.MemStats.Mallocs delta). Only meaningful on a sequential
-	// run: with workers > 1 concurrent experiments share the counter.
-	Allocs uint64
-}
-
-// EventsPerSec returns the run's kernel event throughput.
-func (r Result) EventsPerSec() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Events) / r.Wall.Seconds()
-}
-
-// AllocsPerEvent returns heap allocations per kernel event — the
-// scheduler-efficiency figure the kernel-round-2 work optimizes. Zero
-// when no events fired.
-func (r Result) AllocsPerEvent() float64 {
-	if r.Events == 0 {
-		return 0
-	}
-	return float64(r.Allocs) / float64(r.Events)
+	// TraceSHA256 fingerprints the trace events this experiment added
+	// to Options.Tracer (trace.Hash of them); empty when it added none.
+	TraceSHA256 string
 }
 
 // RunAll executes entries on a pool of workers goroutines and returns
@@ -100,22 +72,20 @@ func RunAll(entries []Entry, opts Options, workers int) []Result {
 			for i := range next {
 				o := opts
 				o.Stats = &KernelStats{}
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				mallocs := ms.Mallocs
+				traced := o.Tracer.Len()
 				//sdflint:allow nowallclock measures the host cost of the run itself, never feeds into virtual time
 				start := time.Now()
 				tab := entries[i].Run(o)
 				//sdflint:allow nowallclock measures the host cost of the run itself, never feeds into virtual time
 				wall := time.Since(start)
-				runtime.ReadMemStats(&ms)
 				results[i] = Result{
 					Name:   entries[i].Name,
 					Table:  tab,
 					Wall:   wall,
 					Events: o.Stats.Events(),
-					Envs:   o.Stats.Envs(),
-					Allocs: ms.Mallocs - mallocs,
+				}
+				if own := o.Tracer.Events()[traced:]; len(own) > 0 {
+					results[i].TraceSHA256 = trace.Hash(own)
 				}
 			}
 		}()

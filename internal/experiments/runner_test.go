@@ -67,6 +67,26 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunAllTraceSHA256 checks that each result fingerprints only the
+// trace events its own experiment added to the shared collector: the
+// traced experiment's hash is the whole collector's, and an untraced
+// one records none.
+func TestRunAllTraceSHA256(t *testing.T) {
+	recovery, _ := Lookup("recovery")
+	stack, _ := Lookup("stack")
+	c := trace.NewCollector()
+	res := RunAll([]Entry{recovery, stack}, Options{Quick: true, Tracer: c}, 1)
+	if c.Len() == 0 {
+		t.Fatal("recovery emitted no trace events")
+	}
+	if res[0].TraceSHA256 != c.Hash() {
+		t.Errorf("recovery trace_sha256 %q, collector hash %q", res[0].TraceSHA256, c.Hash())
+	}
+	if res[1].TraceSHA256 != "" {
+		t.Errorf("untraced stack recorded trace_sha256 %q", res[1].TraceSHA256)
+	}
+}
+
 // TestRunAllParallelTraceHash runs the traced availability experiment
 // on a 4-worker pool next to untraced load and sequentially alone,
 // giving each traced run a private collector, and requires the trace

@@ -36,53 +36,3 @@ func TestEraseThroughputTable(t *testing.T) {
 		t.Fatalf("unexpected cell: %q", tab.Rows[0][1])
 	}
 }
-
-func TestRecoveryTable(t *testing.T) {
-	tab := Recovery(quick)
-	checkTable(t, tab, len(recoveryFills))
-	// Every fill level must have ridden over real crash damage and
-	// recovered its seeded blocks.
-	for i, row := range tab.Rows {
-		if row[3] == "0" {
-			t.Errorf("fill %s: no torn blocks — the mid-write cut missed", row[0])
-		}
-		if row[2] == "0" {
-			t.Errorf("fill %s: nothing recovered", row[0])
-		}
-		if i > 0 && tab.Metrics[msKey(tab.Rows[i][0])] <= tab.Metrics[msKey(tab.Rows[i-1][0])] {
-			t.Errorf("recovery time did not grow from fill %s to %s", tab.Rows[i-1][0], tab.Rows[i][0])
-		}
-	}
-	// The checkpointed axis must beat the full scan at every fill, and
-	// its probe count must stay roughly flat across the sweep — the
-	// bound the checkpoint exists to provide.
-	for _, row := range tab.Rows {
-		fill := row[0][:len(row[0])-1]
-		full := tab.Metrics["recovery_probed_pages_f"+fill]
-		cp := tab.Metrics["recovery_cp_probed_pages_f"+fill]
-		if cp <= 0 || full <= 0 || cp >= full {
-			t.Errorf("fill %s%%: checkpointed scan probed %.0f pages, full scan %.0f; want fewer", fill, cp, full)
-		}
-	}
-	first, last := tab.Rows[0][0], tab.Rows[len(tab.Rows)-1][0]
-	cpLo := tab.Metrics["recovery_cp_probed_pages_f"+first[:len(first)-1]]
-	cpHi := tab.Metrics["recovery_cp_probed_pages_f"+last[:len(last)-1]]
-	if cpHi > 2*cpLo {
-		t.Errorf("checkpointed probes grew %.0f -> %.0f across the fill sweep; want roughly flat", cpLo, cpHi)
-	}
-	// The journal bound: the mid-stream flush truncated the log, so
-	// replay covers only the post-truncation tail of acked puts.
-	if tab.Metrics["recovery_journal_truncated_puts"] == 0 {
-		t.Error("journal never truncated")
-	}
-	acked := tab.Metrics["recovery_journal_puts_acked"]
-	replayed := tab.Metrics["recovery_journal_replayed"]
-	if replayed == 0 || replayed >= acked {
-		t.Errorf("journal replayed %.0f of %.0f acked puts; want a bounded, non-empty tail", replayed, acked)
-	}
-}
-
-// msKey maps a "NN%" fill cell to its recovery_ms metric key.
-func msKey(fill string) string {
-	return "recovery_ms_f" + fill[:len(fill)-1]
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"sdf/internal/metrics"
 	"sdf/internal/sim"
@@ -98,9 +97,7 @@ func (inj *Injector) Arm(pl *Plan) error {
 		// arm time, so a recurring plan replays as deterministically as
 		// a flat one.
 		for k := 0; k < in.occurrences(); k++ {
-			occ := in
-			occ.At = in.At + time.Duration(k)*in.Every
-			occ.Every, occ.Repeat = 0, 0
+			occ := in.occurrence(k)
 			inj.env.Schedule(occ.At, func() { inj.apply(occ) })
 		}
 	}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -63,6 +64,14 @@ func TestValidateRejects(t *testing.T) {
 		{At: 0, Kind: LinkDegrade, Target: "x", Factor: 1.5},                // factor > 1
 		{At: 0, Kind: PacketLoss, Target: "x", Rate: 2},                     // rate > 1
 		{At: 0, Kind: ChannelKill, Target: "x", Duration: -time.Nanosecond}, // negative duration
+		// Occurrences past the horizon would wrap to the past once Arm
+		// adds the arming instant.
+		{At: math.MaxInt64, Kind: ChannelKill, Target: "x"},
+		{At: 1 << 62, Kind: ChannelKill, Target: "x", Every: 1 << 62, Repeat: 3},
+		{At: maxHorizon, Kind: ChannelHang, Target: "x", Duration: 1},
+		// Billions of occurrences would all be scheduled at Arm.
+		{At: 0, Kind: ChannelKill, Target: "x", Every: time.Millisecond, Repeat: 2000000000},
+		{At: 0, Kind: ChannelKill, Target: "x", Every: time.Millisecond, Repeat: maxOccurrences + 1},
 	}
 	for i, in := range bad {
 		pl := &Plan{Injections: []Injection{in}}

@@ -11,6 +11,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -106,6 +107,35 @@ func (in Injection) occurrences() int {
 	return 1
 }
 
+// occurrence returns the k-th firing of the injection as a one-shot.
+func (in Injection) occurrence(k int) Injection {
+	occ := in
+	occ.At = in.At + time.Duration(k)*in.Every
+	occ.Every, occ.Repeat = 0, 0
+	return occ
+}
+
+// maxHorizon bounds the plan-relative instant at which any occurrence
+// ends. Arm offsets the whole plan by the instant it is armed at, so
+// half of the int64 range (about 146 years of virtual time) is left
+// for that offset and no scheduled instant can wrap into the past.
+const maxHorizon = time.Duration(math.MaxInt64 / 2)
+
+// maxOccurrences bounds how many one-shots a plan expands into at Arm.
+// The built-in plans use at most 2 per injection.
+const maxOccurrences = 1 << 16
+
+// endsInHorizon reports whether the injection's last occurrence ends,
+// At + (occurrences-1)·Every + Duration, within maxHorizon. At, Every
+// and Duration must be non-negative.
+func (in Injection) endsInHorizon() bool {
+	last := time.Duration(in.occurrences() - 1)
+	if in.At > maxHorizon || (last > 0 && in.Every > (maxHorizon-in.At)/last) {
+		return false
+	}
+	return in.Duration <= maxHorizon-(in.At+last*in.Every)
+}
+
 // Plan is a reproducible fault schedule.
 type Plan struct {
 	Seed       int64       `json:"seed"`
@@ -114,8 +144,10 @@ type Plan struct {
 
 // Validate checks every injection and normalizes the plan: injections
 // are sorted by fire time (stable, so equal-time order is the plan's
-// own order).
+// own order). A plan whose occurrences would end past maxHorizon, or
+// that expands into more than maxOccurrences one-shots, is rejected.
 func (pl *Plan) Validate() error {
+	total := 0
 	for i, in := range pl.Injections {
 		if !kinds[in.Kind] {
 			return fmt.Errorf("fault: injection %d: unknown kind %q (valid kinds: %s)",
@@ -145,6 +177,13 @@ func (pl *Plan) Validate() error {
 		if in.Repeat > 1 && in.Duration >= in.Every {
 			return fmt.Errorf("fault: injection %d: duration %v must be shorter than every %v",
 				i, in.Duration, in.Every)
+		}
+		if in.occurrences() > maxOccurrences-total {
+			return fmt.Errorf("fault: injection %d: plan expands into more than %d occurrences", i, maxOccurrences)
+		}
+		total += in.occurrences()
+		if !in.endsInHorizon() {
+			return fmt.Errorf("fault: injection %d: last occurrence ends past %v", i, maxHorizon)
 		}
 		switch in.Kind {
 		case ChannelHang:
