@@ -62,20 +62,37 @@ const (
 // window, and reports whether the forced-erase escape hatch fired
 // instead. The returned release must be called (idempotently) once
 // the erase completes.
-type EraseGate interface {
-	AcquireErase(p *sim.Proc, free int) (release func(), forced bool)
-}
-
-// PoolNotifier is an optional EraseGate extension: a gate that also
-// implements it is told, park-free, whenever a write consumes from a
+//
+// PoolLow is called, park-free, whenever a write consumes from a
 // channel's pre-erased pool. The gate uses the updated depth to wake
 // parked erase requests whose urgency has changed since they queued —
 // without it, a request parked while the pool was deep would sleep
 // through the pool draining to empty beneath it, degrading foreground
 // writes to ungated inline erases.
-type PoolNotifier interface {
+type EraseGate interface {
+	AcquireErase(p *sim.Proc, free int) (release func(), forced bool)
 	PoolLow(free int)
 }
+
+// Fixed failure-handling and scheduling parameters.
+const (
+	// idlePollInterval is how often the eraser re-checks a busy channel.
+	idlePollInterval = time.Millisecond
+	// quarantineThreshold is how many consecutive command failures on
+	// one channel put it into quarantine. A dead-engine error
+	// quarantines immediately regardless of the count.
+	quarantineThreshold = 3
+	// quarantineWindow is how long a quarantined channel is excluded
+	// from write placement. Reads still go to it (the data lives
+	// there), and a read success ends the suspicion early.
+	quarantineWindow = 100 * time.Millisecond
+	// readRetries bounds how many times a failed read is retried
+	// before the error surfaces to the caller.
+	readRetries = 2
+	// retryBackoff is the virtual-time wait before the first read
+	// retry; it doubles per attempt.
+	retryBackoff = 50 * time.Microsecond
+)
 
 // Config tunes the layer.
 type Config struct {
@@ -83,9 +100,6 @@ type Config struct {
 	// idle time, so writes usually find a pre-erased block. Disabling
 	// it forces every write to pay an inline erase (ablation A3).
 	BackgroundErase bool
-	// IdlePollInterval is how often the eraser re-checks a busy
-	// channel.
-	IdlePollInterval time.Duration
 	// Placement selects the write-placement policy.
 	Placement Placement
 
@@ -106,28 +120,12 @@ type Config struct {
 	// WearSpreadThreshold is the max-minus-min erase count spread on
 	// one channel that triggers a migration. Defaults to 8.
 	WearSpreadThreshold int
-
-	// QuarantineThreshold is how many consecutive command failures on
-	// one channel put it into quarantine. A dead-engine error
-	// quarantines immediately regardless of the count.
-	QuarantineThreshold int
-	// QuarantineWindow is how long a quarantined channel is excluded
-	// from write placement. Reads still go to it (the data lives
-	// there), and a read success ends the suspicion early.
-	QuarantineWindow time.Duration
-	// ReadRetries bounds how many times a failed read is retried
-	// before the error surfaces to the caller. Negative disables
-	// retries.
-	ReadRetries int
-	// RetryBackoff is the virtual-time wait before the first read
-	// retry; it doubles per attempt.
-	RetryBackoff time.Duration
 }
 
 // DefaultConfig enables idle-time erase scheduling with the
 // production round-robin hash placement.
 func DefaultConfig() Config {
-	return Config{BackgroundErase: true, IdlePollInterval: time.Millisecond}
+	return Config{BackgroundErase: true}
 }
 
 // chanState tracks free space and health of one channel.
@@ -172,10 +170,6 @@ type Layer struct {
 	placementSkips   metrics.Counter
 	scrubs           metrics.Counter
 	wlMigrations     metrics.Counter
-
-	// poolLow is EraseGate's PoolLow when the gate implements
-	// PoolNotifier, else nil; resolved once at construction.
-	poolLow func(free int)
 }
 
 // New builds the layer; all device blocks start as dirty (needing an
@@ -195,21 +189,6 @@ func New(env *sim.Env, dev *core.Device, cfg Config) *Layer {
 // allocated, pools empty, erasers not yet running. New and Mount fill
 // the pools their own way before calling startErasers.
 func newLayer(env *sim.Env, dev *core.Device, cfg Config) *Layer {
-	if cfg.IdlePollInterval <= 0 {
-		cfg.IdlePollInterval = time.Millisecond
-	}
-	if cfg.QuarantineThreshold <= 0 {
-		cfg.QuarantineThreshold = 3
-	}
-	if cfg.QuarantineWindow <= 0 {
-		cfg.QuarantineWindow = 100 * time.Millisecond
-	}
-	if cfg.ReadRetries == 0 {
-		cfg.ReadRetries = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Microsecond
-	}
 	if cfg.WearSpreadThreshold <= 0 {
 		cfg.WearSpreadThreshold = 8
 	}
@@ -222,9 +201,6 @@ func newLayer(env *sim.Env, dev *core.Device, cfg Config) *Layer {
 	}
 	for c := 0; c < dev.Channels(); c++ {
 		l.chans = append(l.chans, &chanState{work: sim.NewSignal(env)})
-	}
-	if n, ok := cfg.EraseGate.(PoolNotifier); ok {
-		l.poolLow = n.PoolLow
 	}
 	return l
 }
@@ -297,11 +273,11 @@ func (l *Layer) recordSuccess(c int) {
 
 // recordError counts one command failure. A dead engine quarantines
 // the channel immediately; other errors quarantine after
-// QuarantineThreshold consecutive failures.
+// quarantineThreshold consecutive failures.
 func (l *Layer) recordError(c int, err error) {
 	cs := l.chans[c]
 	cs.consecErrs++
-	if errors.Is(err, flashchan.ErrChannelDead) || cs.consecErrs >= l.cfg.QuarantineThreshold {
+	if errors.Is(err, flashchan.ErrChannelDead) || cs.consecErrs >= quarantineThreshold {
 		l.quarantine(c)
 	}
 }
@@ -312,7 +288,7 @@ func (l *Layer) recordError(c int, err error) {
 // how a revived one is naturally readmitted when the window lapses.
 func (l *Layer) quarantine(c int) {
 	cs := l.chans[c]
-	until := l.env.Now() + l.cfg.QuarantineWindow
+	until := l.env.Now() + quarantineWindow
 	if until <= cs.quarantinedUntil {
 		return // an open window already covers this failure
 	}
@@ -321,7 +297,16 @@ func (l *Layer) quarantine(c int) {
 	cs.consecErrs = 0
 	if t := l.env.Tracer(); t != nil {
 		span := t.Begin(l.env.Now(), 0, fmt.Sprintf("blocklayer/quarantine.%d", c), trace.PhaseFault)
-		l.env.Schedule(l.cfg.QuarantineWindow, func() { t.End(l.env.Now(), span) })
+		l.env.Schedule(quarantineWindow, func() { t.End(l.env.Now(), span) })
+	}
+}
+
+// poolLow tells the erase gate, if any, that channel's pre-erased pool
+// shrank to free blocks, so parked erase requests re-evaluate their
+// urgency (see EraseGate).
+func (l *Layer) poolLow(free int) {
+	if l.cfg.EraseGate != nil {
+		l.cfg.EraseGate.PoolLow(free)
 	}
 }
 
@@ -392,11 +377,7 @@ func (l *Layer) Write(p *sim.Proc, id BlockID, data []byte) (Handle, error) {
 	case len(cs.erased) > 0:
 		lbn = cs.erased[len(cs.erased)-1]
 		cs.erased = cs.erased[:len(cs.erased)-1]
-		if l.poolLow != nil {
-			// Parked erase requests re-evaluate their urgency against
-			// the shrinking pool (see PoolNotifier).
-			l.poolLow(len(cs.erased))
-		}
+		l.poolLow(len(cs.erased))
 		if err := l.dev.WriteTagged(p, c, lbn, data, tag); err != nil {
 			// Block state is uncertain after a failed program; return
 			// it via the dirty pool so it is re-erased before reuse.
@@ -437,7 +418,7 @@ func (l *Layer) Write(p *sim.Proc, id BlockID, data []byte) (Handle, error) {
 // Read returns size bytes at byte offset off within the block written
 // under id. off and size must be page aligned. Transient failures
 // (an ECC burst, a dead-then-revived engine) are retried up to
-// ReadRetries times with exponential virtual-time backoff before the
+// readRetries times with exponential virtual-time backoff before the
 // error surfaces.
 func (l *Layer) Read(p *sim.Proc, id BlockID, off, size int) ([]byte, error) {
 	h, ok := l.blocks[id]
@@ -459,11 +440,11 @@ func (l *Layer) Read(p *sim.Proc, id BlockID, off, size int) ([]byte, error) {
 			return data, nil
 		}
 		l.recordError(h.Channel, err)
-		if attempt >= l.cfg.ReadRetries || !retryable(err) {
+		if attempt >= readRetries || !retryable(err) {
 			return nil, err
 		}
 		l.readRetries.Inc()
-		backoff := l.cfg.RetryBackoff << uint(attempt)
+		backoff := retryBackoff << uint(attempt)
 		t := l.env.Tracer()
 		span := t.Begin(l.env.Now(), p.Span(), "blocklayer/read-retry", trace.PhaseFault)
 		p.Wait(backoff)
@@ -532,15 +513,6 @@ func (l *Layer) FreeBlocks(c int) (erased, dirty int) {
 // Stats returns (writes, reads, inline erases, background erases).
 func (l *Layer) Stats() (writes, reads, inline, background int64) {
 	return l.writes.Value(), l.reads.Value(), l.inlineErases.Value(), l.backgroundErases.Value()
-}
-
-// ScrubStats returns (blocks scrubbed so far, suspect blocks still
-// awaiting their eager re-erase).
-func (l *Layer) ScrubStats() (scrubbed int64, pending int) {
-	for _, cs := range l.chans {
-		pending += cs.scrubBacklog
-	}
-	return l.scrubs.Value(), pending
 }
 
 // HealthStats returns aggregate degraded-mode counters: quarantine
@@ -654,7 +626,7 @@ func (l *Layer) eraseLoop(p *sim.Proc, c int) {
 		// waiting for an idle window.
 		scrub := cs.scrubBacklog > 0
 		if !scrub && !l.dev.Channel(c).Idle() {
-			p.Wait(l.cfg.IdlePollInterval)
+			p.Wait(idlePollInterval)
 			continue
 		}
 		release := func() {}
@@ -751,9 +723,7 @@ func (l *Layer) maybeStaticWL(p *sim.Proc, c int) bool {
 	}
 	dst := cs.erased[len(cs.erased)-1]
 	cs.erased = cs.erased[:len(cs.erased)-1]
-	if l.poolLow != nil {
-		l.poolLow(len(cs.erased))
-	}
+	l.poolLow(len(cs.erased))
 	if err := l.dev.WriteTagged(p, c, dst, data, flashchan.WriteID{Lo: uint64(victim)}); err != nil {
 		cs.dirty = append(cs.dirty, dst)
 		cs.work.Fire()

@@ -249,10 +249,7 @@ func TestLookup(t *testing.T) {
 func TestQuarantineWindowExcludesWrites(t *testing.T) {
 	env := sim.NewEnv()
 	d := smallDevice(t, env, false)
-	cfg := DefaultConfig()
-	cfg.QuarantineWindow = 10 * time.Millisecond
-	cfg.ReadRetries = -1 // surface the failure fast; quarantine still fires
-	l := New(env, d, cfg)
+	l := New(env, d, DefaultConfig())
 	env.RunUntil(2 * time.Second) // pre-erase
 	w := env.Go("t", func(p *sim.Proc) {
 		if _, err := l.Write(p, 2, nil); err != nil {
@@ -260,6 +257,8 @@ func TestQuarantineWindowExcludesWrites(t *testing.T) {
 			return
 		}
 		d.Channel(2).Kill()
+		// The dead engine quarantines at the first failure; each retry
+		// re-arms the window.
 		if _, err := l.Read(p, 2, 0, l.PageSize()); err == nil {
 			t.Error("read on dead channel succeeded")
 		}
@@ -274,7 +273,7 @@ func TestQuarantineWindowExcludesWrites(t *testing.T) {
 		if h.Channel == 2 {
 			t.Error("write placed on quarantined channel")
 		}
-		p.Wait(cfg.QuarantineWindow)
+		p.Wait(quarantineWindow)
 		h2, err := l.Write(p, 10, nil)
 		if err != nil {
 			t.Error(err)

@@ -2,6 +2,7 @@ package blocklayer_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -9,13 +10,15 @@ import (
 	"sdf/internal/blocklayer"
 	"sdf/internal/core"
 	"sdf/internal/fault"
+	"sdf/internal/flashchan"
 	"sdf/internal/sim"
 )
 
-// TestReadRetryUnderECCBurst drives a read into a transient ECC burst
-// and pins the degraded-mode counters: the read must retry (not fail
-// fast), the repeated failures must quarantine the channel, and once
-// the burst lapses the data must come back intact.
+// TestReadRetryUnderECCBurst drives reads into and past a transient
+// ECC burst and pins the degraded-mode counters: a read inside the
+// burst retries (not fail fast) until its three attempts are spent,
+// the three consecutive failures quarantine the channel, and a read
+// after the burst lapses returns the data intact.
 func TestReadRetryUnderECCBurst(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -30,12 +33,7 @@ func TestReadRetryUnderECCBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcfg := blocklayer.DefaultConfig()
-	lcfg.ReadRetries = 4
-	lcfg.RetryBackoff = 200 * time.Microsecond
-	lcfg.QuarantineThreshold = 2
-	lcfg.QuarantineWindow = 5 * time.Millisecond
-	l := blocklayer.New(env, dev, lcfg)
+	l := blocklayer.New(env, dev, blocklayer.DefaultConfig())
 
 	data := make([]byte, l.BlockSize())
 	rand.New(rand.NewSource(9)).Read(data)
@@ -53,9 +51,10 @@ func TestReadRetryUnderECCBurst(t *testing.T) {
 	inj := fault.NewInjector(env)
 	fault.AttachDevice(inj, "sdf0", dev)
 	// Injection instants are relative to the arm time.
+	const burst = 10 * time.Millisecond
 	burstAt := env.Now() + time.Millisecond
 	pl := &fault.Plan{Seed: 9, Injections: []fault.Injection{
-		{At: time.Millisecond, Kind: fault.ECCBurst, Target: "sdf0/chan0", Rate: 1e-2, Duration: time.Millisecond},
+		{At: time.Millisecond, Kind: fault.ECCBurst, Target: "sdf0/chan0", Rate: 1e-2, Duration: burst},
 	}}
 	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
@@ -65,26 +64,33 @@ func TestReadRetryUnderECCBurst(t *testing.T) {
 	}
 
 	reader := env.Go("t/read", func(p *sim.Proc) {
-		// Land the read just inside the burst: the first attempts hit
-		// the boosted bit-error rate, the later retries outlive it.
+		// Land one page read just inside the burst: every attempt meets
+		// the boosted bit-error rate.
 		p.Wait(burstAt + 50*time.Microsecond - env.Now())
+		if _, err := l.Read(p, 0, 0, l.PageSize()); !errors.Is(err, flashchan.ErrUncorrectable) {
+			t.Errorf("read under burst: %v, want ErrUncorrectable", err)
+		}
+		if end := burstAt + burst; env.Now() >= end {
+			t.Errorf("retries ran to %v, past the burst's end %v", env.Now(), end)
+		}
+		p.Wait(burstAt + burst + time.Millisecond - env.Now())
 		got, err := l.Read(p, 0, 0, l.BlockSize())
 		if err != nil {
-			t.Errorf("read under burst: %v", err)
+			t.Errorf("read after burst: %v", err)
 			return
 		}
 		if !bytes.Equal(got, data) {
-			t.Error("read under burst returned wrong bytes")
+			t.Error("read after burst returned wrong bytes")
 		}
 	})
 	env.RunUntilDone(reader)
 	env.Run()
 
 	quarantines, readRetries, _ := l.HealthStats()
-	if readRetries < 2 {
-		t.Errorf("readRetries = %d, want >= 2 (burst must force retries)", readRetries)
+	if readRetries != 2 {
+		t.Errorf("readRetries = %d, want 2 (the burst must exhaust the retries)", readRetries)
 	}
-	if quarantines < 1 {
-		t.Errorf("quarantines = %d, want >= 1 (consecutive failures must quarantine)", quarantines)
+	if quarantines != 1 {
+		t.Errorf("quarantines = %d, want 1 (three consecutive failures must quarantine)", quarantines)
 	}
 }

@@ -92,9 +92,6 @@ func (j *Journal) Halt() {
 	}
 }
 
-// Halted reports whether Halt has been called.
-func (j *Journal) Halted() bool { return j != nil && j.halted }
-
 // appendPut journals one write ahead of its memtable insert.
 func (j *Journal) appendPut(key string, value []byte, size int) error {
 	if j == nil {

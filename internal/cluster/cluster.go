@@ -43,7 +43,7 @@ var (
 	// group's deadline.
 	ErrReplicaTimeout = errors.New("cluster: replica deadline exceeded")
 	// ErrWriteShed reports a write rejected by SLO admission control:
-	// the error-budget burn priced its delay above Admission.MaxDelay.
+	// the error-budget burn priced its delay above the admission cap.
 	ErrWriteShed = errors.New("cluster: write shed by admission control")
 )
 
@@ -111,16 +111,14 @@ func (n *Node) SetPowerHooks(fail func(), remount func(p *sim.Proc) (*ccdb.Slice
 // Alive reports whether the node is serving requests.
 func (n *Node) Alive() bool { return n.alive }
 
+// replicaDeadline bounds how long a Put waits for each replica
+// acknowledgment (virtual time, measured from the start of the Put). A
+// replica that misses it counts as failed and is marked dirty for
+// repair.
+const replicaDeadline = 500 * time.Millisecond
+
 // Config tunes a replica group.
 type Config struct {
-	// RepairOnRead rewrites a value to a replica that failed to serve
-	// it (read-repair). Disable to observe bare failover.
-	RepairOnRead bool
-	// ReplicaDeadline bounds how long a Put waits for each replica
-	// acknowledgment (virtual time, measured from the start of the
-	// Put). A replica that misses it counts as failed and is marked
-	// dirty for repair. 0 waits forever.
-	ReplicaDeadline time.Duration
 	// HedgeAfter launches the read at the next replica when the
 	// current one has not answered within this much virtual time,
 	// instead of waiting for it to fail. 0 disables hedging.
@@ -141,14 +139,9 @@ type Config struct {
 	Admission *coord.Admission
 }
 
-// DefaultConfig enables read-repair, a 500 ms replica write deadline,
-// and 20 ms read hedging.
+// DefaultConfig enables 20 ms read hedging.
 func DefaultConfig() Config {
-	return Config{
-		RepairOnRead:    true,
-		ReplicaDeadline: 500 * time.Millisecond,
-		HedgeAfter:      20 * time.Millisecond,
-	}
+	return Config{HedgeAfter: 20 * time.Millisecond}
 }
 
 // Stats are the group's cumulative counters, read out of the same
@@ -391,7 +384,7 @@ func (g *Group) RestartNode(name string) bool {
 
 // Put stores the value on every live replica in parallel and returns
 // when all acknowledge or the replica deadline lapses — write
-// availability follows the slowest node up to ReplicaDeadline. The
+// availability follows the slowest node up to replicaDeadline. The
 // value crosses each node's NIC before the slice write.
 //
 // On partial failure Put returns the first error, but the replicas
@@ -435,17 +428,13 @@ func (g *Group) Put(p *sim.Proc, key string, value []byte, size int) error {
 			errs[i] = node.Slice.Put(wp, key, value, size)
 		})
 	}
-	deadline := g.env.Now() + g.cfg.ReplicaDeadline
+	deadline := g.env.Now() + replicaDeadline
 	for i, w := range workers {
 		if w == nil {
 			continue
 		}
-		if g.cfg.ReplicaDeadline <= 0 {
-			p.Join(w)
-			continue
-		}
 		waitStart := g.env.Now()
-		if !awaitWithin(g.env, p, w.DoneSignal(), deadline-waitStart) {
+		if !p.AwaitUntil(w.DoneSignal(), deadline) {
 			errs[i] = fmt.Errorf("%w: %s", ErrReplicaTimeout, g.nodes[i].Name)
 			t := g.env.Tracer()
 			span := t.Begin(waitStart, 0, "cluster/put-timeout", trace.PhaseFault)
@@ -518,9 +507,9 @@ func (g *Group) readOrder() []int {
 // order with catching-up replicas deprioritized — see readOrder),
 // hedging to the next one when the current read is slow (HedgeAfter)
 // and failing over on any read error (uncorrectable ECC, dead
-// channels, crashed nodes). With RepairOnRead, a recovered value is
-// written back to the replicas that failed to serve it — including
-// nodes diverged by an earlier partial Put.
+// channels, crashed nodes). A recovered value is written back to the
+// replicas that failed to serve it (read-repair) — including nodes
+// diverged by an earlier partial Put.
 func (g *Group) Get(p *sim.Proc, key string) ([]byte, int, error) {
 	g.ctr.gets.Inc()
 	order := g.readOrder()
@@ -626,9 +615,6 @@ func (g *Group) Get(p *sim.Proc, key string) ([]byte, int, error) {
 // repairAfterRead schedules read-repair for the replicas that failed
 // this read plus any live replica still dirty for the key.
 func (g *Group) repairAfterRead(winner *Node, key string, value []byte, size int, failed []*Node) {
-	if !g.cfg.RepairOnRead {
-		return
-	}
 	inFailed := make(map[*Node]bool, len(failed))
 	for _, node := range failed {
 		inFailed[node] = true
@@ -693,25 +679,4 @@ func (g *Group) rereplicate(p *sim.Proc, node *Node) {
 		}
 	}
 	t.End(g.env.Now(), span)
-}
-
-// awaitWithin waits for done to fire, but no longer than d of virtual
-// time; it reports whether done fired in time. The timer event and
-// the watcher process are both one-shot, so a missing completion
-// cannot keep the event queue alive.
-func awaitWithin(env *sim.Env, p *sim.Proc, done *sim.Signal, d time.Duration) bool {
-	if done.Fired() {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	step := sim.NewSignal(env)
-	env.Schedule(d, func() { step.Fire() })
-	env.Go("cluster/await", func(wp *sim.Proc) {
-		wp.Await(done)
-		step.Fire()
-	})
-	p.Await(step)
-	return done.Fired()
 }

@@ -22,8 +22,22 @@ const (
 	// Delayed admitted the write after a bounded virtual-time wait.
 	Delayed
 	// Shed refused the write: admitting it would have required more
-	// than MaxDelay of waiting at the current (burn-throttled) rate.
+	// than maxDelay of waiting at the current (burn-throttled) rate.
 	Shed
+)
+
+// Fixed shape of the admission token bucket.
+const (
+	// burst is the token bucket depth: how many writes may be admitted
+	// back-to-back after an idle stretch.
+	burst = 4
+	// maxDelay bounds how long one write may be delayed before it is
+	// shed instead.
+	maxDelay = 5 * time.Millisecond
+	// minFactor floors the burn throttle: however badly the error
+	// budget is burning, at least Rate*minFactor survives, so writes
+	// are degraded, not starved.
+	minFactor = 0.1
 )
 
 // AdmissionConfig tunes the write admission controller.
@@ -32,22 +46,11 @@ type AdmissionConfig struct {
 	// virtual time) while the error budget is intact. 0 disables
 	// admission control entirely (every write is Admitted).
 	Rate float64
-	// Burst is the token bucket depth: how many writes may be admitted
-	// back-to-back after an idle stretch. Defaults to 4.
-	Burst float64
-	// MaxDelay bounds how long one write may be delayed before it is
-	// shed instead. Defaults to 5 ms.
-	MaxDelay time.Duration
-	// MinFactor floors the burn throttle: however badly the error
-	// budget is burning, at least Rate*MinFactor survives, so writes
-	// are degraded, not starved. Defaults to 0.1.
-	MinFactor float64
 }
 
-// DefaultAdmissionConfig admits rate writes/second with a burst of 4,
-// delays up to 5 ms, and throttles down to 10% under full burn.
+// DefaultAdmissionConfig admits rate writes/second.
 func DefaultAdmissionConfig(rate float64) AdmissionConfig {
-	return AdmissionConfig{Rate: rate, Burst: 4, MaxDelay: 5 * time.Millisecond, MinFactor: 0.1}
+	return AdmissionConfig{Rate: rate}
 }
 
 // AdmissionStats are the controller's cumulative counters.
@@ -59,7 +62,7 @@ type AdmissionStats struct {
 // modulated by an SLO error-budget burn signal: while burn <= 1 (the
 // objective is within budget) writes flow at the configured rate; once
 // the budget is overspent the rate scales down as 1/burn (floored at
-// MinFactor), converting read-latency SLO pressure into write
+// minFactor), converting read-latency SLO pressure into write
 // backpressure. Waiters reserve tokens (the bucket goes negative), so
 // concurrent writers are delayed in deterministic arrival order.
 //
@@ -83,27 +86,12 @@ type Admission struct {
 // error-budget burn of the protecting objective (metrics.SLO.Burn);
 // nil means no SLO feedback (the bucket runs at full rate).
 func NewAdmission(env *sim.Env, cfg AdmissionConfig, burn func() float64) *Admission {
-	if cfg.Burst <= 0 {
-		cfg.Burst = 4
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 5 * time.Millisecond
-	}
-	if cfg.MinFactor <= 0 {
-		cfg.MinFactor = 0.1
-	}
-	if cfg.MinFactor > 1 {
-		cfg.MinFactor = 1
-	}
-	return &Admission{env: env, cfg: cfg, burn: burn, tokens: cfg.Burst}
+	return &Admission{env: env, cfg: cfg, burn: burn, tokens: burst}
 }
 
 // SetBestEffort flips best-effort mode: while on, every write is
 // Admitted without touching the bucket. Park-free.
 func (a *Admission) SetBestEffort(on bool) { a.bestEffort = on }
-
-// BestEffort reports whether best-effort mode is on.
-func (a *Admission) BestEffort() bool { return a.bestEffort }
 
 // Stats returns the controller's cumulative counters.
 func (a *Admission) Stats() AdmissionStats {
@@ -126,7 +114,7 @@ func (a *Admission) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label
 }
 
 // factor maps the burn signal to a rate multiplier: full rate within
-// budget, 1/burn beyond it, floored at MinFactor.
+// budget, 1/burn beyond it, floored at minFactor.
 func (a *Admission) factor() float64 {
 	if a.burn == nil {
 		return 1
@@ -136,20 +124,20 @@ func (a *Admission) factor() float64 {
 		return 1
 	}
 	f := 1 / b
-	if f < a.cfg.MinFactor {
-		f = a.cfg.MinFactor
+	if f < minFactor {
+		f = minFactor
 	}
 	return f
 }
 
 // refill credits the bucket for virtual time elapsed at the given
-// rate, capped at Burst.
+// rate, capped at burst.
 func (a *Admission) refill(rate float64) {
 	now := a.env.Now()
 	if now > a.last {
 		a.tokens += rate * (now - a.last).Seconds()
-		if a.tokens > a.cfg.Burst {
-			a.tokens = a.cfg.Burst
+		if a.tokens > burst {
+			a.tokens = burst
 		}
 	}
 	a.last = now
@@ -157,7 +145,7 @@ func (a *Admission) refill(rate float64) {
 
 // Admit gates one write. It returns Admitted immediately when a token
 // is available (or admission is off / best-effort), parks for the
-// token's arrival when that wait fits in MaxDelay (Delayed), and
+// token's arrival when that wait fits in maxDelay (Delayed), and
 // refuses the write otherwise (Shed) — the caller must not perform
 // the write after Shed.
 func (a *Admission) Admit(p *sim.Proc) Verdict {
@@ -173,7 +161,7 @@ func (a *Admission) Admit(p *sim.Proc) Verdict {
 		return Admitted
 	}
 	wait := time.Duration(float64(time.Second) * (1 - a.tokens) / rate)
-	if wait > a.cfg.MaxDelay {
+	if wait > maxDelay {
 		a.shed.Inc()
 		return Shed
 	}

@@ -47,17 +47,6 @@ type Config struct {
 	ForceFreeBlocks int
 }
 
-// DefaultConfig opens 5 ms windows (a window comfortably fits an
-// erase at ~3 ms plus queue drain), bounds deferral at 20 ms, and
-// forces erases once a channel is down to its last pre-erased block.
-func DefaultConfig() Config {
-	return Config{
-		Window:          5 * time.Millisecond,
-		MaxWait:         20 * time.Millisecond,
-		ForceFreeBlocks: 1,
-	}
-}
-
 // Stats are the coordinator's cumulative counters.
 type Stats struct {
 	// Grants counts erase windows granted.
@@ -106,9 +95,6 @@ func (c *Coordinator) Register(name string) *Member {
 	c.members = append(c.members, m)
 	return m
 }
-
-// Members returns the registered members in registration order.
-func (c *Coordinator) Members() []*Member { return c.members }
 
 // Stats returns the coordinator's cumulative counters.
 func (c *Coordinator) Stats() Stats {
@@ -286,7 +272,7 @@ func (m *Member) AcquireErase(p *sim.Proc, free int) (release func(), forced boo
 		// while the window accepts new erases, keeping its length
 		// bounded; a drain-time request queues like everyone else's).
 		c.deferrals.Inc()
-		awaitWithin(c.env, p, grant, c.cfg.MaxWait)
+		p.AwaitUntil(grant, c.env.Now()+c.cfg.MaxWait)
 	}
 	m.waiters--
 	if grant.Fired() && c.holder == m.idx {
@@ -372,21 +358,4 @@ func (m *Member) releaseOnce() func() {
 			c.close(m)
 		}
 	}
-}
-
-// awaitWithin waits for done to fire, but no longer than d of virtual
-// time; it reports whether done fired in time. Both the timer and the
-// watcher are one-shot, so neither can keep the event queue alive.
-func awaitWithin(env *sim.Env, p *sim.Proc, done *sim.Signal, d time.Duration) bool {
-	if done.Fired() {
-		return true
-	}
-	step := sim.NewSignal(env)
-	env.Schedule(d, func() { step.Fire() })
-	env.Go("coord/await", func(wp *sim.Proc) {
-		wp.Await(done)
-		step.Fire()
-	})
-	p.Await(step)
-	return done.Fired()
 }

@@ -6,7 +6,6 @@ import (
 	"sdf/internal/cluster"
 	"sdf/internal/core"
 	"sdf/internal/rpcnet"
-	"sdf/internal/sim"
 	"sdf/internal/ssd"
 )
 
@@ -51,18 +50,7 @@ func AttachDevice(inj *Injector, name string, dev *core.Device) {
 			return nil
 		})
 	}
-	pcie := dev.PCIe()
-	inj.Register(name+"/pcie", func(in Injection) func() {
-		if in.Kind != LinkDegrade {
-			return nil
-		}
-		old := pcie.RateFactor()
-		pcie.SetRateFactor(in.Factor)
-		if in.Duration > 0 {
-			return func() { pcie.SetRateFactor(old) }
-		}
-		return nil
-	})
+	inj.Register(name+"/pcie", linkHandler(dev.PCIe()))
 }
 
 // AttachSSD registers a conventional SSD's fault surfaces under
@@ -87,18 +75,7 @@ func AttachSSD(inj *Injector, name string, dev *ssd.SSD) {
 			return nil
 		})
 	}
-	pcie := dev.PCIe()
-	inj.Register(name+"/pcie", func(in Injection) func() {
-		if in.Kind != LinkDegrade {
-			return nil
-		}
-		old := pcie.RateFactor()
-		pcie.SetRateFactor(in.Factor)
-		if in.Duration > 0 {
-			return func() { pcie.SetRateFactor(old) }
-		}
-		return nil
-	})
+	inj.Register(name+"/pcie", linkHandler(dev.PCIe()))
 }
 
 // AttachGroup registers every node of a replica group: the node name
@@ -128,24 +105,33 @@ func AttachGroup(inj *Injector, g *cluster.Group) {
 	}
 }
 
-// AttachLink registers a bare link under the given target name for
-// link-degrade injections.
-func AttachLink(inj *Injector, target string, l *sim.SharedLink) {
-	inj.Register(target, linkHandler(l))
+// degradable is a link whose rate a link-degrade injection scales: a
+// NIC (sim.SharedLink) or a PCIe interface (hostif.Interface).
+type degradable interface {
+	RateFactor() float64
+	SetRateFactor(f float64)
 }
 
-func linkHandler(l *sim.SharedLink) Handler {
+// linkHandler applies link-degrade injections to l, restoring its
+// previous factor when a timed injection ends.
+func linkHandler(l degradable) Handler {
 	return func(in Injection) func() {
 		if in.Kind != LinkDegrade {
 			return nil
 		}
-		old := l.RateFactor()
-		l.SetRateFactor(in.Factor)
-		if in.Duration > 0 {
-			return func() { l.SetRateFactor(old) }
-		}
-		return nil
+		return degrade(l, in)
 	}
+}
+
+// degrade scales l's rate by the injection's factor and returns the
+// revert for a timed injection (nil for a permanent one).
+func degrade(l degradable, in Injection) func() {
+	old := l.RateFactor()
+	l.SetRateFactor(in.Factor)
+	if in.Duration > 0 {
+		return func() { l.SetRateFactor(old) }
+	}
+	return nil
 }
 
 // AttachNetwork registers an RPC network under the given target name:
@@ -161,12 +147,7 @@ func AttachNetwork(inj *Injector, target string, n *rpcnet.Network) {
 				return func() { n.InjectLoss(old) }
 			}
 		case LinkDegrade:
-			srv := n.ServerLink()
-			old := srv.RateFactor()
-			srv.SetRateFactor(in.Factor)
-			if in.Duration > 0 {
-				return func() { srv.SetRateFactor(old) }
-			}
+			return degrade(n.ServerLink(), in)
 		}
 		return nil
 	})

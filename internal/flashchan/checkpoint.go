@@ -20,8 +20,9 @@
 // for every block whose first-page out-of-band record matches the
 // checkpointed identity at a sequence below the watermark: one probe
 // instead of a full page walk. Only blocks written after the
-// watermark — O(activity since the checkpoint) — pay the walk, so
-// remount probe count is flat in fill instead of linear.
+// watermark — O(activity since the checkpoint) — pay the walk. The
+// remount probe count still grows with fill, but at 8 probes per
+// mapped block at the default geometry against 1028 for the full scan.
 package flashchan
 
 import (

@@ -161,7 +161,7 @@ type Channel struct {
 	bus    *sim.Link
 	chips  []*nand.Chip
 	planes []planeState
-	mu     *sim.PriorityResource // the engine serves one command at a time
+	mu     *sim.Resource // the engine serves one command at a time
 	code   *bch.Code
 	parity map[parityKey][][]byte
 	dead   bool // engine offline (injected fault); commands fail fast
@@ -219,7 +219,7 @@ func newChannel(env *sim.Env, cfg Config) (*Channel, error) {
 		cfg:     cfg,
 		env:     env,
 		bus:     sim.NewLink(env, cfg.BusRate, cfg.BusOverhead),
-		mu:      sim.NewPriorityResource(env, 1),
+		mu:      sim.NewResource(env, 1),
 		nextSeq: 1, // Recover re-derives it from mounted media
 		meta:    make(map[int]blockMeta),
 		cpSeq:   1,
@@ -346,7 +346,7 @@ func (ch *Channel) SetLabel(label string) {
 func (ch *Channel) acquire(p *sim.Proc, prio int) {
 	t := ch.env.Tracer()
 	span := t.Begin(ch.env.Now(), p.Span(), "chan/queue", trace.PhaseQueue)
-	ch.mu.Acquire(p, prio)
+	ch.mu.AcquirePrio(p, prio)
 	t.End(ch.env.Now(), span)
 }
 
@@ -440,7 +440,7 @@ func (ch *Channel) Hang(d time.Duration) {
 	ch.env.Go("flashchan/hang", func(p *sim.Proc) {
 		t := ch.env.Tracer()
 		span := t.Begin(ch.env.Now(), 0, "chan/hang", trace.PhaseFault)
-		ch.mu.Acquire(p, ch.readPrio())
+		ch.mu.AcquirePrio(p, ch.readPrio())
 		p.Wait(d)
 		ch.mu.Release()
 		t.End(ch.env.Now(), span)

@@ -27,8 +27,8 @@ import (
 //
 // Every edge remembers whether its call site sits inside a detached
 // execution context: the body of a raw go statement, or a function
-// literal handed to (*sim.Env).Go, (*sim.Env).Schedule, or
-// (*sim.Timeline).OccupyAsync. Code in those literals does not run
+// literal handed to (*sim.Env).Go or (*sim.Env).Schedule. Code in
+// those literals does not run
 // synchronously in the enclosing function's process, so path-sensitive
 // analyses (parkpath) skip detached edges while whole-program ones
 // (selectnondet's goroutine tracking) keep them.

@@ -6,9 +6,8 @@ import (
 )
 
 // InlinePark flags blocking process calls inside inline scheduler
-// callbacks. The kernel's fast path ((*sim.Env).Schedule and
-// (*sim.Timeline).OccupyAsync) runs the supplied function directly on
-// the scheduler goroutine between events: there is no process to park,
+// callbacks. The kernel's fast path ((*sim.Env).Schedule) runs the
+// supplied function directly on the scheduler goroutine between events: there is no process to park,
 // so calling a blocking Proc API from one — Wait, WaitUntil, Await,
 // Join, or anything that takes a *sim.Proc such as Acquire, Transfer,
 // Occupy or Queue.Get — deadlocks the simulation (see DESIGN.md,
@@ -23,7 +22,7 @@ import (
 // implementing them.
 var InlinePark = &Analyzer{
 	Name: "inlinepark",
-	Doc:  "forbid blocking Proc calls inside inline callbacks (Schedule/OccupyAsync/GaugeFunc/CounterFunc)",
+	Doc:  "forbid blocking Proc calls inside inline callbacks (Schedule/GaugeFunc/CounterFunc)",
 	Applies: func(f *File) bool {
 		return !f.IsTest() && f.In("internal") && !f.In("internal/sim")
 	},
@@ -50,7 +49,6 @@ type inlineCallback struct {
 // method, so an unrelated type's same-named method is not matched.
 var inlineCallbackMethods = map[string][]inlineCallback{
 	"Schedule":    {{arg: 1, pkg: "sim", typ: "Env"}},          // (*sim.Env).Schedule(d, fn)
-	"OccupyAsync": {{arg: 1, pkg: "sim", typ: "Timeline"}},     // (*sim.Timeline).OccupyAsync(hold, fn)
 	"GaugeFunc":   {{arg: 1, pkg: "metrics", typ: "Registry"}}, // (*metrics.Registry).GaugeFunc(name, fn, labels...)
 	"CounterFunc": {{arg: 1, pkg: "metrics", typ: "Registry"}}, // (*metrics.Registry).CounterFunc(name, fn, labels...)
 }

@@ -22,9 +22,9 @@
 //     slice (without a later deterministic sort), sends on a channel,
 //     or writes output — Go randomizes map iteration order.
 //   - inlinepark: no blocking Proc calls inside inline scheduler
-//     callbacks ((*sim.Env).Schedule, (*sim.Timeline).OccupyAsync) —
-//     those run on the scheduler goroutine itself, so parking there
-//     deadlocks the simulation rather than merely perturbing it.
+//     callbacks ((*sim.Env).Schedule) — those run on the scheduler
+//     goroutine itself, so parking there deadlocks the simulation
+//     rather than merely perturbing it.
 //
 // The v2 suite adds a whole-program layer: every package is loaded and
 // type-checked once, a conservative static call graph is built over
@@ -33,8 +33,8 @@
 // isolated files:
 //
 //   - parkpath: the transitive upgrade of inlinepark — a blocking
-//     Proc/Timeline call reachable from a Schedule/OccupyAsync
-//     callback through any chain of module-local calls, including
+//     Proc/Timeline call reachable from a Schedule callback through
+//     any chain of module-local calls, including
 //     blocking on stored or captured process handles that never cross
 //     a call boundary.
 //   - spanleak: a trace span begun on some path but not ended on every

@@ -101,7 +101,7 @@ func TestPerAnalyzerFindings(t *testing.T) {
 		{"rawgo", "./internal/spawnuse/...", 3},
 		{"maporder", "./internal/mapuse", 4},
 		{"inlinepark", "./internal/parkuse", 5},
-		{"parkpath", "./internal/parktrans", 3},
+		{"parkpath", "./internal/parktrans", 2},
 		{"spanleak", "./internal/spanuse", 3},
 		{"errdrop", "./internal/erruse", 5},
 		{"selectnondet", "./internal/seluse", 2},

@@ -47,8 +47,8 @@ func TestInlineParkMissesTransitive(t *testing.T) {
 			park++
 		}
 	}
-	if park != 3 {
-		t.Errorf("parkpath findings = %d, want 3 (direct chain, interface dispatch, OccupyAsync)", park)
+	if park != 2 {
+		t.Errorf("parkpath findings = %d, want 2 (direct chain, interface dispatch)", park)
 	}
 }
 

@@ -50,13 +50,6 @@ func BadInterface(env *sim.Env, s stopper) {
 	})
 }
 
-// BadAsyncOccupy blocks below an OccupyAsync completion callback.
-func BadAsyncOccupy(tl *sim.Timeline, w *worker) {
-	tl.OccupyAsync(3, func() {
-		w.drain() // want(parkpath)
-	})
-}
-
 // GoodSpawn hands the blocking chain to a fresh process, where
 // parking is legal.
 func GoodSpawn(env *sim.Env, w *worker) {

@@ -10,7 +10,7 @@ func BadDirect(env *sim.Env, tl *sim.Timeline, p *sim.Proc, s *sim.Signal) {
 	env.Schedule(5, func() {
 		p.Wait(1) // want(inlinepark)
 	})
-	tl.OccupyAsync(3, func() {
+	env.Schedule(3, func() {
 		p.WaitUntil(9) // want(inlinepark)
 		p.Await(s)     // want(inlinepark)
 	})
@@ -33,7 +33,7 @@ func Good(env *sim.Env, tl *sim.Timeline, p *sim.Proc) {
 		env.Schedule(1, func() {}) // callbacks may chain callbacks
 		_, _ = tl.Reserve(4)       // claims without parking are fine
 	})
-	tl.OccupyAsync(3, func() {
+	env.Schedule(3, func() {
 		env.Go("spawned", func(q *sim.Proc) {
 			q.Wait(1) // fresh process context: blocking is legal
 		})

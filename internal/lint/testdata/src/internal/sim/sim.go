@@ -48,9 +48,6 @@ type Timeline struct{}
 // Occupy parks p until its claim completes.
 func (t *Timeline) Occupy(p *Proc, hold int) {}
 
-// OccupyAsync claims hold and runs fn inline at the claim's end.
-func (t *Timeline) OccupyAsync(hold int, fn func()) { fn() }
-
 // Reserve claims hold without parking.
 func (t *Timeline) Reserve(hold int) (start, end int) { return 0, 0 }
 

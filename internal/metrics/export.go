@@ -97,9 +97,6 @@ func writeInstrument(w io.Writer, in *Instrument, typed map[string]bool) error {
 	case KindCounter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", in.Name, ls, in.Counter.Value())
 		return err
-	case KindMeter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", in.Name, ls, in.Meter.Total())
-		return err
 	case KindGauge:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", in.Name, ls, fmtFloat(in.Gauge.Value()))
 		return err

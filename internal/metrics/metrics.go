@@ -225,36 +225,20 @@ type Meter struct {
 // NewMeter returns a meter whose window starts at the given virtual time.
 func NewMeter(start time.Duration) *Meter { return &Meter{start: start} }
 
-// Add accumulates n units (bytes, ops). Nil-safe, like the registry
-// instruments.
-func (m *Meter) Add(n int64) {
-	if m != nil {
-		m.total += n
-	}
-}
+// Add accumulates n units (bytes, ops).
+func (m *Meter) Add(n int64) { m.total += n }
 
 // Total returns the accumulated count.
-func (m *Meter) Total() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.total
-}
+func (m *Meter) Total() int64 { return m.total }
 
 // Reset zeroes the count and restarts the window at the given time.
 func (m *Meter) Reset(now time.Duration) {
-	if m == nil {
-		return
-	}
 	m.total = 0
 	m.start = now
 }
 
 // Rate returns units per second over [start, now].
 func (m *Meter) Rate(now time.Duration) float64 {
-	if m == nil {
-		return 0
-	}
 	elapsed := (now - m.start).Seconds()
 	if elapsed <= 0 {
 		return 0

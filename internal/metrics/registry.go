@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Label is one name dimension of an instrument. Instruments with the
@@ -87,15 +86,12 @@ const (
 	KindCounter Kind = iota
 	KindGauge
 	KindHistogram
-	KindMeter
 )
 
 // String returns the Prometheus TYPE keyword for the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindCounter, KindMeter:
-		// A meter is a cumulative byte/op count with rate helpers; its
-		// exported value is the running total, which is a counter.
+	case KindCounter:
 		return "counter"
 	case KindGauge:
 		return "gauge"
@@ -106,7 +102,7 @@ func (k Kind) String() string {
 }
 
 // Instrument is one registered series: a name, its sorted labels, and
-// exactly one of the four instrument types.
+// exactly one of the three instrument types.
 type Instrument struct {
 	Name   string
 	Labels []Label
@@ -115,7 +111,6 @@ type Instrument struct {
 	Counter   *Counter
 	Gauge     *Gauge
 	Histogram *Histogram
-	Meter     *Meter
 }
 
 // ID returns the canonical series identity: name{k1="v1",k2="v2"}
@@ -256,31 +251,6 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	return in.Histogram
 }
 
-// RegisterHistogram adopts an existing histogram as the named series.
-func (r *Registry) RegisterHistogram(name string, h *Histogram, labels ...Label) {
-	if r == nil || h == nil {
-		return
-	}
-	in := r.lookup(name, KindHistogram, labels)
-	if in.Histogram != nil && in.Histogram != h {
-		panic(fmt.Sprintf("metrics: series %s already has a different histogram", in.ID()))
-	}
-	in.Histogram = h
-}
-
-// Meter returns the named meter, creating it with the given window
-// start if needed.
-func (r *Registry) Meter(name string, start time.Duration, labels ...Label) *Meter {
-	if r == nil {
-		return nil
-	}
-	in := r.lookup(name, KindMeter, labels)
-	if in.Meter == nil {
-		in.Meter = NewMeter(start)
-	}
-	return in.Meter
-}
-
 // Each visits every instrument in canonical (sorted-ID) order — the
 // deterministic iteration the exporters and sampler depend on.
 func (r *Registry) Each(fn func(*Instrument)) {
@@ -314,7 +284,7 @@ func (r *Registry) Len() int {
 }
 
 // value reduces an instrument to the scalar the sampler records:
-// counters and meters report their running total, gauges their
+// counters report their running total, gauges their
 // current value, histograms their observation count (the distribution
 // itself is exported via the snapshot and the SLO engine's windows).
 func (in *Instrument) value() float64 {
@@ -325,8 +295,6 @@ func (in *Instrument) value() float64 {
 		return in.Gauge.Value()
 	case KindHistogram:
 		return float64(in.Histogram.Count())
-	case KindMeter:
-		return float64(in.Meter.Total())
 	}
 	return 0
 }

@@ -54,11 +54,6 @@ func TestNilInstrumentFastPaths(t *testing.T) {
 	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatal("nil histogram accumulated")
 	}
-	m := r.Meter("w", 0)
-	m.Add(10)
-	if m.Total() != 0 || m.Rate(time.Second) != 0 {
-		t.Fatal("nil meter accumulated")
-	}
 	r.GaugeFunc("f", func() float64 { return 1 })
 	r.RegisterCounter("x", &Counter{})
 	r.Each(func(*Instrument) { t.Fatal("nil registry has instruments") })

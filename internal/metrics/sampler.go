@@ -20,7 +20,7 @@ type Point struct {
 // two seeded runs produce byte-identical series.
 //
 // Every registered instrument is reduced to one scalar per scrape
-// (counters and meters: running total; gauges: current value,
+// (counters: running total; gauges: current value,
 // invoking GaugeFunc callbacks; histograms: observation count).
 // Series whose samples are all zero are suppressed at export time,
 // not at scrape time, so a series that becomes non-zero mid-run keeps
@@ -31,8 +31,7 @@ type Sampler struct {
 	period time.Duration
 	keep   int
 
-	series  map[string][]Point
-	scrapes int
+	series map[string][]Point
 }
 
 // NewSampler starts a sampler scraping reg every period of virtual
@@ -62,7 +61,6 @@ func (s *Sampler) loop(p *sim.Proc) {
 // the period; tests and snapshot points may call it directly.
 func (s *Sampler) Scrape() {
 	now := s.env.Now()
-	s.scrapes++
 	s.reg.Each(func(in *Instrument) {
 		id := in.ID()
 		pts := append(s.series[id], Point{T: now, V: in.value()})
@@ -72,12 +70,6 @@ func (s *Sampler) Scrape() {
 		s.series[id] = pts
 	})
 }
-
-// Period returns the scrape period.
-func (s *Sampler) Period() time.Duration { return s.period }
-
-// Scrapes returns how many scrape rounds have run.
-func (s *Sampler) Scrapes() int { return s.scrapes }
 
 // Series returns the recorded points for a series ID (nil if the
 // series was never scraped).

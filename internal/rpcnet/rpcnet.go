@@ -16,41 +16,35 @@ import (
 	"sdf/internal/trace"
 )
 
-// ErrDeadlineExceeded is returned by Do when retries exhaust the
-// client's deadline budget.
+// ErrDeadlineExceeded is returned by DoBudget when retries exhaust the
+// request's deadline budget.
 var ErrDeadlineExceeded = errors.New("rpcnet: deadline budget exhausted")
 
-// Config sets the link speeds and per-operation software costs.
-type Config struct {
-	// ServerBandwidth is the server's aggregate NIC rate in bytes/s
+// The testbed's links and server (Table 2).
+const (
+	// serverBandwidth is the server's aggregate NIC rate in bytes/s
 	// (two 10 GbE ports ~ 2.5 GB/s).
-	ServerBandwidth float64
-	// ClientBandwidth is one client NIC (10 GbE ~ 1.25 GB/s).
-	ClientBandwidth float64
+	serverBandwidth = 2.5e9
+	// clientBandwidth is one client NIC (10 GbE ~ 1.25 GB/s).
+	clientBandwidth = 1.25e9
+	// serverCPUs bounds concurrent sub-request processing.
+	serverCPUs = 16
+)
+
+// Config sets the per-operation software costs and loss recovery.
+type Config struct {
 	// RPCOverhead is the fixed per-request cost (syscalls, framing,
 	// switch latency).
 	RPCOverhead time.Duration
 	// SubRequestCPU is the server-side cost per sub-request (request
 	// parsing, KV dispatch, memory copies).
 	SubRequestCPU time.Duration
-	// ServerCPUs bounds concurrent sub-request processing.
-	ServerCPUs int
-
-	// LossRate is the probability that a request is dropped on the
-	// wire (fault injection). A dropped request burns RPCOverhead, the
-	// request transfer, and RequestTimeout at the client before Do
-	// retries it. 0 disables loss and performs no RNG draws, so
-	// loss-free runs are byte-identical to builds without this knob.
-	LossRate float64
 	// RequestTimeout is how long a client waits for a response before
 	// declaring the request lost.
 	RequestTimeout time.Duration
 	// RetryBackoff is the wait before the first retry; it doubles per
 	// attempt.
 	RetryBackoff time.Duration
-	// DeadlineBudget bounds the total virtual time Do spends on one
-	// logical request across retries; 0 retries without bound.
-	DeadlineBudget time.Duration
 	// Seed feeds the network's private RNG stream (loss draws).
 	Seed int64
 }
@@ -58,14 +52,10 @@ type Config struct {
 // DefaultConfig matches the paper's testbed.
 func DefaultConfig() Config {
 	return Config{
-		ServerBandwidth: 2.5e9,
-		ClientBandwidth: 1.25e9,
-		RPCOverhead:     100 * time.Microsecond,
-		SubRequestCPU:   150 * time.Microsecond,
-		ServerCPUs:      16,
-		RequestTimeout:  10 * time.Millisecond,
-		RetryBackoff:    2 * time.Millisecond,
-		DeadlineBudget:  500 * time.Millisecond,
+		RPCOverhead:    100 * time.Microsecond,
+		SubRequestCPU:  150 * time.Microsecond,
+		RequestTimeout: 10 * time.Millisecond,
+		RetryBackoff:   2 * time.Millisecond,
 	}
 }
 
@@ -76,7 +66,7 @@ type Network struct {
 	server   *sim.SharedLink
 	cpu      *sim.Resource
 	rng      *rand.Rand
-	lossRate float64
+	lossRate float64 // wire drop probability; see InjectLoss
 
 	free []*call // call records between uses
 
@@ -89,12 +79,6 @@ type Network struct {
 
 // NewNetwork builds the server side on env.
 func NewNetwork(env *sim.Env, cfg Config) *Network {
-	if cfg.ServerBandwidth <= 0 || cfg.ClientBandwidth <= 0 {
-		panic("rpcnet: link rates must be positive")
-	}
-	if cfg.ServerCPUs < 1 {
-		cfg.ServerCPUs = 1
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Millisecond
 	}
@@ -102,17 +86,19 @@ func NewNetwork(env *sim.Env, cfg Config) *Network {
 		cfg.RetryBackoff = 2 * time.Millisecond
 	}
 	return &Network{
-		env:      env,
-		cfg:      cfg,
-		server:   sim.NewSharedLink(env, cfg.ServerBandwidth),
-		cpu:      sim.NewResource(env, cfg.ServerCPUs),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		lossRate: clampRate(cfg.LossRate),
+		env:    env,
+		cfg:    cfg,
+		server: sim.NewSharedLink(env, serverBandwidth),
+		cpu:    sim.NewResource(env, serverCPUs),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
-// InjectLoss sets the wire loss probability (clamped to [0, 1]);
-// fault plans flip it on for a window and back to 0 to end it.
+// InjectLoss sets the probability that a request is dropped on the
+// wire (clamped to [0, 1]); fault plans flip it on for a window and
+// back to 0 to end it. A dropped request burns RPCOverhead, the request
+// transfer, and RequestTimeout at the client before DoBudget retries
+// it. At 0, the initial rate, no RNG draws happen.
 func (n *Network) InjectLoss(rate float64) { n.lossRate = clampRate(rate) }
 
 // LossRate returns the current wire loss probability.
@@ -165,7 +151,7 @@ type Client struct {
 
 // NewClient attaches a client to the network.
 func (n *Network) NewClient() *Client {
-	return &Client{net: n, nic: sim.NewSharedLink(n.env, n.cfg.ClientBandwidth)}
+	return &Client{net: n, nic: sim.NewSharedLink(n.env, clientBandwidth)}
 }
 
 // SubRequest is one operation within a batched request: the server
@@ -268,21 +254,14 @@ func (c *Client) Call(p *sim.Proc, reqBytes int, batch []SubRequest) int {
 	return respBytes
 }
 
-// Do performs one logical request with loss recovery: each attempt
-// that the wire drops burns RPCOverhead, the request transfer, and
-// RequestTimeout, then retries with exponential backoff while the
-// deadline budget lasts. With LossRate 0 it is exactly one Call.
-// It returns the total response bytes.
-func (c *Client) Do(p *sim.Proc, reqBytes int, batch []SubRequest) (int, error) {
-	return c.DoBudget(p, reqBytes, batch, c.net.cfg.DeadlineBudget)
-}
-
-// DoBudget is Do with an explicit per-request deadline budget,
-// overriding the network-wide Config.DeadlineBudget. Deadline-aware
-// callers (cluster read routing) use it to carry one read's
-// virtual-time deadline through the loss-recovery loop: every retry
-// decrements the original budget. A budget of 0 retries without
-// bound.
+// DoBudget performs one logical request with loss recovery: each
+// attempt that the wire drops burns RPCOverhead, the request transfer,
+// and RequestTimeout, then retries with exponential backoff while the
+// deadline budget lasts. With no loss it is exactly one Call. Every
+// retry decrements the one budget, so deadline-aware callers (cluster
+// read routing) carry a read's virtual-time deadline through the loop;
+// a budget of 0 retries without bound. It returns the total response
+// bytes.
 func (c *Client) DoBudget(p *sim.Proc, reqBytes int, batch []SubRequest, budget time.Duration) (int, error) {
 	n := c.net
 	var deadline time.Duration

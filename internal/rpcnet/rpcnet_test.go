@@ -86,21 +86,23 @@ func TestServerCPUBoundsSubRequests(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := fastConfig()
 	cfg.SubRequestCPU = time.Millisecond
-	cfg.ServerCPUs = 2
 	n := NewNetwork(env, cfg)
 	c := n.NewClient()
 	var elapsed time.Duration
-	noop := func(p *sim.Proc) int { return 0 }
+	batch := make([]SubRequest, 2*serverCPUs+1)
+	for i := range batch {
+		batch[i] = func(p *sim.Proc) int { return 0 }
+	}
 	w := env.Go("t", func(p *sim.Proc) {
 		start := env.Now()
-		c.Call(p, 0, []SubRequest{noop, noop, noop, noop})
+		c.Call(p, 0, batch)
 		elapsed = env.Now() - start
 	})
 	env.RunUntilDone(w)
 	env.Close()
-	// 4 x 1 ms of CPU on 2 cores: 2 ms.
-	if elapsed != 2*time.Millisecond {
-		t.Fatalf("elapsed = %v, want 2ms", elapsed)
+	// 33 x 1 ms of CPU on 16 cores: three rounds, 3 ms.
+	if elapsed != 3*time.Millisecond {
+		t.Fatalf("elapsed = %v, want 3ms", elapsed)
 	}
 }
 
@@ -110,13 +112,13 @@ func TestDoWithoutLossIsOneCall(t *testing.T) {
 	c := n.NewClient()
 	w := env.Go("t", func(p *sim.Proc) {
 		start := env.Now()
-		got, err := c.Do(p, 0, []SubRequest{func(p *sim.Proc) int { return 1_250_000 }})
+		got, err := c.DoBudget(p, 0, []SubRequest{func(p *sim.Proc) int { return 1_250_000 }}, time.Second)
 		if err != nil || got != 1_250_000 {
-			t.Errorf("Do = %d/%v", got, err)
+			t.Errorf("DoBudget = %d/%v", got, err)
 		}
 		elapsed := env.Now() - start
 		if elapsed < 990*time.Microsecond || elapsed > 1100*time.Microsecond {
-			t.Errorf("loss-free Do took %v, want ~1ms (same as Call)", elapsed)
+			t.Errorf("loss-free DoBudget took %v, want ~1ms (same as Call)", elapsed)
 		}
 	})
 	env.RunUntilDone(w)
@@ -129,17 +131,16 @@ func TestDoWithoutLossIsOneCall(t *testing.T) {
 func TestDoRetriesThroughLoss(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := fastConfig()
-	cfg.LossRate = 0.5
 	cfg.Seed = 42
 	cfg.RequestTimeout = 5 * time.Millisecond
 	cfg.RetryBackoff = time.Millisecond
-	cfg.DeadlineBudget = time.Second
 	n := NewNetwork(env, cfg)
+	n.InjectLoss(0.5)
 	c := n.NewClient()
 	w := env.Go("t", func(p *sim.Proc) {
 		ok := 0
 		for i := 0; i < 20; i++ {
-			got, err := c.Do(p, 100, []SubRequest{func(p *sim.Proc) int { return 1000 }})
+			got, err := c.DoBudget(p, 100, []SubRequest{func(p *sim.Proc) int { return 1000 }}, time.Second)
 			if err == nil && got == 1000 {
 				ok++
 			}
@@ -159,21 +160,21 @@ func TestDoRetriesThroughLoss(t *testing.T) {
 func TestDoDeadlineBudget(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := fastConfig()
-	cfg.LossRate = 1 // nothing gets through
 	cfg.Seed = 7
 	cfg.RequestTimeout = 5 * time.Millisecond
 	cfg.RetryBackoff = time.Millisecond
-	cfg.DeadlineBudget = 30 * time.Millisecond
 	n := NewNetwork(env, cfg)
+	n.InjectLoss(1) // nothing gets through
 	c := n.NewClient()
+	const budget = 30 * time.Millisecond
 	w := env.Go("t", func(p *sim.Proc) {
 		start := env.Now()
-		_, err := c.Do(p, 0, nil)
+		_, err := c.DoBudget(p, 0, nil, budget)
 		if !errors.Is(err, ErrDeadlineExceeded) {
-			t.Errorf("Do under total loss: %v, want ErrDeadlineExceeded", err)
+			t.Errorf("DoBudget under total loss: %v, want ErrDeadlineExceeded", err)
 		}
-		if elapsed := env.Now() - start; elapsed > cfg.DeadlineBudget+cfg.RequestTimeout {
-			t.Errorf("Do gave up after %v, budget was %v", elapsed, cfg.DeadlineBudget)
+		if elapsed := env.Now() - start; elapsed > budget+cfg.RequestTimeout {
+			t.Errorf("DoBudget gave up after %v, budget was %v", elapsed, budget)
 		}
 	})
 	env.RunUntilDone(w)
@@ -212,11 +213,11 @@ func TestRPCOverheadCharged(t *testing.T) {
 func TestRetryTimeoutCappedByDeadline(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := fastConfig()
-	cfg.LossRate = 1
 	cfg.Seed = 11
 	cfg.RequestTimeout = 10 * time.Millisecond
 	cfg.RetryBackoff = 2 * time.Millisecond
 	n := NewNetwork(env, cfg)
+	n.InjectLoss(1)
 	c := n.NewClient()
 	const budget = 15 * time.Millisecond
 	w := env.Go("t", func(p *sim.Proc) {

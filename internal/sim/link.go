@@ -174,9 +174,6 @@ func (l *SharedLink) Rate() float64 { return l.rate }
 // Moved returns the total bytes transferred so far.
 func (l *SharedLink) Moved() int64 { return l.moved }
 
-// InFlight returns the number of concurrent transfers.
-func (l *SharedLink) InFlight() int { return len(l.active) }
-
 // SetName labels the link in trace output.
 func (l *SharedLink) SetName(name string) { l.name = name }
 

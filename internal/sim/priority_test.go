@@ -8,12 +8,12 @@ import (
 func TestPriorityResourceOrdersByPriority(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
-	r := NewPriorityResource(e, 1)
+	r := NewResource(e, 1)
 	var order []string
 	hold := func(name string, prio int, arrive time.Duration) {
 		e.Go(name, func(p *Proc) {
 			p.Wait(arrive)
-			r.Acquire(p, prio)
+			r.AcquirePrio(p, prio)
 			order = append(order, name)
 			p.Wait(10 * time.Millisecond)
 			r.Release()
@@ -35,13 +35,13 @@ func TestPriorityResourceOrdersByPriority(t *testing.T) {
 func TestPriorityResourceFIFOWithinClass(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
-	r := NewPriorityResource(e, 1)
+	r := NewResource(e, 1)
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
 		e.Go("w", func(p *Proc) {
 			p.Wait(time.Duration(i) * time.Microsecond)
-			r.Acquire(p, 0)
+			r.AcquirePrio(p, 0)
 			order = append(order, i)
 			p.Wait(time.Millisecond)
 			r.Release()
@@ -58,17 +58,17 @@ func TestPriorityResourceFIFOWithinClass(t *testing.T) {
 func TestPriorityResourceNonPreemptive(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
-	r := NewPriorityResource(e, 1)
+	r := NewResource(e, 1)
 	var lowDone, highDone time.Duration
 	e.Go("low", func(p *Proc) {
-		r.Acquire(p, 1)
+		r.AcquirePrio(p, 1)
 		p.Wait(100 * time.Millisecond)
 		r.Release()
 		lowDone = e.Now()
 	})
 	e.Go("high", func(p *Proc) {
 		p.Wait(time.Millisecond)
-		r.Acquire(p, 0)
+		r.AcquirePrio(p, 0)
 		p.Wait(time.Millisecond)
 		r.Release()
 		highDone = e.Now()
@@ -86,11 +86,11 @@ func TestPriorityResourceNonPreemptive(t *testing.T) {
 func TestPriorityResourceCapacity(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
-	r := NewPriorityResource(e, 2)
+	r := NewResource(e, 2)
 	done := 0
 	for i := 0; i < 4; i++ {
 		e.Go("w", func(p *Proc) {
-			r.Acquire(p, 0)
+			r.AcquirePrio(p, 0)
 			p.Wait(10 * time.Millisecond)
 			r.Release()
 			done++
@@ -108,12 +108,12 @@ func TestPriorityResourceCapacity(t *testing.T) {
 func TestPriorityResourceIdleAndWaiting(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
-	r := NewPriorityResource(e, 1)
+	r := NewResource(e, 1)
 	if !r.Idle() {
 		t.Fatal("fresh resource not idle")
 	}
 	e.Go("holder", func(p *Proc) {
-		r.Acquire(p, 0)
+		r.AcquirePrio(p, 0)
 		p.Wait(10 * time.Millisecond)
 		if r.Waiting() != 1 {
 			t.Errorf("Waiting = %d, want 1", r.Waiting())
@@ -122,7 +122,7 @@ func TestPriorityResourceIdleAndWaiting(t *testing.T) {
 	})
 	e.Go("waiter", func(p *Proc) {
 		p.Wait(time.Millisecond)
-		r.Acquire(p, 0)
+		r.AcquirePrio(p, 0)
 		r.Release()
 	})
 	e.Run()

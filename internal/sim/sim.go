@@ -51,10 +51,10 @@ import (
 // The two hottest event shapes — resuming a parked process and
 // launching a spawned one — are encoded by the proc field instead of a
 // closure, so timer fires, resource grants, and process starts cost no
-// heap allocation. fn is the general inline-callback form (Schedule,
-// Timeline.OccupyAsync); it runs in scheduler context and must not
-// block. grant is a batched set of same-instant wakeups occupying
-// consecutive sequence slots (see tlGrant).
+// heap allocation. fn is the general inline-callback form (Schedule);
+// it runs in scheduler context and must not block. grant is a batched
+// set of same-instant process resumes occupying consecutive sequence
+// slots (see tlGrant).
 type event struct {
 	at    int64 // virtual nanoseconds
 	seq   uint64
@@ -216,14 +216,7 @@ func (q *calendarQueue) heapPop() *bucket {
 	return top
 }
 
-// grantEntry is one wakeup inside a batched grant: a process resume or
-// an inline callback, exactly the two shapes of a plain event.
-type grantEntry struct {
-	proc *Proc
-	fn   func()
-}
-
-// tlGrant batches wakeups that would otherwise be scheduled as
+// tlGrant batches process resumes that would otherwise be scheduled as
 // back-to-back events at one instant — a Timeline lane completing a
 // burst, a Signal releasing all its waiters — into a single queue
 // entry. Absorption is only legal while the grant is the most recently
@@ -237,7 +230,7 @@ type tlGrant struct {
 	seq     uint64
 	next    int
 	fired   bool
-	entries []grantEntry
+	entries []*Proc
 }
 
 // Env is a simulation environment: a virtual clock plus an event queue.
@@ -336,16 +329,16 @@ func (e *Env) scheduleAt(at int64, ev event) {
 	e.q.push(ev)
 }
 
-// scheduleWake enqueues a wakeup — a process resume (fn nil) or an
-// inline callback (proc nil) — at absolute instant at, coalescing it
-// into the previous grant when nothing else has been scheduled since
-// and the instant matches (see tlGrant for why that preserves order).
-func (e *Env) scheduleWake(at int64, p *Proc, fn func()) {
+// scheduleWake enqueues a resume of p at absolute instant at,
+// coalescing it into the previous grant when nothing else has been
+// scheduled since and the instant matches (see tlGrant for why that
+// preserves order).
+func (e *Env) scheduleWake(at int64, p *Proc) {
 	if at < e.now {
 		at = e.now
 	}
 	if g := e.lastGrant; g != nil && !g.fired && g.at == at && g.seq == e.seq {
-		g.entries = append(g.entries, grantEntry{proc: p, fn: fn})
+		g.entries = append(g.entries, p)
 		return
 	}
 	var g *tlGrant
@@ -357,9 +350,9 @@ func (e *Env) scheduleWake(at int64, p *Proc, fn func()) {
 		g.fired = false
 		g.next = 0
 	} else {
-		g = &tlGrant{entries: make([]grantEntry, 0, 4)}
+		g = &tlGrant{entries: make([]*Proc, 0, 4)}
 	}
-	g.entries = append(g.entries, grantEntry{proc: p, fn: fn})
+	g.entries = append(g.entries, p)
 	e.seq++
 	g.at, g.seq = at, e.seq
 	e.q.push(event{at: at, seq: e.seq, grant: g})
@@ -384,18 +377,14 @@ func (e *Env) runEvents(self *Proc) *Proc {
 		// entries hold the sequence slots directly after the popped
 		// grant event.
 		if g := e.activeGrant; g != nil {
-			ent := g.entries[g.next]
-			g.entries[g.next] = grantEntry{}
+			p := g.entries[g.next]
+			g.entries[g.next] = nil
 			g.next++
 			if g.next == len(g.entries) {
 				e.activeGrant = nil
 				e.grantPool = append(e.grantPool, g)
 			}
-			if ent.fn != nil {
-				ent.fn()
-				continue
-			}
-			if p := ent.proc; p != nil && !p.Done() {
+			if !p.Done() {
 				return p
 			}
 			continue
@@ -652,7 +641,7 @@ func (p *Proc) park() {
 // as both happen before the scheduler regains control). Consecutive
 // wakes at one instant coalesce into a single batched grant.
 func (e *Env) wake(p *Proc) {
-	e.scheduleWake(e.now, p, nil)
+	e.scheduleWake(e.now, p)
 }
 
 // Wait advances the process by d of virtual time.
@@ -858,15 +847,26 @@ func (s *Signal) enroll(p *Proc) {
 	}
 }
 
-// Resource is a counting semaphore with FIFO admission. It models a
-// device that can serve a bounded number of operations concurrently
-// (a flash plane, a controller pipeline slot, a NIC DMA engine).
+// Resource is a counting semaphore. It models a device that can serve
+// a bounded number of operations concurrently (a flash plane, a
+// controller pipeline slot, a NIC DMA engine). Waiters are admitted
+// lowest priority value first and FIFO within one priority; Acquire
+// queues at priority 0, so a resource nobody acquires with
+// AcquirePrio is plain FIFO. It is non-preemptive: holders run to
+// completion. The SDF channel engine uses priorities to let on-demand
+// reads overtake queued writes and erases — the request-scheduling
+// direction the paper leaves as future work (§2.4, §5).
 type Resource struct {
 	env     *Env
 	name    string
 	cap     int
 	inUse   int
-	waiters []*Proc
+	waiters []prioWaiter
+}
+
+type prioWaiter struct {
+	proc *Proc
+	prio int
 }
 
 // NewResource returns a resource with the given concurrency capacity.
@@ -880,8 +880,13 @@ func NewResource(env *Env, capacity int) *Resource {
 // SetName labels the resource in trace output.
 func (r *Resource) SetName(name string) { r.name = name }
 
-// Acquire obtains one unit of the resource, blocking FIFO if none free.
-func (r *Resource) Acquire(p *Proc) {
+// Acquire obtains one unit at priority 0, blocking while the resource
+// is saturated.
+func (r *Resource) Acquire(p *Proc) { r.AcquirePrio(p, 0) }
+
+// AcquirePrio obtains one unit at the given priority (lower value is
+// served first), blocking while the resource is saturated.
+func (r *Resource) AcquirePrio(p *Proc, prio int) {
 	if r.env.tracer.Full() {
 		r.env.tracer.Emit(r.env.Now(), trace.KindAcquire, 0, 0, r.name, "", int64(len(r.waiters)))
 	}
@@ -889,7 +894,14 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	// Queue behind every waiter of the same or better priority.
+	i := len(r.waiters)
+	for i > 0 && r.waiters[i-1].prio > prio {
+		i--
+	}
+	r.waiters = append(r.waiters, prioWaiter{})
+	copy(r.waiters[i+1:], r.waiters[i:])
+	r.waiters[i] = prioWaiter{proc: p, prio: prio}
 	p.park()
 }
 
@@ -912,7 +924,7 @@ func (r *Resource) Release() {
 		w := r.waiters[0]
 		copy(r.waiters, r.waiters[1:])
 		r.waiters = r.waiters[:len(r.waiters)-1]
-		r.env.wake(w)
+		r.env.wake(w.proc)
 		return
 	}
 	if r.inUse == 0 {
@@ -926,6 +938,9 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // Idle reports whether no units are held and nobody is waiting.
 func (r *Resource) Idle() bool { return r.inUse == 0 && len(r.waiters) == 0 }
+
+// Waiting returns the queue length.
+func (r *Resource) Waiting() int { return len(r.waiters) }
 
 // Use runs fn while holding one unit of the resource.
 func (r *Resource) Use(p *Proc, fn func()) {

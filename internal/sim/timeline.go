@@ -8,8 +8,7 @@ import "time"
 // request arrives, the kernel assigns each requester its busy interval
 // immediately and delivers the completion inline in the scheduler loop
 // — one park for a blocking caller instead of the up-to-two of
-// Acquire+Wait, zero parks and zero closures for the reservation and
-// callback forms.
+// Acquire+Wait, zero parks and zero closures for the reservation form.
 //
 // It replaces the Resource.Acquire / Proc.Wait / Resource.Release
 // pattern wherever the hold never depends on state discovered while
@@ -66,7 +65,7 @@ func (t *Timeline) claim(at int64, hold time.Duration) (start, end int64) {
 // batched grant (see tlGrant), one scheduler operation for the burst.
 func (t *Timeline) Occupy(p *Proc, hold time.Duration) {
 	_, end := t.claim(t.env.now, hold)
-	t.env.scheduleWake(end, p, nil)
+	t.env.scheduleWake(end, p)
 	p.park()
 }
 
@@ -90,15 +89,6 @@ func (t *Timeline) ReserveAt(at, hold time.Duration) (start, end time.Duration) 
 	return time.Duration(s), time.Duration(e)
 }
 
-// OccupyAsync assigns the next FIFO slot and runs fn inline in the
-// scheduler loop when it completes. fn runs in scheduler context and
-// must not call blocking Proc APIs (sdflint's inlinepark check
-// enforces this outside the kernel).
-func (t *Timeline) OccupyAsync(hold time.Duration, fn func()) {
-	_, end := t.claim(t.env.now, hold)
-	t.env.scheduleWake(end, nil, fn)
-}
-
 // Busy reports whether any lane is occupied at the current instant.
 func (t *Timeline) Busy() bool {
 	now := t.env.now
@@ -108,19 +98,4 @@ func (t *Timeline) Busy() bool {
 		}
 	}
 	return false
-}
-
-// FreeAt returns the earliest virtual instant at which a new hold
-// could start.
-func (t *Timeline) FreeAt() time.Duration {
-	best := t.lanes[0]
-	for _, l := range t.lanes[1:] {
-		if l < best {
-			best = l
-		}
-	}
-	if best < t.env.now {
-		best = t.env.now
-	}
-	return time.Duration(best)
 }
