@@ -731,8 +731,8 @@ func (ch *Channel) ReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error) {
 	if off%pageSize != 0 || size%pageSize != 0 || size <= 0 {
 		return nil, fmt.Errorf("%w: off=%d size=%d page=%d", ErrBadAlignment, off, size, pageSize)
 	}
-	if off+size > ch.BlockSize() {
-		return nil, fmt.Errorf("%w: off %d + size %d > block %d", ErrBadAddress, off, size, ch.BlockSize())
+	if off < 0 || off+size > ch.BlockSize() {
+		return nil, fmt.Errorf("%w: off %d + size %d outside block %d", ErrBadAddress, off, size, ch.BlockSize())
 	}
 	if err := ch.checkAlive(); err != nil {
 		return nil, err
@@ -745,9 +745,10 @@ func (ch *Channel) ReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error) {
 
 	// The engine holds the planes and the bus until it releases, so the
 	// whole pipeline — array read of page n+1 under the bus transfer of
-	// page n — is known now: walk it on a local cursor, reserving each
-	// slot at the instant the step would have reached it, and park once
-	// for the outcome (DESIGN.md §10).
+	// page n — is known now. It is walked one plane run (the command's
+	// pages on one plane) at a time on local cursors, cur for the page
+	// in hand, plane and bus for the lanes, and parks once for the
+	// outcome (DESIGN.md §10).
 	var out []byte
 	if ch.cfg.Nand.RetainData {
 		out = make([]byte, size)
@@ -755,52 +756,66 @@ func (ch *Channel) ReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error) {
 	t := ch.env.Tracer()
 	parent := p.Span()
 	stripe := ch.stripeBytes()
+	tRead := ch.cfg.Nand.TRead
+	hold := ch.bus.Hold(pageSize)
+	bus := ch.bus.Free()
 	cur := ch.env.Now()
 	var pending time.Duration // wires-quiet instant of the in-flight page (0 = none)
 	var err error
-	lastPi, lastPhys := -1, 0 // mapping lookup cache: pi changes once per stripe
-	for done := 0; done < size; done += pageSize {
-		pi := (off + done) / stripe
-		pg := (off + done) % stripe / pageSize
+	done := 0
+	for done < size && err == nil {
+		pi, within := (off+done)/stripe, (off+done)%stripe
+		first, k := within/pageSize, min(size-done, stripe-within)/pageSize
 		ps := &ch.planes[pi]
-		if pi != lastPi {
-			phys, ok := ps.mapping[lbn]
-			if !ok {
-				err = fmt.Errorf("%w: logical block %d never written", ErrBadAddress, lbn)
-				break
-			}
-			lastPi, lastPhys = pi, phys
-		}
-		phys := lastPhys
-		var page []byte
-		if out != nil {
-			page = out[done : done+pageSize]
-		}
-		span := t.Begin(cur, parent, "nand/read", trace.PhaseFlash)
-		loaded, stored, rerr := ps.plane.ReadPageAt(cur, phys, pg, page)
-		t.End(loaded, span)
-		cur = loaded
-		if err = rerr; err != nil {
+		phys, ok := ps.mapping[lbn]
+		if !ok {
+			err = fmt.Errorf("%w: logical block %d never written", ErrBadAddress, lbn)
 			break
 		}
-		if stored {
-			if ch.code != nil {
-				if err = ch.correct(pi, phys, pg, page); err != nil {
-					break
-				}
-			}
-			if ch.cfg.VerifyCRC {
-				if err = ch.verifyCRC(ps.plane, pi, phys, pg, page); err != nil {
-					break
-				}
-			}
+		// n pages pass admission; in timing-only mode the first sensed
+		// of them carry the run's reads and a torn page ends it.
+		n, admitErr := ps.plane.ReadableRun(phys, first, k)
+		sensed, senseErr := n, error(nil)
+		if out == nil {
+			sensed, senseErr = ps.plane.SenseRun(phys, first, n)
 		}
-		// The cache register drains, then this page ships.
-		if pending > cur {
-			cur = pending
+		tl := ps.plane.Timeline()
+		plane := tl.Free()
+		for i := 0; i < n; i++ {
+			loaded := max(cur, plane) + tRead
+			plane = loaded
+			if t != nil {
+				t.End(loaded, t.Begin(cur, parent, "nand/read", trace.PhaseFlash))
+			}
+			cur = loaded
+			if out != nil {
+				err = ch.sensePage(pi, phys, first+i, out[done:done+pageSize])
+			} else if i == sensed {
+				err = senseErr
+			}
+			if err != nil {
+				break
+			}
+			// The cache register drains, then this page ships.
+			cur = max(cur, pending)
+			start := max(cur, bus)
+			pending = start + hold
+			bus = pending
+			if t != nil {
+				t.End(pending, t.Begin(start, parent, "chan/bus", trace.PhaseBus))
+			}
+			done += pageSize
 		}
-		pending = ch.transferAt(cur, pageSize, parent)
+		tl.Commit(plane)
+		if err == nil && n < k {
+			// The page that failed admission reports at once.
+			if t != nil {
+				t.End(cur, t.Begin(cur, parent, "nand/read", trace.PhaseFlash))
+			}
+			err = admitErr
+		}
 	}
+	ch.bus.Commit(bus, done)
 	if err != nil {
 		p.WaitUntil(cur) // the instant the failing step reported
 		return nil, err
@@ -815,6 +830,26 @@ func (ch *Channel) ReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error) {
 	}
 	ch.bytesRead += int64(size)
 	return out, nil
+}
+
+// sensePage is the data-mode array read of one admitted page into dst:
+// the bytes with their bit errors, then BCH correction and the CRC
+// check, in the order the engine applies them page by page.
+func (ch *Channel) sensePage(pi, phys, pg int, dst []byte) error {
+	pl := ch.planes[pi].plane
+	stored, err := pl.Sense(phys, pg, dst)
+	if err != nil || !stored {
+		return err
+	}
+	if ch.code != nil {
+		if err := ch.correct(pi, phys, pg, dst); err != nil {
+			return err
+		}
+	}
+	if ch.cfg.VerifyCRC {
+		return ch.verifyCRC(pl, pi, phys, pg, dst)
+	}
+	return nil
 }
 
 // storeParity computes and records BCH parity for each ECC sector of a

@@ -148,6 +148,26 @@ func TestAlignmentEnforced(t *testing.T) {
 	})
 }
 
+// A negative offset is refused before the engine is taken, with no
+// time spent: -PageSize would reach nand as page -1, and one stripe
+// further back would index plane -1.
+func TestNegativeOffsetRejected(t *testing.T) {
+	run(t, smallConfig(), func(env *sim.Env, ch *Channel, p *sim.Proc) {
+		if err := ch.EraseWrite(p, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range []int{-ch.PageSize(), -(ch.stripeBytes() + ch.PageSize())} {
+			now := env.Now()
+			if _, err := ch.ReadAt(p, 0, off, ch.PageSize()); !errors.Is(err, ErrBadAddress) {
+				t.Errorf("off %d: %v, want ErrBadAddress", off, err)
+			}
+			if env.Now() != now || !ch.Idle() {
+				t.Errorf("off %d: the refused read took the engine or time", off)
+			}
+		}
+	})
+}
+
 func TestBadLBN(t *testing.T) {
 	run(t, smallConfig(), func(env *sim.Env, ch *Channel, p *sim.Proc) {
 		if err := ch.Erase(p, ch.LogicalBlocks()); !errors.Is(err, ErrBadAddress) {

@@ -6,6 +6,7 @@ package flashchan
 
 import (
 	"bytes"
+	"container/heap"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -32,6 +33,11 @@ type diffCase struct {
 	setup  [][]byte // payload per preloaded block (nil entries: timing-only)
 	cmds   []diffCmd
 	filler int // block written without a payload, -1 if none
+	// torn is a block whose write a power cut stopped cutAfter into it,
+	// -1 if none (see cutMedia).
+	torn     int
+	cutAfter time.Duration
+	tornData []byte
 }
 
 // diffResult is everything a run exposes that the two pipelines must
@@ -83,7 +89,7 @@ func newDiffCase(seed int64) diffCase {
 		cfg.Nand.TRead = sim.ByteTime(cfg.Nand.PageSize, cfg.BusRate)
 		cfg.Nand.TProg = 4 * cfg.Nand.TRead
 	}
-	c := diffCase{cfg: cfg, filler: -1}
+	c := diffCase{cfg: cfg, filler: -1, torn: -1}
 	blockSize := cfg.Nand.PageSize * cfg.Nand.PagesPerBlock * cfg.Chips * cfg.Nand.Planes
 	payload := func() []byte {
 		if !cfg.Nand.RetainData {
@@ -119,7 +125,66 @@ func newDiffCase(seed int64) diffCase {
 		}
 		c.cmds = append(c.cmds, cmd)
 	}
+	// A third of the cases also read a partially programmed block: the
+	// power is cut mid-write, leaving each plane's write pointer
+	// mid-block and its in-flight page torn, so reads of it fail in the
+	// middle of a plane run. The cut lands anywhere from the write's
+	// first transfer to a little past its end.
+	if rng.Intn(3) == 0 {
+		c.torn = nset + 1
+		slot := sim.ByteTime(cfg.Nand.PageSize, cfg.BusRate) + cfg.BusOverhead
+		span := time.Duration(cfg.Nand.PagesPerBlock) * (cfg.Nand.TProg + 4*slot)
+		c.cutAfter = time.Duration(rng.Int63n(int64(span)))
+		c.tornData = payload()
+		first := rng.Intn(pages)
+		c.cmds = append(c.cmds,
+			diffCmd{lbn: c.torn, size: blockSize},
+			diffCmd{lbn: c.torn, off: first * cfg.Nand.PageSize, size: (1 + rng.Intn(pages-first)) * cfg.Nand.PageSize})
+	}
 	return c
+}
+
+// cutMedia erases and writes the torn block with the shipped pipeline
+// in an environment of its own, cutting the power cutAfter into the
+// write, and returns what survives and the physical block each plane
+// gave the torn one.
+func (c diffCase) cutMedia(t *testing.T) (*Persistent, []int) {
+	env := sim.NewEnv()
+	defer env.Close()
+	ch, err := New(env, c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Go("cut", func(p *sim.Proc) {
+		if err := ch.Erase(p, c.torn); err != nil {
+			t.Errorf("torn block erase: %v", err)
+		}
+		env.Schedule(c.cutAfter, ch.PowerOff)
+		if err := ch.Write(p, c.torn, c.tornData); err != nil && !errors.Is(err, ErrPowerLoss) {
+			t.Errorf("torn block write: %v", err)
+		}
+	})
+	env.Run()
+	phys := make([]int, len(ch.planes))
+	for k := range ch.planes {
+		phys[k] = ch.planes[k].mapping[c.torn]
+	}
+	return ch.Persistent(), phys
+}
+
+// mapTorn maps the torn block's cut generation back in after Recover,
+// which discards a torn block into the free pool.
+func (c diffCase) mapTorn(ch *Channel, phys []int) {
+	for k := range ch.planes {
+		ps := &ch.planes[k]
+		for i, b := range ps.free.idx {
+			if b == phys[k] {
+				heap.Remove(&ps.free, i)
+				break
+			}
+		}
+		ps.mapping[c.torn] = phys[k]
+	}
 }
 
 // run plays the case through the reference pipeline (ref) or the
@@ -130,7 +195,16 @@ func (c diffCase) run(t *testing.T, ref bool) diffResult {
 	defer env.Close()
 	col := trace.NewCollector()
 	env.SetTracer(col)
-	ch, err := New(env, c.cfg)
+	var ch *Channel
+	var err error
+	var tornPhys []int
+	if c.torn >= 0 {
+		var state *Persistent
+		state, tornPhys = c.cutMedia(t)
+		ch, err = Mount(env, c.cfg, state)
+	} else {
+		ch, err = New(env, c.cfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +224,12 @@ func (c diffCase) run(t *testing.T, ref bool) diffResult {
 	}
 	env.Go("setup", func(p *sim.Proc) {
 		root(p, "setup")
+		if c.torn >= 0 {
+			if _, err := ch.Recover(p); err != nil {
+				t.Errorf("recover: %v", err)
+			}
+			c.mapTorn(ch, tornPhys)
+		}
 		for lbn, data := range c.setup {
 			if err := eraseWrite(p, lbn, data, &WriteID{Lo: uint64(lbn + 1)}); err != nil {
 				t.Errorf("setup write %d: %v", lbn, err)

@@ -445,28 +445,46 @@ func (pl *Plane) ReadPage(p *sim.Proc, blockIdx, page int) ([]byte, error) {
 	if pl.m.data != nil {
 		out = make([]byte, pl.chip.params.PageSize)
 	}
-	if _, err := pl.sense(blockIdx, page, out); err != nil {
+	if _, err := pl.Sense(blockIdx, page, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ReadPageAt is the non-parking ReadPage: the array read is admitted
-// at the future instant at, its plane slot reserved, and its result
-// produced now — into dst (PageSize bytes; nil in timing-only mode).
-// It returns the instant the page register is loaded, or, with an
-// error, the instant the plane reports it; stored is false when the
-// page holds no payload (dst is then zero-filled and no bit errors are
-// drawn). The caller owns the plane until that instant — a channel
-// engine holding its mutex — and checks Chip.PoweredOff itself once it
-// gets there: the cells it reads cannot change in between.
-func (pl *Plane) ReadPageAt(at time.Duration, blockIdx, page int, dst []byte) (end time.Duration, stored bool, err error) {
-	if err := pl.readable(blockIdx, page); err != nil {
-		return at, false, err
+// ReadableRun is the admission check of k array reads of consecutive
+// pages from first in a block — the pages of one channel command on
+// this plane — in one call: the address, power, and the write pointer.
+// It returns how many pages lead the run before the first one that
+// fails, and that page's error (nil when all k pass). The caller lays
+// the admitted pages' plane slots out on Timeline itself, owning the
+// plane until the last one ends, and senses them with Sense (data
+// mode) or SenseRun (timing-only); the cells cannot change in between.
+func (pl *Plane) ReadableRun(blockIdx, first, k int) (int, error) {
+	if err := pl.readable(blockIdx, first); err != nil {
+		return 0, err
 	}
-	_, end = pl.tl.ReserveAt(at, pl.chip.params.TRead)
-	stored, err = pl.sense(blockIdx, page, dst)
-	return end, stored, err
+	n := min(k, pl.m.blocks[blockIdx].writePtr-first, pl.chip.params.PagesPerBlock-first)
+	if n == k {
+		return k, nil
+	}
+	return n, pl.readable(blockIdx, first+n)
+}
+
+// SenseRun is Sense for the n admitted pages from first of a block on
+// timing-only media, where a read delivers nothing but its verdict: it
+// counts the reads that lead the run up to the first torn page and
+// returns how many there are, with the torn page's error.
+func (pl *Plane) SenseRun(blockIdx, first, n int) (int, error) {
+	if len(pl.m.torn) > 0 {
+		for i := 0; i < n; i++ {
+			if pl.m.torn[pl.pageIndex(blockIdx, first+i)] {
+				pl.chip.reads += int64(i)
+				return i, pl.tornErr(blockIdx, first+i)
+			}
+		}
+	}
+	pl.chip.reads += int64(n)
+	return n, nil
 }
 
 // readable is the admission check of an array read.
@@ -483,13 +501,15 @@ func (pl *Plane) readable(blockIdx, page int) error {
 	return nil
 }
 
-// sense is what the array read delivers: the torn-page verdict, the
-// read count, and in data mode the payload with bit errors injected,
-// written into dst. It reports whether the page holds a payload.
-func (pl *Plane) sense(blockIdx, page int, dst []byte) (stored bool, err error) {
+// Sense is what the array read of an admitted page delivers: the
+// torn-page verdict, the read count, and in data mode the payload with
+// wear-dependent bit errors injected, written into dst (PageSize
+// bytes). It reports whether the page holds a payload; when it does
+// not, dst is zero-filled and no bit errors are drawn.
+func (pl *Plane) Sense(blockIdx, page int, dst []byte) (stored bool, err error) {
 	idx := pl.pageIndex(blockIdx, page)
 	if pl.m.torn[idx] {
-		return false, fmt.Errorf("%w: plane %d block %d page %d", ErrTornPage, pl.index, blockIdx, page)
+		return false, pl.tornErr(blockIdx, page)
 	}
 	pl.chip.reads++
 	if pl.m.data == nil {
@@ -503,6 +523,10 @@ func (pl *Plane) sense(blockIdx, page int, dst []byte) (stored bool, err error) 
 	copy(dst, payload)
 	pl.injectErrors(dst, pl.m.blocks[blockIdx].eraseCount)
 	return true, nil
+}
+
+func (pl *Plane) tornErr(blockIdx, page int) error {
+	return fmt.Errorf("%w: plane %d block %d page %d", ErrTornPage, pl.index, blockIdx, page)
 }
 
 // injectErrors flips a Poisson-distributed number of random bits, with

@@ -159,26 +159,22 @@ func (n *Network) NewClient() *Client {
 type SubRequest func(p *sim.Proc) int
 
 // call is one Call in flight: the response count its sub-requests add
-// to, and a record per sub-request. The records embed their two
-// processes and carry the process bodies as method values bound when
-// the slice is built, so a Call served from the free list allocates
-// nothing (DESIGN.md §15).
+// to, and a record per sub-request. The records embed their process and
+// carry its body as a method value bound when the slice is built, so a
+// Call served from the free list allocates nothing (DESIGN.md §15).
 type call struct {
 	client    *Client
 	respBytes int
 	subs      []subCall
 }
 
-// subCall is one sub-request: the rpcnet/sub process that executes it
-// and the rpcnet/srvtx process that pushes its response through the
-// server NIC pool.
+// subCall is one sub-request and the rpcnet/sub process that executes
+// it.
 type subCall struct {
 	call *call
 	do   SubRequest
-	size int
-
-	sub, srvtx sim.Proc
-	run, send  func(*sim.Proc)
+	sub  sim.Proc
+	run  func(*sim.Proc)
 }
 
 // getCall returns a record with batch sub-request slots.
@@ -195,7 +191,7 @@ func (n *Network) getCall(c *Client, batch int) *call {
 		k.subs = make([]subCall, batch)
 		for i := range k.subs {
 			s := &k.subs[i]
-			s.call, s.run, s.send = k, s.execute, s.respond
+			s.call, s.run = k, s.execute
 		}
 	}
 	k.subs = k.subs[:batch]
@@ -203,24 +199,23 @@ func (n *Network) getCall(c *Client, batch int) *call {
 }
 
 // execute is the rpcnet/sub process: the per-op CPU cost, the
-// sub-request's own work, then the response over the client NIC while
-// srvtx carries it over the server's.
+// sub-request's own work, then the response, which crosses the server
+// NIC pool and the client NIC at once — the server leg is started, the
+// client leg carried, and the server leg awaited.
 func (s *subCall) execute(wp *sim.Proc) {
 	c := s.call.client
 	n := c.net
 	n.cpu.Acquire(wp)
 	wp.Wait(n.cfg.SubRequestCPU)
 	n.cpu.Release()
-	s.size = s.do(wp)
-	s.call.respBytes += s.size
-	if s.size > 0 {
-		srv := n.env.Start(&s.srvtx, "rpcnet/srvtx", s.send)
-		c.nic.Transfer(wp, s.size)
-		wp.Join(srv)
+	size := s.do(wp)
+	s.call.respBytes += size
+	if size > 0 {
+		srv := n.server.Start(size)
+		c.nic.Transfer(wp, size)
+		n.server.Await(wp, srv)
 	}
 }
-
-func (s *subCall) respond(tp *sim.Proc) { s.call.client.net.server.Transfer(tp, s.size) }
 
 // Call performs one synchronous batched request: reqBytes travel to
 // the server, the batch executes concurrently (each sub-request pays

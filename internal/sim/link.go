@@ -27,13 +27,17 @@ type Link struct {
 	factor   float64 // degradation multiplier (1 = healthy)
 	overhead time.Duration
 	moved    int64
+	// holdN and hold memoize Hold for the last transfer size: a
+	// channel bus moves one page size nearly always.
+	holdN int
+	hold  time.Duration
 }
 
 // NewLink returns a serialized link with the given data rate in bytes
 // per second and a fixed per-transfer overhead (command/address cycles,
 // protocol framing).
 func NewLink(env *Env, bytesPerSec float64, overhead time.Duration) *Link {
-	return &Link{env: env, tl: NewTimeline(env, 1), rate: bytesPerSec, factor: 1, overhead: overhead}
+	return &Link{env: env, tl: NewTimeline(env, 1), rate: bytesPerSec, factor: 1, overhead: overhead, holdN: -1}
 }
 
 // SetName labels the link in trace output.
@@ -49,15 +53,19 @@ func (l *Link) SetRateFactor(f float64) {
 		panic("sim: link rate factor must be positive")
 	}
 	l.factor = f
+	l.holdN = -1
 }
 
 // RateFactor returns the current degradation multiplier.
 func (l *Link) RateFactor() float64 { return l.factor }
 
-// holdFor returns the wire-occupancy time of an n-byte transfer at the
+// Hold returns the wire-occupancy time of an n-byte transfer at the
 // current effective rate.
-func (l *Link) holdFor(n int) time.Duration {
-	return l.overhead + ByteTime(n, l.rate*l.factor)
+func (l *Link) Hold(n int) time.Duration {
+	if n != l.holdN {
+		l.holdN, l.hold = n, l.overhead+ByteTime(n, l.rate*l.factor)
+	}
+	return l.hold
 }
 
 // Transfer moves n bytes across the link, blocking for queueing plus
@@ -67,7 +75,7 @@ func (l *Link) Transfer(p *Proc, n int) {
 	if full {
 		l.env.tracer.Emit(l.env.Now(), trace.KindXferBegin, 0, 0, l.name, "", int64(n))
 	}
-	l.tl.Occupy(p, l.holdFor(n))
+	l.tl.Occupy(p, l.Hold(n))
 	l.moved += int64(n)
 	if full {
 		l.env.tracer.Emit(l.env.Now(), trace.KindXferEnd, 0, 0, l.name, "", int64(n))
@@ -88,7 +96,21 @@ func (l *Link) Reserve(n int) (start, end time.Duration) {
 // in force now: a schedule is fixed when it is admitted.
 func (l *Link) ReserveAt(at time.Duration, n int) (start, end time.Duration) {
 	l.moved += int64(n)
-	return l.tl.ReserveAt(at, l.holdFor(n))
+	return l.tl.ReserveAt(at, l.Hold(n))
+}
+
+// Free returns the instant the link's wires next go quiet. A caller
+// that owns the link for a command (a channel engine holding its
+// mutex) lays a run of transfers out from it with Hold, each starting
+// at max(ready, end of the previous one), and records them with one
+// Commit.
+func (l *Link) Free() time.Duration { return l.tl.Free() }
+
+// Commit records transfers of bytes in all laid out from Free, the
+// last of them ending at end.
+func (l *Link) Commit(end time.Duration, bytes int) {
+	l.moved += int64(bytes)
+	l.tl.Commit(end)
 }
 
 // Rate returns the link data rate in bytes per second.
@@ -109,20 +131,23 @@ type SharedLink struct {
 	name   string
 	rate   float64 // bytes per second
 	factor float64 // degradation multiplier (1 = healthy)
-	active []*xfer
+	active []*Xfer
 	last   int64  // virtual time of last progress update
 	gen    uint64 // invalidates stale completion events
 	moved  int64
-	// Finished xfers and fired ticks are reused, so a transfer in steady
+	// Awaited xfers and fired ticks are reused, so a transfer in steady
 	// state allocates nothing.
-	freeXfers []*xfer
+	freeXfers []*Xfer
 	freeTicks []*linkTick
 }
 
-// xfer is one in-flight transfer: the bytes it still has to move and
-// the process parked in Transfer until they reach zero.
-type xfer struct {
+// Xfer is one transfer on a SharedLink, from Start until Await returns:
+// the bytes it still has to move, and the process parked in Await until
+// they reach zero (nil while nobody waits).
+type Xfer struct {
+	n         int
 	remaining float64
+	drained   bool
 	proc      *Proc
 }
 
@@ -179,30 +204,52 @@ func (l *SharedLink) SetName(name string) { l.name = name }
 
 // Transfer moves n bytes across the link, blocking until completion.
 // With k concurrent transfers each progresses at rate/k.
-func (l *SharedLink) Transfer(p *Proc, n int) {
+func (l *SharedLink) Transfer(p *Proc, n int) { l.Await(p, l.Start(n)) }
+
+// Start puts an n-byte transfer on the link without blocking and
+// returns its handle, which exactly one Await must collect; it returns
+// nil for n <= 0. A process that has other work to do while the bytes
+// move — an rpcnet sub-request streaming its response through the
+// client NIC — starts the transfer, does the work, then awaits it, and
+// needs no helper process to carry it.
+func (l *SharedLink) Start(n int) *Xfer {
 	if n <= 0 {
-		return
+		return nil
 	}
-	full := l.env.tracer.Full()
-	if full {
+	if l.env.tracer.Full() {
 		l.env.tracer.Emit(l.env.Now(), trace.KindXferBegin, 0, 0, l.name, "", int64(n))
 	}
 	l.advance()
-	var x *xfer
+	var x *Xfer
 	if k := len(l.freeXfers); k > 0 {
 		x = l.freeXfers[k-1]
 		l.freeXfers = l.freeXfers[:k-1]
 	} else {
-		x = new(xfer)
+		x = new(Xfer)
 	}
-	x.remaining, x.proc = float64(n), p
+	*x = Xfer{n: n, remaining: float64(n)}
 	l.active = append(l.active, x)
 	l.reschedule()
-	p.park() // until complete wakes x.proc
-	l.moved += int64(n)
-	if full {
-		l.env.tracer.Emit(l.env.Now(), trace.KindXferEnd, 0, 0, l.name, "", int64(n))
+	return x
+}
+
+// Await blocks p until x has drained and then retires it; x must not
+// be used afterwards. It returns at once, with no event, for a
+// transfer that drained already (or a nil one).
+func (l *SharedLink) Await(p *Proc, x *Xfer) {
+	if x == nil {
+		return
 	}
+	if !x.drained {
+		x.proc = p
+		p.park() // until complete wakes x.proc
+	}
+	l.moved += int64(x.n)
+	if l.env.tracer.Full() {
+		l.env.tracer.Emit(l.env.Now(), trace.KindXferEnd, 0, 0, l.name, "", int64(x.n))
+	}
+	x.proc = nil
+	l.freeXfers = append(l.freeXfers, x)
 }
 
 // advance applies progress for the time elapsed since the last update.
@@ -255,7 +302,8 @@ func (l *SharedLink) reschedule() {
 	l.env.Schedule(eta, t.fire)
 }
 
-// complete finishes all transfers that have drained and reschedules.
+// complete finishes all transfers that have drained, wakes the
+// processes already waiting on them, and reschedules.
 func (l *SharedLink) complete() {
 	l.advance()
 	kept := l.active[:0]
@@ -263,9 +311,10 @@ func (l *SharedLink) complete() {
 		// One virtual nanosecond of budget is less than one byte at any
 		// realistic rate, so treat sub-byte residue as done.
 		if x.remaining < 1 {
-			l.env.wake(x.proc)
-			x.proc = nil
-			l.freeXfers = append(l.freeXfers, x)
+			x.drained = true
+			if x.proc != nil {
+				l.env.wake(x.proc)
+			}
 		} else {
 			kept = append(kept, x)
 		}

@@ -495,6 +495,30 @@ func TestLinkOverhead(t *testing.T) {
 	}
 }
 
+func TestLinkRateFactorRetimesLaterTransfers(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	l := NewLink(e, 1e6, 0)
+	var ends []time.Duration
+	e.Go("x", func(p *Proc) {
+		l.Transfer(p, 1e5) // 100ms
+		ends = append(ends, e.Now())
+		l.SetRateFactor(0.5)
+		l.Transfer(p, 1e5) // same size, half the rate: 200ms
+		ends = append(ends, e.Now())
+		l.SetRateFactor(1)
+		l.Transfer(p, 1e5)
+		ends = append(ends, e.Now())
+	})
+	e.Run()
+	want := []time.Duration{100 * time.Millisecond, 300 * time.Millisecond, 400 * time.Millisecond}
+	for i := range want {
+		if ends[i] != want[i] {
+			t.Fatalf("ends = %v, want %v", ends, want)
+		}
+	}
+}
+
 func TestSharedLinkFairSharing(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
@@ -577,6 +601,85 @@ func TestSharedLinkManyConcurrent(t *testing.T) {
 	if d := e.Now() - time.Second; d < -time.Millisecond || d > time.Millisecond {
 		t.Fatalf("finished at %v, want ~1s", e.Now())
 	}
+}
+
+// startedBesideTransfer runs a Start/Await transfer in one process and
+// an equal Transfer in another, both of n bytes from instant 0; the
+// first works for wait between its Start and its Await, and
+// at is called at instant mid if mid > 0. It returns the instants
+// they finished.
+func startedBesideTransfer(t *testing.T, n int, wait, mid time.Duration, at func(*SharedLink)) (started, transferred time.Duration, l *SharedLink) {
+	t.Helper()
+	e := NewEnv()
+	defer e.Close()
+	l = NewSharedLink(e, 1e6)
+	e.Go("started", func(p *Proc) {
+		x := l.Start(n)
+		p.Wait(wait)
+		l.Await(p, x)
+		started = e.Now()
+	})
+	e.Go("transfer", func(p *Proc) {
+		l.Transfer(p, n)
+		transferred = e.Now()
+	})
+	if mid > 0 {
+		e.Schedule(mid, func() { at(l) })
+	}
+	e.Run()
+	return started, transferred, l
+}
+
+func TestSharedLinkStartDrainsWithTransfer(t *testing.T) {
+	started, transferred, l := startedBesideTransfer(t, 1e5, 10*time.Millisecond, 0, nil)
+	if started != transferred {
+		t.Fatalf("started transfer drained at %v, the Transfer beside it at %v", started, transferred)
+	}
+	if d := started - 200*time.Millisecond; d < -time.Microsecond || d > time.Microsecond {
+		t.Fatalf("both drained at %v, want ~200ms", started)
+	}
+	if l.Moved() != 2e5 {
+		t.Fatalf("Moved = %d, want 2e5 (each transfer once)", l.Moved())
+	}
+}
+
+func TestSharedLinkSetRateFactorRetimesStarted(t *testing.T) {
+	started, transferred, l := startedBesideTransfer(t, 1e5, 0, 50*time.Millisecond,
+		func(l *SharedLink) { l.SetRateFactor(0.5) })
+	if started != transferred {
+		t.Fatalf("after a rate change the started transfer drained at %v, the Transfer at %v", started, transferred)
+	}
+	// 25 KB each at full rate by 50ms, then 75 KB each at 0.25 MB/s.
+	if d := started - 350*time.Millisecond; d < -time.Microsecond || d > time.Microsecond {
+		t.Fatalf("both drained at %v, want ~350ms", started)
+	}
+	if l.Moved() != 2e5 {
+		t.Fatalf("Moved = %d, want 2e5", l.Moved())
+	}
+}
+
+func TestSharedLinkAwaitDrainedIsFree(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	l := NewSharedLink(e, 1e6)
+	e.Go("x", func(p *Proc) {
+		x := l.Start(1e5) // drains at 100ms
+		p.Wait(time.Second)
+		now, events := e.Now(), e.Events()
+		l.Await(p, x)
+		if e.Now() != now || e.Events() != events {
+			t.Errorf("Await of a drained transfer: %v -> %v, %d -> %d events; want no park and no event",
+				now, e.Now(), events, e.Events())
+		}
+		if l.Moved() != 1e5 {
+			t.Errorf("Moved = %d after Await, want 1e5", l.Moved())
+		}
+		l.Await(p, l.Start(0)) // nothing to move, nothing to wait for
+		if e.Now() != now || l.Moved() != 1e5 {
+			t.Errorf("empty transfer moved the clock or the counter")
+		}
+	})
+	e.Run()
 }
 
 // The carrier tests below pin the lifecycle of pooled coroutines: a

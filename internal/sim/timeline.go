@@ -89,6 +89,30 @@ func (t *Timeline) ReserveAt(at, hold time.Duration) (start, end time.Duration) 
 	return time.Duration(s), time.Duration(e)
 }
 
+// Free returns the instant a one-lane timeline's lane next frees: a
+// request arriving at or after it starts on arrival. With Commit it
+// lets a caller that owns the timeline for a command lay a run of slots
+// out in its own arithmetic — slot i starts at max(arrival, end of
+// slot i-1) — and record the run once, instead of one ReserveAt per
+// slot.
+func (t *Timeline) Free() time.Duration {
+	t.oneLane()
+	return time.Duration(t.lanes[0])
+}
+
+// Commit marks a one-lane timeline busy until end, the end of the last
+// slot of a run laid out from Free (Free itself for an empty run).
+func (t *Timeline) Commit(end time.Duration) {
+	t.oneLane()
+	t.lanes[0] = int64(end)
+}
+
+func (t *Timeline) oneLane() {
+	if len(t.lanes) != 1 {
+		panic("sim: Free and Commit need a one-lane timeline")
+	}
+}
+
 // Busy reports whether any lane is occupied at the current instant.
 func (t *Timeline) Busy() bool {
 	now := t.env.now
