@@ -33,9 +33,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
@@ -50,96 +51,121 @@ import (
 )
 
 func main() {
-	channels := flag.Int("channels", 44, "flash channels")
-	blocks := flag.Int("blocks", 16, "erase blocks per plane (scaled geometry)")
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: sdfctl [-channels N] [-blocks N] info|exercise|wear|stack|trace|faults|metrics")
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	switch flag.Arg(0) {
+// usageError is a malformed command line: run prints it and exits 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run is the whole command: it parses args, runs the command and
+// returns the exit code (2 on usage errors, 1 on a failed command).
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("sdfctl", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	channels := flags.Int("channels", 44, "flash channels")
+	blocks := flags.Int("blocks", 16, "erase blocks per plane (scaled geometry)")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
+	err := command(flags.Args(), *channels, *blocks, stdout)
+	var usage usageError
+	switch {
+	case errors.As(err, &usage):
+		fmt.Fprintln(stderr, usage)
+		return 2
+	case err != nil:
+		fmt.Fprintf(stderr, "sdfctl: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// command dispatches one command line (flags already parsed).
+func command(args []string, channels, blocks int, w io.Writer) error {
+	if len(args) < 1 {
+		return usageError("usage: sdfctl [-channels N] [-blocks N] info|exercise|wear|stack|trace|faults|metrics")
+	}
+	switch args[0] {
 	case "info":
-		info(*channels, *blocks)
+		return info(w, channels, blocks)
 	case "exercise":
-		exercise(*channels, *blocks)
+		return exercise(w, channels, blocks)
 	case "wear":
-		wear()
+		return wear(w)
 	case "stack":
-		stack()
+		stack(w)
+		return nil
 	case "trace":
-		if flag.NArg() != 3 || flag.Arg(1) != "summarize" {
-			fmt.Fprintln(os.Stderr, "usage: sdfctl trace summarize <file.jsonl>")
-			os.Exit(2)
+		if len(args) != 3 || args[1] != "summarize" {
+			return usageError("usage: sdfctl trace summarize <file.jsonl>")
 		}
-		traceSummarize(flag.Arg(2))
+		return traceSummarize(w, args[2])
 	case "faults":
-		if flag.NArg() > 2 {
-			fmt.Fprintln(os.Stderr, "usage: sdfctl faults [plan.json]")
-			os.Exit(2)
+		if len(args) > 2 {
+			return usageError("usage: sdfctl faults [plan.json]")
 		}
 		path := ""
-		if flag.NArg() == 2 {
-			path = flag.Arg(1)
+		if len(args) == 2 {
+			path = args[1]
 		}
-		faults(path)
+		return faults(w, path)
 	case "metrics":
 		switch {
-		case flag.NArg() == 3 && flag.Arg(1) == "summarize":
-			metricsSummarize(flag.Arg(2))
-		case flag.NArg() == 4 && flag.Arg(1) == "query":
-			metricsQuery(flag.Arg(2), flag.Arg(3))
-		default:
-			fmt.Fprintln(os.Stderr, "usage: sdfctl metrics summarize <file.prom> | query <file.jsonl> <pattern>")
-			os.Exit(2)
+		case len(args) == 3 && args[1] == "summarize":
+			return metricsSummarize(w, args[2])
+		case len(args) == 4 && args[1] == "query":
+			return metricsQuery(w, args[2], args[3])
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "sdfctl: unknown command %q\n", flag.Arg(0))
-		os.Exit(2)
+		return usageError("usage: sdfctl metrics summarize <file.prom> | query <file.jsonl> <pattern>")
 	}
+	return usageError(fmt.Sprintf("sdfctl: unknown command %q", args[0]))
 }
 
 // traceSummarize reads a canonical JSONL trace and prints the
 // per-(device, phase, span) latency table.
-func traceSummarize(path string) {
+func traceSummarize(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	events, err := trace.ReadJSONL(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stats := trace.Summarize(events)
 	if len(stats) == 0 {
-		fmt.Println("no completed spans in trace")
-		return
+		fmt.Fprintln(w, "no completed spans in trace")
+		return nil
 	}
-	fmt.Printf("%d events, %d span groups\n\n", len(events), len(stats))
-	fmt.Print(trace.FormatSummary(stats))
+	fmt.Fprintf(w, "%d events, %d span groups\n\n", len(events), len(stats))
+	fmt.Fprint(w, trace.FormatSummary(stats))
+	return nil
 }
 
 // faults validates and pretty-prints a fault plan; with no path it
 // shows the availability experiment's built-in schedule.
-func faults(path string) {
-	var pl *fault.Plan
+func faults(w io.Writer, path string) error {
 	if path == "" {
-		pl = experiments.DefaultAvailabilityPlan()
+		pl := experiments.DefaultAvailabilityPlan()
 		if err := pl.Validate(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Println("built-in availability plan (override with sdfbench -faults <plan.json>):")
-	} else {
-		var err error
-		if pl, err = fault.Load(path); err != nil {
-			log.Fatal(err)
-		}
+		fmt.Fprintln(w, "built-in availability plan (override with sdfbench -faults <plan.json>):")
+		fmt.Fprint(w, pl.String())
+		return nil
 	}
-	fmt.Print(pl.String())
+	pl, err := fault.Load(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, pl.String())
+	return nil
 }
 
-func newDevice(channels, blocks int) (*sim.Env, *core.Device) {
+func newDevice(channels, blocks int) (*sim.Env, *core.Device, error) {
 	env := sim.NewEnv()
 	cfg := core.DefaultConfig()
 	cfg.Channels = channels
@@ -147,70 +173,83 @@ func newDevice(channels, blocks int) (*sim.Env, *core.Device) {
 	cfg.Channel.SparePerPlane = 2
 	dev, err := core.New(env, cfg)
 	if err != nil {
-		log.Fatal(err)
+		env.Close()
+		return nil, nil, err
 	}
-	return env, dev
+	return env, dev, nil
 }
 
-func info(channels, blocks int) {
-	env, dev := newDevice(channels, blocks)
+func info(w io.Writer, channels, blocks int) error {
+	env, dev, err := newDevice(channels, blocks)
+	if err != nil {
+		return err
+	}
 	defer env.Close()
-	fmt.Printf("channels:            %d (exposed as independent devices)\n", dev.Channels())
-	fmt.Printf("write/erase unit:    %d MiB (block-aligned)\n", dev.BlockSize()>>20)
-	fmt.Printf("read unit:           %d KiB\n", dev.PageSize()>>10)
-	fmt.Printf("blocks per channel:  %d\n", dev.BlocksPerChannel())
-	fmt.Printf("usable capacity:     %.2f GiB\n", float64(dev.Capacity())/(1<<30))
-	fmt.Printf("raw capacity:        %.2f GiB (%.1f%% exposed)\n",
+	fmt.Fprintf(w, "channels:            %d (exposed as independent devices)\n", dev.Channels())
+	fmt.Fprintf(w, "write/erase unit:    %d MiB (block-aligned)\n", dev.BlockSize()>>20)
+	fmt.Fprintf(w, "read unit:           %d KiB\n", dev.PageSize()>>10)
+	fmt.Fprintf(w, "blocks per channel:  %d\n", dev.BlocksPerChannel())
+	fmt.Fprintf(w, "usable capacity:     %.2f GiB\n", float64(dev.Capacity())/(1<<30))
+	fmt.Fprintf(w, "raw capacity:        %.2f GiB (%.1f%% exposed)\n",
 		float64(dev.RawCapacity())/(1<<30),
 		100*float64(dev.Capacity())/float64(dev.RawCapacity()))
-	fmt.Printf("raw read bandwidth:  %.2f GB/s (channel-bus limited)\n", dev.RawReadBandwidth()/1e9)
-	fmt.Printf("raw write bandwidth: %.2f GB/s (program limited)\n", dev.RawWriteBandwidth()/1e9)
-	fmt.Printf("host interface:      PCIe 1.1 x8 (1.61/1.40 GB/s effective)\n")
+	fmt.Fprintf(w, "raw read bandwidth:  %.2f GB/s (channel-bus limited)\n", dev.RawReadBandwidth()/1e9)
+	fmt.Fprintf(w, "raw write bandwidth: %.2f GB/s (program limited)\n", dev.RawWriteBandwidth()/1e9)
+	fmt.Fprintf(w, "host interface:      PCIe 1.1 x8 (1.61/1.40 GB/s effective)\n")
+	return nil
 }
 
-func exercise(channels, blocks int) {
-	env, dev := newDevice(channels, blocks)
+func exercise(w io.Writer, channels, blocks int) error {
+	env, dev, err := newDevice(channels, blocks)
+	if err != nil {
+		return err
+	}
+	defer env.Close()
 	var erase, write, read metrics.Series
 	var workers []*sim.Proc
+	errs := make([]error, dev.Channels())
 	for ch := 0; ch < dev.Channels(); ch++ {
-		ch := ch
-		w := env.Go("exercise", func(p *sim.Proc) {
+		wk := env.Go("exercise", func(p *sim.Proc) {
 			t0 := env.Now()
-			if err := dev.Erase(p, ch, 0); err != nil {
-				log.Fatal(err)
+			if errs[ch] = dev.Erase(p, ch, 0); errs[ch] != nil {
+				return
 			}
 			erase.Observe(env.Now() - t0)
 			t0 = env.Now()
-			if err := dev.Write(p, ch, 0, nil); err != nil {
-				log.Fatal(err)
+			if errs[ch] = dev.Write(p, ch, 0, nil); errs[ch] != nil {
+				return
 			}
 			write.Observe(env.Now() - t0)
 			t0 = env.Now()
-			if _, err := dev.Read(p, ch, 0, 0, dev.BlockSize()); err != nil {
-				log.Fatal(err)
+			if _, errs[ch] = dev.Read(p, ch, 0, 0, dev.BlockSize()); errs[ch] != nil {
+				return
 			}
 			read.Observe(env.Now() - t0)
 		})
-		workers = append(workers, w)
+		workers = append(workers, wk)
 	}
 	waiter := env.Go("wait", func(p *sim.Proc) {
-		for _, w := range workers {
-			p.Join(w)
+		for _, wk := range workers {
+			p.Join(wk)
 		}
 	})
 	env.RunUntilDone(waiter)
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 	total := int64(dev.Channels()) * int64(dev.BlockSize())
 	elapsed := env.Now()
-	env.Close()
-	fmt.Printf("all %d channels: erase+write+read one 8 MiB block each\n", dev.Channels())
-	fmt.Printf("erase:  mean %v (min %v, max %v)\n", erase.Mean(), erase.Min(), erase.Max())
-	fmt.Printf("write:  mean %v (min %v, max %v)\n", write.Mean(), write.Min(), write.Max())
-	fmt.Printf("read:   mean %v (min %v, max %v)\n", read.Mean(), read.Min(), read.Max())
-	fmt.Printf("moved %d MiB in %v of device time\n", 2*total>>20, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "all %d channels: erase+write+read one 8 MiB block each\n", dev.Channels())
+	fmt.Fprintf(w, "erase:  mean %v (min %v, max %v)\n", erase.Mean(), erase.Min(), erase.Max())
+	fmt.Fprintf(w, "write:  mean %v (min %v, max %v)\n", write.Mean(), write.Min(), write.Max())
+	fmt.Fprintf(w, "read:   mean %v (min %v, max %v)\n", read.Mean(), read.Min(), read.Max())
+	fmt.Fprintf(w, "moved %d MiB in %v of device time\n", 2*total>>20, elapsed.Round(time.Millisecond))
+	return nil
 }
 
-func wear() {
+func wear(w io.Writer) error {
 	env := sim.NewEnv()
+	defer env.Close()
 	cfg := flashchan.DefaultConfig()
 	cfg.Nand.BlocksPerPlane = 12
 	cfg.Nand.PagesPerBlock = 16
@@ -219,32 +258,29 @@ func wear() {
 	cfg.Seed = 1
 	ch, err := flashchan.New(env, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	w := env.Go("wear", func(p *sim.Proc) {
-		cycles := 0
-		for {
-			if err := ch.EraseWrite(p, cycles%ch.LogicalBlocks(), nil); err != nil {
-				break
-			}
+	cycles := 0
+	hammer := env.Go("wear", func(p *sim.Proc) {
+		for ch.EraseWrite(p, cycles%ch.LogicalBlocks(), nil) == nil {
 			cycles++
 		}
-		st := ch.Wear()
-		fmt.Printf("channel wore out after %d erase+write cycles\n", cycles)
-		fmt.Printf("erase counts: %d..%d (dynamic wear leveling)\n", st.MinErase, st.MaxErase)
-		fmt.Printf("bad blocks retired: %d\n", st.BadBlocks)
 	})
-	env.RunUntilDone(w)
-	env.Close()
+	env.RunUntilDone(hammer)
+	st := ch.Wear()
+	fmt.Fprintf(w, "channel wore out after %d erase+write cycles\n", cycles)
+	fmt.Fprintf(w, "erase counts: %d..%d (dynamic wear leveling)\n", st.MinErase, st.MaxErase)
+	fmt.Fprintf(w, "bad blocks retired: %d\n", st.BadBlocks)
+	return nil
 }
 
-func stack() {
+func stack(w io.Writer) {
 	env := sim.NewEnv()
 	defer env.Close()
 	kernel := hostif.NewStack(env, hostif.KernelStack())
 	bypass := hostif.NewStack(env, hostif.BypassStack())
-	fmt.Printf("kernel I/O stack:   %v per request\n", kernel.PerRequestCost())
-	fmt.Printf("user-space bypass:  %v per request (interrupts merged 4-way)\n", bypass.PerRequestCost())
-	fmt.Printf("ratio:              %.1fx\n",
+	fmt.Fprintf(w, "kernel I/O stack:   %v per request\n", kernel.PerRequestCost())
+	fmt.Fprintf(w, "user-space bypass:  %v per request (interrupts merged 4-way)\n", bypass.PerRequestCost())
+	fmt.Fprintf(w, "ratio:              %.1fx\n",
 		float64(kernel.PerRequestCost())/float64(bypass.PerRequestCost()))
 }

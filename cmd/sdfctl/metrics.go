@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -14,10 +14,13 @@ import (
 // metricsSummarize reads a Prometheus text snapshot written by
 // sdfbench -metrics and prints one line per metric family: its type,
 // how many labeled series it holds, and the value spread.
-func metricsSummarize(path string) {
-	families, order := readProm(path)
-	fmt.Printf("%s: %d series in %d families\n\n", path, countSeries(families), len(order))
-	fmt.Printf("%-42s %-9s %7s %14s %14s\n", "family", "type", "series", "min", "max")
+func metricsSummarize(w io.Writer, path string) error {
+	families, order, err := readProm(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s: %d series in %d families\n\n", path, countSeries(families), len(order))
+	fmt.Fprintf(w, "%-42s %-9s %7s %14s %14s\n", "family", "type", "series", "min", "max")
 	for _, name := range order {
 		f := families[name]
 		min, max := f.series[0].value, f.series[0].value
@@ -29,16 +32,20 @@ func metricsSummarize(path string) {
 				max = s.value
 			}
 		}
-		fmt.Printf("%-42s %-9s %7d %14s %14s\n", name, f.typ, len(f.series),
+		fmt.Fprintf(w, "%-42s %-9s %7d %14s %14s\n", name, f.typ, len(f.series),
 			strconv.FormatFloat(min, 'g', 6, 64), strconv.FormatFloat(max, 'g', 6, 64))
 	}
+	return nil
 }
 
 // metricsQuery reads a metrics JSONL time series written by sdfbench
 // -metrics and prints every series whose ID contains the pattern:
 // point count, time span, and first/last/min/max values.
-func metricsQuery(path, pattern string) {
-	rows := readSeriesJSONL(path)
+func metricsQuery(w io.Writer, path, pattern string) error {
+	rows, err := readSeriesJSONL(path)
+	if err != nil {
+		return err
+	}
 	matched := 0
 	for _, r := range rows {
 		if !strings.Contains(r.Series, pattern) {
@@ -46,7 +53,7 @@ func metricsQuery(path, pattern string) {
 		}
 		matched++
 		if len(r.Points) == 0 {
-			fmt.Printf("%s: no points\n", r.Series)
+			fmt.Fprintf(w, "%s: no points\n", r.Series)
 			continue
 		}
 		first, last := r.Points[0], r.Points[len(r.Points)-1]
@@ -59,15 +66,15 @@ func metricsQuery(path, pattern string) {
 				max = p[1]
 			}
 		}
-		fmt.Printf("%s\n  %d points over %v..%v  first %g  last %g  min %g  max %g\n",
+		fmt.Fprintf(w, "%s\n  %d points over %v..%v  first %g  last %g  min %g  max %g\n",
 			r.Series, len(r.Points),
 			time.Duration(int64(first[0])), time.Duration(int64(last[0])),
 			first[1], last[1], min, max)
 	}
 	if matched == 0 {
-		fmt.Fprintf(os.Stderr, "sdfctl: no series matching %q in %s\n", pattern, path)
-		os.Exit(1)
+		return fmt.Errorf("no series matching %q in %s", pattern, path)
 	}
+	return nil
 }
 
 // promFamily is one metric family from a text snapshot.
@@ -85,10 +92,10 @@ type promSeries struct {
 // exporter writes: "# TYPE name type" headers followed by
 // "name{labels} value" samples. Returns families keyed by name plus
 // the file's (sorted) family order.
-func readProm(path string) (map[string]*promFamily, []string) {
+func readProm(path string) (map[string]*promFamily, []string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
 	defer f.Close()
 	families := make(map[string]*promFamily)
@@ -103,7 +110,7 @@ func readProm(path string) (map[string]*promFamily, []string) {
 		if strings.HasPrefix(line, "# TYPE ") {
 			parts := strings.Fields(line)
 			if len(parts) != 4 {
-				log.Fatalf("%s: malformed TYPE line %q", path, line)
+				return nil, nil, fmt.Errorf("%s: malformed TYPE line %q", path, line)
 			}
 			families[parts[2]] = &promFamily{typ: parts[3]}
 			order = append(order, parts[2])
@@ -111,12 +118,12 @@ func readProm(path string) (map[string]*promFamily, []string) {
 		}
 		sp := strings.LastIndexByte(line, ' ')
 		if sp < 0 {
-			log.Fatalf("%s: malformed sample line %q", path, line)
+			return nil, nil, fmt.Errorf("%s: malformed sample line %q", path, line)
 		}
 		id, valStr := line[:sp], line[sp+1:]
 		v, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
-			log.Fatalf("%s: bad value in %q: %v", path, line, err)
+			return nil, nil, fmt.Errorf("%s: bad value in %q: %v", path, line, err)
 		}
 		name := id
 		if i := strings.IndexByte(name, '{'); i >= 0 {
@@ -131,17 +138,17 @@ func readProm(path string) (map[string]*promFamily, []string) {
 			}
 		}
 		if fam == nil {
-			log.Fatalf("%s: sample %q has no TYPE header", path, id)
+			return nil, nil, fmt.Errorf("%s: sample %q has no TYPE header", path, id)
 		}
 		fam.series = append(fam.series, promSeries{id: id, value: v})
 	}
 	if err := sc.Err(); err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
 	if len(order) == 0 {
-		log.Fatalf("%s: no metric families found", path)
+		return nil, nil, fmt.Errorf("%s: no metric families found", path)
 	}
-	return families, order
+	return families, order, nil
 }
 
 func countSeries(families map[string]*promFamily) int {
@@ -158,10 +165,10 @@ type seriesRow struct {
 	Points [][2]float64 `json:"points"`
 }
 
-func readSeriesJSONL(path string) []seriesRow {
+func readSeriesJSONL(path string) ([]seriesRow, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	defer f.Close()
 	var rows []seriesRow
@@ -173,12 +180,12 @@ func readSeriesJSONL(path string) []seriesRow {
 		}
 		var r seriesRow
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			log.Fatalf("%s: %v", path, err)
+			return nil, fmt.Errorf("%s: %v", path, err)
 		}
 		rows = append(rows, r)
 	}
 	if err := sc.Err(); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	return rows
+	return rows, nil
 }

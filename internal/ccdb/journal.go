@@ -46,7 +46,7 @@ type manifestRecord struct {
 // Journal models the separate mirrored log device that carries a
 // slice's write-ahead log and patch manifest. Appends are durable the
 // moment they return — the log device is mirrored and outlives a
-// power loss of the SDF it fronts — so after a crash MountSlice can
+// power loss of the SDF it fronts — so after a crash mountSlice can
 // rebuild the slice from it. The log's bandwidth is never the
 // bottleneck (it is not the device under study), so the simulation
 // charges its appends no virtual time; what the journal defines is
@@ -279,7 +279,7 @@ func (j *Journal) maybeCompact() {
 	j.compactions++
 }
 
-// ReplayReport summarizes a MountSlice rebuild.
+// ReplayReport summarizes the journal replay of a remount.
 type ReplayReport struct {
 	// PatchesRestored and RunsRestored count the manifest survivors
 	// readdressed into the tier structure.
@@ -297,22 +297,19 @@ type ReplayReport struct {
 }
 
 // refLister is implemented by stores that can enumerate the blocks
-// the underlying device actually holds; MountSlice uses it to detect
+// the underlying device actually holds; mountSlice uses it to detect
 // and free orphaned patches.
 type refLister interface{ LiveRefs() []Ref }
 
-// MountSlice rebuilds a slice from its journal over a remounted
+// mountSlice rebuilds a slice from its journal over a remounted
 // store. The manifest replay restores every durable patch's DRAM
 // index and tier placement, orphaned device blocks (written but never
 // manifested) are freed, and the journaled puts that had not reached
 // a durable patch are re-applied to the memtable. The background
 // compactor starts only after the tiers are rebuilt.
-func MountSlice(p *sim.Proc, env *sim.Env, store Storage, cfg Config) (*Slice, ReplayReport, error) {
+func mountSlice(p *sim.Proc, env *sim.Env, store Storage, cfg Config) (*Slice, ReplayReport, error) {
 	var rep ReplayReport
 	j := cfg.Journal
-	if j == nil {
-		return nil, rep, errors.New("ccdb: MountSlice requires a journal")
-	}
 	// The remount brings the log device back online.
 	j.halted = false
 	s := newSlice(env, store, cfg)

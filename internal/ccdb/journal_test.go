@@ -13,9 +13,9 @@ import (
 	"sdf/internal/sim"
 )
 
-// journalRig builds a data-retaining SDF stack with a journaled slice
-// for crash-and-remount tests.
-func journalRig(t *testing.T, env *sim.Env) (*core.Device, *Journal, *Slice, core.Config) {
+// journalRig builds a data-retaining SDF replica for crash-and-remount
+// tests.
+func journalRig(t *testing.T, env *sim.Env) *SDFReplica {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Channels = 4
@@ -23,49 +23,29 @@ func journalRig(t *testing.T, env *sim.Env) (*core.Device, *Journal, *Slice, cor
 	cfg.Channel.Nand.PagesPerBlock = 16
 	cfg.Channel.Nand.RetainData = true
 	cfg.Channel.SparePerPlane = 2
-	dev, err := core.New(env, cfg)
+	r, err := NewSDFReplica(env, cfg, blocklayer.DefaultConfig(), Config{RunsPerTier: 4, DataMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewSDFStore(blocklayer.New(env, dev, blocklayer.DefaultConfig()))
-	j := NewJournal()
-	s := NewSlice(env, store, Config{PatchBytes: store.BlockSize(), RunsPerTier: 4, DataMode: true, Journal: j})
-	return dev, j, s, cfg
+	return r
 }
 
-// remountSlice crashes nothing further — the device must already be
-// powered off and the journal halted — and rebuilds the slice from
-// the surviving media in a fresh environment.
-func remountSlice(t *testing.T, dev *core.Device, j *Journal, cfg core.Config) (*sim.Env, *Slice, ReplayReport) {
+// remountSlice crashes nothing further — the replica must already be
+// powered off — and rebuilds the slice from the surviving media in a
+// fresh environment.
+func remountSlice(t *testing.T, r *SDFReplica) (*sim.Env, *Slice, ReplayReport) {
 	t.Helper()
-	state := dev.State()
 	env := sim.NewEnv()
-	mounted, err := core.Mount(env, cfg, state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s *Slice
 	var rep ReplayReport
+	var err error
 	boot := env.Go("mount", func(p *sim.Proc) {
-		layer, _, err := blocklayer.Mount(p, env, mounted, blocklayer.DefaultConfig())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		sl, rr, err := MountSlice(p, env, NewSDFStore(layer), Config{
-			PatchBytes: layer.BlockSize(), RunsPerTier: 4, DataMode: true, Journal: j,
-		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		s, rep = sl, rr
+		_, rep, err = r.Remount(p, env)
 	})
 	env.RunUntilDone(boot)
-	if s == nil {
-		t.Fatal("remount failed")
+	if err != nil {
+		t.Fatalf("remount failed: %v", err)
 	}
-	return env, s, rep
+	return env, r.Slice, rep
 }
 
 // TestTruncationKeepsUnflushedAckedPut is the journal-truncation
@@ -75,7 +55,8 @@ func remountSlice(t *testing.T, dev *core.Device, j *Journal, cfg core.Config) (
 // the records the patch actually covers may be dropped.
 func TestTruncationKeepsUnflushedAckedPut(t *testing.T) {
 	env := sim.NewEnv()
-	dev, j, s, cfg := journalRig(t, env)
+	r := journalRig(t, env)
+	j, s := r.Journal, r.Slice
 
 	const n = 24
 	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 1024) }
@@ -117,11 +98,10 @@ func TestTruncationKeepsUnflushedAckedPut(t *testing.T) {
 		t.Fatalf("journal holds %d records after truncation, want 1 (the straggler)", j.putCount())
 	}
 
-	dev.PowerLoss()
-	j.Halt()
+	r.PowerLoss()
 	env.Close()
 
-	env2, s2, rep := remountSlice(t, dev, j, cfg)
+	env2, s2, rep := remountSlice(t, r)
 	defer env2.Close()
 	if rep.MemReplayed != 1 {
 		t.Fatalf("replayed %d journaled puts, want 1", rep.MemReplayed)

@@ -30,9 +30,9 @@ type Config struct {
 	DataMode bool
 	// Journal, when set, models the mirrored log device: Puts append
 	// to it before entering the memtable (write-ahead), flushes and
-	// compactions record patch-manifest updates on it, and MountSlice
-	// rebuilds the slice from it after a power loss. nil keeps the
-	// old behavior (no durability tracking).
+	// compactions record patch-manifest updates on it, and
+	// SDFReplica.Remount rebuilds the slice from it after a power
+	// loss. nil keeps the old behavior (no durability tracking).
 	Journal *Journal
 }
 
@@ -131,7 +131,7 @@ func NewSlice(env *sim.Env, store Storage, cfg Config) *Slice {
 }
 
 // newSlice builds the slice without starting the compactor —
-// MountSlice rebuilds the tiers first.
+// mountSlice rebuilds the tiers first.
 func newSlice(env *sim.Env, store Storage, cfg Config) *Slice {
 	if cfg.PatchBytes <= 0 {
 		cfg.PatchBytes = store.BlockSize()

@@ -62,7 +62,7 @@ func NewSDFStore(layer *blocklayer.Layer) *SDFStore {
 }
 
 // LiveRefs returns every block ID the layer currently addresses, in
-// ascending order — the set MountSlice checks the manifest against to
+// ascending order — the set mountSlice checks the manifest against to
 // free orphaned patches.
 func (s *SDFStore) LiveRefs() []Ref {
 	ids := s.layer.IDs()

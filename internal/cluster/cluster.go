@@ -16,7 +16,9 @@
 // by a virtual-time deadline, slow reads are hedged at the next
 // replica after HedgeAfter, crashed nodes are skipped and their missed
 // writes tracked per key, and a restarted node is re-replicated from
-// its healthy peers in the background.
+// its healthy peers in the background. A node built over a
+// ccdb.SDFReplica (NewSDFNode) can also lose power: its restart first
+// remounts the replica's media and replays its journal.
 package cluster
 
 import (
@@ -48,26 +50,29 @@ var (
 )
 
 // Node is one storage server holding a replica: a CCDB slice plus the
-// NIC that replication traffic crosses.
+// NIC that replication traffic crosses. A node built by NewSDFNode also
+// holds the slice's whole SDF stack, so a power cut can tear its media
+// and a restart can remount it.
 type Node struct {
 	Name  string
 	Slice *ccdb.Slice
-	nic   *sim.SharedLink
-	alive bool
+	// replica is the SDF stack under Slice, nil for a node without
+	// one (NewNode): such a node's power cut is a clean crash.
+	replica *ccdb.SDFReplica
+	nic     *sim.SharedLink
+	alive   bool
 	// dirty tracks keys this node missed (a put that failed or
 	// timed out here, or arrived while the node was down). Read-repair
 	// and restart-time re-replication reconcile them.
 	dirty map[string]bool
 	// lostPower distinguishes a power cut from a clean crash: the
 	// node's device holds persistent media state and must be
-	// remounted (onRemount) before it can serve again.
+	// remounted before it can serve again.
 	lostPower bool
 	// catchingUp marks a node that rejoined the group but whose
 	// restart-time re-replication is still in flight: it can serve,
 	// but the group routes reads to settled replicas first.
 	catchingUp bool
-	onFail     func()
-	onRemount  func(p *sim.Proc) (*ccdb.Slice, error)
 	// window is the node's erase-window membership in the slice's
 	// coordinator (DESIGN.md §16), nil when co-scheduling is off. The
 	// group consults it in readOrder (a replica inside a granted window
@@ -87,6 +92,18 @@ func NewNode(env *sim.Env, name string, slice *ccdb.Slice) *Node {
 	}
 }
 
+// NewSDFNode makes a node of an SDF replica: NewNode over its slice,
+// with power cuts and remounts going to the replica's own stack.
+func NewSDFNode(env *sim.Env, name string, r *ccdb.SDFReplica) *Node {
+	n := NewNode(env, name, r.Slice)
+	n.replica = r
+	return n
+}
+
+// Replica returns the node's SDF stack, or nil for a node built by
+// NewNode. After a remount it holds the remounted device.
+func (n *Node) Replica() *ccdb.SDFReplica { return n.replica }
+
 // NIC returns the node's network link, so fault plans can degrade it.
 func (n *Node) NIC() *sim.SharedLink { return n.nic }
 
@@ -97,16 +114,6 @@ func (n *Node) SetWindow(m *coord.Member) { n.window = m }
 // inWindow reports whether the replica is currently inside a granted
 // (or forced) erase window.
 func (n *Node) inWindow() bool { return n.window != nil && n.window.InWindow() }
-
-// SetPowerHooks wires the node for power-loss injection. fail runs at
-// the crash instant in scheduler context (it must not block — flag
-// flips like Device.PowerLoss and Journal.Halt only); remount runs in
-// its own process at restart and returns the recovered slice, or an
-// error if the device cannot be brought back.
-func (n *Node) SetPowerHooks(fail func(), remount func(p *sim.Proc) (*ccdb.Slice, error)) {
-	n.onFail = fail
-	n.onRemount = remount
-}
 
 // Alive reports whether the node is serving requests.
 func (n *Node) Alive() bool { return n.alive }
@@ -309,10 +316,10 @@ func (g *Group) CrashNode(name string) bool {
 }
 
 // PowerLossNode cuts power to the named node: it leaves service like
-// CrashNode, and additionally runs the node's fail hook (flipping the
-// device and journal into their powered-off state) so in-flight
+// CrashNode, and an SDF node's replica additionally powers off
+// (device and journal flip into their powered-off state) so in-flight
 // writes tear exactly as the media model dictates. RestartNode must
-// then remount the device before the node can serve. Safe to call
+// then remount the replica before the node can serve. Safe to call
 // from scheduler context. It reports whether the node was found
 // alive.
 func (g *Group) PowerLossNode(name string) bool {
@@ -323,8 +330,8 @@ func (g *Group) PowerLossNode(name string) bool {
 			if node.window != nil {
 				node.window.SetLive(false)
 			}
-			if node.onFail != nil {
-				node.onFail()
+			if node.replica != nil {
+				node.replica.PowerLoss()
 			}
 			return true
 		}
@@ -334,28 +341,28 @@ func (g *Group) PowerLossNode(name string) bool {
 
 // RestartNode brings a crashed node back and starts background
 // re-replication of every key it missed, copied from healthy peers.
-// A node that lost power is first remounted: its device recovery and
-// journal replay run in a background process, and the node rejoins
-// the group only once the recovered slice is installed — reads never
-// route to a half-recovered replica. It reports whether the node was
-// found crashed.
+// An SDF node that lost power is first remounted: its device recovery
+// and journal replay run in a background process, and the node
+// rejoins the group only once the recovered slice is installed —
+// reads never route to a half-recovered replica. It reports whether
+// the node was found crashed.
 func (g *Group) RestartNode(name string) bool {
 	for _, node := range g.nodes {
 		if node.Name != name || node.alive {
 			continue
 		}
 		node := node
-		if node.lostPower && node.onRemount != nil {
+		if node.lostPower && node.replica != nil {
 			g.env.Go("cluster/remount", func(p *sim.Proc) {
 				t := g.env.Tracer()
 				span := t.Begin(g.env.Now(), 0, "cluster/remount."+node.Name, trace.PhaseRecovery)
-				slice, err := node.onRemount(p)
+				_, _, err := node.replica.Remount(p, g.env)
 				t.End(g.env.Now(), span)
 				if err != nil {
 					g.ctr.failedRemounts.Inc()
 					return
 				}
-				node.Slice = slice
+				node.Slice = node.replica.Slice
 				node.lostPower = false
 				node.catchingUp = true
 				node.alive = true

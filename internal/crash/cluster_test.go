@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"sdf/internal/blocklayer"
-	"sdf/internal/ccdb"
 	"sdf/internal/cluster"
 	"sdf/internal/coord"
-	"sdf/internal/core"
 	"sdf/internal/fault"
 	"sdf/internal/sim"
 )
@@ -33,40 +31,11 @@ func TestClusterPowerLossRemount(t *testing.T) {
 	names := []string{"n1", "n2", "n3"}
 	var nodes []*cluster.Node
 	for _, name := range names {
-		dev, err := core.New(env, cfg.devConfig())
+		r, err := cfg.newReplica(env, blocklayer.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		journal := ccdb.NewJournal()
-		layer := blocklayer.New(env, dev, blocklayer.DefaultConfig())
-		slice := ccdb.NewSlice(env, ccdb.NewSDFStore(layer), cfg.sliceConfig(journal))
-		node := cluster.NewNode(env, name, slice)
-		// The holder lets the remount hook hand the next cycle the
-		// remounted device rather than the dead one.
-		holder := dev
-		node.SetPowerHooks(
-			func() {
-				holder.PowerLoss()
-				journal.Halt()
-			},
-			func(p *sim.Proc) (*ccdb.Slice, error) {
-				mounted, err := core.Mount(env, cfg.devConfig(), holder.State())
-				if err != nil {
-					return nil, err
-				}
-				l, _, err := blocklayer.Mount(p, env, mounted, blocklayer.DefaultConfig())
-				if err != nil {
-					return nil, err
-				}
-				s, _, err := ccdb.MountSlice(p, env, ccdb.NewSDFStore(l), cfg.sliceConfig(journal))
-				if err != nil {
-					return nil, err
-				}
-				holder = mounted
-				return s, nil
-			},
-		)
-		nodes = append(nodes, node)
+		nodes = append(nodes, cluster.NewSDFNode(env, name, r))
 	}
 	group, err := cluster.NewGroup(env, cluster.DefaultConfig(), nodes...)
 	if err != nil {
@@ -170,45 +139,20 @@ func TestClusterPowerLossRemountCoordinated(t *testing.T) {
 	names := []string{"n1", "n2", "n3"}
 	var nodes []*cluster.Node
 	for _, name := range names {
-		dev, err := core.New(env, cfg.devConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
 		member := co.Register(name)
+		// The remounted layer rejoins the same erase-window membership
+		// and keeps wear leveling on: the replica remounts with the
+		// block-layer config it was built with.
 		blCfg := blocklayer.DefaultConfig()
 		blCfg.EraseGate = member
 		blCfg.StaticWL = true
 		blCfg.WearSpreadThreshold = 4
-		journal := ccdb.NewJournal()
-		layer := blocklayer.New(env, dev, blCfg)
-		slice := ccdb.NewSlice(env, ccdb.NewSDFStore(layer), cfg.sliceConfig(journal))
-		node := cluster.NewNode(env, name, slice)
+		r, err := cfg.newReplica(env, blCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := cluster.NewSDFNode(env, name, r)
 		node.SetWindow(member)
-		holder := dev
-		node.SetPowerHooks(
-			func() {
-				holder.PowerLoss()
-				journal.Halt()
-			},
-			func(p *sim.Proc) (*ccdb.Slice, error) {
-				mounted, err := core.Mount(env, cfg.devConfig(), holder.State())
-				if err != nil {
-					return nil, err
-				}
-				// The remounted layer rejoins the same erase-window
-				// membership and keeps wear leveling on.
-				l, _, err := blocklayer.Mount(p, env, mounted, blCfg)
-				if err != nil {
-					return nil, err
-				}
-				s, _, err := ccdb.MountSlice(p, env, ccdb.NewSDFStore(l), cfg.sliceConfig(journal))
-				if err != nil {
-					return nil, err
-				}
-				holder = mounted
-				return s, nil
-			},
-		)
 		nodes = append(nodes, node)
 	}
 	ccfg := cluster.DefaultConfig()

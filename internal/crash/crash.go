@@ -83,15 +83,16 @@ func (c Config) devConfig() core.Config {
 	return cfg
 }
 
-func (c Config) sliceConfig(j *ccdb.Journal) ccdb.Config {
-	return ccdb.Config{RunsPerTier: 4, DataMode: true, Journal: j}
+// newReplica builds the oracle's journaled replica on env over a
+// block layer configured by layerCfg.
+func (c Config) newReplica(env *sim.Env, layerCfg blocklayer.Config) (*ccdb.SDFReplica, error) {
+	return ccdb.NewSDFReplica(env, c.devConfig(), layerCfg, ccdb.Config{RunsPerTier: 4, DataMode: true})
 }
 
 // rig is one running pre-crash workload.
 type rig struct {
 	env     *sim.Env
-	journal *ccdb.Journal
-	dev     *core.Device
+	replica *ccdb.SDFReplica
 	writer  *sim.Proc
 	// acked maps each key to the last value whose Put returned nil;
 	// attempted also includes keys every Put tried and lost.
@@ -107,18 +108,15 @@ func (c Config) start(col *trace.Collector) (*rig, error) {
 	if col != nil {
 		env.SetTracer(col)
 	}
-	dev, err := core.New(env, c.devConfig())
+	replica, err := c.newReplica(env, blocklayer.DefaultConfig())
 	if err != nil {
 		env.Close()
 		return nil, err
 	}
-	journal := ccdb.NewJournal()
-	layer := blocklayer.New(env, dev, blocklayer.DefaultConfig())
-	slice := ccdb.NewSlice(env, ccdb.NewSDFStore(layer), c.sliceConfig(journal))
+	slice := replica.Slice
 	r := &rig{
 		env:       env,
-		journal:   journal,
-		dev:       dev,
+		replica:   replica,
 		acked:     make(map[string][]byte),
 		attempted: make(map[string]bool),
 	}
@@ -173,13 +171,9 @@ func CrashAndRecover(cfg Config, crashAt time.Duration) (Outcome, error) {
 	// The cut is one scheduler callback: the device freezes (tearing
 	// whatever pulses are in flight) and the journal stops accepting
 	// appends, so no write racing the cut can be acknowledged.
-	r.env.Schedule(crashAt, func() {
-		r.dev.PowerLoss()
-		r.journal.Halt()
-	})
+	r.env.Schedule(crashAt, r.replica.PowerLoss)
 	r.env.RunUntilDone(r.writer)
 	r.env.Run()
-	state := r.dev.State()
 	r.env.Close()
 	out.Attempted = len(r.attempted)
 	out.Acked = len(r.acked)
@@ -189,32 +183,16 @@ func CrashAndRecover(cfg Config, crashAt time.Duration) (Outcome, error) {
 	defer env.Close()
 	col := trace.NewCollector()
 	env.SetTracer(col)
-	dev, err := core.Mount(env, cfg.devConfig(), state)
-	if err != nil {
-		return out, err
-	}
-	var slice *ccdb.Slice
 	var mountErr error
 	boot := env.Go("crash/mount", func(p *sim.Proc) {
-		layer, mst, err := blocklayer.Mount(p, env, dev, blocklayer.DefaultConfig())
-		if err != nil {
-			mountErr = err
-			return
-		}
-		out.Mount = mst
-		s, rr, err := ccdb.MountSlice(p, env, ccdb.NewSDFStore(layer), cfg.sliceConfig(r.journal))
-		if err != nil {
-			mountErr = err
-			return
-		}
-		out.Replay = rr
-		slice = s
+		out.Mount, out.Replay, mountErr = r.replica.Remount(p, env)
 	})
 	env.RunUntilDone(boot)
 	if mountErr != nil {
 		return out, fmt.Errorf("crash: remount at %v: %w", crashAt, mountErr)
 	}
 	out.RecoveryTime = env.Now()
+	slice := r.replica.Slice
 
 	// The oracle proper. With the write-ahead journal, acknowledged
 	// and visible coincide exactly: an acked key must come back

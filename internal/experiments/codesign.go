@@ -15,7 +15,6 @@ import (
 	"sdf/internal/metrics"
 	"sdf/internal/rpcnet"
 	"sdf/internal/sim"
-	"sdf/internal/ssd"
 )
 
 // DefaultCoDesignPlan is the chaos schedule the co-design experiment's
@@ -86,16 +85,6 @@ type codesignResult struct {
 	sampler *metrics.Sampler
 }
 
-// burnOf extracts one objective's final burn from a report.
-func burnOf(rep []metrics.ObjectiveResult, name string) float64 {
-	for _, o := range rep {
-		if o.Name == name {
-			return o.Burn
-		}
-	}
-	return 0
-}
-
 // codesignRun drives one 3-replica cluster through the mixed workload:
 // open-loop paced readers carry per-read deadlines through the RPC
 // layer while a hot-keyset writer keeps compaction — and therefore
@@ -151,15 +140,12 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 		adm.RegisterMetrics(reg, devLabel)
 	}
 
-	names := []string{"r1", "r2", "r3"}
 	var nodes []*cluster.Node
-	var slices []*ccdb.Slice
 	var layers []*blocklayer.Layer
-	for _, name := range names {
-		var slice *ccdb.Slice
+	for _, name := range []string{"r1", "r2", "r3"} {
+		labels := []metrics.Label{devLabel, metrics.L("node", name)}
+		var node *cluster.Node
 		var member *coord.Member
-		var powerFail func()
-		var powerRemount func(p *sim.Proc) (*ccdb.Slice, error)
 		switch kind {
 		case devSDF:
 			// A narrower device than the availability run: 12 channels
@@ -180,11 +166,6 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 			// in-service page; the in-service 3 ms erase is then the
 			// tail that only cross-replica coordination can dodge.
 			cfg.Channel.PrioritizeReads = true
-			dev, err := core.New(env, cfg)
-			if err != nil {
-				panic(err)
-			}
-			fault.AttachDevice(inj, name, dev)
 			blCfg := blocklayer.DefaultConfig()
 			// Static WL runs live here (the crash oracle exercises it
 			// under power loss too); at this short horizon the wear
@@ -196,61 +177,25 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 				member = co.Register(name)
 				blCfg.EraseGate = member
 			}
-			bl := blocklayer.New(env, dev, blCfg)
-			layers = append(layers, bl)
-			store := ccdb.NewSDFStore(bl)
-			journal := ccdb.NewJournal()
 			// Tight fan-in: two runs per tier keep compaction — and the
 			// patch frees that feed the erase backlog — running for the
 			// whole horizon.
-			sliceCfg := ccdb.Config{PatchBytes: store.BlockSize(), RunsPerTier: 2, Journal: journal}
-			slice = ccdb.NewSlice(env, store, sliceCfg)
-			dev.RegisterMetrics(reg, devLabel, metrics.L("node", name))
-			bl.RegisterMetrics(reg, devLabel, metrics.L("node", name))
-			holder := dev
-			devCfg := cfg
-			remountCfg := blCfg
-			powerFail = func() {
-				holder.PowerLoss()
-				journal.Halt()
-			}
-			powerRemount = func(p *sim.Proc) (*ccdb.Slice, error) {
-				mounted, err := core.Mount(env, devCfg, holder.State())
-				if err != nil {
-					return nil, err
-				}
-				l, _, err := blocklayer.Mount(p, env, mounted, remountCfg)
-				if err != nil {
-					return nil, err
-				}
-				s, _, err := ccdb.MountSlice(p, env, ccdb.NewSDFStore(l), sliceCfg)
-				if err != nil {
-					return nil, err
-				}
-				holder = mounted
-				return s, nil
-			}
-		case devGen3:
-			prof := ssd.HuaweiGen3(0.25).ScaleBlocks(12)
-			prof.BufferBytes = 8 << 20
-			dev := newSSD(env, prof)
-			if err := dev.WarmFillRandom(1.0, 7); err != nil {
+			r, err := ccdb.NewSDFReplica(env, cfg, blCfg, ccdb.Config{RunsPerTier: 2})
+			if err != nil {
 				panic(err)
 			}
-			fault.AttachSSD(inj, name, dev)
-			slice = ccdb.NewSlice(env, ccdb.NewSSDStore(dev, 1<<20), ccdb.Config{PatchBytes: 1 << 20, RunsPerTier: 4})
-			dev.RegisterMetrics(reg, devLabel, metrics.L("node", name))
+			layers = append(layers, r.Layer)
+			r.Dev.RegisterMetrics(reg, labels...)
+			r.Layer.RegisterMetrics(reg, labels...)
+			node = cluster.NewSDFNode(env, name, r)
+		case devGen3:
+			node = cluster.NewNode(env, name, newGen3Slice(env, inj, reg, name, labels))
 		}
-		slice.RegisterMetrics(reg, devLabel, metrics.L("node", name))
-		node := cluster.NewNode(env, name, slice)
-		if powerFail != nil {
-			node.SetPowerHooks(powerFail, powerRemount)
-		}
+		node.Slice.RegisterMetrics(reg, labels...)
 		if member != nil {
 			node.SetWindow(member)
 		}
 		nodes = append(nodes, node)
-		slices = append(slices, slice)
 	}
 	ccfg := cluster.DefaultConfig()
 	// Deadline-aware read routing: a 6 ms per-read deadline, hedged at
@@ -283,28 +228,13 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 	if opts.Quick {
 		nKeys, nReaders = 384, 2
 	}
-	const valueSize = 8 << 10
-	keys := make([]string, nKeys)
 	// The preload is a bulk load, not SLO-bound traffic: it bypasses
 	// the admission bucket so the measured delay/shed counters start
 	// from zero at t0.
 	if adm != nil {
 		adm.SetBestEffort(true)
 	}
-	boot := env.Go("preload", func(p *sim.Proc) {
-		for i := range keys {
-			keys[i] = fmt.Sprintf("obj%03d", i)
-			if err := group.Put(p, keys[i], nil, valueSize); err != nil {
-				panic(err)
-			}
-		}
-		for _, s := range slices {
-			if err := s.Flush(p); err != nil {
-				panic(err)
-			}
-		}
-	})
-	env.RunUntilDone(boot)
+	keys := preload(env, group, nKeys)
 	if adm != nil {
 		adm.SetBestEffort(false)
 	}
@@ -486,21 +416,8 @@ func CoDesign(opts Options) Table {
 	t.metric("coord.deferred", float64(coordRes.coord.Deferrals))
 	t.metric("coord.forced", float64(coordRes.coord.Forced))
 	t.metric("coord.shed_writes", float64(coordRes.stats.ShedWrites))
-	sloCell := func(res codesignResult, name string) string {
-		for _, o := range res.slo {
-			if o.Name != name {
-				continue
-			}
-			verdict := "met"
-			if !o.Met {
-				verdict = "VIOLATED"
-			}
-			return fmt.Sprintf("%s (%d/%d windows, burn %.0f%%)", verdict, o.Violations, o.Windows, o.Burn*100)
-		}
-		return "not evaluated"
-	}
 	t.Rows = append(t.Rows, []string{"SLO: window p99 <= 5ms",
-		sloCell(coordRes, "sdf-coord/read_p99"), sloCell(nocoord, "sdf-nocoord/read_p99"), sloCell(gen3, "gen3/read_p99")})
+		sloCell(coordRes.slo, "sdf-coord/read_p99"), sloCell(nocoord.slo, "sdf-nocoord/read_p99"), sloCell(gen3.slo, "gen3/read_p99")})
 	t.metric("coord.slo_p99_burn", burnOf(coordRes.slo, "sdf-coord/read_p99"))
 	t.metric("nocoord.slo_p99_burn", burnOf(nocoord.slo, "sdf-nocoord/read_p99"))
 	t.metric("gen3.slo_p99_burn", burnOf(gen3.slo, "gen3/read_p99"))

@@ -107,13 +107,10 @@ func availabilityRun(opts Options, kind deviceKind, pl *fault.Plan) availResult 
 	}
 	devLabel := metrics.L("dev", devName)
 
-	names := []string{"r1", "r2", "r3"}
 	var nodes []*cluster.Node
-	var slices []*ccdb.Slice
-	for _, name := range names {
-		var slice *ccdb.Slice
-		var powerFail func()
-		var powerRemount func(p *sim.Proc) (*ccdb.Slice, error)
+	for _, name := range []string{"r1", "r2", "r3"} {
+		labels := []metrics.Label{devLabel, metrics.L("node", name)}
+		var node *cluster.Node
 		switch kind {
 		case devSDF:
 			// Full 44-channel geometry (same as the Gen3 profile's
@@ -124,48 +121,21 @@ func availabilityRun(opts Options, kind deviceKind, pl *fault.Plan) availResult 
 			cfg.Channel.Nand.BlocksPerPlane = 24
 			cfg.Channel.Nand.PagesPerBlock = 16
 			cfg.Channel.SparePerPlane = 2
-			dev, err := core.New(env, cfg)
-			if err != nil {
-				panic(err)
-			}
-			fault.AttachDevice(inj, name, dev)
-			bl := blocklayer.New(env, dev, blocklayer.DefaultConfig())
-			store := ccdb.NewSDFStore(bl)
 			// Fan-in high enough that the preloaded dataset never
 			// compacts during the horizon: compaction rewrites every
 			// patch with fresh placement, which would quietly move the
 			// data off the channels the fault plan targets.
-			journal := ccdb.NewJournal()
-			sliceCfg := ccdb.Config{PatchBytes: store.BlockSize(), RunsPerTier: 64, Journal: journal}
-			slice = ccdb.NewSlice(env, store, sliceCfg)
-			dev.RegisterMetrics(reg, devLabel, metrics.L("node", name))
-			bl.RegisterMetrics(reg, devLabel, metrics.L("node", name))
+			r, err := ccdb.NewSDFReplica(env, cfg, blocklayer.DefaultConfig(), ccdb.Config{RunsPerTier: 64})
+			if err != nil {
+				panic(err)
+			}
+			r.Dev.RegisterMetrics(reg, labels...)
+			r.Layer.RegisterMetrics(reg, labels...)
 			// A powerloss injection against this node halts the journal
 			// and freezes the media mid-operation; the restart then runs
 			// the full remount path — device recovery scan, block-layer
 			// rebuild, journal replay — inside the measured run.
-			holder := dev
-			devCfg := cfg
-			powerFail = func() {
-				holder.PowerLoss()
-				journal.Halt()
-			}
-			powerRemount = func(p *sim.Proc) (*ccdb.Slice, error) {
-				mounted, err := core.Mount(env, devCfg, holder.State())
-				if err != nil {
-					return nil, err
-				}
-				l, _, err := blocklayer.Mount(p, env, mounted, blocklayer.DefaultConfig())
-				if err != nil {
-					return nil, err
-				}
-				s, _, err := ccdb.MountSlice(p, env, ccdb.NewSDFStore(l), sliceCfg)
-				if err != nil {
-					return nil, err
-				}
-				holder = mounted
-				return s, nil
-			}
+			node = cluster.NewSDFNode(env, name, r)
 		case devGen3:
 			// The conventional baseline masks channel-level faults with
 			// internal parity, and pays the masking's real price: a
@@ -176,23 +146,10 @@ func availabilityRun(opts Options, kind deviceKind, pl *fault.Plan) availResult 
 			// capacity, so flush traffic keeps background GC live under
 			// the host reads. SDF pays neither tax by design: no parity
 			// to rebuild from, no device GC to collide with.
-			prof := ssd.HuaweiGen3(0.25).ScaleBlocks(12)
-			prof.BufferBytes = 8 << 20
-			dev := newSSD(env, prof)
-			if err := dev.WarmFillRandom(1.0, 7); err != nil {
-				panic(err)
-			}
-			fault.AttachSSD(inj, name, dev)
-			slice = ccdb.NewSlice(env, ccdb.NewSSDStore(dev, 1<<20), ccdb.Config{PatchBytes: 1 << 20, RunsPerTier: 4})
-			dev.RegisterMetrics(reg, devLabel, metrics.L("node", name))
+			node = cluster.NewNode(env, name, newGen3Slice(env, inj, reg, name, labels))
 		}
-		slice.RegisterMetrics(reg, devLabel, metrics.L("node", name))
-		node := cluster.NewNode(env, name, slice)
-		if powerFail != nil {
-			node.SetPowerHooks(powerFail, powerRemount)
-		}
+		node.Slice.RegisterMetrics(reg, labels...)
 		nodes = append(nodes, node)
-		slices = append(slices, slice)
 	}
 	group, err := cluster.NewGroup(env, cluster.DefaultConfig(), nodes...)
 	if err != nil {
@@ -202,33 +159,13 @@ func availabilityRun(opts Options, kind deviceKind, pl *fault.Plan) availResult 
 	group.RegisterMetrics(reg, devLabel)
 	inj.RegisterMetrics(reg, devLabel)
 
-	// Page-sized values, enough keys that the flushed patches cover
-	// every channel. Reads at the flash page size are the paper's
-	// latency-SLO regime: SDF serves one channel-level page read,
-	// while a degraded Gen3 read of the same size rebuilds a whole
-	// parity stripe.
+	// Enough page-sized values that the flushed patches cover every
+	// channel.
 	nKeys, nReaders := 1536, 4
 	if opts.Quick {
 		nKeys, nReaders = 768, 2
 	}
-	const valueSize = 8 << 10
-	keys := make([]string, nKeys)
-	boot := env.Go("preload", func(p *sim.Proc) {
-		for i := range keys {
-			keys[i] = fmt.Sprintf("obj%03d", i)
-			if err := group.Put(p, keys[i], nil, valueSize); err != nil {
-				panic(err)
-			}
-		}
-		// Push the dataset out of the memtables so reads exercise the
-		// flash path the faults will hit.
-		for _, s := range slices {
-			if err := s.Flush(p); err != nil {
-				panic(err)
-			}
-		}
-	})
-	env.RunUntilDone(boot)
+	keys := preload(env, group, nKeys)
 
 	// The measured run starts after the preload settles: plan times and
 	// bandwidth windows are both relative to t0 (Arm schedules
@@ -276,7 +213,7 @@ func availabilityRun(opts Options, kind deviceKind, pl *fault.Plan) availResult 
 		for env.Now() < t0+availHorizon {
 			key := fmt.Sprintf("live%04d", wseq)
 			wseq++
-			group.Put(p, key, nil, valueSize)
+			group.Put(p, key, nil, pageValueSize)
 			p.Wait(25 * time.Millisecond)
 		}
 	})
@@ -354,6 +291,75 @@ func availabilityRun(opts Options, kind deviceKind, pl *fault.Plan) availResult 
 	return res
 }
 
+// newGen3Slice builds one replica of the parity-protected Gen3
+// baseline: a Figure 8-style drive, warm-filled to capacity, attached
+// to inj under name and registered in reg, with a slice of 1 MB
+// patches over it.
+func newGen3Slice(env *sim.Env, inj *fault.Injector, reg *metrics.Registry, name string, labels []metrics.Label) *ccdb.Slice {
+	prof := ssd.HuaweiGen3(0.25).ScaleBlocks(12)
+	prof.BufferBytes = 8 << 20
+	dev := newSSD(env, prof)
+	if err := dev.WarmFillRandom(1.0, 7); err != nil {
+		panic(err)
+	}
+	fault.AttachSSD(inj, name, dev)
+	dev.RegisterMetrics(reg, labels...)
+	return ccdb.NewSlice(env, ccdb.NewSSDStore(dev, 1<<20), ccdb.Config{PatchBytes: 1 << 20, RunsPerTier: 4})
+}
+
+// pageValueSize is the size of the availability runs' values: one
+// flash page, the paper's latency-SLO regime, where SDF serves one
+// channel-level page read while a degraded Gen3 read of the same size
+// rebuilds a whole parity stripe.
+const pageValueSize = 8 << 10
+
+// preload puts nKeys values through the group, then flushes every
+// replica's memtable so reads exercise the flash path the faults will
+// hit. It returns the keys.
+func preload(env *sim.Env, group *cluster.Group, nKeys int) []string {
+	keys := make([]string, nKeys)
+	boot := env.Go("preload", func(p *sim.Proc) {
+		for i := range keys {
+			keys[i] = fmt.Sprintf("obj%03d", i)
+			if err := group.Put(p, keys[i], nil, pageValueSize); err != nil {
+				panic(err)
+			}
+		}
+		for _, node := range group.Nodes() {
+			if err := node.Slice.Flush(p); err != nil {
+				panic(err)
+			}
+		}
+	})
+	env.RunUntilDone(boot)
+	return keys
+}
+
+// sloCell formats one objective's verdict from a report as a table
+// cell.
+func sloCell(rep []metrics.ObjectiveResult, name string) string {
+	for _, o := range rep {
+		if o.Name == name {
+			verdict := "met"
+			if !o.Met {
+				verdict = "VIOLATED"
+			}
+			return fmt.Sprintf("%s (%d/%d windows, burn %.0f%%)", verdict, o.Violations, o.Windows, o.Burn*100)
+		}
+	}
+	return "not evaluated"
+}
+
+// burnOf extracts one objective's final burn from a report.
+func burnOf(rep []metrics.ObjectiveResult, name string) float64 {
+	for _, o := range rep {
+		if o.Name == name {
+			return o.Burn
+		}
+	}
+	return 0
+}
+
 // Faults regenerates the availability experiment the paper's design
 // implies but never plots: SDF drops cross-channel parity and relies
 // on CCDB's 3-way replication for fault tolerance (§2.2), so the
@@ -409,24 +415,10 @@ func Faults(opts Options) Table {
 		t.metric("gen3."+r.key, r.vg)
 	}
 	if opts.Metrics {
-		sloCell := func(rep []metrics.ObjectiveResult, name string) (string, float64) {
-			for _, o := range rep {
-				if o.Name == name {
-					verdict := "met"
-					if !o.Met {
-						verdict = "VIOLATED"
-					}
-					return fmt.Sprintf("%s (%d/%d windows, burn %.0f%%)",
-						verdict, o.Violations, o.Windows, o.Burn*100), o.Burn
-				}
-			}
-			return "not evaluated", 0
-		}
-		sCell, sBurn := sloCell(sdf.slo, "sdf/read_p99")
-		gCell, gBurn := sloCell(gen3.slo, "gen3/read_p99")
-		t.Rows = append(t.Rows, []string{"SLO: window p99 <= 1ms", sCell, gCell})
-		t.metric("sdf.slo_p99_burn", sBurn)
-		t.metric("gen3.slo_p99_burn", gBurn)
+		t.Rows = append(t.Rows, []string{"SLO: window p99 <= 1ms",
+			sloCell(sdf.slo, "sdf/read_p99"), sloCell(gen3.slo, "gen3/read_p99")})
+		t.metric("sdf.slo_p99_burn", burnOf(sdf.slo, "sdf/read_p99"))
+		t.metric("gen3.slo_p99_burn", burnOf(gen3.slo, "gen3/read_p99"))
 		snapshot := metrics.Snapshot(sdf.reg, gen3.reg)
 		series := metrics.SeriesJSONL(sdf.sampler, gen3.sampler)
 		t.Observability = &Observability{

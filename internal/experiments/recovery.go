@@ -25,76 +25,104 @@ type recoveryRun struct {
 	scanTime time.Duration
 }
 
-// recoveryCycle stages a device at the fill level, tears a few writes
-// with a mid-flight power cut, and measures the remount scan. The
-// fill is staged with SeedRecoverable — real out-of-band metadata in
-// zero simulated time — so the sweep pays only for what it measures:
-// the recovery scan itself.
-func recoveryCycle(opts Options, fill int) recoveryRun {
-	env := opts.newEnv()
+// recoveryDevConfig is the swept device: the full card, or eight
+// channels of 128 blocks a plane in quick mode.
+func recoveryDevConfig(opts Options) core.Config {
 	cfg := core.DefaultConfig()
 	if opts.Quick {
 		cfg.Channels = 8
 		cfg.Channel.Nand.BlocksPerPlane = 128
 	}
-	dev, err := core.New(env, cfg)
-	if err != nil {
-		panic(err)
-	}
-	perChan := dev.BlocksPerChannel() * fill / 100
-	run := recoveryRun{fill: fill}
+	return cfg
+}
+
+// seedRecoverable stages logical blocks [lo, hi) on every channel with
+// SeedRecoverable — real out-of-band metadata in zero simulated time —
+// and returns how many blocks it seeded.
+func seedRecoverable(dev *core.Device, lo, hi int) int {
+	seeded := 0
 	for c := 0; c < dev.Channels(); c++ {
-		for lbn := 0; lbn < perChan; lbn++ {
+		for lbn := lo; lbn < hi; lbn++ {
 			id := flashchan.WriteID{Lo: uint64(lbn*dev.Channels() + c)}
 			if err := dev.Channel(c).SeedRecoverable(lbn, id); err != nil {
 				panic(err)
 			}
-			run.seeded++
+			seeded++
 		}
 	}
-	// A handful of real writes are mid-block when the power cut lands,
-	// so every fill level also recovers past genuine torn blocks.
+	return seeded
+}
+
+// startTornWriters spawns real writes of logical block lbn on the
+// first four channels, so the scheduled power cut lands mid-block and
+// every fill level also recovers past genuine torn blocks.
+func startTornWriters(env *sim.Env, dev *core.Device, lbn int) {
+	for c := 0; c < 4 && c < dev.Channels(); c++ {
+		env.Go("recovery/torn-writer", func(p *sim.Proc) {
+			id := flashchan.WriteID{Lo: uint64(lbn*dev.Channels() + c)}
+			//sdflint:allow errdrop the scheduled power cut tears this write on purpose; the mount-time scan in measureRemount is what the experiment measures
+			dev.EraseWriteTagged(p, c, lbn, nil, id)
+		})
+	}
+}
+
+// armPowerCut attaches dev to a fresh injector and arms pl against it.
+func armPowerCut(env *sim.Env, dev *core.Device, pl *fault.Plan) {
 	inj := fault.NewInjector(env)
 	fault.AttachDevice(inj, "sdf0", dev)
-	pl := &fault.Plan{Seed: int64(fill), Injections: []fault.Injection{
-		{At: 8 * time.Millisecond, Kind: fault.Powerloss, Target: "sdf0"},
-	}}
 	if err := inj.Arm(pl); err != nil {
 		panic(err)
 	}
-	for c := 0; c < 4 && c < dev.Channels(); c++ {
-		c := c
-		env.Go("recovery/torn-writer", func(p *sim.Proc) {
-			id := flashchan.WriteID{Lo: uint64(perChan*dev.Channels() + c)}
-			//sdflint:allow errdrop the scheduled power cut tears this write on purpose; the mount-time scan below is what the experiment measures
-			dev.EraseWriteTagged(p, c, perChan, nil, id)
-		})
-	}
+}
+
+// measureRemount runs the staged, power-cut device to quiescence,
+// closes its environment, remounts the surviving media in a fresh one
+// traced as traceDev, and returns the mount stats and the scan's
+// latency: the scan starts at t=0, so the clock after the mount proc
+// drains is the recovery latency.
+func measureRemount(opts Options, env *sim.Env, dev *core.Device, cfg core.Config, traceDev string) (blocklayer.MountStats, time.Duration) {
 	env.Run()
 	state := dev.State()
 	env.Close()
 
-	// Remount in a fresh environment; the scan starts at t=0, so the
-	// clock after the mount proc drains is the recovery latency.
 	renv := opts.newEnv()
+	defer renv.Close()
 	if opts.Tracer != nil {
-		opts.Tracer.SetDev(fmt.Sprintf("recovery/f%02d", fill))
+		opts.Tracer.SetDev(traceDev)
 		renv.SetTracer(opts.Tracer)
 	}
 	mounted, err := core.Mount(renv, cfg, state)
 	if err != nil {
 		panic(err)
 	}
+	var mst blocklayer.MountStats
 	boot := renv.Go("recovery/mount", func(p *sim.Proc) {
-		_, mst, err := blocklayer.Mount(p, renv, mounted, blocklayer.DefaultConfig())
-		if err != nil {
+		if _, mst, err = blocklayer.Mount(p, renv, mounted, blocklayer.DefaultConfig()); err != nil {
 			panic(err)
 		}
-		run.stats = mst
 	})
 	renv.RunUntilDone(boot)
-	run.scanTime = renv.Now()
-	renv.Close()
+	return mst, renv.Now()
+}
+
+// recoveryCycle stages a device at the fill level, tears a few writes
+// with a mid-flight power cut, and measures the remount scan. The
+// fill is staged with SeedRecoverable, so the sweep pays only for
+// what it measures: the recovery scan itself.
+func recoveryCycle(opts Options, fill int) recoveryRun {
+	env := opts.newEnv()
+	cfg := recoveryDevConfig(opts)
+	dev, err := core.New(env, cfg)
+	if err != nil {
+		panic(err)
+	}
+	perChan := dev.BlocksPerChannel() * fill / 100
+	run := recoveryRun{fill: fill, seeded: seedRecoverable(dev, 0, perChan)}
+	armPowerCut(env, dev, &fault.Plan{Seed: int64(fill), Injections: []fault.Injection{
+		{At: 8 * time.Millisecond, Kind: fault.Powerloss, Target: "sdf0"},
+	}})
+	startTornWriters(env, dev, perChan)
+	run.stats, run.scanTime = measureRemount(opts, env, dev, cfg, fmt.Sprintf("recovery/f%02d", fill))
 	return run
 }
 
@@ -109,27 +137,14 @@ func recoveryCycle(opts Options, fill int) recoveryRun {
 // 2/(1+PagesPerBlock) of the full scan's rate.
 func recoveryCycleCheckpointed(opts Options, fill int) recoveryRun {
 	env := opts.newEnv()
-	cfg := core.DefaultConfig()
-	if opts.Quick {
-		cfg.Channels = 8
-		cfg.Channel.Nand.BlocksPerPlane = 128
-	}
+	cfg := recoveryDevConfig(opts)
 	cfg.Channel.CheckpointEvery = 64
 	dev, err := core.New(env, cfg)
 	if err != nil {
 		panic(err)
 	}
 	perChan := dev.BlocksPerChannel() * fill / 100
-	run := recoveryRun{fill: fill}
-	for c := 0; c < dev.Channels(); c++ {
-		for lbn := 0; lbn < perChan; lbn++ {
-			id := flashchan.WriteID{Lo: uint64(lbn*dev.Channels() + c)}
-			if err := dev.Channel(c).SeedRecoverable(lbn, id); err != nil {
-				panic(err)
-			}
-			run.seeded++
-		}
-	}
+	run := recoveryRun{fill: fill, seeded: seedRecoverable(dev, 0, perChan)}
 	// Checkpoint the staged state to completion before arming the
 	// chaos plan: the sweep measures recovery from a durable image
 	// (mid-checkpoint cuts are the crash oracle's job).
@@ -142,58 +157,16 @@ func recoveryCycleCheckpointed(opts Options, fill int) recoveryRun {
 	// A fixed post-checkpoint delta — the same two blocks per channel
 	// at every fill level — is all the remount should have to walk in
 	// full.
-	for c := 0; c < dev.Channels(); c++ {
-		for _, lbn := range []int{perChan, perChan + 1} {
-			id := flashchan.WriteID{Lo: uint64(lbn*dev.Channels() + c)}
-			if err := dev.Channel(c).SeedRecoverable(lbn, id); err != nil {
-				panic(err)
-			}
-			run.seeded++
-		}
-	}
-	inj := fault.NewInjector(env)
-	fault.AttachDevice(inj, "sdf0", dev)
+	run.seeded += seedRecoverable(dev, perChan, perChan+2)
 	// The scheduled plan fires twice (the second cut lands on dead
 	// media, a no-op) so the recurring expansion path itself is under
 	// make verify's byte-identity check.
-	pl := &fault.Plan{Seed: int64(fill), Injections: []fault.Injection{
+	armPowerCut(env, dev, &fault.Plan{Seed: int64(fill), Injections: []fault.Injection{
 		{At: 8 * time.Millisecond, Kind: fault.Powerloss, Target: "sdf0",
 			Every: 4 * time.Millisecond, Repeat: 2},
-	}}
-	if err := inj.Arm(pl); err != nil {
-		panic(err)
-	}
-	for c := 0; c < 4 && c < dev.Channels(); c++ {
-		c := c
-		env.Go("recovery/torn-writer", func(p *sim.Proc) {
-			id := flashchan.WriteID{Lo: uint64((perChan+2)*dev.Channels() + c)}
-			//sdflint:allow errdrop the scheduled power cut tears this write on purpose; the mount-time scan below is what the experiment measures
-			dev.EraseWriteTagged(p, c, perChan+2, nil, id)
-		})
-	}
-	env.Run()
-	state := dev.State()
-	env.Close()
-
-	renv := opts.newEnv()
-	if opts.Tracer != nil {
-		opts.Tracer.SetDev(fmt.Sprintf("recovery/cp-f%02d", fill))
-		renv.SetTracer(opts.Tracer)
-	}
-	mounted, err := core.Mount(renv, cfg, state)
-	if err != nil {
-		panic(err)
-	}
-	boot := renv.Go("recovery/mount", func(p *sim.Proc) {
-		_, mst, err := blocklayer.Mount(p, renv, mounted, blocklayer.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		run.stats = mst
-	})
-	renv.RunUntilDone(boot)
-	run.scanTime = renv.Now()
-	renv.Close()
+	}})
+	startTornWriters(env, dev, perChan+2)
+	run.stats, run.scanTime = measureRemount(opts, env, dev, cfg, fmt.Sprintf("recovery/cp-f%02d", fill))
 	return run
 }
 
@@ -219,14 +192,11 @@ func recoveryJournal(opts Options) journalRun {
 	cfg.Channel.Nand.PagesPerBlock = 16
 	cfg.Channel.Nand.RetainData = true
 	cfg.Channel.SparePerPlane = 2
-	dev, err := core.New(env, cfg)
+	r, err := ccdb.NewSDFReplica(env, cfg, blocklayer.DefaultConfig(), ccdb.Config{RunsPerTier: 8, DataMode: true})
 	if err != nil {
 		panic(err)
 	}
-	store := ccdb.NewSDFStore(blocklayer.New(env, dev, blocklayer.DefaultConfig()))
-	journal := ccdb.NewJournal()
-	sliceCfg := ccdb.Config{PatchBytes: store.BlockSize(), RunsPerTier: 8, DataMode: true, Journal: journal}
-	slice := ccdb.NewSlice(env, store, sliceCfg)
+	slice := r.Slice
 	run := journalRun{}
 	const total = 48
 	env.Go("recovery/journal-writer", func(p *sim.Proc) {
@@ -246,34 +216,22 @@ func recoveryJournal(opts Options) journalRun {
 			p.Wait(100 * time.Microsecond)
 		}
 	})
-	env.Schedule(100*time.Millisecond, func() {
-		dev.PowerLoss()
-		journal.Halt()
-	})
+	env.Schedule(100*time.Millisecond, r.PowerLoss)
 	env.Run()
-	run.bytesAtCrash = journal.Bytes()
-	run.truncatedPuts = journal.TruncatedPuts()
-	state := dev.State()
+	run.bytesAtCrash = r.Journal.Bytes()
+	run.truncatedPuts = r.Journal.TruncatedPuts()
 	env.Close()
 
 	renv := opts.newEnv()
-	mounted, err := core.Mount(renv, cfg, state)
-	if err != nil {
-		panic(err)
-	}
+	defer renv.Close()
 	boot := renv.Go("recovery/journal-mount", func(p *sim.Proc) {
-		layer, _, err := blocklayer.Mount(p, renv, mounted, blocklayer.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		_, rep, err := ccdb.MountSlice(p, renv, ccdb.NewSDFStore(layer), sliceCfg)
+		_, rep, err := r.Remount(p, renv)
 		if err != nil {
 			panic(err)
 		}
 		run.replayed = rep.MemReplayed
 	})
 	renv.RunUntilDone(boot)
-	renv.Close()
 	return run
 }
 

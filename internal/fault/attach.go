@@ -17,16 +17,25 @@ func AttachDevice(inj *Injector, name string, dev *core.Device) {
 	inj.Register(name, func(in Injection) func() {
 		if in.Kind == Powerloss {
 			// Permanent by definition at the device level: bringing the
-			// device back requires core.Mount plus the recovery scan,
+			// device back requires a remount and the recovery scan,
 			// which the owner of the device state must drive (see
-			// cluster power hooks for the node-level restart path).
+			// ccdb.SDFReplica for the node-level restart path).
 			dev.PowerLoss()
 		}
 		return nil
 	})
-	for i := 0; i < dev.Channels(); i++ {
-		ch := dev.Channel(i)
+	attachChannels(inj, name, dev.Channels(), func() *core.Device { return dev })
+}
+
+// attachChannels registers the "<name>/chan<i>" and "<name>/pcie"
+// targets of an SDF device with the given channel count. cur resolves
+// the device each time an injection fires, so the targets of a
+// replica follow it across remounts; a revert acts on the channel or
+// link its injection hit.
+func attachChannels(inj *Injector, name string, channels int, cur func() *core.Device) {
+	for i := 0; i < channels; i++ {
 		inj.Register(fmt.Sprintf("%s/chan%d", name, i), func(in Injection) func() {
+			ch := cur().Channel(i)
 			switch in.Kind {
 			case ChannelKill:
 				ch.Kill()
@@ -50,7 +59,9 @@ func AttachDevice(inj *Injector, name string, dev *core.Device) {
 			return nil
 		})
 	}
-	inj.Register(name+"/pcie", linkHandler(dev.PCIe()))
+	inj.Register(name+"/pcie", func(in Injection) func() {
+		return linkHandler(cur().PCIe())(in)
+	})
 }
 
 // AttachSSD registers a conventional SSD's fault surfaces under
@@ -80,7 +91,11 @@ func AttachSSD(inj *Injector, name string, dev *ssd.SSD) {
 
 // AttachGroup registers every node of a replica group: the node name
 // itself takes node-crash/node-restart/powerloss, and "<node>/nic"
-// takes link-degrade on the node's NIC.
+// takes link-degrade on the node's NIC. An SDF node
+// (cluster.NewSDFNode) also gets its device's "<node>/chan<i>" and
+// "<node>/pcie" targets, resolved against the replica's current
+// device when they fire: after a power cut and remount they hit the
+// remounted card, not the dead one.
 func AttachGroup(inj *Injector, g *cluster.Group) {
 	for _, node := range g.Nodes() {
 		node := node
@@ -102,6 +117,9 @@ func AttachGroup(inj *Injector, g *cluster.Group) {
 			return nil
 		})
 		inj.Register(node.Name+"/nic", linkHandler(node.NIC()))
+		if r := node.Replica(); r != nil {
+			attachChannels(inj, node.Name, r.Dev.Channels(), func() *core.Device { return r.Dev })
+		}
 	}
 }
 

@@ -123,22 +123,20 @@ func (ch *Channel) Checkpoint(p *sim.Proc) error {
 
 // maybeCheckpoint runs the periodic checkpoint policy after a
 // successful write command (engine held): a checkpoint fires when
-// CheckpointEvery writes have accumulated, or — with CheckpointMaxAge
-// set — when more than that much virtual time has passed since the
-// last successful checkpoint. A failed checkpoint write is counted
-// and absorbed: the data write already succeeded, and the previous
-// checkpoint still stands — recovery falls back to it.
+// CheckpointEvery writes have accumulated. A failed checkpoint write
+// is counted and absorbed: the data write already succeeded, and the
+// previous checkpoint still stands — recovery falls back to it.
 func (ch *Channel) maybeCheckpoint(p *sim.Proc) {
 	if !ch.cpEnabled() {
 		return
 	}
 	ch.writesSinceCp++
-	aged := ch.cfg.CheckpointMaxAge > 0 && ch.env.Now()-ch.lastCp >= ch.cfg.CheckpointMaxAge
-	if ch.writesSinceCp < ch.cfg.CheckpointEvery && !aged {
+	if ch.writesSinceCp < ch.cfg.CheckpointEvery {
 		return
 	}
 	if err := ch.checkpointLocked(p); err != nil {
-		// Back off a full period (and a full age window) before retrying.
+		// Back off a full period before retrying; the checkpoint age
+		// restarts too.
 		ch.writesSinceCp = 0
 		ch.lastCp = ch.env.Now()
 	}

@@ -196,46 +196,3 @@ func TestSparesMustLeaveLogicalBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCheckpointAgeTrigger sets a write period too large to ever fire
-// and a small virtual-time bound, and requires the age trigger to
-// checkpoint anyway — plus the age accessor to reset on success.
-func TestCheckpointAgeTrigger(t *testing.T) {
-	cfg := cpConfig(1 << 30) // count trigger effectively off
-	cfg.CheckpointMaxAge = 1 * time.Millisecond
-	env := sim.NewEnv()
-	defer env.Close()
-	ch, err := New(env, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := env.Go("w", func(p *sim.Proc) {
-		for lbn := 0; lbn < 4; lbn++ {
-			if err := ch.EraseWrite(p, lbn, nil); err != nil {
-				t.Error(err)
-				return
-			}
-			p.Wait(2 * time.Millisecond) // exceed the age bound between writes
-		}
-	})
-	env.RunUntilDone(w)
-	written, failures, _ := ch.CheckpointStats()
-	if written < 2 || failures != 0 {
-		t.Fatalf("CheckpointStats = %d written, %d failures; want >= 2 and 0", written, failures)
-	}
-	if age := ch.CheckpointAge(); age >= 3*time.Millisecond {
-		t.Fatalf("CheckpointAge = %v after recent checkpoint; want < 3ms", age)
-	}
-}
-
-// TestCheckpointMaxAgeRequiresEvery rejects an age bound without the
-// checkpoint engine enabled.
-func TestCheckpointMaxAgeRequiresEvery(t *testing.T) {
-	cfg := smallConfig()
-	cfg.CheckpointMaxAge = time.Second
-	env := sim.NewEnv()
-	defer env.Close()
-	if _, err := New(env, cfg); err == nil {
-		t.Fatal("New accepted CheckpointMaxAge with CheckpointEvery == 0")
-	}
-}

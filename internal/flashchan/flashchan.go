@@ -91,17 +91,6 @@ type Config struct {
 	// out of plane 0's spare headroom).
 	CheckpointEvery int
 
-	// CheckpointMaxAge adds a virtual-time bound to the checkpoint
-	// policy: a write that completes more than CheckpointMaxAge after
-	// the last successful checkpoint triggers one immediately, even if
-	// fewer than CheckpointEvery writes have accumulated. It bounds
-	// recovery cost by elapsed time as well as by activity — a channel
-	// receiving a trickle of writes no longer holds a stale checkpoint
-	// for arbitrarily long. Zero disables the age trigger; a non-zero
-	// value requires CheckpointEvery > 0 (the trigger rides the write
-	// path of the checkpoint engine).
-	CheckpointMaxAge time.Duration
-
 	Seed int64
 }
 
@@ -210,8 +199,6 @@ func newChannel(env *sim.Env, cfg Config) (*Channel, error) {
 	case cfg.SparePerPlane < 0 || cfg.SparePerPlane >= cfg.Nand.BlocksPerPlane:
 		return nil, fmt.Errorf("flashchan: SparePerPlane %d leaves no logical blocks of %d per plane",
 			cfg.SparePerPlane, cfg.Nand.BlocksPerPlane)
-	case cfg.CheckpointMaxAge > 0 && cfg.CheckpointEvery <= 0:
-		return nil, fmt.Errorf("flashchan: CheckpointMaxAge requires CheckpointEvery > 0")
 	case cfg.ECC && !cfg.Nand.RetainData:
 		return nil, fmt.Errorf("flashchan: ECC requires RetainData")
 	}
