@@ -89,29 +89,41 @@ func TestCommandBudget(t *testing.T) {
 		}
 	}
 
-	// A write needs an erased block each time, and the erase is outside
-	// the budget, so the write is counted on its own. Wear leveling
-	// hands each erase the least-worn free block: the steady state —
-	// every block written once, its out-of-band record recycled when its
-	// turn comes again — takes a full rotation of the plane to reach.
+	// A write needs an erased block each time, so erases and writes
+	// alternate and each is counted on its own. Wear leveling hands each
+	// erase the least-worn free block: the steady state — every block
+	// written once, its out-of-band record recycled when its turn comes
+	// again — takes a full rotation of the plane to reach.
 	for i := 0; i < 2*cfg.Channel.Nand.BlocksPerPlane; i++ {
 		rig.do(eraseWrite)
 	}
-	var allocs uint64
-	for i := 0; i < 20; i++ {
-		rig.do(erase)
+	mallocs := func(op func(*sim.Proc)) uint64 {
 		// ReadMemStats stops the world, and restarting it may start an
 		// OS thread, which allocates after the snapshot was taken: the
 		// first call absorbs that, the second opens the window.
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		runtime.ReadMemStats(&before)
-		rig.do(write)
+		rig.do(op)
 		runtime.ReadMemStats(&after)
-		allocs += after.Mallocs - before.Mallocs
+		return after.Mallocs - before.Mallocs
 	}
-	if allocs != 0 {
-		t.Errorf("8 MB write: %d allocations in 20 commands, want 0", allocs)
+	var eraseAllocs, writeAllocs, eraseEvents uint64
+	for i := 0; i < 20; i++ {
+		eraseAllocs += mallocs(erase)
+		eraseEvents = max(eraseEvents, rig.events)
+		writeAllocs += mallocs(write)
+	}
+	// An erase spawns one worker per chip, each erasing its two planes
+	// in turn: 9 events on two chips.
+	if eraseAllocs != 0 {
+		t.Errorf("8 MB erase: %d allocations in 20 commands, want 0", eraseAllocs)
+	}
+	if eraseEvents > 9 {
+		t.Errorf("8 MB erase: %d scheduler events, budget 9", eraseEvents)
+	}
+	if writeAllocs != 0 {
+		t.Errorf("8 MB write: %d allocations in 20 commands, want 0", writeAllocs)
 	}
 	if rig.events > 16 {
 		t.Errorf("8 MB write: %d scheduler events, budget 16", rig.events)

@@ -324,9 +324,9 @@ func (d *Device) Channel(i int) *flashchan.Channel { return d.channels[i] }
 // RegisterMetrics exports the device's observable state against r:
 // the host interface and software stack, plus cross-channel
 // aggregates (busy channels, total queue depth, cumulative bytes
-// moved, ECC failures, dead channels). Per-channel series are left to
-// flashchan.Channel.RegisterMetrics — a 44-channel card would
-// otherwise flood the sampler with hundreds of mostly-idle series.
+// moved, ECC failures, dead channels). There are no per-channel
+// series: a 44-channel card would flood the sampler with hundreds of
+// mostly-idle ones.
 func (d *Device) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 	if r == nil {
 		return

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"sdf/internal/bch"
-	"sdf/internal/metrics"
 	"sdf/internal/nand"
 	"sdf/internal/sim"
 	"sdf/internal/trace"
@@ -182,6 +181,32 @@ type Channel struct {
 	wr  blockWrite  // the block write in service (program.go)
 	oob *oobPool    // its recycled out-of-band records (recovery.go)
 	cut *sim.Signal // fired by PowerOff: wakes the block write it cut
+
+	erasers []*eraser // one per chip, for eraseLocked
+}
+
+// eraser is one chip's share of an erase command: the flashchan/erase
+// process that erases the chip's planes, ch.planes[first:end], one
+// after another. The Proc is embedded and the body bound when the chip
+// is added, so an erase spawns its workers without allocating
+// (DESIGN.md §15).
+type eraser struct {
+	ch         *Channel
+	proc       sim.Proc
+	run        func(*sim.Proc)
+	first, end int
+	lbn        int
+	parent     trace.SpanID
+	err        error // the first of its planes' failures
+}
+
+func (e *eraser) erase(wp *sim.Proc) {
+	wp.SetSpan(e.parent)
+	for pi := e.first; pi < e.end; pi++ {
+		if err := e.ch.erasePlane(wp, pi, e.lbn); err != nil && e.err == nil {
+			e.err = err
+		}
+	}
 }
 
 type parityKey struct {
@@ -225,8 +250,11 @@ func newChannel(env *sim.Env, cfg Config) (*Channel, error) {
 }
 
 // addChip appends a chip's planes to the channel, unmapped and with
-// empty free pools.
+// empty free pools, and the chip's eraser.
 func (ch *Channel) addChip(chip *nand.Chip) {
+	e := &eraser{ch: ch, first: len(ch.planes), end: len(ch.planes) + chip.Planes()}
+	e.run = e.erase
+	ch.erasers = append(ch.erasers, e)
 	for pl := 0; pl < chip.Planes(); pl++ {
 		ch.planes = append(ch.planes, planeState{
 			plane:   chip.Plane(pl),
@@ -345,41 +373,6 @@ func (ch *Channel) Counters() (read, written, erased int64) {
 // ECCStats returns (corrected bit errors, uncorrectable sector reads).
 func (ch *Channel) ECCStats() (corrected, failures int64) {
 	return ch.eccCorrected, ch.eccFailures
-}
-
-// RegisterMetrics exports the channel's byte counters, ECC health,
-// and live engine state against r. The queue-depth and busy gauges
-// are the per-channel load signals the paper's scheduling discussion
-// (§3.3.1) watches; sampled on a virtual period they become the
-// plane-busy time series. Callbacks read in-memory state only and
-// must stay park-free, per the registry's callback contract.
-func (ch *Channel) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
-	if r == nil {
-		return
-	}
-	r.CounterFunc("flashchan_read_bytes_total", func() int64 { return ch.bytesRead }, labels...)
-	r.CounterFunc("flashchan_written_bytes_total", func() int64 { return ch.bytesWritten }, labels...)
-	r.CounterFunc("flashchan_erased_blocks_total", func() int64 { return ch.blocksErased }, labels...)
-	r.CounterFunc("flashchan_ecc_corrected_total", func() int64 { return ch.eccCorrected }, labels...)
-	r.CounterFunc("flashchan_ecc_failures_total", func() int64 { return ch.eccFailures }, labels...)
-	r.CounterFunc("flashchan_dead_rejects_total", func() int64 { return ch.deadRejects }, labels...)
-	r.CounterFunc("flashchan_checkpoints_total", func() int64 { return ch.checkpoints }, labels...)
-	r.CounterFunc("flashchan_checkpoint_failures_total", func() int64 { return ch.cpFailures }, labels...)
-	r.GaugeFunc("flashchan_checkpoint_age_writes", func() float64 { return float64(ch.writesSinceCp) }, labels...)
-	r.GaugeFunc("flashchan_checkpoint_age_seconds", func() float64 { return ch.CheckpointAge().Seconds() }, labels...)
-	r.GaugeFunc("flashchan_queue_depth", func() float64 { return float64(ch.QueueDepth()) }, labels...)
-	r.GaugeFunc("flashchan_busy", func() float64 {
-		if ch.Idle() {
-			return 0
-		}
-		return 1
-	}, labels...)
-	r.GaugeFunc("flashchan_alive", func() float64 {
-		if ch.Alive() {
-			return 1
-		}
-		return 0
-	}, labels...)
 }
 
 // Fault-injection hooks. These are the channel-level failure modes a
@@ -540,32 +533,19 @@ func (ch *Channel) eraseLocked(p *sim.Proc, lbn int) error {
 			return fmt.Errorf("%w: plane %d spare pool exhausted", ErrOutOfSpace, i)
 		}
 	}
-	// Group planes by chip; erase chips in parallel, planes within a
-	// chip sequentially (one erase pulse per die at a time).
-	byChip := make(map[int][]int)
-	for i := range ch.planes {
-		byChip[ch.planes[i].chip] = append(byChip[ch.planes[i].chip], i)
+	// Erase chips in parallel, planes within a chip sequentially (one
+	// erase pulse per die at a time).
+	for _, e := range ch.erasers {
+		e.lbn, e.parent, e.err = lbn, p.Span(), nil
+		ch.env.Start(&e.proc, "flashchan/erase", e.run)
 	}
-	errs := make([]error, len(ch.planes))
-	parent := p.Span()
-	var workers []*sim.Proc
-	for c := 0; c < len(ch.chips); c++ {
-		planeIdxs := byChip[c]
-		w := ch.env.Go("flashchan/erase", func(wp *sim.Proc) {
-			wp.SetSpan(parent)
-			for _, pi := range planeIdxs {
-				errs[pi] = ch.erasePlane(wp, pi, lbn)
-			}
-		})
-		workers = append(workers, w)
+	for _, e := range ch.erasers {
+		p.Join(&e.proc)
 	}
-	for _, w := range workers {
-		p.Join(w)
-	}
-	for _, err := range errs {
-		if err != nil {
+	for _, e := range ch.erasers {
+		if e.err != nil {
 			ch.unwindErase(lbn)
-			return err
+			return e.err
 		}
 	}
 	ch.blocksErased++

@@ -552,6 +552,24 @@ func TestEraseWriteLatency(t *testing.T) {
 	})
 }
 
+// TestWriteStepBudget is the gate on what laying out a default-geometry
+// 8 MB write costs the engine: its four planes settle into their TProg
+// period after a few worker steps and scheduleWrite fills the other
+// ~1000 pulses in closed form (DESIGN.md §10). Stepping every page is
+// ~1030 steps.
+func TestWriteStepBudget(t *testing.T) {
+	run(t, timingConfig(), func(env *sim.Env, ch *Channel, p *sim.Proc) {
+		for lbn := 0; lbn < 3; lbn++ {
+			if err := ch.EraseWrite(p, lbn, nil); err != nil {
+				t.Fatal(err)
+			}
+			if ch.wr.steps > 16 {
+				t.Errorf("8 MB write %d: %d worker steps, budget 16", lbn, ch.wr.steps)
+			}
+		}
+	})
+}
+
 func TestEraseThroughputScale(t *testing.T) {
 	cfg := timingConfig()
 	run(t, cfg, func(env *sim.Env, ch *Channel, p *sim.Proc) {

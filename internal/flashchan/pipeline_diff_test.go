@@ -38,6 +38,9 @@ type diffCase struct {
 	torn     int
 	cutAfter time.Duration
 	tornData []byte
+	// busBound: the planes' transfers overrun TProg, so scheduleWrite's
+	// workers never settle and every write is stepped page by page.
+	busBound bool
 }
 
 // diffResult is everything a run exposes that the two pipelines must
@@ -49,23 +52,35 @@ type diffResult struct {
 	lens     []int
 	spans    []string
 	busMoved int64
+	lanes    string // the instants the bus and each plane next free
 	counters string
 	probe    []byte // a final raw read: the chips' RNG streams, continued
 	endAt    time.Duration
 	media    uint32 // CRC over every block's write pointer and every page's spare
+	steps    int    // worker steps of the last write scheduled (closed form only)
 }
 
 // newDiffCase draws a case: geometry and timing regime (the default
 // program-bound one, a bus-bound one, and one whose bus slot divides
 // TRead and TProg so transfers and pulses keep landing on the same
 // instant), data mode, and 1–8 commands issued in a burst or staggered.
-func newDiffCase(seed int64) diffCase {
+// A long case has 32- or 64-page blocks, so that a write's planes
+// settle and scheduleWrite fills the rest of it, and no ECC (the codec
+// is too slow for blocks that size); its tie regime gives TProg five or
+// six bus slots, so the settled planes' transfers are exactly one slot
+// apart.
+func newDiffCase(seed int64, long bool) diffCase {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := smallConfig()
 	cfg.Seed = seed
 	cfg.Nand.PagesPerBlock = 4 << rng.Intn(2)
 	cfg.PrioritizeReads = rng.Intn(2) == 0
 	mode := rng.Intn(6)
+	if long {
+		cfg.Nand.PagesPerBlock = 32 << rng.Intn(2)
+		mode = 1 + rng.Intn(5)
+	}
+	busBound := false
 	switch {
 	case mode == 0: // ECC + CRC over a noisy medium (slow codec: small pages)
 		cfg.Nand.PageSize = 2 << 10
@@ -83,13 +98,17 @@ func newDiffCase(seed int64) diffCase {
 	switch rng.Intn(3) {
 	case 1: // bus-bound programs
 		cfg.Nand.TProg = 100 * time.Microsecond
-	case 2: // ties: slot = 200 µs, TRead = 1 slot, TProg = 4 slots
+		busBound = true
+	case 2: // ties: slot = 200 µs, TRead = 1 slot, TProg = 4 slots (5 or 6 if long)
 		cfg.BusOverhead = 0
 		cfg.BusRate = float64(cfg.Nand.PageSize) / 200e-6
 		cfg.Nand.TRead = sim.ByteTime(cfg.Nand.PageSize, cfg.BusRate)
 		cfg.Nand.TProg = 4 * cfg.Nand.TRead
+		if long {
+			cfg.Nand.TProg = time.Duration(5+rng.Intn(2)) * cfg.Nand.TRead
+		}
 	}
-	c := diffCase{cfg: cfg, filler: -1, torn: -1}
+	c := diffCase{cfg: cfg, filler: -1, torn: -1, busBound: busBound}
 	blockSize := cfg.Nand.PageSize * cfg.Nand.PagesPerBlock * cfg.Chips * cfg.Nand.Planes
 	payload := func() []byte {
 		if !cfg.Nand.RetainData {
@@ -267,8 +286,13 @@ func (c diffCase) run(t *testing.T, ref bool) diffResult {
 	})
 	env.Run()
 	res.endAt = env.Now()
+	res.steps = ch.wr.steps
 	res.spans = spanKeys(col)
 	res.busMoved = ch.bus.Moved()
+	res.lanes = fmt.Sprint(ch.bus.Free())
+	for k := range ch.planes {
+		res.lanes += fmt.Sprint(" ", ch.planes[k].plane.Timeline().Free())
+	}
 	for _, chip := range ch.chips {
 		r, pr, er := chip.Counters()
 		res.counters += fmt.Sprintf("chip %d/%d/%d ", r, pr, er)
@@ -323,14 +347,26 @@ func spanKeys(col *trace.Collector) []string {
 	return keys
 }
 
+// TestPipelineMatchesReference runs 60 short cases, then 24 long ones
+// (seeds 61–84) in which the closed form fills each write past the
+// point its planes settle — except in the bus-bound regime, where it
+// must step every page.
 func TestPipelineMatchesReference(t *testing.T) {
-	seeds := 60
+	short, long := int64(60), int64(24)
 	if testing.Short() {
-		seeds = 12
+		short, long = 12, 6
 	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		c := newDiffCase(seed)
+	for seed := int64(1); seed <= 60+long; seed++ {
+		if seed > short && seed <= 60 {
+			continue
+		}
+		c := newDiffCase(seed, seed > 60)
 		want, got := c.run(t, true), c.run(t, false)
+		// Stepped, every plane parks at least once per page.
+		stepped := got.steps >= c.cfg.Nand.PagesPerBlock*c.cfg.Chips*c.cfg.Nand.Planes
+		if seed > 60 && stepped != c.busBound {
+			t.Errorf("seed %d: last write took %d worker steps; bus-bound %v, but filled %v", seed, got.steps, c.busBound, !stepped)
+		}
 		for i := range c.cmds {
 			if want.doneAt[i] != got.doneAt[i] || want.errs[i] != got.errs[i] {
 				t.Errorf("seed %d cmd %d (%+v): reference done at %v (%q), closed form at %v (%q)",
@@ -349,6 +385,9 @@ func TestPipelineMatchesReference(t *testing.T) {
 		if want.busMoved != got.busMoved || want.counters != got.counters {
 			t.Errorf("seed %d: counters differ:\n ref  %d %s\n got  %d %s", seed,
 				want.busMoved, want.counters, got.busMoved, got.counters)
+		}
+		if want.lanes != got.lanes {
+			t.Errorf("seed %d: bus and plane lanes free at %s, reference %s", seed, got.lanes, want.lanes)
 		}
 		if !bytes.Equal(want.probe, got.probe) {
 			t.Errorf("seed %d: chip RNG streams diverged", seed)
@@ -443,14 +482,19 @@ func cutRun(t *testing.T, cfg Config, data []byte, cut time.Duration, ref bool) 
 // gave up at their next step after the cut, so it returned within one
 // TProg of it; the closed form wakes at the cut itself (DESIGN.md §9,
 // command granularity), never later than the reference.
+//
+// The 32-page variants settle after a few worker steps, so most of
+// their cuts land in the part of the write scheduleWrite filled.
 func TestPowerCutMatchesReference(t *testing.T) {
-	t.Run("data", func(t *testing.T) { testPowerCut(t, true) })    // a CRC per page
-	t.Run("timing", func(t *testing.T) { testPowerCut(t, false) }) // no payload, no CRCs
+	t.Run("data", func(t *testing.T) { testPowerCut(t, 6, true) })    // a CRC per page
+	t.Run("timing", func(t *testing.T) { testPowerCut(t, 6, false) }) // no payload, no CRCs
+	t.Run("data-32", func(t *testing.T) { testPowerCut(t, 32, true) })
+	t.Run("timing-32", func(t *testing.T) { testPowerCut(t, 32, false) })
 }
 
-func testPowerCut(t *testing.T, dataMode bool) {
+func testPowerCut(t *testing.T, pages int, dataMode bool) {
 	cfg := smallConfig()
-	cfg.Nand.PagesPerBlock = 6
+	cfg.Nand.PagesPerBlock = pages
 	cfg.Nand.RetainData = dataMode
 	var data []byte
 	if dataMode {

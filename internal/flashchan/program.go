@@ -58,7 +58,9 @@ type progWorker struct {
 // scheduleWrite lays out ch.wr on the bus and the four planes and
 // returns the instant the last plane finishes. The engine mutex makes
 // those timelines private to the command, so every instant a worker
-// process would have observed is computable now (DESIGN.md §10).
+// process would have observed is computable now (DESIGN.md §10). The
+// workers are stepped until their pipeline settles into a period of
+// TProg, and fillWrite lays out the rest.
 func (ch *Channel) scheduleWrite(parent trace.SpanID) time.Duration {
 	w := &ch.wr
 	if w.workers == nil {
@@ -67,6 +69,10 @@ func (ch *Channel) scheduleWrite(parent trace.SpanID) time.Duration {
 	w.parent, w.steps = parent, 0
 	t := ch.env.Tracer()
 	now := ch.env.Now()
+	hold := ch.bus.Hold(ch.cfg.Nand.PageSize)
+	// The planes' transfers fit in one program period, or the bus sets
+	// the pace and the pipeline never settles.
+	periodic := time.Duration(len(w.workers))*hold <= ch.cfg.Nand.TProg
 	for k := range w.workers {
 		wk := &w.workers[k]
 		*wk = progWorker{phys: ch.planes[k].mapping[w.lbn], pulses: wk.pulses[:0]}
@@ -98,9 +104,107 @@ func (ch *Channel) scheduleWrite(parent trace.SpanID) time.Duration {
 			break
 		}
 		ch.stepWorker(next, w.workers[next].wake)
+		if periodic && ch.settled(hold) {
+			ch.fillWrite(hold)
+		}
 	}
 	w.active = true
 	return end
+}
+
+// settled reports whether every later step of ch.wr is one period of
+// what the workers do now. It holds when each worker is mid-pulse with
+// its next page landed by the time the pulse ends, the bus is quiet by
+// the first pulse end, and the pulses' starts, taken mod TProg, are
+// pairwise at least one bus hold apart (and distinct), circularly. Then
+// each pulse end finds its page landed and the bus free: the worker
+// ships the next page at once, pulses at once, and no transfer waits
+// for the bus, ever again.
+func (ch *Channel) settled(hold time.Duration) bool {
+	w := &ch.wr
+	tProg := ch.cfg.Nand.TProg
+	first := w.workers[0].wake
+	for k := range w.workers {
+		wk := &w.workers[k]
+		if wk.done || !wk.pulsing || wk.pending > wk.wake {
+			return false
+		}
+		first = min(first, wk.wake)
+	}
+	if ch.bus.Free() > first {
+		return false
+	}
+	gap := max(hold, 1)
+	for a := range w.workers {
+		for b := a + 1; b < len(w.workers); b++ {
+			d := w.workers[a].wake%tProg - w.workers[b].wake%tProg
+			if d < 0 {
+				d = -d
+			}
+			if d < gap || tProg-d < gap {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// fillWrite lays out the rest of a settled ch.wr in closed form: plane
+// k, pulsing page pg_k since S_k, pulses page j at S_k + (j−pg_k)·TProg
+// and puts page j+1 on the bus at that instant for one hold. Each plane
+// lane and the bus are committed once, and each worker ends at its last
+// pulse end. With a tracer attached the filled steps' spans follow, in
+// the order stepping would have emitted them.
+func (ch *Channel) fillWrite(hold time.Duration) {
+	w := &ch.wr
+	pages, tProg := ch.cfg.Nand.PagesPerBlock, ch.cfg.Nand.TProg
+	bus, shipped := ch.bus.Free(), 0
+	for k := range w.workers {
+		wk := &w.workers[k]
+		start := wk.wake - tProg // of page pg's pulse
+		for j := wk.pg + 1; j < pages; j++ {
+			wk.pulses = append(wk.pulses, start+time.Duration(j-wk.pg)*tProg)
+		}
+		// Pages pg+2 .. pages-1 ship at the pulse starts of pg+1 .. pages-2.
+		if n := pages - 2 - wk.pg; n > 0 {
+			shipped += n
+			bus = max(bus, start+time.Duration(n)*tProg+hold)
+		}
+		wk.done, wk.end = true, start+time.Duration(pages-wk.pg)*tProg
+		ch.planes[k].plane.Timeline().Commit(wk.end)
+	}
+	ch.bus.Commit(bus, shipped*ch.cfg.Nand.PageSize)
+	if t := ch.env.Tracer(); t != nil {
+		ch.traceFill(t, hold)
+	}
+}
+
+// traceFill emits the spans of the steps fillWrite skipped, one step at
+// a time in instant order — the stepping order, as no two workers'
+// pulses share a phase — with wake and pg as the workers' cursors.
+func (ch *Channel) traceFill(t *trace.Collector, hold time.Duration) {
+	w := &ch.wr
+	pages, tProg := ch.cfg.Nand.PagesPerBlock, ch.cfg.Nand.TProg
+	for {
+		var wk *progWorker
+		for k := range w.workers {
+			if c := &w.workers[k]; c.pg < pages && (wk == nil || c.wake < wk.wake) {
+				wk = c
+			}
+		}
+		if wk == nil {
+			return
+		}
+		at := wk.wake
+		wk.pg++
+		wk.wake += tProg
+		switch {
+		case wk.pg == pages:
+			t.End(at, wk.span)
+		case wk.pg+1 < pages:
+			t.End(at+hold, t.Begin(at, w.parent, "chan/bus", trace.PhaseBus))
+		}
+	}
 }
 
 // stepWorker runs plane k's worker from instant cur to its next park:

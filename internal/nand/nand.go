@@ -23,7 +23,6 @@ import (
 	"math/rand"
 	"time"
 
-	"sdf/internal/metrics"
 	"sdf/internal/sim"
 	"sdf/internal/trace"
 )
@@ -386,33 +385,6 @@ func (c *Chip) Planes() int { return len(c.planes) }
 // Counters returns cumulative (reads, programs, erases) across planes.
 func (c *Chip) Counters() (reads, programs, erases int64) {
 	return c.reads, c.programs, c.erases
-}
-
-// RegisterMetrics exports the chip's command counters and media
-// health against r. The callbacks read plain fields and per-plane
-// media state — they must stay park-free, per the registry's
-// callback contract.
-func (c *Chip) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
-	if r == nil {
-		return
-	}
-	r.CounterFunc("nand_reads_total", func() int64 { return c.reads }, labels...)
-	r.CounterFunc("nand_programs_total", func() int64 { return c.programs }, labels...)
-	r.CounterFunc("nand_erases_total", func() int64 { return c.erases }, labels...)
-	r.GaugeFunc("nand_bad_blocks", func() float64 {
-		var n int
-		for _, pl := range c.planes {
-			n += pl.BadBlocks()
-		}
-		return float64(n)
-	}, labels...)
-	r.GaugeFunc("nand_interrupted_erases", func() float64 {
-		var n int
-		for _, pl := range c.planes {
-			n += pl.InterruptedErases()
-		}
-		return float64(n)
-	}, labels...)
 }
 
 func (pl *Plane) checkAddr(blockIdx, page int) error {

@@ -64,7 +64,7 @@ type Network struct {
 	env      *sim.Env
 	cfg      Config
 	server   *sim.SharedLink
-	cpu      *sim.Resource
+	cpu      *sim.Timeline // the server's CPUs: a pure timed hold per sub-request
 	rng      *rand.Rand
 	lossRate float64 // wire drop probability; see InjectLoss
 
@@ -89,7 +89,7 @@ func NewNetwork(env *sim.Env, cfg Config) *Network {
 		env:    env,
 		cfg:    cfg,
 		server: sim.NewSharedLink(env, serverBandwidth),
-		cpu:    sim.NewResource(env, serverCPUs),
+		cpu:    sim.NewTimeline(env, serverCPUs),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
@@ -205,9 +205,7 @@ func (n *Network) getCall(c *Client, batch int) *call {
 func (s *subCall) execute(wp *sim.Proc) {
 	c := s.call.client
 	n := c.net
-	n.cpu.Acquire(wp)
-	wp.Wait(n.cfg.SubRequestCPU)
-	n.cpu.Release()
+	n.cpu.Occupy(wp, n.cfg.SubRequestCPU)
 	size := s.do(wp)
 	s.call.respBytes += size
 	if size > 0 {
