@@ -69,7 +69,10 @@ examples:
 # (TestCommandBudget), or on programmed blocks that retain per-page
 # state (TestCommandBudgetRetainedHeap: -run matches both), or on an
 # 8 MB write whose planes are stepped page by page instead of filled
-# once their pipeline settles (TestWriteStepBudget), then
+# once their pipeline settles, or that lists the filled pulses one by
+# one (TestWriteStepBudget), or on an 8 MB read whose plane runs are
+# walked page by page instead of laid out once they turn steady
+# (TestReadStepBudget), then
 # records the BenchmarkKernel* suite with
 # allocation accounting and a CPU profile. CI uploads kernel-bench.txt
 # and kernel-bench.pprof, so every commit carries its kernel perf
@@ -77,7 +80,7 @@ examples:
 kernel-bench:
 	$(GO) test ./internal/sim -run TestKernelFastPathAllocs -count=1 -v
 	$(GO) test ./internal/core -run TestCommandBudget -count=1 -v
-	$(GO) test ./internal/flashchan -run TestWriteStepBudget -count=1 -v
+	$(GO) test ./internal/flashchan -run 'TestWriteStepBudget|TestReadStepBudget' -count=1 -v
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkKernel -benchmem \
 		-cpuprofile kernel-bench.pprof -o kernel-bench.test | tee kernel-bench.txt
 	rm -f kernel-bench.test

@@ -20,6 +20,13 @@ type Code struct {
 	gen        []int // generator polynomial coefficients over GF(2), gen[0] is x^0
 	dataBits   int
 	parityBits int
+	// The division register holds a remainder of degree < parityBits
+	// left-aligned in words big-endian uint64s: bit j (0 the most
+	// significant of word 0) is the coefficient of x^(parityBits-1-j),
+	// the parity's bit order. table[v*words:(v+1)*words] is
+	// v(x)·x^parityBits mod g(x) for each byte value v.
+	words int
+	table []uint64
 }
 
 // New constructs a BCH code over GF(2^m) correcting t errors with the
@@ -48,6 +55,26 @@ func New(m, t, dataBytes int) (*Code, error) {
 	if c.dataBits+c.parityBits > f.n {
 		return nil, fmt.Errorf("bch: %d data + %d parity bits exceed code length %d",
 			c.dataBits, c.parityBits, f.n)
+	}
+	c.words = (c.parityBits + 63) / 64
+	c.table = make([]uint64, 256*c.words)
+	for v := 0; v < 256; v++ {
+		// Bit-serial division of the one byte v, from a zero register.
+		rem := make([]int, c.parityBits)
+		for i := 7; i >= 0; i-- {
+			feedback := v>>uint(i)&1 ^ rem[0]
+			copy(rem, rem[1:])
+			rem[c.parityBits-1] = 0
+			if feedback != 0 {
+				for j := range rem {
+					rem[j] ^= c.gen[c.parityBits-1-j]
+				}
+			}
+		}
+		row := c.table[v*c.words : (v+1)*c.words]
+		for j, b := range rem {
+			row[j/64] |= uint64(b) << (63 - uint(j%64))
+		}
 	}
 	return c, nil
 }
@@ -114,14 +141,38 @@ func (c *Code) DataBytes() int { return c.dataBits / 8 }
 // ParityBytes returns the redundancy size in bytes (rounded up).
 func (c *Code) ParityBytes() int { return (c.parityBits + 7) / 8 }
 
-// bit reads logical bit i of a byte slice (MSB-first within bytes).
-func bit(b []byte, i int) int {
-	return int(b[i/8]>>(7-uint(i%8))) & 1
-}
-
-// flipBit toggles logical bit i of a byte slice.
+// flipBit toggles logical bit i of a byte slice (MSB-first within
+// bytes).
 func flipBit(b []byte, i int) {
 	b[i/8] ^= 1 << (7 - uint(i%8))
+}
+
+// remainder sets reg (c.words long, zeroed) to r(x) mod g(x) for the
+// received word data‖parity — data(x)·x^parityBits mod g(x), plus
+// parity(x), whose degree is already below g's; nil parity gives the
+// encoder's remainder. The division takes a byte per step: the
+// register's top byte, plus the next data byte, indexes the remainder
+// their sum leaves once shifted past the register, and the rest of the
+// register moves up a byte under it. Parity bits past parityBits are
+// padding and ignored.
+func (c *Code) remainder(reg []uint64, data, parity []byte) {
+	last := len(reg) - 1
+	for _, d := range data {
+		v := int(byte(reg[0]>>56) ^ d)
+		for w := 0; w < last; w++ {
+			reg[w] = reg[w]<<8 | reg[w+1]>>56
+		}
+		reg[last] <<= 8
+		for w, x := range c.table[v*c.words : (v+1)*c.words] {
+			reg[w] ^= x
+		}
+	}
+	for i, b := range parity {
+		if i == len(parity)-1 && c.parityBits%8 != 0 {
+			b &= 0xff << (8 - uint(c.parityBits%8))
+		}
+		reg[i/8] ^= uint64(b) << (56 - 8*uint(i%8))
+	}
 }
 
 // Encode computes the parity for data (which must be exactly DataBytes
@@ -133,25 +184,11 @@ func (c *Code) Encode(data []byte) []byte {
 	if len(data)*8 != c.dataBits {
 		panic(fmt.Sprintf("bch: Encode payload %d bytes, want %d", len(data), c.DataBytes()))
 	}
-	// LFSR division: remainder of data(x) * x^parityBits mod g(x).
-	rem := make([]int, c.parityBits)
-	for i := 0; i < c.dataBits; i++ {
-		feedback := bit(data, i) ^ rem[0]
-		copy(rem, rem[1:])
-		rem[c.parityBits-1] = 0
-		if feedback != 0 {
-			// gen is indexed from x^0; rem[0] is the highest-order
-			// register. rem[j] corresponds to x^(parityBits-1-j).
-			for j := 0; j < c.parityBits; j++ {
-				rem[j] ^= c.gen[c.parityBits-1-j]
-			}
-		}
-	}
+	reg := make([]uint64, c.words)
+	c.remainder(reg, data, nil)
 	parity := make([]byte, c.ParityBytes())
-	for j, v := range rem {
-		if v != 0 {
-			flipBit(parity, j)
-		}
+	for i := range parity {
+		parity[i] = byte(reg[i/8] >> (56 - 8*uint(i%8)))
 	}
 	return parity
 }
@@ -210,34 +247,33 @@ func (c *Code) Decode(data, parity []byte) (int, error) {
 	return len(positions), nil
 }
 
-// syndromes evaluates the received polynomial at alpha^1..alpha^2t.
-// Codeword bit i (0 = first data bit) has weight x^(total-1-i).
+// syndromes evaluates the received polynomial r(x) at alpha^1..alpha^2t,
+// and reports whether all vanish. Each alpha^i is a root of g(x), so
+// r(alpha^i) is the remainder's value there: the evaluation runs over
+// the remainder's at most parityBits bits, not the codeword's, and a
+// zero remainder — all syndromes vanish exactly when g(x) divides r(x)
+// — needs none.
 func (c *Code) syndromes(data, parity []byte) ([]int, bool) {
-	synd := make([]int, 2*c.t)
-	total := c.dataBits + c.parityBits
+	reg := make([]uint64, c.words)
+	c.remainder(reg, data, parity)
 	clean := true
-	addBit := func(exp int) {
+	for _, w := range reg {
+		clean = clean && w == 0
+	}
+	if clean {
+		return nil, true
+	}
+	synd := make([]int, 2*c.t)
+	for j := 0; j < c.parityBits; j++ {
+		if reg[j/64]>>(63-uint(j%64))&1 == 0 {
+			continue
+		}
+		exp := c.parityBits - 1 - j // the bit's power of x
 		for i := range synd {
 			synd[i] ^= c.f.pow(exp * (i + 1) % c.f.n)
 		}
 	}
-	for i := 0; i < c.dataBits; i++ {
-		if bit(data, i) != 0 {
-			addBit(total - 1 - i)
-		}
-	}
-	for i := 0; i < c.parityBits; i++ {
-		if bit(parity, i) != 0 {
-			addBit(c.parityBits - 1 - i)
-		}
-	}
-	for _, s := range synd {
-		if s != 0 {
-			clean = false
-			break
-		}
-	}
-	return synd, clean
+	return synd, false
 }
 
 // berlekampMassey finds the error-locator polynomial sigma(x) from the

@@ -2,6 +2,7 @@ package bch
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,105 @@ func mustCode(t *testing.T, m, tErr, dataBytes int) *Code {
 		t.Fatalf("New(%d, %d, %d): %v", m, tErr, dataBytes, err)
 	}
 	return c
+}
+
+// bit reads logical bit i of a byte slice (MSB-first within bytes).
+func bit(b []byte, i int) int {
+	return int(b[i/8]>>(7-uint(i%8))) & 1
+}
+
+// refEncode is the bit-serial LFSR encoder the table-driven Encode is
+// held to: the remainder of data(x)·x^parityBits mod g(x), one data bit
+// per step.
+func refEncode(c *Code, data []byte) []byte {
+	rem := make([]int, c.parityBits)
+	for i := 0; i < c.dataBits; i++ {
+		feedback := bit(data, i) ^ rem[0]
+		copy(rem, rem[1:])
+		rem[c.parityBits-1] = 0
+		if feedback != 0 {
+			// gen is indexed from x^0; rem[0] is the highest-order
+			// register. rem[j] corresponds to x^(parityBits-1-j).
+			for j := 0; j < c.parityBits; j++ {
+				rem[j] ^= c.gen[c.parityBits-1-j]
+			}
+		}
+	}
+	parity := make([]byte, c.ParityBytes())
+	for j, v := range rem {
+		if v != 0 {
+			flipBit(parity, j)
+		}
+	}
+	return parity
+}
+
+// refSyndromes evaluates the received polynomial at alpha^1..alpha^2t
+// bit by bit over the whole codeword, the way syndromes is held to.
+// Codeword bit i (0 = first data bit) has weight x^(total-1-i).
+func refSyndromes(c *Code, data, parity []byte) []int {
+	synd := make([]int, 2*c.t)
+	total := c.dataBits + c.parityBits
+	addBit := func(exp int) {
+		for i := range synd {
+			synd[i] ^= c.f.pow(exp * (i + 1) % c.f.n)
+		}
+	}
+	for i := 0; i < c.dataBits; i++ {
+		if bit(data, i) != 0 {
+			addBit(total - 1 - i)
+		}
+	}
+	for i := 0; i < c.parityBits; i++ {
+		if bit(parity, i) != 0 {
+			addBit(c.parityBits - 1 - i)
+		}
+	}
+	return synd
+}
+
+// TestMatchesBitSerialReference holds Encode and the syndromes to the
+// bit-serial reference on 1,800 random (data, error pattern) cases over
+// six (m, t, size) codes: the parity must be equal, and so must all 2t
+// syndromes of the corrupted word, which the fast path computes from
+// the ≤ parityBits-bit remainder alone. Error patterns run from none to
+// 2t+2 flips over data and parity, and a quarter of the cases also flip
+// a padding bit of the parity's last byte, which both must ignore.
+func TestMatchesBitSerialReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, cfg := range []struct{ m, t, size int }{
+		{5, 1, 2}, {6, 2, 4}, {8, 3, 16}, {10, 4, 64}, {13, 8, 512}, {14, 20, 256},
+	} {
+		c := mustCode(t, cfg.m, cfg.t, cfg.size)
+		for i := 0; i < 300; i++ {
+			data := make([]byte, cfg.size)
+			rng.Read(data)
+			parity := c.Encode(data)
+			if want := refEncode(c, data); !bytes.Equal(parity, want) {
+				t.Fatalf("m=%d t=%d size=%d case %d: parity %x, reference %x", cfg.m, cfg.t, cfg.size, i, parity, want)
+			}
+			for n := rng.Intn(2*cfg.t + 3); n > 0; n-- {
+				if pos := rng.Intn(c.dataBits + c.parityBits); pos < c.dataBits {
+					flipBit(data, pos)
+				} else {
+					flipBit(parity, pos-c.dataBits)
+				}
+			}
+			if pad := 8*len(parity) - c.parityBits; pad > 0 && rng.Intn(4) == 0 {
+				flipBit(parity, c.parityBits+rng.Intn(pad)) // padding: no part of the codeword
+			}
+			want := refSyndromes(c, data, parity)
+			got, clean := c.syndromes(data, parity)
+			wantClean := true
+			for _, s := range want {
+				wantClean = wantClean && s == 0
+			}
+			if clean != wantClean || !clean && fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("m=%d t=%d size=%d case %d: syndromes %v (clean %v), reference %v",
+					cfg.m, cfg.t, cfg.size, i, got, clean, want)
+			}
+		}
+	}
 }
 
 func TestFieldTables(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -500,4 +501,128 @@ func TestManyKeysAcrossTiers(t *testing.T) {
 	if got := s.Keys(); got != len(want) {
 		t.Fatalf("Keys() = %d, want %d", got, len(want))
 	}
+}
+
+func TestKeysVisibleDuringFlush(t *testing.T) {
+	// A Get while the patch write is in flight finds the key in the
+	// flushing batch; a Put of that key meanwhile lands in the fresh
+	// memtable and wins from then on, through the next flush too.
+	env := sim.NewEnv()
+	store := sdfStore(t, env, true)
+	s := NewSlice(env, store, sliceConfig(store, true))
+	flusher := env.Go("flusher", func(p *sim.Proc) {
+		for i := 0; i < 5; i++ {
+			if err := s.Put(p, fmt.Sprintf("k%d", i), []byte("old"), 3); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := s.Flush(p); err != nil {
+			t.Error(err)
+		}
+	})
+	w := env.Go("t", func(p *sim.Proc) {
+		p.Wait(time.Microsecond)
+		if s.flushing == nil {
+			t.Error("no flush in flight")
+			return
+		}
+		if v, size, err := s.Get(p, "k3"); err != nil || size != 3 || string(v) != "old" {
+			t.Errorf("Get during the flush = %q/%d/%v, want the batch's value", v, size, err)
+		}
+		if err := s.Put(p, "k3", []byte("newer"), 5); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Join(flusher)
+		for round := 0; round < 2; round++ {
+			if v, size, err := s.Get(p, "k3"); err != nil || size != 5 || string(v) != "newer" {
+				t.Errorf("round %d: Get after the flush = %q/%d/%v, want the later Put's value", round, v, size, err)
+			}
+			if err := s.Flush(p); err != nil {
+				t.Error(err)
+			}
+		}
+		if v, _, err := s.Get(p, "k1"); err != nil || string(v) != "old" {
+			t.Errorf("Get of a flushed key = %q/%v", v, err)
+		}
+	})
+	env.RunUntilDone(w)
+	st := s.Stats()
+	env.Close()
+	if st.Flushes != 2 {
+		t.Fatalf("Flushes = %d, want 2", st.Flushes)
+	}
+}
+
+func TestFailedFlushKeepsEveryKey(t *testing.T) {
+	// A flush whose patch write fails (every channel dead) returns its
+	// batch to the memtable; more Puts, some overwriting it, follow;
+	// then a flush succeeds. Every key reads back with its last size and
+	// bytes, from the memtable and then from the patches.
+	env := sim.NewEnv()
+	cfg := core.DefaultConfig()
+	cfg.Channels = 4
+	cfg.Channel.Nand.BlocksPerPlane = 16
+	cfg.Channel.Nand.PagesPerBlock = 16
+	cfg.Channel.Nand.RetainData = true
+	cfg.Channel.SparePerPlane = 2
+	d, err := core.New(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewSDFStore(blocklayer.New(env, d, blocklayer.DefaultConfig()))
+	s := NewSlice(env, store, sliceConfig(store, true))
+	rng := rand.New(rand.NewSource(5))
+	want := map[string][]byte{}
+	put := func(p *sim.Proc, key string) {
+		v := make([]byte, 1+rng.Intn(3000))
+		rng.Read(v)
+		if err := s.Put(p, key, v, len(v)); err != nil {
+			t.Fatalf("Put %s: %v", key, err)
+		}
+		want[key] = v
+	}
+	check := func(p *sim.Proc, when string) {
+		keys := make([]string, 0, len(want))
+		for key := range want {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			v := want[key]
+			got, size, err := s.Get(p, key)
+			if err != nil || size != len(v) || !bytes.Equal(got, v) {
+				t.Errorf("%s: Get %s = %d bytes (size %d), %v; want %d bytes", when, key, len(got), size, err, len(v))
+			}
+		}
+	}
+	w := env.Go("t", func(p *sim.Proc) {
+		for i := 0; i < 40; i++ {
+			put(p, fmt.Sprintf("a%02d", i))
+		}
+		for i := 0; i < d.Channels(); i++ {
+			d.Channel(i).Kill()
+		}
+		if err := s.Flush(p); err == nil {
+			t.Error("flush over dead channels succeeded")
+		}
+		check(p, "after the failed flush")
+		for i := 0; i < 40; i++ {
+			put(p, fmt.Sprintf("a%02d", rng.Intn(60)))
+		}
+		for i := 0; i < d.Channels(); i++ {
+			d.Channel(i).Revive()
+		}
+		check(p, "before the retry")
+		if err := s.Flush(p); err != nil {
+			t.Errorf("retried flush: %v", err)
+		}
+		if s.MemBytes() != 0 {
+			t.Errorf("memtable holds %d bytes after the flush", s.MemBytes())
+		}
+		check(p, "after the retry")
+	})
+	env.RunUntilDone(w)
+	env.Close()
 }

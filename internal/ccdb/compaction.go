@@ -1,7 +1,8 @@
 package ccdb
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"sdf/internal/sim"
 )
@@ -59,14 +60,18 @@ func (s *Slice) compactTier(p *sim.Proc, tier int) bool {
 
 	// Read every input patch in full (large sequential reads), then
 	// merge the in-memory indexes. Later runs are newer and win ties.
-	type src struct {
-		entries []Entry
-		age     int // higher is newer
+	type tagged struct {
+		Entry
+		age int // higher is newer
 	}
-	var sources []src
-	age := 0
+	n := 0
 	for _, r := range inputs {
-		var entries []Entry
+		for _, pt := range r {
+			n += len(pt.keys)
+		}
+	}
+	all := make([]tagged, 0, n)
+	for age, r := range inputs {
 		for _, pt := range r {
 			//sdflint:allow errdrop a failed patch read degrades its entries to index-only; compaction must merge what it can, not abort on media faults
 			data, _ := s.readPatchAll(p, pt)
@@ -75,36 +80,24 @@ func (s *Slice) compactTier(p *sim.Proc, tier int) bool {
 				if data != nil {
 					e.Value = data[pt.offs[i] : pt.offs[i]+pt.sizes[i]]
 				}
-				entries = append(entries, e)
+				all = append(all, tagged{Entry: e, age: age})
 			}
 			s.stats.CompactionReads++
 		}
-		sources = append(sources, src{entries: entries, age: age})
-		age++
 	}
 
-	// K-way merge with newest-wins de-duplication. Inputs are sorted,
-	// so a linear merge suffices; for clarity we concatenate and
-	// stable-sort by (key, -age): both are O(n log n) on in-memory
-	// metadata, which is not the simulated cost (the device reads and
-	// writes above and below are).
-	type tagged struct {
-		Entry
-		age int
-	}
-	var all []tagged
-	for _, sc := range sources {
-		for _, e := range sc.entries {
-			all = append(all, tagged{Entry: e, age: sc.age})
+	// Newest-wins de-duplication. Inputs are sorted, so a linear merge
+	// would suffice; for clarity we sort by (key, -age), which is
+	// O(n log n) on in-memory metadata, not the simulated cost (the
+	// device reads and writes above and below are). A run holds a key
+	// at most once, so the order is total.
+	slices.SortFunc(all, func(a, b tagged) int {
+		if c := strings.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Key != all[j].Key {
-			return all[i].Key < all[j].Key
-		}
-		return all[i].age > all[j].age
+		return b.age - a.age
 	})
-	var merged []Entry
+	merged := make([]Entry, 0, len(all))
 	for i, e := range all {
 		if i > 0 && all[i-1].Key == e.Key {
 			continue // older duplicate
@@ -112,33 +105,30 @@ func (s *Slice) compactTier(p *sim.Proc, tier int) bool {
 		merged = append(merged, e.Entry)
 	}
 
-	// Write the merged run as full patches.
+	// Write the merged run as full patches, each a stretch of merged.
 	var out run
-	var batch []Entry
 	var werr error
-	used := 0
-	flushBatch := func() {
-		if len(batch) == 0 || werr != nil {
+	first, used := 0, 0
+	flushBatch := func(end int) {
+		if first == end || werr != nil {
 			return
 		}
-		pt, err := s.writePatch(p, batch)
+		pt, err := s.writePatch(p, merged[first:end])
 		if err != nil {
 			werr = err
 		} else {
 			out = append(out, pt)
 		}
-		batch = nil
-		used = 0
+		first, used = end, 0
 	}
-	for _, e := range merged {
+	for i, e := range merged {
 		eb := s.entryBytes(e.Key, e.Size)
 		if used+eb > s.cfg.PatchBytes {
-			flushBatch()
+			flushBatch(i)
 		}
-		batch = append(batch, e)
 		used += eb
 	}
-	flushBatch()
+	flushBatch(len(merged))
 	if werr != nil {
 		// Abort: free whatever outputs did land and keep the inputs.
 		// Their manifest adds were never written, so crash replay

@@ -3,7 +3,9 @@ package ccdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"sdf/internal/metrics"
 	"sdf/internal/sim"
@@ -95,14 +97,17 @@ type Slice struct {
 	mem     []Entry
 	memIdx  map[string]int
 	memUsed int
-	// flushing holds the swapped-out memtable for the duration of its
-	// patch write, keeping those entries readable: without it a key
-	// would vanish from lookups for the whole (milliseconds-long)
-	// block write, in neither the memtable nor any tier.
-	flushing    []Entry
-	flushingIdx map[string]int
-	tiers       [][]run
-	flushMu     *sim.Resource
+	// flushing holds the swapped-out memtable, sorted by key, for the
+	// duration of its patch write, keeping those entries readable:
+	// without it a key would vanish from lookups for the whole
+	// (milliseconds-long) block write, in neither the memtable nor any
+	// tier. Once the write is over its backing array, cleared, is the
+	// spare the next flush hands the memtable, so the two buffers take
+	// turns and a Put does not regrow one.
+	flushing []Entry
+	spare    []Entry
+	tiers    [][]run
+	flushMu  *sim.Resource
 
 	compactKick *sim.Signal
 	compactBusy bool
@@ -260,18 +265,13 @@ func (s *Slice) Flush(p *sim.Proc) error {
 	}
 	entries := s.mem
 	watermark := s.cfg.Journal.putCount()
-	s.mem = nil
-	s.memIdx = make(map[string]int)
+	s.mem, s.spare = s.spare, nil
+	clear(s.memIdx) // the flushing batch is found by binary search
 	s.memUsed = 0
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+	slices.SortFunc(entries, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
 	s.flushing = entries
-	s.flushingIdx = make(map[string]int, len(entries))
-	for i, e := range entries {
-		s.flushingIdx[e.Key] = i
-	}
 	pt, err := s.writePatch(p, entries)
 	s.flushing = nil
-	s.flushingIdx = nil
 	if err != nil {
 		// The patch never landed (dead or powered-off channel):
 		// return the entries to the memtable so they stay visible and
@@ -279,6 +279,10 @@ func (s *Slice) Flush(p *sim.Proc) error {
 		// puts that arrived during the failed write keep the newer
 		// value.
 		s.mergeBack(entries)
+	}
+	clear(entries)
+	s.spare = entries[:0]
+	if err != nil {
 		return err
 	}
 	// The patch is durable; manifest it and truncate the log records
@@ -306,16 +310,18 @@ func (s *Slice) mergeBack(entries []Entry) {
 
 // writePatch serializes sorted entries into one block write.
 func (s *Slice) writePatch(p *sim.Proc, entries []Entry) (*patch, error) {
-	pt := &patch{}
+	pt := &patch{
+		keys:  make([]string, len(entries)),
+		offs:  make([]int, len(entries)),
+		sizes: make([]int, len(entries)),
+	}
 	var payload []byte
 	if s.cfg.DataMode {
 		payload = make([]byte, s.store.BlockSize())
 	}
 	off := 0
-	for _, e := range entries {
-		pt.keys = append(pt.keys, e.Key)
-		pt.offs = append(pt.offs, off)
-		pt.sizes = append(pt.sizes, e.Size)
+	for i, e := range entries {
+		pt.keys[i], pt.offs[i], pt.sizes[i] = e.Key, off, e.Size
 		if payload != nil && e.Value != nil {
 			copy(payload[off:], e.Value)
 		}
@@ -354,7 +360,9 @@ func (s *Slice) Get(p *sim.Proc, key string) ([]byte, int, error) {
 	}
 	// An entry mid-flush is older than the live memtable but newer
 	// than every patch.
-	if i, ok := s.flushingIdx[key]; ok {
+	if i, ok := slices.BinarySearchFunc(s.flushing, key, func(e Entry, k string) int {
+		return strings.Compare(e.Key, k)
+	}); ok {
 		s.stats.GetsFromMem++
 		e := s.flushing[i]
 		return e.Value, e.Size, nil

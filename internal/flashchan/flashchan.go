@@ -177,6 +177,7 @@ type Channel struct {
 	deadRejects  int64 // commands refused while offline
 	checkpoints  int64 // checkpoints written and verified
 	cpFailures   int64 // checkpoint attempts that failed
+	walked       int   // pages ReadAt stepped one at a time, not laid out in closed form
 
 	wr  blockWrite  // the block write in service (program.go)
 	oob *oobPool    // its recycled out-of-band records (recovery.go)
@@ -715,7 +716,9 @@ func (ch *Channel) ReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error) {
 	// page n — is known now. It is walked one plane run (the command's
 	// pages on one plane) at a time on local cursors, cur for the page
 	// in hand, plane and bus for the lanes, and parks once for the
-	// outcome (DESIGN.md §10).
+	// outcome (DESIGN.md §10). In timing-only mode a run's walk turns
+	// steady once the bus sets the pace, and its remaining pages are
+	// laid out in closed form.
 	var out []byte
 	if ch.cfg.Nand.RetainData {
 		out = make([]byte, size)
@@ -749,6 +752,27 @@ func (ch *Channel) ReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error) {
 		tl := ps.plane.Timeline()
 		plane := tl.Free()
 		for i := 0; i < n; i++ {
+			// Steady: the plane is idle and the page in hand ships the
+			// moment the one before it lands. With hold ≥ TRead each
+			// sensed page then lands under that transfer and ships one
+			// hold later, so the walk repeats itself hold by hold up to
+			// the torn page, if any.
+			if m := sensed - i; out == nil && m > 0 && hold >= tRead &&
+				plane <= cur && bus == pending && pending == cur+hold {
+				if t != nil {
+					for at := cur; at < cur+time.Duration(m)*hold; at += hold {
+						t.End(at+tRead, t.Begin(at, parent, "nand/read", trace.PhaseFlash))
+						t.End(at+2*hold, t.Begin(at+hold, parent, "chan/bus", trace.PhaseBus))
+					}
+				}
+				plane = cur + time.Duration(m-1)*hold + tRead
+				cur += time.Duration(m) * hold
+				pending, bus = cur+hold, cur+hold
+				done += m * pageSize
+				i += m - 1
+				continue
+			}
+			ch.walked++
 			loaded := max(cur, plane) + tRead
 			plane = loaded
 			if t != nil {

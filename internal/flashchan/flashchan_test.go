@@ -556,7 +556,8 @@ func TestEraseWriteLatency(t *testing.T) {
 // 8 MB write costs the engine: its four planes settle into their TProg
 // period after a few worker steps and scheduleWrite fills the other
 // ~1000 pulses in closed form (DESIGN.md §10). Stepping every page is
-// ~1030 steps.
+// ~1030 steps. A worker lists only the pulses it stepped; the filled
+// ones are its tail's first start and count.
 func TestWriteStepBudget(t *testing.T) {
 	run(t, timingConfig(), func(env *sim.Env, ch *Channel, p *sim.Proc) {
 		for lbn := 0; lbn < 3; lbn++ {
@@ -565,6 +566,34 @@ func TestWriteStepBudget(t *testing.T) {
 			}
 			if ch.wr.steps > 16 {
 				t.Errorf("8 MB write %d: %d worker steps, budget 16", lbn, ch.wr.steps)
+			}
+			for k := range ch.wr.workers {
+				ps := ch.wr.workers[k].pulses
+				if len(ps.Stepped) > 4 || ps.Len() != ch.cfg.Nand.PagesPerBlock {
+					t.Errorf("8 MB write %d plane %d: %d pulses listed, %d in the tail; want at most 4 listed of %d",
+						lbn, k, len(ps.Stepped), ps.Tail, ch.cfg.Nand.PagesPerBlock)
+				}
+			}
+		}
+	})
+}
+
+// TestReadStepBudget is the gate on what laying out a default-geometry
+// 8 MB read costs the engine: each of its four plane runs turns steady
+// after its first page and ReadAt lays out the other 255 in closed form
+// (DESIGN.md §10). Walking every page is 256 per plane run.
+func TestReadStepBudget(t *testing.T) {
+	run(t, timingConfig(), func(env *sim.Env, ch *Channel, p *sim.Proc) {
+		if err := ch.EraseWrite(p, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			before := ch.walked
+			if _, err := ch.ReadAt(p, 0, 0, ch.BlockSize()); err != nil {
+				t.Fatal(err)
+			}
+			if walked, runs := ch.walked-before, ch.Planes(); walked > 4*runs {
+				t.Errorf("8 MB read %d: %d pages walked over %d plane runs, budget %d per run", i, walked, runs, 4)
 			}
 		}
 	})

@@ -41,6 +41,9 @@ type diffCase struct {
 	// busBound: the planes' transfers overrun TProg, so scheduleWrite's
 	// workers never settle and every write is stepped page by page.
 	busBound bool
+	// slowRead: TRead exceeds a bus slot, so a read's plane runs never
+	// turn steady and ReadAt walks every page.
+	slowRead bool
 }
 
 // diffResult is everything a run exposes that the two pipelines must
@@ -58,7 +61,16 @@ type diffResult struct {
 	endAt    time.Duration
 	media    uint32 // CRC over every block's write pointer and every page's spare
 	steps    int    // worker steps of the last write scheduled (closed form only)
+	walked   int    // pages ReadAt stepped one at a time (closed form only)
 }
+
+// Case shapes: newDiffCase's short and long cases, and the read-tail
+// ones.
+const (
+	shortCase = iota
+	longCase
+	tailCase
+)
 
 // newDiffCase draws a case: geometry and timing regime (the default
 // program-bound one, a bus-bound one, and one whose bus slot divides
@@ -69,18 +81,31 @@ type diffResult struct {
 // is too slow for blocks that size); its tie regime gives TProg five or
 // six bus slots, so the settled planes' transfers are exactly one slot
 // apart.
-func newDiffCase(seed int64, long bool) diffCase {
+//
+// A tail case is timing-only, with 16-, 64- or 256-page blocks, and
+// adds a full read of a set-up block, so that ReadAt's plane runs turn
+// steady and it lays out their tails in closed form. Its regimes are
+// the default, the tie one, and a slow-read one (TRead one bus slot
+// plus 1 µs) in which the tail must never fire; two in three also read
+// a block whose power cut lands a quarter to half way into its write,
+// so the torn page sits inside each plane run's tail.
+func newDiffCase(seed int64, shape int) diffCase {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := smallConfig()
 	cfg.Seed = seed
 	cfg.Nand.PagesPerBlock = 4 << rng.Intn(2)
 	cfg.PrioritizeReads = rng.Intn(2) == 0
 	mode := rng.Intn(6)
-	if long {
+	long, tail := shape == longCase, shape == tailCase
+	switch shape {
+	case longCase:
 		cfg.Nand.PagesPerBlock = 32 << rng.Intn(2)
 		mode = 1 + rng.Intn(5)
+	case tailCase:
+		cfg.Nand.PagesPerBlock = 16 << (2 * rng.Intn(3))
+		mode = 4
 	}
-	busBound := false
+	busBound, slowRead := false, false
 	switch {
 	case mode == 0: // ECC + CRC over a noisy medium (slow codec: small pages)
 		cfg.Nand.PageSize = 2 << 10
@@ -96,19 +121,25 @@ func newDiffCase(seed int64, long bool) diffCase {
 		cfg.Nand.RetainData = false
 	}
 	switch rng.Intn(3) {
-	case 1: // bus-bound programs
+	case 1:
+		if tail { // slow reads: TRead = 1 slot + 1 µs
+			cfg.Nand.TRead = sim.ByteTime(cfg.Nand.PageSize, cfg.BusRate) + cfg.BusOverhead + time.Microsecond
+			slowRead = true
+			break
+		}
+		// bus-bound programs
 		cfg.Nand.TProg = 100 * time.Microsecond
 		busBound = true
-	case 2: // ties: slot = 200 µs, TRead = 1 slot, TProg = 4 slots (5 or 6 if long)
+	case 2: // ties: slot = 200 µs, TRead = 1 slot, TProg = 4 slots (5 or 6 if long or tail)
 		cfg.BusOverhead = 0
 		cfg.BusRate = float64(cfg.Nand.PageSize) / 200e-6
 		cfg.Nand.TRead = sim.ByteTime(cfg.Nand.PageSize, cfg.BusRate)
 		cfg.Nand.TProg = 4 * cfg.Nand.TRead
-		if long {
+		if long || tail {
 			cfg.Nand.TProg = time.Duration(5+rng.Intn(2)) * cfg.Nand.TRead
 		}
 	}
-	c := diffCase{cfg: cfg, filler: -1, torn: -1, busBound: busBound}
+	c := diffCase{cfg: cfg, filler: -1, torn: -1, busBound: busBound, slowRead: slowRead}
 	blockSize := cfg.Nand.PageSize * cfg.Nand.PagesPerBlock * cfg.Chips * cfg.Nand.Planes
 	payload := func() []byte {
 		if !cfg.Nand.RetainData {
@@ -144,16 +175,22 @@ func newDiffCase(seed int64, long bool) diffCase {
 		}
 		c.cmds = append(c.cmds, cmd)
 	}
+	if tail {
+		c.cmds = append(c.cmds, diffCmd{lbn: rng.Intn(nset), size: blockSize})
+	}
 	// A third of the cases also read a partially programmed block: the
 	// power is cut mid-write, leaving each plane's write pointer
 	// mid-block and its in-flight page torn, so reads of it fail in the
 	// middle of a plane run. The cut lands anywhere from the write's
 	// first transfer to a little past its end.
-	if rng.Intn(3) == 0 {
+	if tornDraw := rng.Intn(3); tornDraw == 0 || tail && tornDraw == 1 {
 		c.torn = nset + 1
 		slot := sim.ByteTime(cfg.Nand.PageSize, cfg.BusRate) + cfg.BusOverhead
 		span := time.Duration(cfg.Nand.PagesPerBlock) * (cfg.Nand.TProg + 4*slot)
 		c.cutAfter = time.Duration(rng.Int63n(int64(span)))
+		if tail {
+			c.cutAfter = span/4 + c.cutAfter/4
+		}
 		c.tornData = payload()
 		first := rng.Intn(pages)
 		c.cmds = append(c.cmds,
@@ -287,6 +324,7 @@ func (c diffCase) run(t *testing.T, ref bool) diffResult {
 	env.Run()
 	res.endAt = env.Now()
 	res.steps = ch.wr.steps
+	res.walked = ch.walked
 	res.spans = spanKeys(col)
 	res.busMoved = ch.bus.Moved()
 	res.lanes = fmt.Sprint(ch.bus.Free())
@@ -350,22 +388,47 @@ func spanKeys(col *trace.Collector) []string {
 // TestPipelineMatchesReference runs 60 short cases, then 24 long ones
 // (seeds 61–84) in which the closed form fills each write past the
 // point its planes settle — except in the bus-bound regime, where it
-// must step every page.
+// must step every page — then 12 tail cases (seeds 85–96) in which
+// ReadAt lays out the steady part of each plane run in closed form —
+// except in the slow-read regime, where it must walk every page.
 func TestPipelineMatchesReference(t *testing.T) {
-	short, long := int64(60), int64(24)
+	short, long, tails := int64(60), int64(24), int64(12)
 	if testing.Short() {
-		short, long = 12, 6
+		short, long, tails = 12, 6, 3
 	}
-	for seed := int64(1); seed <= 60+long; seed++ {
-		if seed > short && seed <= 60 {
+	for seed := int64(1); seed <= 84+tails; seed++ {
+		if seed > short && seed <= 60 || seed > 60+long && seed <= 84 {
 			continue
 		}
-		c := newDiffCase(seed, seed > 60)
+		shape := shortCase
+		switch {
+		case seed > 84:
+			shape = tailCase
+		case seed > 60:
+			shape = longCase
+		}
+		c := newDiffCase(seed, shape)
 		want, got := c.run(t, true), c.run(t, false)
 		// Stepped, every plane parks at least once per page.
 		stepped := got.steps >= c.cfg.Nand.PagesPerBlock*c.cfg.Chips*c.cfg.Nand.Planes
 		if seed > 60 && stepped != c.busBound {
 			t.Errorf("seed %d: last write took %d worker steps; bus-bound %v, but filled %v", seed, got.steps, c.busBound, !stepped)
+		}
+		// Every sensed page has a nand/read span of TRead; the ones
+		// ReadAt did not walk were laid out in its closed form.
+		if shape == tailCase {
+			sensed := 0
+			for _, key := range got.spans {
+				var name, parent string
+				var start, end time.Duration
+				if _, err := fmt.Sscan(key, &name, &start, &end, &parent); err == nil && name == "nand/read" && end > start {
+					sensed++
+				}
+			}
+			if tailed := sensed - got.walked; tailed > 0 == c.slowRead {
+				t.Errorf("seed %d: reads walked %d of %d sensed pages; slow reads %v, but closed form laid out %d",
+					seed, got.walked, sensed, c.slowRead, tailed)
+			}
 		}
 		for i := range c.cmds {
 			if want.doneAt[i] != got.doneAt[i] || want.errs[i] != got.errs[i] {
@@ -447,7 +510,7 @@ func cutRun(t *testing.T, cfg Config, data []byte, cut time.Duration, ref bool) 
 	env.Run()
 	var pulses [][]time.Duration
 	for k := range ch.wr.workers {
-		pulses = append(pulses, append([]time.Duration(nil), ch.wr.workers[k].pulses...))
+		pulses = append(pulses, ch.wr.workers[k].schedule(cfg.Nand.TProg))
 	}
 	images := make([]planeImage, len(ch.planes))
 	for k := range ch.planes {
@@ -465,6 +528,16 @@ func cutRun(t *testing.T, cfg Config, data []byte, cut time.Duration, ref bool) 
 		images[k] = img
 	}
 	return images, verdict, pulses, done
+}
+
+// schedule returns the start of every pulse wk scheduled, by page: the
+// stepped ones and the filled tail, expanded.
+func (wk *progWorker) schedule(tProg time.Duration) []time.Duration {
+	starts := make([]time.Duration, wk.pulses.Len())
+	for i := range starts {
+		starts[i] = wk.pulses.At(i, tProg)
+	}
+	return starts
 }
 
 // TestPowerCutMatchesReference cuts power at seeded instants inside an

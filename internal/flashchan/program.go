@@ -4,6 +4,7 @@ import (
 	"hash/crc32"
 	"time"
 
+	"sdf/internal/nand"
 	"sdf/internal/trace"
 )
 
@@ -52,7 +53,9 @@ type progWorker struct {
 	end     time.Duration // instant it finished or failed
 	err     error
 	span    trace.SpanID
-	pulses  []time.Duration // start of each scheduled pulse, by page
+	// pulses are its scheduled pulses, by page: the ones it stepped,
+	// then the periodic tail fillWrite laid out.
+	pulses nand.Pulses
 }
 
 // scheduleWrite lays out ch.wr on the bus and the four planes and
@@ -75,7 +78,7 @@ func (ch *Channel) scheduleWrite(parent trace.SpanID) time.Duration {
 	periodic := time.Duration(len(w.workers))*hold <= ch.cfg.Nand.TProg
 	for k := range w.workers {
 		wk := &w.workers[k]
-		*wk = progWorker{phys: ch.planes[k].mapping[w.lbn], pulses: wk.pulses[:0]}
+		*wk = progWorker{phys: ch.planes[k].mapping[w.lbn], pulses: nand.Pulses{Stepped: wk.pulses.Stepped[:0]}}
 		// One flash-phase span per plane covers the whole program loop:
 		// with cache programming the plane is array-busy nearly end to
 		// end, and per-page spans would multiply the event volume 256x
@@ -151,10 +154,12 @@ func (ch *Channel) settled(hold time.Duration) bool {
 
 // fillWrite lays out the rest of a settled ch.wr in closed form: plane
 // k, pulsing page pg_k since S_k, pulses page j at S_k + (j−pg_k)·TProg
-// and puts page j+1 on the bus at that instant for one hold. Each plane
+// and puts page j+1 on the bus at that instant for one hold. Each
+// worker keeps that tail as its first start and a count, each plane
 // lane and the bus are committed once, and each worker ends at its last
-// pulse end. With a tracer attached the filled steps' spans follow, in
-// the order stepping would have emitted them.
+// pulse end, so the fill costs O(planes) whatever the block's length.
+// With a tracer attached the filled steps' spans follow, in the order
+// stepping would have emitted them.
 func (ch *Channel) fillWrite(hold time.Duration) {
 	w := &ch.wr
 	pages, tProg := ch.cfg.Nand.PagesPerBlock, ch.cfg.Nand.TProg
@@ -162,9 +167,7 @@ func (ch *Channel) fillWrite(hold time.Duration) {
 	for k := range w.workers {
 		wk := &w.workers[k]
 		start := wk.wake - tProg // of page pg's pulse
-		for j := wk.pg + 1; j < pages; j++ {
-			wk.pulses = append(wk.pulses, start+time.Duration(j-wk.pg)*tProg)
-		}
+		wk.pulses.TailStart, wk.pulses.Tail = wk.wake, pages-1-wk.pg
 		// Pages pg+2 .. pages-1 ship at the pulse starts of pg+1 .. pages-2.
 		if n := pages - 2 - wk.pg; n > 0 {
 			shipped += n
@@ -240,7 +243,7 @@ func (ch *Channel) stepWorker(k int, cur time.Duration) {
 		}
 	}
 	start, end := pl.Timeline().ReserveAt(cur, ch.cfg.Nand.TProg)
-	wk.pulses = append(wk.pulses, start)
+	wk.pulses.Stepped = append(wk.pulses.Stepped, start)
 	wk.pulsing = true
 	w.park(wk, end)
 }

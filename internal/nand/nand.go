@@ -595,12 +595,46 @@ func (pl *Plane) SettleProgram(blockIdx, page int, pulseStart time.Duration, dat
 		lit := literalSpare(append([]byte(nil), spare...))
 		src = &lit
 	}
-	_, err := pl.SettleProgramRun(blockIdx, page, []time.Duration{pulseStart}, data, src, 0)
+	_, err := pl.SettleProgramRun(blockIdx, page, Pulses{TailStart: pulseStart, Tail: 1}, data, src, 0)
 	return err
 }
 
+// Pulses is the schedule of a run of program pulses, one per page, in
+// ascending order: the Stepped starts, then Tail more, one every TProg
+// from TailStart. A channel engine lists the pulses it laid out one by
+// one and gives the periodic rest in closed form, so a block's schedule
+// costs the same to hold and to settle whatever its length.
+type Pulses struct {
+	Stepped   []time.Duration
+	TailStart time.Duration
+	Tail      int
+}
+
+// Len returns the number of pulses.
+func (ps Pulses) Len() int { return len(ps.Stepped) + ps.Tail }
+
+// At returns the start of pulse i for a pulse period of tProg.
+func (ps Pulses) At(i int, tProg time.Duration) time.Duration {
+	if i < len(ps.Stepped) {
+		return ps.Stepped[i]
+	}
+	return ps.TailStart + time.Duration(i-len(ps.Stepped))*tProg
+}
+
+// startedBy returns how many pulses start at or before instant at.
+func (ps Pulses) startedBy(at, tProg time.Duration) int {
+	n := 0
+	for n < len(ps.Stepped) && ps.Stepped[n] <= at {
+		n++
+	}
+	if n < len(ps.Stepped) || at < ps.TailStart || ps.Tail == 0 {
+		return n
+	}
+	return n + min(ps.Tail, int((at-ps.TailStart)/tProg)+1)
+}
+
 // SettleProgramRun resolves the program pulses that held the plane over
-// [pulseStarts[i], pulseStarts[i]+TProg), in ascending order, for pages
+// [pulses.At(i), pulses.At(i)+TProg), in ascending order, for pages
 // first, first+1, ... of a block — the one place the power-cut rule for
 // programs lives. On a powered chip every page is programmed: the write
 // pointer advances, the cells retain the payload (data mode; data holds
@@ -617,15 +651,14 @@ func (pl *Plane) SettleProgram(blockIdx, page int, pulseStart time.Duration, dat
 // ends, a channel engine that laid a block's pulses out ahead when its
 // command wakes or the power dies. first must be the block's next page
 // (Programmable).
-func (pl *Plane) SettleProgramRun(blockIdx, first int, pulseStarts []time.Duration, data []byte, src SpareSource, base int) (int, error) {
+func (pl *Plane) SettleProgramRun(blockIdx, first int, pulses Pulses, data []byte, src SpareSource, base int) (int, error) {
 	c := pl.chip
-	n, torn := len(pulseStarts), false
+	tProg := c.params.TProg
+	total := pulses.Len()
+	n, torn := total, false
 	if c.off {
-		n = 0
-		for n < len(pulseStarts) && pulseStarts[n]+c.params.TProg <= c.offAt {
-			n++
-		}
-		torn = n < len(pulseStarts) && pulseStarts[n] < c.offAt
+		n = pulses.startedBy(c.offAt-tProg, tProg) // ended by the cut
+		torn = n < total && pulses.At(n, tProg) < c.offAt
 	}
 	b := &pl.m.blocks[blockIdx]
 	b.writePtr += n
@@ -642,7 +675,7 @@ func (pl *Plane) SettleProgramRun(blockIdx, first int, pulseStarts []time.Durati
 		b.writePtr++
 		pl.m.torn[pl.pageIndex(blockIdx, first+n)] = true
 	}
-	if n < len(pulseStarts) {
+	if n < total {
 		return n, fmt.Errorf("%w: plane %d block %d page %d", ErrPowerLoss, pl.index, blockIdx, first+n)
 	}
 	return n, nil

@@ -21,12 +21,23 @@ type seqSource struct {
 func (s *seqSource) Spare(i int) []byte { return []byte{s.tag, byte(i), byte(i >> 8)} }
 func (s *seqSource) Release()           { s.released++ }
 
+// periodicFrom gives starts as Pulses whose entries from i on, which
+// must be one TProg apart, form the closed-form tail.
+func periodicFrom(starts []time.Duration, i int) Pulses {
+	if i == len(starts) {
+		return Pulses{Stepped: starts}
+	}
+	return Pulses{Stepped: starts[:i], TailStart: starts[i], Tail: len(starts) - i}
+}
+
 // TestSettleProgramRunCutRule pins the power-cut rule for a run of
 // pulses at the instant it is easiest to get wrong: a cut exactly on the
 // end of pulse k. Pages up to k are programmed (a pulse ending at the
 // very instant of the cut completed); page k+1 is torn iff its pulse
 // began before that instant — in a back-to-back schedule it begins at
-// it, and leaves no trace — and later pages are absent either way.
+// it, and leaves no trace — and later pages are absent either way. Each
+// case runs with every pulse listed, and with the pulses from k+1 on
+// (one TProg apart) given as the periodic tail.
 func TestSettleProgramRunCutRule(t *testing.T) {
 	params := plParams()
 	params.PagesPerBlock = 6
@@ -37,10 +48,14 @@ func TestSettleProgramRunCutRule(t *testing.T) {
 		next     time.Duration // start of pulse k+1 relative to the cut
 		writePtr int
 		torn     bool
+		tail     bool
 	}{
-		{"next pulse begins at the cut", 0, k + 1, false},
-		{"next pulse begins after the cut", 1, k + 1, false},
-		{"next pulse had begun one ns earlier", -1, k + 2, true},
+		{"next pulse begins at the cut", 0, k + 1, false, false},
+		{"next pulse begins after the cut", 1, k + 1, false, false},
+		{"next pulse had begun one ns earlier", -1, k + 2, true, false},
+		{"tail begins at the cut", 0, k + 1, false, true},
+		{"tail begins after the cut", 1, k + 1, false, true},
+		{"tail had begun one ns earlier", -1, k + 2, true, true},
 	} {
 		env := sim.NewEnv()
 		chip := New(env, params)
@@ -64,7 +79,11 @@ func TestSettleProgramRunCutRule(t *testing.T) {
 		env.Run()
 		src := &seqSource{tag: 9}
 		data := make([]byte, len(starts)*params.PageSize)
-		n, err := pl.SettleProgramRun(0, 0, starts, data, src, 100)
+		pulses := periodicFrom(starts, len(starts))
+		if tc.tail {
+			pulses = periodicFrom(starts, k+1)
+		}
+		n, err := pl.SettleProgramRun(0, 0, pulses, data, src, 100)
 		if n != k+1 || !errors.Is(err, ErrPowerLoss) {
 			t.Errorf("%s: %d pages programmed, error %v; want %d and power loss", tc.name, n, err, k+1)
 		}
@@ -111,8 +130,9 @@ func (m *spareModel) erase(b, pages int) {
 // short, page-long), erases, power cuts inside a run, and hand-offs of
 // the Media to Mount, and after every step requires every page's spare,
 // every write pointer and every torn mark to equal the page-per-entry
-// model's. At the end every block is erased and every source must have
-// been released exactly once.
+// model's. A run's pulses are back to back, so each settle gives a
+// step-dependent suffix of them as the periodic tail. At the end every
+// block is erased and every source must have been released exactly once.
 func TestRunStoreMatchesPageModel(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -187,7 +207,7 @@ func TestRunStoreMatchesPageModel(t *testing.T) {
 					starts[i] = env.Now() - time.Duration(n-i)*tp
 				}
 				src, base := newSource(), rng.Intn(1000)
-				if got, err := pl.SettleProgramRun(b, first, starts, payload(n), src, base); got != n || err != nil {
+				if got, err := pl.SettleProgramRun(b, first, periodicFrom(starts, step%(n+1)), payload(n), src, base); got != n || err != nil {
 					t.Fatalf("seed %d step %d: run settled %d of %d pages: %v", seed, step, got, n, err)
 				}
 				for i := 0; i < n; i++ {
@@ -226,7 +246,7 @@ func TestRunStoreMatchesPageModel(t *testing.T) {
 				env.Schedule(cut-env.Now(), chip.PowerOff)
 				env.Run()
 				src, base := newSource(), rng.Intn(1000)
-				got, err := pl.SettleProgramRun(b, first, starts, payload(n), src, base)
+				got, err := pl.SettleProgramRun(b, first, periodicFrom(starts, step%(n+1)), payload(n), src, base)
 				// The model, page by page.
 				want := 0
 				for want < n && starts[want]+tp <= cut {

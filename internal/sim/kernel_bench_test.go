@@ -50,6 +50,30 @@ func BenchmarkKernelParkResume(b *testing.B) {
 	env.Run()
 }
 
+// BenchmarkKernelAbandonedTimers is BenchmarkKernelParkResume with
+// 1,000 abandoned AwaitUntil timers outstanding — waits whose signal
+// fired first, as a replica deadline or an admission wait leaves them
+// — whose instants lie past the run. Dropping one when its instant
+// comes must not cost a lookup among the others on every event.
+func BenchmarkKernelAbandonedTimers(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	defer env.Close()
+	env.Go("worker", func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			s := NewSignal(env)
+			env.Schedule(time.Microsecond, s.Fire)
+			p.AwaitUntil(s, time.Duration(1+i)*time.Hour)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Wait(time.Microsecond)
+		}
+		b.StopTimer()
+	})
+	env.RunUntil(time.Hour)
+}
+
 // BenchmarkKernelTimelineOccupy measures timed occupancy under
 // contention: four processes sharing a capacity-1 timeline, each op
 // one park.

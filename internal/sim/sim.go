@@ -38,8 +38,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
+	"slices"
 	"time"
 
 	"sdf/internal/trace"
@@ -145,6 +147,19 @@ func (q *calendarQueue) pop() event {
 		q.cur = q.heapPop()
 	}
 	return ev
+}
+
+// withdraw cancels the pending event of instant at and sequence seq
+// in place: it becomes an event with nothing to run, which keeps its
+// slot, so the dispatch order and the event count are those of the
+// event firing, and is dropped when popped. The bucket of an instant
+// holds its events in seq order, so the lookup is the index map and a
+// binary search.
+func (q *calendarQueue) withdraw(at int64, seq uint64) {
+	b := q.index[at]
+	evs := b.evs[b.head:]
+	i, _ := slices.BinarySearchFunc(evs, seq, func(ev event, seq uint64) int { return cmp.Compare(ev.seq, seq) })
+	evs[i] = event{at: at, seq: seq}
 }
 
 // newBucket takes a bucket from the free list (retaining its backing
@@ -265,10 +280,6 @@ type Env struct {
 	activeGrant *tlGrant
 	lastGrant   *tlGrant
 	grantPool   []*tlGrant
-	// stale holds the sequence numbers of queued resume events whose
-	// process has already been woken another way (AwaitUntil); they are
-	// dropped unfired when their instant comes.
-	stale []uint64
 }
 
 type procPanic struct {
@@ -406,9 +417,6 @@ func (e *Env) runEvents(self *Proc) *Proc {
 		}
 		e.fired++
 		if p := ev.proc; p != nil {
-			if len(e.stale) != 0 && e.dropStale(ev.seq) {
-				continue
-			}
 			if p.fn != nil {
 				e.spawn(p)
 				return p
@@ -418,7 +426,9 @@ func (e *Env) runEvents(self *Proc) *Proc {
 			}
 			return p
 		}
-		ev.fn()
+		if ev.fn != nil { // nil: a resume event AwaitUntil withdrew
+			ev.fn()
+		}
 	}
 }
 
@@ -672,8 +682,9 @@ func (p *Proc) WaitUntil(at time.Duration) {
 // instant comes first it is WaitUntil to the event — one resume event,
 // scheduled now — so a caller can give a computed completion time an
 // early way out (a power cut) without moving anything in the schedule
-// while that way is not taken. When s fires first the resume event stays
-// queued and the kernel drops it unfired when its instant comes.
+// while that way is not taken. When s fires first the resume event is
+// withdrawn in place (calendarQueue.withdraw): it keeps its slot, and
+// the kernel pops and drops it unfired when its instant comes.
 func (p *Proc) AwaitUntil(s *Signal, at time.Duration) bool {
 	e := p.env
 	if s.fired || int64(at) <= e.now {
@@ -685,7 +696,7 @@ func (p *Proc) AwaitUntil(s *Signal, at time.Duration) bool {
 	p.park()
 	switch {
 	case e.now < int64(at): // s fired first
-		e.stale = append(e.stale, timer)
+		e.q.withdraw(int64(at), timer)
 	case s.fired:
 		// Both came at this instant. The resume event is the older of the
 		// two, so it is what woke p; Fire's wake is queued behind it and
@@ -695,18 +706,6 @@ func (p *Proc) AwaitUntil(s *Signal, at time.Duration) bool {
 		s.forget(p)
 	}
 	return s.fired
-}
-
-// dropStale reports whether seq is a resume event AwaitUntil left behind,
-// and forgets it.
-func (e *Env) dropStale(seq uint64) bool {
-	for i, st := range e.stale {
-		if st == seq {
-			e.stale = append(e.stale[:i], e.stale[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Done reports whether the process has finished.

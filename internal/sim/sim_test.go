@@ -219,8 +219,8 @@ func TestAwaitUntil(t *testing.T) {
 		if tc.fireAt < 0 && events != 1 {
 			t.Errorf("%s: %d events, want the one WaitUntil costs", tc.name, events)
 		}
-		if s.first != nil || len(s.waiters) != 0 || len(e.stale) != 0 {
-			t.Errorf("%s: left behind waiters %v %v, stale timers %v", tc.name, s.first, s.waiters, e.stale)
+		if s.first != nil || len(s.waiters) != 0 || e.q.size != 0 {
+			t.Errorf("%s: left behind waiters %v %v, %d queued events", tc.name, s.first, s.waiters, e.q.size)
 		}
 		e.Close()
 	}
