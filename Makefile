@@ -72,14 +72,18 @@ examples:
 # once their pipeline settles, or that lists the filled pulses one by
 # one (TestWriteStepBudget), or on an 8 MB read whose plane runs are
 # walked page by page instead of laid out once they turn steady
-# (TestReadStepBudget), then
+# (TestReadStepBudget), or when a callback handle leaves the dispatch
+# order a parked process would have had (TestHandlesKeepDispatchOrder),
+# or a replicated read spawns a watcher process or allocates
+# (TestGetBudget), then
 # records the BenchmarkKernel* suite with
 # allocation accounting and a CPU profile. CI uploads kernel-bench.txt
 # and kernel-bench.pprof, so every commit carries its kernel perf
 # history.
 kernel-bench:
-	$(GO) test ./internal/sim -run TestKernelFastPathAllocs -count=1 -v
+	$(GO) test ./internal/sim -run 'TestKernelFastPathAllocs|TestHandlesKeepDispatchOrder' -count=1 -v
 	$(GO) test ./internal/core -run TestCommandBudget -count=1 -v
+	$(GO) test ./internal/cluster -run TestGetBudget -count=1 -v
 	$(GO) test ./internal/flashchan -run 'TestWriteStepBudget|TestReadStepBudget' -count=1 -v
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkKernel -benchmem \
 		-cpuprofile kernel-bench.pprof -o kernel-bench.test | tee kernel-bench.txt

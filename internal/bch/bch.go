@@ -132,9 +132,6 @@ func generator(f *field, t int) ([]int, error) {
 	return g, nil
 }
 
-// T returns the number of correctable bit errors per codeword.
-func (c *Code) T() int { return c.t }
-
 // DataBytes returns the payload size in bytes.
 func (c *Code) DataBytes() int { return c.dataBits / 8 }
 

@@ -200,7 +200,7 @@ func newLayer(env *sim.Env, dev *core.Device, cfg Config) *Layer {
 		inflight: make([]int, dev.Channels()),
 	}
 	for c := 0; c < dev.Channels(); c++ {
-		l.chans = append(l.chans, &chanState{work: sim.NewSignal(env)})
+		l.chans = append(l.chans, &chanState{work: new(sim.Signal)})
 	}
 	return l
 }
@@ -221,9 +221,6 @@ func (l *Layer) startErasers() {
 		}
 	}
 }
-
-// Device returns the underlying SDF device.
-func (l *Layer) Device() *core.Device { return l.dev }
 
 // ChannelOf returns the channel an ID hashes to: consecutive IDs walk
 // the channels round-robin (§2.4).
@@ -618,7 +615,7 @@ func (l *Layer) eraseLoop(p *sim.Proc, c int) {
 			if !cs.work.Fired() {
 				p.Await(cs.work)
 			}
-			cs.work = sim.NewSignal(l.env)
+			cs.work = new(sim.Signal)
 			continue
 		}
 		// A scrub backlog (crash-suspect blocks queued by Mount) is

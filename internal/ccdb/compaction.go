@@ -19,7 +19,7 @@ func (s *Slice) compactLoop(p *sim.Proc) {
 		if !s.compactKick.Fired() {
 			p.Await(s.compactKick)
 		}
-		s.compactKick = sim.NewSignal(s.env)
+		s.compactKick = new(sim.Signal)
 		for {
 			tier := s.overfullTier()
 			if tier < 0 {

@@ -240,7 +240,9 @@ func (j *Journal) replayManifest() []*rebuiltRun {
 				rr = &rebuiltRun{tier: rec.tier, runID: rec.runID}
 				runs = append(runs, rr)
 			}
-			rr.r = append(rr.r, &patch{ref: rec.ref, keys: rec.keys, offs: rec.offs, sizes: rec.sizes})
+			pt := &patch{ref: rec.ref, keys: rec.keys, offs: rec.offs, sizes: rec.sizes}
+			pt.index()
+			rr.r = append(rr.r, pt)
 		case manifestDel:
 		del:
 			for _, rr := range runs {

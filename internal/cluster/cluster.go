@@ -24,6 +24,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -209,6 +210,7 @@ type Group struct {
 	// readLat is non-nil only when RegisterMetrics installed it;
 	// Histogram.Observe is nil-safe, so Get observes unconditionally.
 	readLat *metrics.Histogram
+	reads   []*read // idle read records
 }
 
 // NewGroup builds a group over the given nodes.
@@ -479,35 +481,185 @@ func (g *Group) Put(p *sim.Proc, key string, value []byte, size int) error {
 	return firstErr
 }
 
-// readOrder returns the replica indices in routing order: placement
-// order, but with replicas currently inside a granted erase window
-// moved behind every settled one (they are paying erase latency right
-// now — the coordinator guarantees at most one per slice, so a settled
-// replica always exists while a majority is live), and replicas still
-// catching up after a remount or restart (re-replication in flight)
-// behind those — a half-caught-up replica serves reads only when no
-// other replica can, keeping its recovery bandwidth for the catch-up
-// itself and its possibly-stale keys out of the fast path.
-func (g *Group) readOrder() []int {
-	order := make([]int, 0, len(g.nodes))
-	var inWindow, lagging []int
+// readOrder fills order with the replica indices in routing order:
+// placement order, but with replicas currently inside a granted erase
+// window moved behind every settled one (they are paying erase latency
+// right now — the coordinator guarantees at most one per slice, so a
+// settled replica always exists while a majority is live), and
+// replicas still catching up after a remount or restart
+// (re-replication in flight) behind those — a half-caught-up replica
+// serves reads only when no other replica can, keeping its recovery
+// bandwidth for the catch-up itself and its possibly-stale keys out of
+// the fast path. rank holds one entry per node.
+func (g *Group) readOrder(order []int, rank []uint8) []int {
+	const settled, inWindow, lagging = 0, 1, 2
+	var windowed, lags bool
 	for i, node := range g.nodes {
 		switch {
 		case node.alive && node.catchingUp:
-			lagging = append(lagging, i)
+			rank[i], lags = lagging, true
 		case node.alive && node.inWindow():
-			inWindow = append(inWindow, i)
+			rank[i], windowed = inWindow, true
 		default:
-			order = append(order, i)
+			rank[i] = settled
 		}
 	}
-	if len(inWindow) > 0 {
+	if windowed {
 		g.ctr.windowDeprioritized.Inc()
 	}
-	if len(lagging) > 0 {
+	if lags {
 		g.ctr.deprioritized.Inc()
 	}
-	return append(append(order, inWindow...), lagging...)
+	order = order[:0]
+	for r := uint8(settled); r <= lagging; r++ {
+		for i := range g.nodes {
+			if rank[i] == r {
+				order = append(order, i)
+			}
+		}
+	}
+	return order
+}
+
+// read is one Get in flight, pooled on the Group so that a read
+// allocates nothing in steady state. Its reader processes, watches and
+// hedge timers can outlive the Get — a hedged-out reader finishes
+// late, a watch of an earlier wait fires late, a timer of a read that
+// was answered first still comes due — and each must still run in its
+// slot, so refs counts them, with the Get itself, and the record goes
+// back to the pool only when the last of them has run.
+type read struct {
+	g           *Group
+	key         string
+	refs        int
+	order       []int
+	rank        []uint8
+	readers     []reader // by node index
+	outstanding []int    // launched readers not yet handled
+	failed      []*Node
+	watches     []*watch // the first nwatch are this read's
+	nwatch      int
+	// wait numbers the Get's waits and step is the current one's
+	// signal: a watch or hedge timer of an earlier wait is a no-op.
+	wait int
+	step sim.Signal
+	// timer is the hedge timer's handle. Hedge timers come due in the
+	// order they were armed (hedge instants never decrease), so the one
+	// firing is number fired+1, and it is the current wait's timer iff
+	// it is the last one armed and armed in the current wait.
+	timer                   sim.Proc
+	armed, fired, armedWait int
+}
+
+// reader is one replica's read: the cluster/get process and its
+// result.
+type reader struct {
+	r              *read
+	node           *Node
+	proc           sim.Proc
+	run            func(*sim.Proc)
+	ready, handled bool
+	value          []byte
+	size           int
+	err            error
+}
+
+// watch passes one reader's completion to the Get's current wait: the
+// hand-off a cluster/watch process awaiting the reader's done signal
+// used to make, as a callback handle that fires in the same slots.
+type watch struct {
+	r    *read
+	i    int // reader index
+	wait int
+	h    sim.Proc
+}
+
+// newRead takes a read record from the pool, or builds one.
+func (g *Group) newRead(key string) *read {
+	var r *read
+	if n := len(g.reads); n > 0 {
+		r = g.reads[n-1]
+		g.reads = g.reads[:n-1]
+	} else {
+		n := len(g.nodes)
+		r = &read{g: g, order: make([]int, 0, n), rank: make([]uint8, n), readers: make([]reader, n)}
+		for i := range r.readers {
+			rd := &r.readers[i]
+			rd.r, rd.node, rd.run = r, g.nodes[i], rd.execute
+		}
+		g.env.Handle(&r.timer, r.hedgeTimer)
+	}
+	r.key, r.refs, r.nwatch, r.wait = key, 1, 0, 0
+	r.armed, r.fired = 0, 0
+	r.outstanding, r.failed = r.outstanding[:0], r.failed[:0]
+	for i := range r.readers {
+		rd := &r.readers[i]
+		rd.ready, rd.handled = false, false
+	}
+	r.order = g.readOrder(r.order, r.rank)
+	return r
+}
+
+// release drops one reference and returns the record to the pool
+// after the last.
+func (r *read) release() {
+	r.refs--
+	if r.refs > 0 {
+		return
+	}
+	for i := range r.readers {
+		r.readers[i].value, r.readers[i].err = nil, nil
+	}
+	r.failed = r.failed[:0]
+	r.key = ""
+	r.g.reads = append(r.g.reads, r)
+}
+
+// execute is the cluster/get process: one replica's read.
+func (rd *reader) execute(wp *sim.Proc) {
+	rd.value, rd.size, rd.err = rd.node.Slice.Get(wp, rd.r.key)
+	rd.ready = true
+	rd.r.release()
+}
+
+// watchReader arranges for reader i's completion to end the current
+// wait. The watch runs first in the slot a watcher process would have
+// started in, and then, if the reader is still running, where that
+// process would have resumed.
+func (r *read) watchReader(i int) {
+	if r.nwatch == len(r.watches) {
+		w := &watch{r: r}
+		r.g.env.Handle(&w.h, w.run)
+		r.watches = append(r.watches, w)
+	}
+	w := r.watches[r.nwatch]
+	r.nwatch++
+	w.i, w.wait = i, r.wait
+	r.refs++
+	r.g.env.Wake(&w.h, 0)
+}
+
+// run is the watch's handle: it enrolls on the reader's done signal
+// until that has fired, then ends its wait if that is still current.
+func (w *watch) run() {
+	r := w.r
+	if r.readers[w.i].proc.DoneSignal().Enroll(&w.h) {
+		return
+	}
+	if w.wait == r.wait {
+		r.step.Fire()
+	}
+	r.release()
+}
+
+// hedgeTimer is the hedge timer: it ends the current wait if it was
+// armed in it.
+func (r *read) hedgeTimer() {
+	r.fired++
+	if r.fired == r.armed && r.armedWait == r.wait {
+		r.step.Fire()
+	}
+	r.release()
 }
 
 // Get serves a read from the replicas in routing order (placement
@@ -519,140 +671,126 @@ func (g *Group) readOrder() []int {
 // diverged by an earlier partial Put.
 func (g *Group) Get(p *sim.Proc, key string) ([]byte, int, error) {
 	g.ctr.gets.Inc()
-	order := g.readOrder()
+	r := g.newRead(key)
+	defer r.release()
 	start := g.env.Now()
 	// With a read deadline, every hedge timer is clamped to the one
 	// deadline set at the start: slow replicas burn the shared budget,
 	// they do not re-arm it. Past the deadline the loop stops waiting
-	// and fans out to every remaining replica back-to-back.
+	// and fans out to every remaining replica back-to-back. Without
+	// hedging, the deadline itself is the one hedge instant.
 	var deadline time.Duration
 	if g.cfg.ReadDeadline > 0 {
 		deadline = start + g.cfg.ReadDeadline
 	}
-	type result struct {
-		value []byte
-		size  int
-		err   error
-	}
+	timed := g.cfg.HedgeAfter > 0 || deadline > 0
+	order := r.order
 	n := len(g.nodes)
-	res := make([]*result, n)
-	readers := make([]*sim.Proc, n)
-	handled := make([]bool, n)
-	var outstanding []int
-	var failed []*Node
 	next := 0
 	var hedgeAt time.Duration
 	for {
 		// Collect finished readers in replica order.
-		for _, i := range outstanding {
-			if handled[i] || res[i] == nil {
+		for _, i := range r.outstanding {
+			rd := &r.readers[i]
+			if rd.handled || !rd.ready {
 				continue
 			}
-			handled[i] = true
-			r, node := res[i], g.nodes[i]
-			if r.err == nil {
+			rd.handled = true
+			node := rd.node
+			if rd.err == nil {
 				if i != order[0] {
 					g.ctr.failovers.Inc()
 				}
-				node.nic.Transfer(p, r.size)
+				node.nic.Transfer(p, rd.size)
 				g.readLat.Observe(g.env.Now() - start)
-				g.repairAfterRead(node, key, r.value, r.size, failed)
-				return r.value, r.size, nil
+				g.repairAfterRead(node, key, rd.value, rd.size, r.failed)
+				return rd.value, rd.size, nil
 			}
-			if errors.Is(r.err, ccdb.ErrNotFound) && !node.dirty[key] {
+			if errors.Is(rd.err, ccdb.ErrNotFound) && !node.dirty[key] {
 				// A key absent on an in-sync replica is absent
 				// everywhere (replication is synchronous); report it
 				// directly. A dirty replica's NotFound proves nothing.
-				return nil, 0, r.err
+				return nil, 0, rd.err
 			}
-			failed = append(failed, node)
+			r.failed = append(r.failed, node)
 		}
-		live := outstanding[:0]
-		for _, i := range outstanding {
-			if !handled[i] {
+		live := r.outstanding[:0]
+		for _, i := range r.outstanding {
+			if !r.readers[i].handled {
 				live = append(live, i)
 			}
 		}
-		outstanding = live
+		r.outstanding = live
 		for next < n && !g.nodes[order[next]].alive {
 			next++ // crash-aware: never wait on a dead node
 		}
-		if len(outstanding) == 0 && next >= n {
+		if len(r.outstanding) == 0 && next >= n {
 			g.ctr.lost.Inc()
 			return nil, 0, fmt.Errorf("%w: %q", ErrAllReplicasFailed, key)
 		}
-		hedgeable := g.cfg.HedgeAfter > 0 && len(outstanding) > 0
-		if next < n && (len(outstanding) == 0 || (hedgeable && g.env.Now() >= hedgeAt)) {
-			if len(outstanding) > 0 {
+		hedgeable := timed && len(r.outstanding) > 0
+		now := g.env.Now()
+		if next < n && (len(r.outstanding) == 0 || (hedgeable && now >= hedgeAt)) {
+			if len(r.outstanding) > 0 {
 				g.ctr.hedges.Inc()
 				t := g.env.Tracer()
-				span := t.Begin(g.env.Now(), 0, "cluster/hedge", trace.PhaseFault)
-				t.End(g.env.Now(), span)
+				span := t.Begin(now, 0, "cluster/hedge", trace.PhaseFault)
+				t.End(now, span)
 			}
-			i, node := order[next], g.nodes[order[next]]
-			readers[i] = g.env.Go("cluster/get", func(wp *sim.Proc) {
-				v, size, err := node.Slice.Get(wp, key)
-				res[i] = &result{v, size, err}
-			})
-			outstanding = append(outstanding, i)
+			i := order[next]
+			rd := &r.readers[i]
+			r.refs++
+			g.env.Start(&rd.proc, "cluster/get", rd.run)
+			r.outstanding = append(r.outstanding, i)
 			next++
-			hedgeAt = g.env.Now() + g.cfg.HedgeAfter
-			if deadline > 0 && hedgeAt > deadline {
-				hedgeAt = deadline
+			hedgeAt = deadline
+			if h := g.cfg.HedgeAfter; h > 0 && (deadline == 0 || now+h < deadline) {
+				hedgeAt = now + h
 			}
 			continue
 		}
 		// Park until any outstanding read finishes or the hedge timer
 		// says to try the next replica.
-		step := sim.NewSignal(g.env)
-		for _, i := range outstanding {
-			done := readers[i].DoneSignal()
-			g.env.Go("cluster/watch", func(wp *sim.Proc) {
-				wp.Await(done)
-				step.Fire()
-			})
+		r.wait++
+		r.step = sim.Signal{}
+		for _, i := range r.outstanding {
+			r.watchReader(i)
 		}
-		if g.cfg.HedgeAfter > 0 && next < n {
-			g.env.Schedule(hedgeAt-g.env.Now(), func() { step.Fire() })
+		if timed && next < n {
+			r.armed++
+			r.armedWait = r.wait
+			r.refs++
+			g.env.Wake(&r.timer, hedgeAt-now)
 		}
-		p.Await(step)
+		p.Await(&r.step)
 	}
 }
 
 // repairAfterRead schedules read-repair for the replicas that failed
 // this read plus any live replica still dirty for the key.
 func (g *Group) repairAfterRead(winner *Node, key string, value []byte, size int, failed []*Node) {
-	inFailed := make(map[*Node]bool, len(failed))
-	for _, node := range failed {
-		inFailed[node] = true
-	}
-	var targets []*Node
 	for _, node := range g.nodes {
 		if node == winner || !node.alive {
 			continue
 		}
-		if inFailed[node] || node.dirty[key] {
-			targets = append(targets, node)
+		if node.dirty[key] || slices.Contains(failed, node) {
+			g.repair(node, key, value, size)
 		}
 	}
-	g.repair(targets, key, value, size)
 }
 
-// repair rewrites a recovered value to the given replicas.
-func (g *Group) repair(targets []*Node, key string, value []byte, size int) {
-	for _, node := range targets {
-		node := node
-		g.env.Go("cluster/repair", func(wp *sim.Proc) {
-			if !node.alive {
-				return
-			}
-			node.nic.Transfer(wp, size)
-			if err := node.Slice.Put(wp, key, value, size); err == nil {
-				delete(node.dirty, key)
-				g.ctr.repairs.Inc()
-			}
-		})
-	}
+// repair rewrites a recovered value to a replica.
+func (g *Group) repair(node *Node, key string, value []byte, size int) {
+	g.env.Go("cluster/repair", func(wp *sim.Proc) {
+		if !node.alive {
+			return
+		}
+		node.nic.Transfer(wp, size)
+		if err := node.Slice.Put(wp, key, value, size); err == nil {
+			delete(node.dirty, key)
+			g.ctr.repairs.Inc()
+		}
+	})
 }
 
 // rereplicate copies every key a restarted node missed from its

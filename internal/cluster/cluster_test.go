@@ -297,8 +297,12 @@ func TestCrashRestartRereplicates(t *testing.T) {
 	}
 }
 
-func TestHedgedReadMasksSlowPrimary(t *testing.T) {
-	env := sim.NewEnv()
+// slowPrimaryGroup builds a group whose primary serves k from flash
+// and then hangs every channel for 500 ms, so its read of k stalls
+// well past any hedge; the backup serves k from its memtable. It
+// returns the group and a function that runs the timed Get.
+func slowPrimaryGroup(t *testing.T, env *sim.Env, cfg Config) (*Group, func(p *sim.Proc) time.Duration) {
+	t.Helper()
 	cfgDev := core.DefaultConfig()
 	cfgDev.Channels = 4
 	cfgDev.Channel.Nand.BlocksPerPlane = 16
@@ -317,22 +321,22 @@ func TestHedgedReadMasksSlowPrimary(t *testing.T) {
 		DataMode:    true,
 	}))
 	backup := newNode(t, env, "backup", 0)
-	g, err := NewGroup(env, DefaultConfig(), primary, backup)
+	g, err := NewGroup(env, cfg, primary, backup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	val := bytes.Repeat([]byte{8}, 20_000)
-	w := env.Go("t", func(p *sim.Proc) {
+	get := func(p *sim.Proc) time.Duration {
 		if err := g.Put(p, "k", val, len(val)); err != nil {
 			t.Error(err)
-			return
+			return 0
 		}
 		// Push the primary's copy to flash, then stall every channel
-		// well past HedgeAfter: the read must be hedged at the backup
+		// well past the hedge instant: the read must go to the backup
 		// instead of waiting the stall out.
 		if err := primary.Slice.Flush(p); err != nil {
 			t.Error(err)
-			return
+			return 0
 		}
 		for i := 0; i < dev.Channels(); i++ {
 			dev.Channel(i).Hang(500 * time.Millisecond)
@@ -341,9 +345,17 @@ func TestHedgedReadMasksSlowPrimary(t *testing.T) {
 		got, _, err := g.Get(p, "k")
 		if err != nil || !bytes.Equal(got, val) {
 			t.Errorf("hedged Get: %v", err)
-			return
 		}
-		if lat := env.Now() - start; lat >= 400*time.Millisecond {
+		return env.Now() - start
+	}
+	return g, get
+}
+
+func TestHedgedReadMasksSlowPrimary(t *testing.T) {
+	env := sim.NewEnv()
+	g, get := slowPrimaryGroup(t, env, DefaultConfig())
+	w := env.Go("t", func(p *sim.Proc) {
+		if lat := get(p); lat >= 400*time.Millisecond {
 			t.Errorf("hedged read took %v; hedge did not mask the stall", lat)
 		}
 	})
@@ -355,6 +367,26 @@ func TestHedgedReadMasksSlowPrimary(t *testing.T) {
 	}
 	if st.Failovers == 0 {
 		t.Fatal("hedge winner not counted as failover")
+	}
+}
+
+// TestReadDeadlineWithoutHedging pins ReadDeadline's fan-out when
+// HedgeAfter is 0: once the deadline passes the group reads every
+// remaining replica instead of waiting on the hung primary.
+func TestReadDeadlineWithoutHedging(t *testing.T) {
+	env := sim.NewEnv()
+	g, get := slowPrimaryGroup(t, env, Config{ReadDeadline: 50 * time.Millisecond})
+	w := env.Go("t", func(p *sim.Proc) {
+		if lat := get(p); lat < 50*time.Millisecond || lat >= 60*time.Millisecond {
+			t.Errorf("read with a 50ms deadline on a hung primary took %v, want just past the deadline", lat)
+		}
+	})
+	env.RunUntilDone(w)
+	st := g.Stats()
+	env.Close()
+	if st.Hedges != 1 || st.Failovers != 1 {
+		t.Fatalf("hedges = %d, failovers = %d; want the deadline fan-out to serve the read from the backup",
+			st.Hedges, st.Failovers)
 	}
 }
 

@@ -262,7 +262,7 @@ func (m *Member) AcquireErase(p *sim.Proc, free int) (release func(), forced boo
 	m.want = true
 	m.waiters++
 	if m.grant == nil {
-		m.grant = sim.NewSignal(c.env)
+		m.grant = new(sim.Signal)
 	}
 	grant := m.grant
 	c.tryGrant()

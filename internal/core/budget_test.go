@@ -6,6 +6,7 @@ import (
 
 	"sdf/internal/rpcnet"
 	"sdf/internal/sim"
+	"sdf/internal/trace"
 )
 
 // budgetRig drives one command at a time through a long-lived process,
@@ -153,6 +154,30 @@ func TestCommandBudget(t *testing.T) {
 	rig.do(call)
 	if budget := uint64(6 * len(batch)); rig.events > budget {
 		t.Errorf("batch-44 Call of 512 KB responses: %d scheduler events, budget %d", rig.events, budget)
+	}
+
+	// The sub-request's process runs its storage work and nothing else:
+	// the CPU claim before and the response legs after are callback
+	// hand-offs, so a sub-request that does not park in do() does not
+	// park at all.
+	tr := trace.NewCollector()
+	tr.SetLevel(trace.LevelFull)
+	rig.env.SetTracer(tr)
+	rig.do(call)
+	rig.env.SetTracer(nil)
+	var spawns, parks int
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Name != "rpcnet/sub":
+		case ev.Kind == trace.KindProcSpawn:
+			spawns++
+		case ev.Kind == trace.KindProcPark:
+			parks++
+		}
+	}
+	if spawns != len(batch) || parks != 0 {
+		t.Errorf("batch-44 Call of 512 KB responses: %d rpcnet/sub spawns and %d parks, want %d and 0",
+			spawns, parks, len(batch))
 	}
 }
 

@@ -237,7 +237,7 @@ func newChannel(env *sim.Env, cfg Config) (*Channel, error) {
 		meta:    make(map[int]blockMeta),
 		cpSeq:   1,
 		oob:     new(oobPool),
-		cut:     sim.NewSignal(env),
+		cut:     new(sim.Signal),
 	}
 	ch.SetLabel("chan")
 	if cfg.ECC {

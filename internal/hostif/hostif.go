@@ -169,9 +169,6 @@ func NewStack(env *sim.Env, params StackParams) *Stack {
 	return &Stack{env: env, params: params, cpu: sim.NewTimeline(env, cpus)}
 }
 
-// Params returns the stack's parameters.
-func (s *Stack) Params() StackParams { return s.params }
-
 // Submit charges the request-issue cost. The request counts as in
 // flight until its Complete.
 func (s *Stack) Submit(p *sim.Proc) {

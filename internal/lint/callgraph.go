@@ -198,6 +198,9 @@ func blockingCallSite(m *Module, call *ast.CallExpr) (blockSite, bool) {
 			return blockSite{pos: call.Pos(), desc: "Proc." + sel.Sel.Name}, true
 		}
 	}
+	if takesProcNonBlocking(m, call) {
+		return blockSite{}, false
+	}
 	for _, arg := range call.Args {
 		if t := m.typeOf(arg); t != nil && isSimProcPtr(t) {
 			return blockSite{pos: call.Pos(), desc: callDesc(call) + " (takes *sim.Proc)"}, true

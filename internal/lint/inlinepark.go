@@ -7,7 +7,9 @@ import (
 
 // InlinePark flags blocking process calls inside inline scheduler
 // callbacks. The kernel's fast path ((*sim.Env).Schedule) runs the
-// supplied function directly on the scheduler goroutine between events: there is no process to park,
+// supplied function directly on the scheduler goroutine between
+// events, and so does a callback handle ((*sim.Env).Handle) wherever
+// it is woken: there is no process to park,
 // so calling a blocking Proc API from one — Wait, WaitUntil, Await,
 // Join, or anything that takes a *sim.Proc such as Acquire, Transfer,
 // Occupy or Queue.Get — deadlocks the simulation (see DESIGN.md,
@@ -19,10 +21,11 @@ import (
 // (*sim.Env).Go from a callback is the legal way to re-enter blocking
 // code, so Go literals are not descended into. internal/sim itself is
 // exempt: the kernel parks and resumes processes as part of
-// implementing them.
+// implementing them. The sim calls that take a *sim.Proc without
+// parking (procTakingNonBlocking) are legal in a callback.
 var InlinePark = &Analyzer{
 	Name: "inlinepark",
-	Doc:  "forbid blocking Proc calls inside inline callbacks (Schedule/GaugeFunc/CounterFunc)",
+	Doc:  "forbid blocking Proc calls inside inline callbacks (Schedule/Handle/GaugeFunc/CounterFunc)",
 	Applies: func(f *File) bool {
 		return !f.IsTest() && f.In("internal") && !f.In("internal/sim")
 	},
@@ -49,8 +52,38 @@ type inlineCallback struct {
 // method, so an unrelated type's same-named method is not matched.
 var inlineCallbackMethods = map[string][]inlineCallback{
 	"Schedule":    {{arg: 1, pkg: "sim", typ: "Env"}},          // (*sim.Env).Schedule(d, fn)
+	"Handle":      {{arg: 1, pkg: "sim", typ: "Env"}},          // (*sim.Env).Handle(h, fn): fn runs wherever h is woken
 	"GaugeFunc":   {{arg: 1, pkg: "metrics", typ: "Registry"}}, // (*metrics.Registry).GaugeFunc(name, fn, labels...)
 	"CounterFunc": {{arg: 1, pkg: "metrics", typ: "Registry"}}, // (*metrics.Registry).CounterFunc(name, fn, labels...)
+}
+
+// procTakingNonBlocking lists, by method name, the sim types whose
+// method takes a *sim.Proc without parking anyone: it starts a process
+// on caller-owned storage, or makes, wakes or enrolls a callback
+// handle. Such a call passes a *sim.Proc legally from scheduler
+// context.
+var procTakingNonBlocking = map[string][]string{
+	"Start":   {"Env"},
+	"StartAt": {"Env"},
+	"Handle":  {"Env"},
+	"Wake":    {"Env"},
+	"Enroll":  {"Signal", "SharedLink"},
+}
+
+// takesProcNonBlocking reports whether call is one of
+// procTakingNonBlocking.
+func takesProcNonBlocking(m *Module, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	recv := m.typeOf(sel.X)
+	for _, typ := range procTakingNonBlocking[sel.Sel.Name] {
+		if isSimNamed(recv, typ) {
+			return true
+		}
+	}
+	return false
 }
 
 // inlineCallbackArg resolves a call to a registered inline-callback
@@ -129,6 +162,9 @@ func checkInlineCallback(f *File, entry string, lit *ast.FuncLit) []Finding {
 						"the simulation; spawn a process with (*sim.Env).Go instead", sel.Sel.Name, entry))
 				return true
 			}
+		}
+		if takesProcNonBlocking(m, call) {
+			return true
 		}
 		for _, arg := range call.Args {
 			if t := m.typeOf(arg); t != nil && isSimProcPtr(t) {

@@ -100,8 +100,8 @@ func TestPerAnalyzerFindings(t *testing.T) {
 		{"seededrand", "./internal/randuse", 4},
 		{"rawgo", "./internal/spawnuse/...", 3},
 		{"maporder", "./internal/mapuse", 4},
-		{"inlinepark", "./internal/parkuse", 5},
-		{"parkpath", "./internal/parktrans", 2},
+		{"inlinepark", "./internal/parkuse", 6},
+		{"parkpath", "./internal/parktrans", 3},
 		{"spanleak", "./internal/spanuse", 3},
 		{"errdrop", "./internal/erruse", 5},
 		{"selectnondet", "./internal/seluse", 2},

@@ -13,7 +13,10 @@ import (
 // handle, with no *sim.Proc crossing any call boundary — is still
 // reported. Direct blocking inside the literal stays inlinepark's
 // territory; parkpath reports only chains of length >= 1, so the two
-// analyzers never duplicate a finding.
+// analyzers never duplicate a finding. A callback given by name (a
+// function or a method value, such as a callback handle's body) has no
+// literal for inlinepark to read, so parkpath reports it whether it
+// blocks in its own body or below.
 //
 // The traversal uses only non-detached call edges: code inside a
 // nested (*sim.Env).Go literal runs as a fresh process where blocking
@@ -66,12 +69,38 @@ func parkPathFile(g *callGraph, f *File) []Finding {
 		if !ok {
 			return true
 		}
-		if lit, ok := call.Args[idx].(*ast.FuncLit); ok {
-			findings = append(findings, checkCallbackCalls(g, f, sel.Sel.Name, lit)...)
+		switch arg := call.Args[idx].(type) {
+		case *ast.FuncLit:
+			findings = append(findings, checkCallbackCalls(g, f, sel.Sel.Name, arg)...)
+		case *ast.Ident, *ast.SelectorExpr:
+			if fd := checkCallbackValue(g, f, sel.Sel.Name, arg); fd != nil {
+				findings = append(findings, *fd)
+			}
 		}
 		return true
 	})
 	return findings
+}
+
+// checkCallbackValue checks a callback given by name — a function, or
+// a method value such as a record's handle body (env.Handle(&r.h,
+// r.step)) — whose own body may block directly or below: the body is
+// the whole callback, so its direct parks count too.
+func checkCallbackValue(g *callGraph, f *File, entry string, fn ast.Expr) *Finding {
+	for _, res := range g.resolve(&ast.CallExpr{Fun: fn}) {
+		chain := g.blockChain(res.node)
+		if chain == nil {
+			continue
+		}
+		name := funcName(res.node.obj)
+		fd := f.finding("parkpath", fn.Pos(),
+			"%s, run as a %s callback, reaches blocking %s via %s; the callback runs on "+
+				"the scheduler goroutine, so this parks it and deadlocks the simulation — "+
+				"spawn a process with (*sim.Env).Go instead",
+			name, entry, chain[len(chain)-1].name, renderChain(name, chain))
+		return &fd
+	}
+	return nil
 }
 
 // checkCallbackCalls walks one callback literal and, for every call

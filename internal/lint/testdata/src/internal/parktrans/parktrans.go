@@ -50,6 +50,37 @@ func BadInterface(env *sim.Env, s stopper) {
 	})
 }
 
+// stepper is a record whose callback handle's body is a method.
+type stepper struct {
+	h   sim.Proc
+	w   *worker
+	sig *sim.Signal
+}
+
+// step blocks two frames down.
+func (s *stepper) step() {
+	s.w.settle()
+}
+
+// rearm only enrolls and wakes the handle, which parks nobody.
+func (s *stepper) rearm() {
+	if !s.sig.Enroll(&s.h) {
+		s.w.idle()
+	}
+}
+
+// BadHandleBody makes the blocking method a handle's body: it runs on
+// the scheduler goroutine wherever the handle is woken.
+func BadHandleBody(env *sim.Env, s *stepper) {
+	env.Handle(&s.h, s.step) // want(parkpath)
+}
+
+// GoodHandleBody's body parks nobody.
+func GoodHandleBody(env *sim.Env, s *stepper) {
+	env.Handle(&s.h, s.rearm)
+	env.Wake(&s.h, 1)
+}
+
 // GoodSpawn hands the blocking chain to a fresh process, where
 // parking is legal.
 func GoodSpawn(env *sim.Env, w *worker) {

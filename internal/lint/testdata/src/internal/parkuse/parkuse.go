@@ -26,6 +26,23 @@ func BadIndirect(env *sim.Env, tl *sim.Timeline, res *sim.Resource, p *sim.Proc)
 	})
 }
 
+// BadHandle parks inside a callback handle's body, which runs inline
+// wherever the handle is woken.
+func BadHandle(env *sim.Env, h, p *sim.Proc) {
+	env.Handle(h, func() {
+		p.Wait(1) // want(inlinepark)
+	})
+}
+
+// GoodHandle hands its handle only to calls that park nobody.
+func GoodHandle(env *sim.Env, s *sim.Signal, h *sim.Proc) {
+	env.Handle(h, func() {
+		if !s.Enroll(h) {
+			env.Wake(h, 1)
+		}
+	})
+}
+
 // Good shows the legal shapes: rescheduling, non-parking claims,
 // spawning a fresh process, and blocking on the normal process path.
 func Good(env *sim.Env, tl *sim.Timeline, p *sim.Proc) {

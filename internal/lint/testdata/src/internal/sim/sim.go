@@ -24,6 +24,13 @@ func (e *Env) Schedule(d int, fn func()) { fn() }
 // Go spawns fn as a fresh process, where blocking is legal.
 func (e *Env) Go(name string, fn func(p *Proc)) { fn(&Proc{}) }
 
+// Handle makes h a callback handle: fn runs inline, on the scheduler
+// goroutine, wherever h is woken.
+func (e *Env) Handle(h *Proc, fn func()) *Proc { return h }
+
+// Wake runs the handle h after d ticks, without parking anyone.
+func (e *Env) Wake(h *Proc, d int) {}
+
 // Proc is one simulated process.
 type Proc struct{}
 
@@ -41,6 +48,9 @@ func (p *Proc) Join(other *Proc) {}
 
 // Signal is a broadcast wakeup.
 type Signal struct{}
+
+// Enroll makes the handle h a waiter of s without parking anyone.
+func (s *Signal) Enroll(h *Proc) bool { return true }
 
 // Timeline is a timed-occupancy resource.
 type Timeline struct{}

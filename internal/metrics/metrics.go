@@ -228,9 +228,6 @@ func NewMeter(start time.Duration) *Meter { return &Meter{start: start} }
 // Add accumulates n units (bytes, ops).
 func (m *Meter) Add(n int64) { m.total += n }
 
-// Total returns the accumulated count.
-func (m *Meter) Total() int64 { return m.total }
-
 // Reset zeroes the count and restarts the window at the given time.
 func (m *Meter) Reset(now time.Duration) {
 	m.total = 0
@@ -260,9 +257,6 @@ type Series struct {
 
 // Observe appends one sample.
 func (s *Series) Observe(d time.Duration) { s.samples = append(s.samples, d) }
-
-// Samples returns the recorded values in observation order.
-func (s *Series) Samples() []time.Duration { return s.samples }
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.samples) }

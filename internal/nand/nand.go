@@ -230,9 +230,6 @@ type Media struct {
 	planes []*planeMedia
 }
 
-// Params returns the geometry the media was manufactured with.
-func (m *Media) Params() Params { return m.params }
-
 // Plane is an independently operable flash plane. At most one array
 // operation (read, program, erase) is active per plane at a time; the
 // page cache register lets the controller overlap the next array read
@@ -336,9 +333,6 @@ func sampleEndurance(params Params, rng *rand.Rand) int {
 	}
 	return int(e)
 }
-
-// Params returns the chip's construction parameters.
-func (c *Chip) Params() Params { return c.params }
 
 // Media returns the chip's persistent cell state, for handing to
 // Mount after a power loss.

@@ -159,22 +159,30 @@ func (n *Network) NewClient() *Client {
 type SubRequest func(p *sim.Proc) int
 
 // call is one Call in flight: the response count its sub-requests add
-// to, and a record per sub-request. The records embed their process and
-// carry its body as a method value bound when the slice is built, so a
-// Call served from the free list allocates nothing (DESIGN.md §15).
+// to, the count of those still running and the signal the caller
+// awaits until it reaches zero, and a record per sub-request. The
+// records embed their process and handle and carry the bodies as
+// method values bound when the slice is built, so a Call served from
+// the free list allocates nothing (DESIGN.md §15).
 type call struct {
 	client    *Client
 	respBytes int
+	left      int
+	done      sim.Signal
 	subs      []subCall
 }
 
-// subCall is one sub-request and the rpcnet/sub process that executes
-// it.
+// subCall is one sub-request. Only its storage work runs as a process,
+// rpcnet/sub; the hand-offs on either side of it — claiming a server
+// CPU before, collecting the response's two NIC legs after — are runs
+// of its callback handle h, whose body is advance.
 type subCall struct {
-	call *call
-	do   SubRequest
-	sub  sim.Proc
-	run  func(*sim.Proc)
+	call     *call
+	do       SubRequest
+	sub      sim.Proc
+	run      func(*sim.Proc)
+	h        sim.Proc
+	srv, cli *sim.Xfer // the response's server-NIC and client-NIC legs
 }
 
 // getCall returns a record with batch sub-request slots.
@@ -186,32 +194,70 @@ func (n *Network) getCall(c *Client, batch int) *call {
 	} else {
 		k = new(call)
 	}
-	k.client, k.respBytes = c, 0
+	k.client, k.respBytes, k.left, k.done = c, 0, batch, sim.Signal{}
 	if cap(k.subs) < batch {
 		k.subs = make([]subCall, batch)
 		for i := range k.subs {
 			s := &k.subs[i]
 			s.call, s.run = k, s.execute
+			n.env.Handle(&s.h, s.advance)
 		}
 	}
 	k.subs = k.subs[:batch]
 	return k
 }
 
-// execute is the rpcnet/sub process: the per-op CPU cost, the
-// sub-request's own work, then the response, which crosses the server
-// NIC pool and the client NIC at once — the server leg is started, the
-// client leg carried, and the server leg awaited.
-func (s *subCall) execute(wp *sim.Proc) {
-	c := s.call.client
+// advance is the sub-request's handle. Its first run is the wake in
+// the slot the sub-request starts in: it claims the per-op CPU cost on
+// the server's CPUs and starts rpcnet/sub when the claim ends. Its
+// later runs are the wakes a process awaiting the response would get:
+// the client leg draining, then the server leg.
+func (s *subCall) advance() {
+	k := s.call
+	c := k.client
 	n := c.net
-	n.cpu.Occupy(wp, n.cfg.SubRequestCPU)
+	if s.srv == nil {
+		_, end := n.cpu.Reserve(n.cfg.SubRequestCPU)
+		n.env.StartAt(&s.sub, end, "rpcnet/sub", s.run)
+		return
+	}
+	if s.cli != nil {
+		c.nic.Collect(s.cli)
+		s.cli = nil
+		if n.server.Enroll(s.srv, &s.h) {
+			return
+		}
+	}
+	n.server.Collect(s.srv)
+	s.srv = nil
+	k.finish()
+}
+
+// execute is the rpcnet/sub process: the sub-request's own work. The
+// response then crosses the server NIC pool and the client NIC at
+// once: both legs are started, and the handle collects the client leg
+// and then the server leg.
+func (s *subCall) execute(wp *sim.Proc) {
+	k := s.call
 	size := s.do(wp)
-	s.call.respBytes += size
-	if size > 0 {
-		srv := n.server.Start(size)
-		c.nic.Transfer(wp, size)
-		n.server.Await(wp, srv)
+	s.do = nil
+	k.respBytes += size
+	if size <= 0 {
+		k.finish()
+		return
+	}
+	c := k.client
+	s.srv = c.net.server.Start(size)
+	s.cli = c.nic.Start(size)
+	c.nic.Enroll(s.cli, &s.h) // true: a transfer drains in a later event
+}
+
+// finish counts one sub-request done and releases the caller after the
+// last.
+func (k *call) finish() {
+	k.left--
+	if k.left == 0 {
+		k.done.Fire()
 	}
 }
 
@@ -236,11 +282,10 @@ func (c *Client) Call(p *sim.Proc, reqBytes int, batch []SubRequest) int {
 	for i, sub := range batch {
 		s := &k.subs[i]
 		s.do = sub
-		n.env.Start(&s.sub, "rpcnet/sub", s.run)
+		n.env.Wake(&s.h, 0)
 	}
-	for i := range k.subs {
-		p.Join(&k.subs[i].sub)
-		k.subs[i].do = nil
+	if len(batch) > 0 {
+		p.Await(&k.done)
 	}
 	respBytes := k.respBytes
 	n.free = append(n.free, k)

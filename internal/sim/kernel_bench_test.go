@@ -61,7 +61,7 @@ func BenchmarkKernelAbandonedTimers(b *testing.B) {
 	defer env.Close()
 	env.Go("worker", func(p *Proc) {
 		for i := 0; i < 1000; i++ {
-			s := NewSignal(env)
+			s := new(Signal)
 			env.Schedule(time.Microsecond, s.Fire)
 			p.AwaitUntil(s, time.Duration(1+i)*time.Hour)
 		}
@@ -206,6 +206,37 @@ func spawnJoin(p *Proc, rounds, fan int) {
 	}
 }
 
+// BenchmarkKernelCallbackWake measures the hand-off that replaces a
+// spawned watcher: a callback handle enrolled on a signal, woken by a
+// timed callback that fires it. An op is two events — the timer and
+// the handle's wake — and no coroutine switch.
+func BenchmarkKernelCallbackWake(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	defer env.Close()
+	handleWakes(env, b.N)
+	env.Run()
+}
+
+// handleWakes sets up rounds of: a timer fires a signal a callback
+// handle is enrolled on, and the handle re-arms both.
+func handleWakes(env *Env, rounds int) {
+	var sig Signal
+	var h Proc
+	fire := sig.Fire
+	arm := func() {
+		sig = Signal{}
+		sig.Enroll(&h)
+		env.Schedule(time.Microsecond, fire)
+	}
+	env.Handle(&h, func() {
+		if rounds--; rounds > 0 {
+			arm()
+		}
+	})
+	arm()
+}
+
 // runAllocs builds a workload on a fresh Env, runs it to completion,
 // and returns the heap allocations and dispatched events of the run.
 func runAllocs(build func(env *Env)) (allocs, events float64) {
@@ -279,6 +310,9 @@ func TestKernelFastPathAllocs(t *testing.T) {
 				})
 			}
 		}},
+		// A callback handle woken through a signal, round after round:
+		// the wake is a grant entry, and the handle's record is reused.
+		{"handle-wake", 0, func(env *Env) { handleWakes(env, 100000) }},
 		// Request churn: 8 workers spawned and joined per round, so the
 		// carrier pool holds 8 and every later spawn must reuse one.
 		{"spawn-join-churn", 8 * 5000, func(env *Env) {

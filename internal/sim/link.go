@@ -141,9 +141,10 @@ type SharedLink struct {
 	freeTicks []*linkTick
 }
 
-// Xfer is one transfer on a SharedLink, from Start until Await returns:
-// the bytes it still has to move, and the process parked in Await until
-// they reach zero (nil while nobody waits).
+// Xfer is one transfer on a SharedLink, from Start until it is
+// collected: the bytes it still has to move, and the process parked in
+// Await (or the handle enrolled by Enroll) until they reach zero (nil
+// while nobody waits).
 type Xfer struct {
 	n         int
 	remaining float64
@@ -207,11 +208,12 @@ func (l *SharedLink) SetName(name string) { l.name = name }
 func (l *SharedLink) Transfer(p *Proc, n int) { l.Await(p, l.Start(n)) }
 
 // Start puts an n-byte transfer on the link without blocking and
-// returns its handle, which exactly one Await must collect; it returns
-// nil for n <= 0. A process that has other work to do while the bytes
-// move — an rpcnet sub-request streaming its response through the
-// client NIC — starts the transfer, does the work, then awaits it, and
-// needs no helper process to carry it.
+// returns its handle, which exactly one Await, or one Collect after
+// it drains, must retire; it returns nil for n <= 0. A process that
+// has other work to do while the bytes move starts the transfer, does
+// the work, then awaits it, and needs no helper process to carry it;
+// a caller with nothing left to do but collect enrolls a callback
+// handle on it instead (an rpcnet sub-request's response legs).
 func (l *SharedLink) Start(n int) *Xfer {
 	if n <= 0 {
 		return nil
@@ -244,6 +246,25 @@ func (l *SharedLink) Await(p *Proc, x *Xfer) {
 		x.proc = p
 		p.park() // until complete wakes x.proc
 	}
+	l.Collect(x)
+}
+
+// Enroll makes the callback handle h (Env.Handle) the waiter of x, so
+// h runs in the slot where a process parked in Await on x would
+// resume; h then retires x with Collect. It reports false, enrolling
+// nothing, when x has drained already: the caller collects it at once.
+func (l *SharedLink) Enroll(x *Xfer, h *Proc) bool {
+	h.handle()
+	if x.drained {
+		return false
+	}
+	x.proc = h
+	return true
+}
+
+// Collect retires the drained transfer x — the accounting Await does
+// on return — and x must not be used afterwards.
+func (l *SharedLink) Collect(x *Xfer) {
 	l.moved += int64(x.n)
 	if l.env.tracer.Full() {
 		l.env.tracer.Emit(l.env.Now(), trace.KindXferEnd, 0, 0, l.name, "", int64(x.n))

@@ -395,6 +395,10 @@ func (e *Env) runEvents(self *Proc) *Proc {
 				e.activeGrant = nil
 				e.grantPool = append(e.grantPool, g)
 			}
+			if p.cb != nil {
+				p.cb()
+				continue
+			}
 			if !p.Done() {
 				return p
 			}
@@ -480,6 +484,9 @@ type Proc struct {
 	doneSig Signal
 	// prev/next link the process into Env.liveHead while it runs.
 	prev, next *Proc
+	// cb is the body of a callback handle (Env.Handle), nil for a
+	// process.
+	cb func()
 }
 
 // carrier is the expensive half of a process: an iter.Pull coroutine
@@ -524,6 +531,16 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc { return e.Start(new(Proc), 
 // pending or running, because its handle state would be overwritten
 // under the joiners' feet.
 func (e *Env) Start(p *Proc, name string, fn func(*Proc)) *Proc {
+	return e.StartAt(p, e.Now(), name, fn)
+}
+
+// StartAt is Start for a process that starts at the instant at instead
+// of now (an instant in the past means now). Its dispatch slot is drawn
+// at the call, exactly as a wake scheduled for at would be: a callback
+// that claims a slot on a Timeline and starts the process at the
+// slot's end leaves the dispatch order a process occupying that slot
+// would have produced.
+func (e *Env) StartAt(p *Proc, at time.Duration, name string, fn func(*Proc)) *Proc {
 	if e.closed {
 		panic("sim: Go on closed Env")
 	}
@@ -531,9 +548,44 @@ func (e *Env) Start(p *Proc, name string, fn func(*Proc)) *Proc {
 		panic(fmt.Sprintf("sim: Start on live process %q", p.name))
 	}
 	*p = Proc{env: e, name: name, fn: fn}
-	p.doneSig.env = e
-	e.scheduleAt(e.now, event{proc: p})
+	e.scheduleAt(int64(at), event{proc: p})
 	return p
+}
+
+// Handle makes h a callback handle running fn, and returns h. A handle
+// is a Proc that owns no carrier and never runs a body: it can be
+// woken at an instant (Wake) or enrolled wherever a parked process
+// waits — on a Signal (Signal.Enroll) or a SharedLink transfer
+// (SharedLink.Enroll) — and where the kernel would resume that
+// process it runs fn instead,
+// inline, in the same (instant, sequence) slot. A hand-off that only
+// passes a completion on therefore costs one call instead of a spawn,
+// a park and a coroutine switch, and leaves the dispatch order of
+// every other event unchanged. fn runs in scheduler context, like a
+// Schedule callback, and must not block. A handle may be enrolled
+// again, from fn or later, any number of times.
+func (e *Env) Handle(h *Proc, fn func()) *Proc {
+	*h = Proc{env: e, cb: fn}
+	return h
+}
+
+// Wake runs the callback handle h after the given virtual delay, in a
+// slot drawn at the call: the slot Schedule(after, fn) would give fn.
+// Like any wake, consecutive ones at one instant share a batched grant.
+// A handle may be pending in several slots at once; each runs fn.
+func (e *Env) Wake(h *Proc, after time.Duration) {
+	h.handle()
+	if after < 0 {
+		after = 0
+	}
+	e.scheduleWake(e.now+int64(after), h)
+}
+
+// handle panics unless h is a callback handle.
+func (h *Proc) handle() {
+	if h.cb == nil {
+		panic(fmt.Sprintf("sim: process %q enrolled as a callback handle", h.name))
+	}
 }
 
 // spawn binds p to a carrier, an idle one when there is one; control
@@ -776,9 +828,10 @@ func (e *Env) Close() {
 
 // Signal is a one-shot broadcast event: processes Await it, and a later
 // Fire releases all of them. Awaiting an already-fired signal returns
-// immediately.
+// immediately. The zero Signal is unfired and ready to use, so a
+// pooled record holds one by value and re-arms it by assigning
+// Signal{} once it has fired and released its waiters.
 type Signal struct {
-	env   *Env
 	fired bool
 	// first is the earliest waiter, held inline so the common
 	// one-waiter signal (a Join) needs no slice; waiters are the later
@@ -786,9 +839,6 @@ type Signal struct {
 	first   *Proc
 	waiters []*Proc
 }
-
-// NewSignal returns an unfired signal bound to env.
-func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
 // Fire triggers the signal, releasing current and future waiters.
 // Firing twice is a no-op. A burst of waiters coalesces into one
@@ -801,9 +851,10 @@ func (s *Signal) Fire() {
 	if s.first == nil {
 		return
 	}
-	s.env.wake(s.first)
+	e := s.first.env
+	e.wake(s.first)
 	for _, w := range s.waiters {
-		s.env.wake(w)
+		e.wake(w)
 	}
 	s.first, s.waiters = nil, nil
 }
@@ -835,6 +886,19 @@ func (p *Proc) Await(s *Signal) {
 	}
 	s.enroll(p)
 	p.park()
+}
+
+// Enroll adds the callback handle h (Env.Handle) to the waiters, so
+// Fire runs it in the slot where a process awaiting s would resume. It
+// reports false, enrolling nothing, when s has fired already: the
+// caller then carries on at once, as Await returns at once.
+func (s *Signal) Enroll(h *Proc) bool {
+	h.handle()
+	if s.fired {
+		return false
+	}
+	s.enroll(h)
+	return true
 }
 
 // enroll adds p to the processes Fire will wake.

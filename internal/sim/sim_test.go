@@ -138,7 +138,7 @@ func TestRunUntilThenResume(t *testing.T) {
 func TestSignalReleasesAllWaiters(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
-	s := NewSignal(e)
+	s := new(Signal)
 	woke := 0
 	for i := 0; i < 4; i++ {
 		e.Go("w", func(p *Proc) {
@@ -159,7 +159,7 @@ func TestSignalReleasesAllWaiters(t *testing.T) {
 func TestAwaitFiredSignalReturnsImmediately(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
-	s := NewSignal(e)
+	s := new(Signal)
 	s.Fire()
 	var at time.Duration
 	e.Go("w", func(p *Proc) {
@@ -192,7 +192,7 @@ func TestAwaitUntil(t *testing.T) {
 		{"signal after the deadline", 7 * ms, false, false, 5 * ms},
 	} {
 		e := NewEnv()
-		s := NewSignal(e)
+		s := new(Signal)
 		if tc.early {
 			e.Schedule(tc.fireAt, s.Fire)
 		}
@@ -228,7 +228,7 @@ func TestAwaitUntil(t *testing.T) {
 	// Not in the future, or already fired: no park.
 	e := NewEnv()
 	defer e.Close()
-	s := NewSignal(e)
+	s := new(Signal)
 	e.Go("w", func(p *Proc) {
 		before := e.Events()
 		if p.AwaitUntil(s, e.Now()) {
@@ -696,7 +696,7 @@ func TestProcHandleOutlivesCarrier(t *testing.T) {
 	}
 	c := e.idle[0]
 	// A second process takes the same carrier and blocks on it.
-	gate := NewSignal(e)
+	gate := new(Signal)
 	var ranOn *carrier
 	second := e.Go("second", func(p *Proc) {
 		ranOn = p.c
@@ -845,7 +845,7 @@ func TestFullTraceUnchangedByCarrierPool(t *testing.T) {
 	res.SetName("res")
 	link := NewSharedLink(e, 1e6)
 	link.SetName("link")
-	all := NewSignal(e)
+	all := new(Signal)
 	e.Go("root", func(p *Proc) {
 		for round := 0; round < 3; round++ {
 			var kids []*Proc

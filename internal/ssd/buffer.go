@@ -44,7 +44,7 @@ func newWriteBuffer(s *SSD, capPages int) *writeBuffer {
 		capPages: capPages,
 		refs:     make(map[int64]bool),
 		queue:    sim.NewQueue[int64](s.env),
-		space:    sim.NewSignal(s.env),
+		space:    new(sim.Signal),
 		inflight: sim.NewResource(s.env, inflight),
 	}
 }
@@ -87,7 +87,7 @@ func (b *writeBuffer) flushLoop(p *sim.Proc) {
 			delete(b.refs, lpn)
 			b.used--
 			b.space.Fire()
-			b.space = sim.NewSignal(b.s.env)
+			b.space = new(sim.Signal)
 			b.inflight.Release()
 		})
 	}

@@ -131,8 +131,8 @@ func New(env *sim.Env, prof Profile) (*SSD, error) {
 					gcOpen:   -1,
 					writeMu:  sim.NewResource(env, 1),
 					gcMu:     sim.NewResource(env, 1),
-					gcKick:   sim.NewSignal(env),
-					space:    sim.NewSignal(env),
+					gcKick:   new(sim.Signal),
+					space:    new(sim.Signal),
 				}
 				nb := pf.plane.Blocks()
 				pf.rev = make([][]int64, nb)
@@ -196,9 +196,6 @@ func New(env *sim.Env, prof Profile) (*SSD, error) {
 	}
 	return s, nil
 }
-
-// Profile returns the device profile.
-func (s *SSD) Profile() Profile { return s.prof }
 
 // beginOp opens the root span of one host request and reparents p
 // under it. The returned func closes the span.
@@ -554,7 +551,7 @@ func (pf *planeFTL) kickGC() {
 
 func (pf *planeFTL) signalSpace() {
 	pf.space.Fire()
-	pf.space = sim.NewSignal(pf.ssd.env)
+	pf.space = new(sim.Signal)
 }
 
 // gcLoop is the plane's background garbage collector: when the free
@@ -567,7 +564,7 @@ func (pf *planeFTL) gcLoop(p *sim.Proc) {
 		if !pf.gcKick.Fired() {
 			p.Await(pf.gcKick)
 		}
-		pf.gcKick = sim.NewSignal(pf.ssd.env)
+		pf.gcKick = new(sim.Signal)
 		for len(pf.free) <= prof.GCLowWater {
 			if pf.ssd.channelDegraded(pf.ch) {
 				break // dead channel: its flash is unreachable, GC parks
