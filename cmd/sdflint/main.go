@@ -12,18 +12,14 @@
 //	go run ./cmd/sdflint ./...
 //	go run ./cmd/sdflint ./internal/ssd ./internal/ccdb/...
 //	go run ./cmd/sdflint -list
-//	go run ./cmd/sdflint -json ./...
 //	go run ./cmd/sdflint -sarif sdflint.sarif ./...
-//	go run ./cmd/sdflint -fix ./...
 //
-// Findings print as "file:line: [analyzer] message" (or as JSON with
-// -json; -sarif additionally writes a SARIF 2.1.0 report). -fix
-// applies the safe suggested edits — deleting stale //sdflint:allow
-// directives, wrapping dropped critical errors in an error return —
-// and re-checks. Exit status is 0 for a clean tree, 1 when findings
-// were reported, 2 on usage or load errors. Individual lines can be
-// waived with a mandatory-reason suppression comment:
-// //sdflint:allow <analyzer> <reason>.
+// Findings print as "file:line: [analyzer] message"; -sarif
+// additionally writes a SARIF 2.1.0 report. Exit status is 0 for a
+// clean tree, 1 when findings were reported, 2 on usage or load errors
+// — and a tree that fails to parse or type-check is a load error.
+// Individual lines can be waived with a mandatory-reason suppression
+// comment: //sdflint:allow <analyzer> <reason>.
 package main
 
 import (

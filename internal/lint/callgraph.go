@@ -8,10 +8,8 @@ import (
 
 // This file builds the conservative static call graph the whole-program
 // analyzers (parkpath, selectnondet) run over. The graph is computed
-// once per Module, from the same type information the per-file
-// analyzers use, and degrades gracefully: a package that failed to
-// type-check simply contributes no nodes, so its functions are neither
-// sources nor targets of edges.
+// once per Module, from the same type information the other
+// analyzers use.
 //
 // Conservatism, precisely:
 //
@@ -22,13 +20,13 @@ import (
 //     interface (class-hierarchy style over-approximation).
 //   - Calls through plain function values (parameters, struct fields,
 //     closures bound to variables) are not resolved; an analyzer that
-//     must not miss anything has to treat those by other means (the
-//     inline-callback scanners do).
+//     must not miss anything has to treat those by other means
+//     (parkpath reads callback literals directly).
 //
 // Every edge remembers whether its call site sits inside a detached
 // execution context: the body of a raw go statement, or a function
-// literal handed to (*sim.Env).Go or (*sim.Env).Schedule. Code in
-// those literals does not run
+// literal handed to (*sim.Env).Go or to an inline-callback entry point.
+// Code in those literals does not run
 // synchronously in the enclosing function's process, so path-sensitive
 // analyses (parkpath) skip detached edges while whole-program ones
 // (selectnondet's goroutine tracking) keep them.
@@ -40,14 +38,14 @@ type funcNode struct {
 	file *File
 	// edges lists static call sites in source order.
 	edges []callEdge
-	// blockSites are direct blocking constructs (a blocking *sim.Proc
-	// method, or any call passing a *sim.Proc) outside detached
-	// contexts, in source order.
-	blockSites []blockSite
-	// spawnSites are raw go statements in the body that are not waived
-	// by an //sdflint:allow rawgo directive (waived ones are approved
-	// worker pools), in source order.
-	spawnSites []token.Pos
+	// block is the first direct blocking construct (a blocking
+	// *sim.Proc method, or any call passing a *sim.Proc) outside
+	// detached contexts, or nil.
+	block *chainStep
+	// spawn is the first raw go statement in the body that is not
+	// waived by an //sdflint:allow rawgo directive (waived ones are
+	// approved worker pools), or nil.
+	spawn *chainStep
 }
 
 // callEdge is one resolved call site.
@@ -58,10 +56,13 @@ type callEdge struct {
 	iface    bool // resolved conservatively through an interface method
 }
 
-// blockSite is one direct blocking construct inside a function body.
+// blockSite is one direct blocking construct: its name (e.g.
+// "Proc.Wait" or "Resource.Acquire (takes *sim.Proc)") and position,
+// and whether it blocks by passing a *sim.Proc rather than by calling
+// a blocking Proc method.
 type blockSite struct {
-	pos  token.Pos
-	desc string // e.g. "Proc.Wait" or "Resource.Acquire (takes *sim.Proc)"
+	chainStep
+	passesProc bool
 }
 
 // callGraph is the whole-module graph, memoized on the Module.
@@ -70,10 +71,10 @@ type callGraph struct {
 	order  []*funcNode // insertion order: packages sorted, files sorted, decls in source order
 	module *Module
 
-	blockMemo  map[*funcNode][]chainStep
-	blockState map[*funcNode]int
-	spawnMemo  map[*funcNode][]chainStep
-	spawnState map[*funcNode]int
+	// blocks finds chains to a blocking construct through non-detached
+	// edges; spawns finds chains to an unwaived raw go statement
+	// through any edges.
+	blocks, spawns *reach
 }
 
 // graph returns the module's call graph, building it on first use.
@@ -85,7 +86,14 @@ func (m *Module) graph() *callGraph {
 }
 
 func buildCallGraph(m *Module) *callGraph {
-	g := &callGraph{nodes: make(map[*types.Func]*funcNode), module: m}
+	g := &callGraph{
+		nodes:  make(map[*types.Func]*funcNode),
+		module: m,
+		blocks: newReach(func(n *funcNode) *chainStep { return n.block },
+			func(e callEdge) bool { return !e.detached }),
+		spawns: newReach(func(n *funcNode) *chainStep { return n.spawn },
+			func(callEdge) bool { return true }),
+	}
 	// Pass 1: create a node per declared function with a body.
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
@@ -97,10 +105,7 @@ func buildCallGraph(m *Module) *callGraph {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				obj, _ := m.Info.Defs[fd.Name].(*types.Func)
-				if obj == nil {
-					continue // package did not type-check
-				}
+				obj := m.Info.Defs[fd.Name].(*types.Func)
 				n := &funcNode{obj: obj, decl: fd, file: f}
 				g.nodes[obj] = n
 				g.order = append(g.order, n)
@@ -114,23 +119,23 @@ func buildCallGraph(m *Module) *callGraph {
 	return g
 }
 
-// walkBody fills in n.edges, n.blockSites and n.spawnSites.
+// walkBody fills in n.edges, n.block and n.spawn.
 func (g *callGraph) walkBody(n *funcNode) {
-	rawgoWaived := directiveLines(n.file, "rawgo")
+	_, sup := n.file.suppressions()
 	var walk func(node ast.Node, detached bool)
 	walk = func(node ast.Node, detached bool) {
 		ast.Inspect(node, func(x ast.Node) bool {
 			switch s := x.(type) {
 			case *ast.GoStmt:
 				_, line, _ := n.file.Pos(s.Pos())
-				if d := rawgoWaived[line]; d != nil {
+				if d := sup.lookup("rawgo", line); d != nil {
 					// The waiver is consumed even outside rawgo's lexical
 					// scope, where no rawgo finding exists to consume it:
 					// it is what keeps this spawn out of selectnondet's
 					// chains, so it is not stale.
 					d.used = true
-				} else {
-					n.spawnSites = append(n.spawnSites, s.Pos())
+				} else if n.spawn == nil {
+					n.spawn = &chainStep{name: "go statement", pos: s.Pos()}
 				}
 				// The goroutine body is a detached context: record its
 				// edges (a spawned goroutine still calls what it calls)
@@ -161,10 +166,8 @@ func (g *callGraph) addCall(n *funcNode, call *ast.CallExpr, detached bool, walk
 		if idx, ok := inlineCallbackArg(m, sel, call); ok {
 			detachIdx = idx
 		}
-		if sel.Sel.Name == "Go" {
-			if recv := m.typeOf(sel.X); recv == nil || isSimNamed(recv, "Env") {
-				detachIdx = 1 // (*sim.Env).Go(name, fn)
-			}
+		if isEnvGo(m, sel) {
+			detachIdx = 1 // (*sim.Env).Go(name, fn)
 		}
 	}
 	for i, arg := range call.Args {
@@ -178,9 +181,9 @@ func (g *callGraph) addCall(n *funcNode, call *ast.CallExpr, detached bool, walk
 	}
 
 	// Direct blocking constructs, outside detached contexts only.
-	if !detached {
+	if !detached && n.block == nil {
 		if site, ok := blockingCallSite(m, call); ok {
-			n.blockSites = append(n.blockSites, site)
+			n.block = &site.chainStep
 		}
 	}
 
@@ -195,15 +198,16 @@ func (g *callGraph) addCall(n *funcNode, call *ast.CallExpr, detached bool, walk
 func blockingCallSite(m *Module, call *ast.CallExpr) (blockSite, bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if blockingProcMethods[sel.Sel.Name] && isSimNamed(m.typeOf(sel.X), "Proc") {
-			return blockSite{pos: call.Pos(), desc: "Proc." + sel.Sel.Name}, true
+			return blockSite{chainStep: chainStep{name: "Proc." + sel.Sel.Name, pos: call.Pos()}}, true
 		}
 	}
 	if takesProcNonBlocking(m, call) {
 		return blockSite{}, false
 	}
 	for _, arg := range call.Args {
-		if t := m.typeOf(arg); t != nil && isSimProcPtr(t) {
-			return blockSite{pos: call.Pos(), desc: callDesc(call) + " (takes *sim.Proc)"}, true
+		if isSimProcPtr(m.typeOf(arg)) {
+			name := callDesc(call) + " (takes *sim.Proc)"
+			return blockSite{chainStep: chainStep{name: name, pos: call.Pos()}, passesProc: true}, true
 		}
 	}
 	return blockSite{}, false
@@ -293,16 +297,25 @@ type chainStep struct {
 	pos  token.Pos
 }
 
-// blockChain returns a sample call chain from n to a direct blocking
-// construct through non-detached edges, or nil if no such path exists.
-// The result is memoized and deterministic: edges are explored in
-// source order.
-func (g *callGraph) blockChain(n *funcNode) []chainStep {
-	if g.blockMemo == nil {
-		g.blockMemo = make(map[*funcNode][]chainStep)
-		g.blockState = make(map[*funcNode]int)
+// reach is a memoized depth-first search for a sample call chain from
+// a function to a site: a function's own site (site), else the first
+// edge (in source order) that follow admits and whose callee reaches
+// one. internal/sim is never entered — the scheduler's own bodies pass
+// *sim.Proc around constantly to wake processes, not to park them, and
+// its go statements are the deterministic handoff itself; blocking
+// enters sim only through call sites outside it, flagged in the caller.
+type reach struct {
+	site   func(*funcNode) *chainStep
+	follow func(callEdge) bool
+	memo   map[*funcNode][]chainStep
+	state  map[*funcNode]int
+}
+
+func newReach(site func(*funcNode) *chainStep, follow func(callEdge) bool) *reach {
+	return &reach{
+		site: site, follow: follow,
+		memo: make(map[*funcNode][]chainStep), state: make(map[*funcNode]int),
 	}
-	return g.blockChainVisit(n)
 }
 
 const (
@@ -311,75 +324,35 @@ const (
 	visitDone
 )
 
-func (g *callGraph) blockChainVisit(n *funcNode) []chainStep {
+// chain returns the sample chain from n, ending in the site itself, or
+// nil if no site is reachable. The result is deterministic.
+func (r *reach) chain(n *funcNode) []chainStep {
 	if n.file.In("internal/sim") {
-		// The scheduler's own bodies pass *sim.Proc around constantly —
-		// to wake processes, not to park them. Blocking enters sim only
-		// through call sites outside it (a Proc method, a call passing
-		// the caller's own Proc), and those are flagged in the caller.
 		return nil
 	}
-	switch g.blockState[n] {
+	switch r.state[n] {
 	case visitActive:
 		return nil // cycle: resolved by the outer frame
 	case visitDone:
-		return g.blockMemo[n]
+		return r.memo[n]
 	}
-	g.blockState[n] = visitActive
+	r.state[n] = visitActive
 	var chain []chainStep
-	if len(n.blockSites) > 0 {
-		chain = []chainStep{{name: n.blockSites[0].desc, pos: n.blockSites[0].pos}}
+	if s := r.site(n); s != nil {
+		chain = []chainStep{*s}
 	} else {
 		for _, e := range n.edges {
-			if e.detached {
+			if !r.follow(e) {
 				continue
 			}
-			if sub := g.blockChainVisit(e.callee); sub != nil {
+			if sub := r.chain(e.callee); sub != nil {
 				chain = append([]chainStep{{name: funcName(e.callee.obj), pos: e.pos}}, sub...)
 				break
 			}
 		}
 	}
-	g.blockState[n] = visitDone
-	g.blockMemo[n] = chain
-	return chain
-}
-
-// spawnChain returns a sample call chain from n to an unwaived raw go
-// statement, through any edges, skipping internal/sim (the one place
-// the primitive is the deterministic implementation). Nil if none.
-func (g *callGraph) spawnChain(n *funcNode) []chainStep {
-	if g.spawnMemo == nil {
-		g.spawnMemo = make(map[*funcNode][]chainStep)
-		g.spawnState = make(map[*funcNode]int)
-	}
-	return g.spawnChainVisit(n)
-}
-
-func (g *callGraph) spawnChainVisit(n *funcNode) []chainStep {
-	if n.file.In("internal/sim") {
-		return nil
-	}
-	switch g.spawnState[n] {
-	case visitActive:
-		return nil
-	case visitDone:
-		return g.spawnMemo[n]
-	}
-	g.spawnState[n] = visitActive
-	var chain []chainStep
-	if len(n.spawnSites) > 0 {
-		chain = []chainStep{{name: "go statement", pos: n.spawnSites[0]}}
-	} else {
-		for _, e := range n.edges {
-			if sub := g.spawnChainVisit(e.callee); sub != nil {
-				chain = append([]chainStep{{name: funcName(e.callee.obj), pos: e.pos}}, sub...)
-				break
-			}
-		}
-	}
-	g.spawnState[n] = visitDone
-	g.spawnMemo[n] = chain
+	r.state[n] = visitDone
+	r.memo[n] = chain
 	return chain
 }
 
@@ -403,19 +376,4 @@ func funcName(fn *types.Func) string {
 		return fn.Pkg().Name() + "." + fn.Name()
 	}
 	return fn.Name()
-}
-
-// directiveLines returns the lines in f covered by a valid
-// //sdflint:allow directive for the named analyzer (the directive's
-// own line and the line below, matching suppression scope), mapped to
-// the directive so callers can mark it used.
-func directiveLines(f *File, analyzer string) map[int]*directive {
-	lines := make(map[int]*directive)
-	for _, d := range fileDirectives(f) {
-		if d.d != nil && d.d.Analyzer == analyzer {
-			lines[d.line] = d
-			lines[d.line+1] = d
-		}
-	}
-	return lines
 }

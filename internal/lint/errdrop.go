@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -43,18 +42,16 @@ var ErrDrop = &Analyzer{
 func runErrDrop(f *File) []Finding {
 	var findings []Finding
 	m := f.Module
-	report := func(call *ast.CallExpr, how string, fix *textFix) {
+	report := func(call *ast.CallExpr, how string) {
 		fn := criticalErrFunc(m, call)
 		if fn == nil {
 			return
 		}
-		fd := f.finding("errdrop", call.Pos(),
+		findings = append(findings, f.finding("errdrop", call.Pos(),
 			"%s discards the error from %s.%s; the crash-consistency contract "+
 				"(acked == journaled, DESIGN.md §11) depends on these errors being "+
 				"handled — check it, or waive with //sdflint:allow errdrop <reason>",
-			how, fn.Pkg().Name(), fn.Name())
-		fd.fix = fix
-		findings = append(findings, fd)
+			how, fn.Pkg().Name(), fn.Name()))
 	}
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		switch st := n.(type) {
@@ -62,12 +59,12 @@ func runErrDrop(f *File) []Finding {
 			if call, ok := st.X.(*ast.CallExpr); ok {
 				// Keep descending: function literals in the call's
 				// arguments carry statements of their own.
-				report(call, "call statement", errDropFix(f, call))
+				report(call, "call statement")
 			}
 		case *ast.GoStmt:
-			report(st.Call, "go statement", nil)
+			report(st.Call, "go statement")
 		case *ast.DeferStmt:
-			report(st.Call, "defer statement", nil)
+			report(st.Call, "defer statement")
 		case *ast.AssignStmt:
 			findings = append(findings, checkErrAssign(f, st)...)
 		}
@@ -77,40 +74,27 @@ func runErrDrop(f *File) []Finding {
 }
 
 // checkErrAssign flags assignments that blank the error position of a
-// critical call: `_ = f()`, `v, _ := g()`.
+// critical call: `_ = f()`, `v, _ := g()`. In the multi-value form
+// (one call, results spread over the LHS) the error is the last LHS
+// position; in the parallel form, call i's is position i.
 func checkErrAssign(f *File, as *ast.AssignStmt) []Finding {
 	var findings []Finding
-	m := f.Module
-	// Multi-value form: one call, results spread over the LHS.
-	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return nil
-		}
-		fn := criticalErrFunc(m, call)
-		if fn == nil {
-			return nil
-		}
-		if id, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident); ok && id.Name == "_" {
-			findings = append(findings, f.finding("errdrop", call.Pos(),
-				"assignment blanks the error from %s.%s; the crash-consistency contract "+
-					"(acked == journaled, DESIGN.md §11) depends on these errors being "+
-					"handled — bind and check it, or waive with //sdflint:allow errdrop <reason>",
-				fn.Pkg().Name(), fn.Name()))
-		}
-		return findings
-	}
-	// Parallel form: position i of the LHS matches position i of the RHS.
 	for i, rhs := range as.Rhs {
 		call, ok := rhs.(*ast.CallExpr)
-		if !ok || i >= len(as.Lhs) {
+		if !ok {
 			continue
 		}
-		fn := criticalErrFunc(m, call)
-		if fn == nil {
+		pos := i
+		if len(as.Rhs) == 1 {
+			pos = len(as.Lhs) - 1
+		}
+		if pos >= len(as.Lhs) {
 			continue
 		}
-		if id, ok := as.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
+		if id, ok := as.Lhs[pos].(*ast.Ident); !ok || id.Name != "_" {
+			continue
+		}
+		if fn := criticalErrFunc(f.Module, call); fn != nil {
 			findings = append(findings, f.finding("errdrop", call.Pos(),
 				"assignment blanks the error from %s.%s; the crash-consistency contract "+
 					"(acked == journaled, DESIGN.md §11) depends on these errors being "+
@@ -158,56 +142,4 @@ func criticalErrFunc(m *Module, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	return fn
-}
-
-// errDropFix builds the safe suggested edit for a bare call statement
-// whose enclosing function returns exactly one error: wrap the call in
-// `if err := ...; err != nil { return err }`. Any other shape gets no
-// automatic fix — inventing zero values for extra results is not
-// "safe".
-func errDropFix(f *File, call *ast.CallExpr) *textFix {
-	encl := enclosingFuncType(f, call.Pos())
-	if encl == nil || encl.Results == nil || len(encl.Results.List) != 1 {
-		return nil
-	}
-	res := encl.Results.List[0]
-	if len(res.Names) > 1 {
-		return nil
-	}
-	if id, ok := res.Type.(*ast.Ident); !ok || id.Name != "error" {
-		return nil
-	}
-	start := f.Module.Fset.Position(call.Pos())
-	end := f.Module.Fset.Position(call.End())
-	if start.Offset < 0 || end.Offset <= start.Offset {
-		return nil
-	}
-	// The replacement is assembled at apply time from the file's own
-	// bytes: the call text is spliced into the wrapper, and the inner
-	// lines reuse the statement's own indentation plus one tab.
-	return &textFix{
-		path:  f.Path,
-		start: start.Offset,
-		end:   end.Offset,
-		kind:  fixWrapErrReturn,
-	}
-}
-
-// enclosingFuncType returns the type of the innermost function
-// declaration or literal containing pos.
-func enclosingFuncType(f *File, pos token.Pos) *ast.FuncType {
-	var found *ast.FuncType
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		if n == nil || !posWithin(pos, n) {
-			return false
-		}
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			found = fn.Type
-		case *ast.FuncLit:
-			found = fn.Type
-		}
-		return true
-	})
-	return found
 }

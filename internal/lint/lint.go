@@ -21,22 +21,21 @@
 //   - maporder: no map iteration whose body appends to an outer
 //     slice (without a later deterministic sort), sends on a channel,
 //     or writes output — Go randomizes map iteration order.
-//   - inlinepark: no blocking Proc calls inside inline scheduler
-//     callbacks ((*sim.Env).Schedule) — those run on the scheduler
-//     goroutine itself, so parking there deadlocks the simulation
-//     rather than merely perturbing it.
 //
 // The v2 suite adds a whole-program layer: every package is loaded and
 // type-checked once, a conservative static call graph is built over
 // the module (see callgraph.go for exactly what "conservative" means),
-// and five more analyzers run over types and the graph instead of over
-// isolated files:
+// and five more analyzers read types and the graph, not just the
+// file's syntax:
 //
-//   - parkpath: the transitive upgrade of inlinepark — a blocking
-//     Proc/Timeline call reachable from a Schedule callback through
-//     any chain of module-local calls, including
-//     blocking on stored or captured process handles that never cross
-//     a call boundary.
+//   - parkpath: no blocking Proc/Timeline call inside an inline
+//     scheduler callback ((*sim.Env).Schedule, a callback handle, a
+//     registry instrument), written in the callback or reachable from
+//     it through any chain of module-local calls, including blocking
+//     on stored or captured process handles that never cross a call
+//     boundary — those callbacks run on the scheduler goroutine
+//     itself, so parking there deadlocks the simulation rather than
+//     merely perturbing it.
 //   - spanleak: a trace span begun on some path but not ended on every
 //     return path — a silent trace-hash divergence.
 //   - errdrop: a discarded error result from the crash-consistency-
@@ -48,9 +47,9 @@
 //   - stalesuppress: //sdflint:allow directives that no longer waive
 //     any finding.
 //
-// The per-file analyzers keep working even when a file fails to parse
-// or a package fails to type-check — broken trees degrade to the
-// syntactic subset instead of losing the gate entirely.
+// Every analyzer runs file by file over a module that parsed and
+// type-checked without error; a tree that does not compile is a load
+// error, never a partial check.
 //
 // A finding can be waived with a suppression comment carrying a
 // mandatory reason, either on the offending line or the line above:
@@ -67,7 +66,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -80,8 +78,6 @@ type Finding struct {
 	Col      int
 	Analyzer string
 	Message  string
-
-	fix *textFix // optional safe suggested edit, applied by -fix
 }
 
 // String renders the finding in the canonical "file:line: [analyzer]
@@ -90,30 +86,27 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Analyzer, f.Message)
 }
 
-// An Analyzer checks one determinism invariant, either file by file
-// (Run) or over the whole type-checked module and its call graph
-// (RunModule). Exactly one of the two is set, except stalesuppress,
-// which the Check pipeline implements itself.
+// An Analyzer checks one determinism invariant file by file. Run is
+// set on every analyzer except stalesuppress, which the Check pipeline
+// implements itself; the whole-program analyzers reach the module's
+// call graph through f.Module.graph().
 type Analyzer struct {
 	Name string
 	Doc  string
 	// Applies reports whether the file is in the analyzer's scope.
 	// Out-of-scope files (generally cmd/, examples/ and tests) may use
-	// the forbidden constructs freely. Module analyzers consult it
-	// internally for the files they report on.
+	// the forbidden constructs freely.
 	Applies func(f *File) bool
 	// Run reports violations in an in-scope file.
 	Run func(f *File) []Finding
-	// RunModule reports violations over the whole module; findings are
-	// later filtered to the files selected by the package patterns.
-	RunModule func(m *Module) []Finding
 }
 
-// Analyzers returns the full suite in stable order: the five per-file
-// v1 analyzers, then the five whole-program v2 analyzers.
+// Analyzers returns the full suite in stable order: the four syntactic
+// v1 analyzers, then the five v2 analyzers over types and the call
+// graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NoWallClock, SeededRand, RawGo, MapOrder, InlinePark,
+		NoWallClock, SeededRand, RawGo, MapOrder,
 		ParkPath, SpanLeak, ErrDrop, SelectNonDet, StaleSuppress,
 	}
 }
@@ -144,92 +137,55 @@ func Run(root string, patterns []string) ([]Finding, error) {
 // package is an error, so a typo cannot silently turn the lint gate
 // green.
 //
-// The pipeline runs in five phases: per-file analyzers on each
-// selected file; whole-program analyzers over the full module (their
-// findings filtered to the selected files — the call graph always sees
-// everything, the patterns only scope reporting); suppression, with
-// each waived finding marking its directive used; stalesuppress over
-// the directives that waived nothing; and finally the parse failures
-// recorded at load time.
+// The pipeline runs in two phases: every analyzer on each selected
+// file, each finding a directive waives marking that directive used
+// (the call graph the whole-program analyzers share always spans the
+// whole module, the patterns only scope reporting); then stalesuppress
+// over the directives that waived nothing.
 func (m *Module) Check(patterns []string) ([]Finding, error) {
 	pats, err := compilePatterns(patterns)
 	if err != nil {
 		return nil, err
 	}
-	selected := make(map[string]bool)
 	var files []*File
 	for _, pkg := range m.Pkgs {
 		for _, file := range pkg.Files {
-			if !pats.match(filepath.ToSlash(filepath.Dir(file.Path))) {
-				continue
+			if pats.match(filepath.ToSlash(filepath.Dir(file.Path))) {
+				files = append(files, file)
 			}
-			selected[file.Path] = true
-			files = append(files, file)
 		}
-	}
-	// Parse-failed files without a salvageable AST are in no Package;
-	// match their directories too so their load errors are reported and
-	// a pattern naming only such a directory still counts as matched.
-	for _, fd := range m.LoadErrors {
-		pats.match(path.Dir(fd.File))
 	}
 	if unmatched := pats.unmatched(); len(unmatched) > 0 {
 		return nil, fmt.Errorf("no packages match pattern %s", strings.Join(unmatched, ", "))
 	}
 
-	// Phase 1: per-file analyzers.
-	raw := make(map[string][]Finding)
-	for _, f := range files {
-		for _, a := range Analyzers() {
-			if a.Run == nil {
-				continue
-			}
-			if a.Applies != nil && !a.Applies(f) {
-				continue
-			}
-			raw[f.Path] = append(raw[f.Path], a.Run(f)...)
-		}
-	}
-
-	// Phase 2: whole-program analyzers.
-	for _, a := range Analyzers() {
-		if a.RunModule == nil {
-			continue
-		}
-		for _, fd := range a.RunModule(m) {
-			if selected[fd.File] {
-				raw[fd.File] = append(raw[fd.File], fd)
-			}
-		}
-	}
-
-	// Phase 3: suppression with use-tracking; malformed directives are
-	// findings themselves and waive nothing.
+	// Phase 1: analyzers and suppression with use-tracking; malformed
+	// directives are findings themselves and waive nothing.
 	var findings []Finding
 	for _, f := range files {
 		sup, bad := fileSuppressions(f)
 		findings = append(findings, bad...)
-		for _, fd := range raw[f.Path] {
-			if d := sup.lookup(fd.Analyzer, fd.Line); d != nil {
-				d.used = true
+		for _, a := range Analyzers() {
+			if a.Run == nil || (a.Applies != nil && !a.Applies(f)) {
 				continue
 			}
-			findings = append(findings, fd)
+			for _, fd := range a.Run(f) {
+				if d := sup.lookup(fd.Analyzer, fd.Line); d != nil {
+					d.used = true
+					continue
+				}
+				findings = append(findings, fd)
+			}
 		}
 	}
 
-	// Phase 4: stalesuppress. Runs after every other analyzer has had
-	// its chance to consume a directive — including the call graph's
-	// rawgo waivers, marked used when the graph was built in phase 2.
+	// Phase 2: stalesuppress, after every other analyzer has had its
+	// chance to consume a directive. Building the call graph consumes
+	// the rawgo waivers of approved worker pools anywhere in the
+	// module, so it is built here even when no selected file needed it.
+	m.graph()
 	for _, f := range files {
 		findings = append(findings, staleFindings(f)...)
-	}
-
-	// Phase 5: load errors for the selected scope.
-	for _, fd := range m.LoadErrors {
-		if selected[fd.File] || pats.match(path.Dir(fd.File)) {
-			findings = append(findings, fd)
-		}
 	}
 
 	sortFindings(findings)
@@ -346,11 +302,9 @@ func Main(dir string, args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("sdflint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	list := flags.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flags.Bool("json", false, "emit findings as a JSON array on stdout")
 	sarifPath := flags.String("sarif", "", "also write a SARIF 2.1.0 report to `file`")
-	fix := flags.Bool("fix", false, "apply safe suggested fixes, then re-check and report what remains")
 	flags.Usage = func() {
-		fmt.Fprintf(stderr, "usage: sdflint [-list] [-json] [-sarif file] [-fix] [packages]\n\n")
+		fmt.Fprintf(stderr, "usage: sdflint [-list] [-sarif file] [packages]\n\n")
 		fmt.Fprintf(stderr, "Checks the enclosing module against the determinism rules in\n")
 		fmt.Fprintf(stderr, "DESIGN.md. Packages default to ./... and accept dir or dir/... forms.\n\n")
 		flags.PrintDefaults()
@@ -374,23 +328,6 @@ func Main(dir string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sdflint: %v\n", err)
 		return 2
 	}
-	if *fix {
-		n, err := ApplyFixes(root, findings)
-		if err != nil {
-			fmt.Fprintf(stderr, "sdflint: applying fixes: %v\n", err)
-			return 2
-		}
-		if n > 0 {
-			fmt.Fprintf(stderr, "sdflint: applied %d fix(es)\n", n)
-		}
-		// Re-check from scratch: the edits moved positions and may have
-		// resolved (or, for stale directives, revealed) other findings.
-		findings, err = Run(root, flags.Args())
-		if err != nil {
-			fmt.Fprintf(stderr, "sdflint: %v\n", err)
-			return 2
-		}
-	}
 	if *sarifPath != "" {
 		fh, err := os.Create(*sarifPath)
 		if err != nil {
@@ -406,15 +343,8 @@ func Main(dir string, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *jsonOut {
-		if err := writeJSON(stdout, findings); err != nil {
-			fmt.Fprintf(stderr, "sdflint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "sdflint: %d finding(s)\n", len(findings))

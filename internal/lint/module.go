@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
-	"go/scanner"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -23,14 +22,9 @@ type Module struct {
 	Path string // module path from go.mod
 	Fset *token.FileSet
 	Pkgs []*Package // sorted by directory
-	// Info aggregates type information for all non-test files of all
-	// packages that type-checked. Lookups into it degrade to nil for
-	// files the checker could not resolve.
+	// Info aggregates type information for the non-test files of all
+	// packages; test files are not type-checked.
 	Info *types.Info
-	// LoadErrors holds per-file parse failures as findings under the
-	// pseudo-analyzer "sdflint": a broken file degrades the suite on
-	// that file instead of aborting the whole run.
-	LoadErrors []Finding
 
 	cg *callGraph // memoized whole-program call graph
 }
@@ -54,7 +48,8 @@ type File struct {
 	AST    *ast.File
 	Path   string // slash-separated, relative to module root
 
-	directives *[]*directive // memoized sdflint:allow comments
+	dirs []*directive // memoized sdflint:allow comments, see suppressions
+	sup  suppressionSet
 }
 
 // IsTest reports whether the file is a _test.go file.
@@ -102,15 +97,14 @@ func (f *File) importAliases(pkgPath string) map[string]bool {
 }
 
 // eachPkgRef calls fn for every qualified reference pkg.Sel where pkg
-// is bound to pkgPath in this file. With type information available the
-// receiver is verified to be the package (not a shadowing variable);
-// without it the match is purely syntactic.
+// is bound to pkgPath in this file. In a type-checked file the receiver
+// is verified to be the package (not a shadowing variable); in a test
+// file the match is purely syntactic.
 func (f *File) eachPkgRef(pkgPath string, fn func(sel *ast.SelectorExpr)) {
 	aliases := f.importAliases(pkgPath)
 	if len(aliases) == 0 {
 		return
 	}
-	info := f.Module.Info
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -120,12 +114,10 @@ func (f *File) eachPkgRef(pkgPath string, fn func(sel *ast.SelectorExpr)) {
 		if !ok || !aliases[id.Name] {
 			return true
 		}
-		if info != nil {
-			if obj, known := info.Uses[id]; known {
-				pn, isPkg := obj.(*types.PkgName)
-				if !isPkg || pn.Imported().Path() != pkgPath {
-					return true
-				}
+		if obj, known := f.Module.Info.Uses[id]; known {
+			pn, isPkg := obj.(*types.PkgName)
+			if !isPkg || pn.Imported().Path() != pkgPath {
+				return true
 			}
 		}
 		fn(sel)
@@ -134,9 +126,8 @@ func (f *File) eachPkgRef(pkgPath string, fn func(sel *ast.SelectorExpr)) {
 }
 
 // LoadModule parses and type-checks every package under root (which
-// must contain go.mod). Parse errors abort the load; type-check errors
-// do not — analyzers that need type information degrade gracefully on
-// packages that fail to resolve.
+// must contain go.mod). The first parse or type error aborts the load:
+// a tree that does not compile is not checked at all.
 func LoadModule(root string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -172,7 +163,9 @@ func LoadModule(root string) (*Module, error) {
 		}
 	}
 	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Dir < m.Pkgs[j].Dir })
-	m.typecheck()
+	if err := m.typecheck(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -230,13 +223,7 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 		}
 		astFile, err := parser.ParseFile(m.Fset, full, nil, parser.ParseComments)
 		if err != nil {
-			// Graceful degradation on broken trees: the failure becomes
-			// a finding, and the partial AST (when the parser salvaged
-			// one) still feeds the per-file analyzers.
-			m.LoadErrors = append(m.LoadErrors, parseErrorFinding(m, rel, err))
-			if astFile == nil {
-				continue
-			}
+			return nil, err
 		}
 		f := &File{Module: m, Pkg: pkg, AST: astFile, Path: rel}
 		pkg.Files = append(pkg.Files, f)
@@ -258,21 +245,6 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 	}
 	sort.Slice(pkg.Files, func(i, j int) bool { return pkg.Files[i].Path < pkg.Files[j].Path })
 	return pkg, nil
-}
-
-// parseErrorFinding converts a parse failure into a Finding at the
-// error's position (line 1 when the error carries none).
-func parseErrorFinding(m *Module, rel string, err error) Finding {
-	line, col := 1, 1
-	msg := err.Error()
-	if list, ok := err.(scanner.ErrorList); ok && len(list) > 0 {
-		line, col = list[0].Pos.Line, list[0].Pos.Column
-		msg = list[0].Msg
-	}
-	return Finding{
-		File: rel, Line: line, Col: col, Analyzer: "sdflint",
-		Message: fmt.Sprintf("parse error: %s (type-aware analyzers degraded for this file)", msg),
-	}
 }
 
 // readModulePath extracts the module path from a go.mod file.

@@ -5,32 +5,10 @@ import (
 	"io"
 )
 
-// This file renders findings for machine consumers: a flat JSON array
-// for scripting (-json) and SARIF 2.1.0 for code-scanning UIs
-// (-sarif). Both are emitted from the same sorted finding list, so
-// they inherit the suite's determinism guarantee: identical trees
-// produce byte-identical reports.
-
-// jsonFinding is the -json wire form of one finding.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON emits the findings as an indented JSON array (never null:
-// a clean tree is an empty array).
-func writeJSON(w io.Writer, findings []Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{f.File, f.Line, f.Col, f.Analyzer, f.Message})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
+// This file renders findings as SARIF 2.1.0 for code-scanning UIs
+// (-sarif). The report is emitted from the sorted finding list, so it
+// inherits the suite's determinism guarantee: identical trees produce
+// byte-identical reports.
 
 // Minimal SARIF 2.1.0 object model — only the properties the format
 // requires plus the ones code-scanning UIs actually render.
@@ -90,12 +68,12 @@ type sarifRegion struct {
 }
 
 // writeSARIF emits a SARIF 2.1.0 report. The rule catalog lists every
-// analyzer plus the pseudo-rule "sdflint" (malformed directives and
-// parse failures), so every result's ruleId resolves.
+// analyzer plus the pseudo-rule "sdflint" (malformed directives), so
+// every result's ruleId resolves.
 func writeSARIF(w io.Writer, findings []Finding) error {
 	rules := []sarifRule{{
 		ID:               "sdflint",
-		ShortDescription: sarifText{Text: "malformed suppression directives and parse failures"},
+		ShortDescription: sarifText{Text: "malformed suppression directives"},
 	}}
 	for _, a := range Analyzers() {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})

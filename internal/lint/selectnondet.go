@@ -4,7 +4,7 @@ import (
 	"go/ast"
 )
 
-// SelectNonDet closes two nondeterminism holes the per-file analyzers
+// SelectNonDet closes two nondeterminism holes the syntactic analyzers
 // cannot see:
 //
 //  1. A select statement with two or more channel cases: when several
@@ -34,23 +34,10 @@ var SelectNonDet = &Analyzer{
 }
 
 // Assigned in init to break the same static init cycle as ParkPath's.
-func init() { SelectNonDet.RunModule = runSelectNonDet }
+func init() { SelectNonDet.Run = runSelectNonDet }
 
-func runSelectNonDet(m *Module) []Finding {
-	g := m.graph()
-	var findings []Finding
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			if !SelectNonDet.Applies(f) {
-				continue
-			}
-			findings = append(findings, selectNonDetFile(g, f)...)
-		}
-	}
-	return findings
-}
-
-func selectNonDetFile(g *callGraph, f *File) []Finding {
+func runSelectNonDet(f *File) []Finding {
+	g := f.Module.graph()
 	var findings []Finding
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		switch st := n.(type) {
@@ -87,7 +74,7 @@ func checkSpawnEscape(g *callGraph, f *File, call *ast.CallExpr) []Finding {
 		if rawGoScope(callee.file) {
 			continue // rawgo's territory: the statement itself is flagged there
 		}
-		chain := g.spawnChain(callee)
+		chain := g.spawns.chain(callee)
 		if chain == nil {
 			continue
 		}

@@ -130,28 +130,10 @@ func spanBeginTarget(m *Module, as *ast.AssignStmt) types.Object {
 	if !ok || sel.Sel.Name != "Begin" {
 		return nil
 	}
-	if !isTraceCollector(m.typeOf(sel.X)) {
+	if !isNamed(m.typeOf(sel.X), "trace", "Collector") {
 		return nil
 	}
 	return m.objectOf(id)
-}
-
-// isTraceCollector reports whether t is (a pointer to) trace.Collector,
-// matched by type and package name so the fixture module and the real
-// module both qualify.
-func isTraceCollector(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Collector" && obj.Pkg() != nil && obj.Pkg().Name() == "trace"
 }
 
 // checkSpanPaths walks the statements after the Begin assignment and

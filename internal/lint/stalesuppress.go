@@ -13,9 +13,7 @@ import (
 // The analyzer is implemented inside the Check pipeline itself (it
 // needs every other analyzer's pre-suppression findings to know which
 // directives worked), so this declaration only contributes the name,
-// the doc line, and the -list entry. Its findings carry a safe -fix
-// edit: delete the directive (and its line, when nothing else is on
-// it).
+// the doc line, and the -list entry.
 //
 // A stale directive that is itself intentional — say, kept while a
 // flaky refactor settles — can be waived with a directive on the line
@@ -32,14 +30,7 @@ var StaleSuppress = &Analyzer{
 // being judged itself; a waiver covers its own line and the next,
 // matching ordinary suppression scope.
 func staleFindings(f *File) []Finding {
-	dirs := fileDirectives(f)
-	waiver := make(map[int]*directive)
-	for _, d := range dirs {
-		if d.d != nil && d.d.Analyzer == "stalesuppress" {
-			waiver[d.line] = d
-			waiver[d.line+1] = d
-		}
-	}
+	dirs, sup := f.suppressions()
 	ordered := append([]*directive(nil), dirs...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].line > ordered[j].line })
 	var out []Finding
@@ -47,7 +38,7 @@ func staleFindings(f *File) []Finding {
 		if d.d == nil || d.used {
 			continue
 		}
-		if w := waiver[d.line]; w != nil && w != d {
+		if w := sup.lookup("stalesuppress", d.line); w != nil && w != d {
 			w.used = true
 			continue
 		}
@@ -55,22 +46,9 @@ func staleFindings(f *File) []Finding {
 			File: f.Path, Line: d.line, Col: d.col, Analyzer: "stalesuppress",
 			Message: fmt.Sprintf("//sdflint:allow %s waives no finding; a stale directive documents "+
 				"nothing true and silently covers the next violation on its line — delete it "+
-				"(sdflint -fix does) or waive with //sdflint:allow stalesuppress <reason> above it",
+				"or waive with //sdflint:allow stalesuppress <reason> above it",
 				d.d.Analyzer),
-			fix: deleteDirectiveFix(f, d),
 		})
 	}
 	return out
-}
-
-// deleteDirectiveFix builds the safe edit removing a stale directive:
-// the comment's own byte range, expanded at apply time to the whole
-// line when nothing else shares it.
-func deleteDirectiveFix(f *File, d *directive) *textFix {
-	start := f.Module.Fset.Position(d.pos).Offset
-	end := f.Module.Fset.Position(d.end).Offset
-	if start < 0 || end <= start {
-		return nil
-	}
-	return &textFix{path: f.Path, start: start, end: end, kind: fixDeleteDirective}
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/token"
-	"strings"
-)
+import "strings"
 
 // suppressionSet records which analyzers are waived on which lines,
 // keeping the directive responsible so the Check pipeline can mark it
@@ -11,10 +8,6 @@ import (
 // comment covers its own line (trailing-comment style) and the line
 // immediately below it (comment-above style).
 type suppressionSet map[int]map[string]*directive
-
-func (s suppressionSet) allows(analyzer string, line int) bool {
-	return s[line][analyzer] != nil
-}
 
 // lookup returns the directive waiving analyzer on line, or nil.
 func (s suppressionSet) lookup(analyzer string, line int) *directive {
@@ -37,12 +30,11 @@ type allowDirective struct {
 }
 
 // directive is one sdflint:allow comment found in a file, valid or
-// not, with enough position information to report and to delete it.
+// not, with the position it is reported at.
 type directive struct {
 	d         *allowDirective // nil when malformed
 	line, col int
-	pos, end  token.Pos // source range of the comment
-	used      bool      // set by Check when the directive waives a finding
+	used      bool // set when the directive waives a finding
 }
 
 // parseAllow parses the text of a single comment. It returns
@@ -82,14 +74,15 @@ func parseAllow(text string, known map[string]bool) (*allowDirective, bool) {
 	return &allowDirective{Analyzer: fields[0], Reason: strings.Join(fields[1:], " ")}, true
 }
 
-// fileDirectives scans every comment in the file for suppression
-// directives, memoizing the result on the File.
-func fileDirectives(f *File) []*directive {
-	if f.directives != nil {
-		return *f.directives
+// suppressions returns the file's sdflint:allow comments, valid or not,
+// in source order, and the waiver set of the valid ones — each covering
+// its own line and the next. Both are built once per File.
+func (f *File) suppressions() ([]*directive, suppressionSet) {
+	if f.sup != nil {
+		return f.dirs, f.sup
 	}
 	known := analyzerNames()
-	dirs := []*directive{}
+	f.sup = make(suppressionSet)
 	for _, group := range f.AST.Comments {
 		for _, c := range group.List {
 			d, isDirective := parseAllow(c.Text, known)
@@ -97,30 +90,31 @@ func fileDirectives(f *File) []*directive {
 				continue
 			}
 			_, line, col := f.Pos(c.Pos())
-			dirs = append(dirs, &directive{d: d, line: line, col: col, pos: c.Pos(), end: c.End()})
+			dir := &directive{d: d, line: line, col: col}
+			f.dirs = append(f.dirs, dir)
+			if d != nil {
+				f.sup.add(dir, line)
+				f.sup.add(dir, line+1)
+			}
 		}
 	}
-	f.directives = &dirs
-	return dirs
+	return f.dirs, f.sup
 }
 
-// fileSuppressions builds the line->analyzer waiver set from the
-// file's valid directives and returns the malformed ones as findings
-// under the pseudo-analyzer name "sdflint"; those waive nothing.
+// fileSuppressions returns the file's waiver set, and its malformed
+// directives as findings under the pseudo-analyzer name "sdflint";
+// those waive nothing.
 func fileSuppressions(f *File) (suppressionSet, []Finding) {
-	set := make(suppressionSet)
+	dirs, set := f.suppressions()
 	var bad []Finding
-	for _, dir := range fileDirectives(f) {
+	for _, dir := range dirs {
 		if dir.d == nil {
 			bad = append(bad, Finding{
 				File: f.Path, Line: dir.line, Col: dir.col, Analyzer: "sdflint",
 				Message: "malformed suppression: want //sdflint:allow <analyzer> <reason> " +
 					"with a known analyzer and a non-empty reason",
 			})
-			continue
 		}
-		set.add(dir, dir.line)
-		set.add(dir, dir.line+1)
 	}
 	return set, bad
 }

@@ -80,13 +80,13 @@ var b = 2
 	if len(bad) != 0 {
 		t.Fatalf("unexpected malformed findings: %v", bad)
 	}
-	if !set.allows("rawgo", 3) || !set.allows("rawgo", 4) {
+	if set.lookup("rawgo", 3) == nil || set.lookup("rawgo", 4) == nil {
 		t.Error("directive must cover its own line and the next")
 	}
-	if set.allows("rawgo", 5) || set.allows("rawgo", 6) {
+	if set.lookup("rawgo", 5) != nil || set.lookup("rawgo", 6) != nil {
 		t.Error("directive must not cover later lines")
 	}
-	if set.allows("nowallclock", 4) {
+	if set.lookup("nowallclock", 4) != nil {
 		t.Error("directive must only waive the named analyzer")
 	}
 }
@@ -114,7 +114,7 @@ var b = 2
 	if bad[0].Line != 3 || bad[1].Line != 6 {
 		t.Errorf("malformed finding lines = %d,%d want 3,6", bad[0].Line, bad[1].Line)
 	}
-	if set.allows("rawgo", 4) {
+	if set.lookup("rawgo", 4) != nil {
 		t.Error("reasonless directive must not suppress")
 	}
 }

@@ -1,6 +1,6 @@
 // Package metrics stands in for the real metrics registry: enough of
 // the surface (Registry, the callback-backed instruments, and an
-// error-returning exporter) for the inlinepark, parkpath and errdrop
+// error-returning exporter) for the parkpath and errdrop
 // fixtures to type-check.
 package metrics
 

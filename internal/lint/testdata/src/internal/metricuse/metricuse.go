@@ -14,7 +14,7 @@ import (
 // BadGaugePark parks a process inside a gauge callback.
 func BadGaugePark(reg *metrics.Registry, p *sim.Proc) {
 	reg.GaugeFunc("queue_depth", func() float64 {
-		p.Wait(1) // want(inlinepark)
+		p.Wait(1) // want(parkpath)
 		return 0
 	})
 }
@@ -23,7 +23,7 @@ func BadGaugePark(reg *metrics.Registry, p *sim.Proc) {
 // counter callback.
 func BadCounterAcquire(reg *metrics.Registry, res *sim.Resource, p *sim.Proc) {
 	reg.CounterFunc("ops_total", func() int64 {
-		res.Acquire(p) // want(inlinepark)
+		res.Acquire(p) // want(parkpath)
 		return 0
 	})
 }
@@ -73,7 +73,7 @@ func Good(reg *metrics.Registry, u unrelated, p *sim.Proc, v *int64) error {
 // Waived shows the suppressed form with its mandatory reason.
 func Waived(reg *metrics.Registry, p *sim.Proc) {
 	reg.GaugeFunc("waived", func() float64 {
-		//sdflint:allow inlinepark fixture demonstrating a waiver
+		//sdflint:allow parkpath fixture demonstrating a waiver
 		p.Wait(1)
 		return 0
 	})

@@ -1,5 +1,5 @@
-// Package parktrans exercises the parkpath analyzer with blocking
-// that inlinepark provably cannot see: the park hides below a call
+// Package parktrans exercises parkpath's transitive case, blocking
+// that the callback literal never shows: the park hides below a call
 // boundary, on a process handle that is stored in a struct — no
 // *sim.Proc argument ever crosses the calls written in the callback.
 package parktrans

@@ -1,4 +1,4 @@
-// Package parkuse exercises the inlinepark analyzer: inline scheduler
+// Package parkuse exercises parkpath's direct case: inline scheduler
 // callbacks run on the scheduler goroutine itself, so any call that
 // parks a process from one deadlocks the simulation.
 package parkuse
@@ -8,21 +8,21 @@ import "fixture/internal/sim"
 // BadDirect parks through Proc methods inside inline callbacks.
 func BadDirect(env *sim.Env, tl *sim.Timeline, p *sim.Proc, s *sim.Signal) {
 	env.Schedule(5, func() {
-		p.Wait(1) // want(inlinepark)
+		p.Wait(1) // want(parkpath)
 	})
 	env.Schedule(3, func() {
-		p.WaitUntil(9) // want(inlinepark)
-		p.Await(s)     // want(inlinepark)
+		p.WaitUntil(9) // want(parkpath)
+		p.Await(s)     // want(parkpath)
 	})
 }
 
 // BadIndirect parks by handing a *sim.Proc to a blocking API.
 func BadIndirect(env *sim.Env, tl *sim.Timeline, res *sim.Resource, p *sim.Proc) {
 	env.Schedule(1, func() {
-		res.Acquire(p) // want(inlinepark)
+		res.Acquire(p) // want(parkpath)
 	})
 	env.Schedule(2, func() {
-		tl.Occupy(p, 2) // want(inlinepark)
+		tl.Occupy(p, 2) // want(parkpath)
 	})
 }
 
@@ -30,7 +30,7 @@ func BadIndirect(env *sim.Env, tl *sim.Timeline, res *sim.Resource, p *sim.Proc)
 // wherever the handle is woken.
 func BadHandle(env *sim.Env, h, p *sim.Proc) {
 	env.Handle(h, func() {
-		p.Wait(1) // want(inlinepark)
+		p.Wait(1) // want(parkpath)
 	})
 }
 
@@ -61,7 +61,7 @@ func Good(env *sim.Env, tl *sim.Timeline, p *sim.Proc) {
 // Waived shows a suppressed finding with its mandatory reason.
 func Waived(env *sim.Env, p *sim.Proc) {
 	env.Schedule(1, func() {
-		//sdflint:allow inlinepark fixture demonstrating a waiver
+		//sdflint:allow parkpath fixture demonstrating a waiver
 		p.Wait(1)
 	})
 }

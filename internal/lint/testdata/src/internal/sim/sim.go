@@ -2,7 +2,7 @@
 // where the raw go primitive is legal, because this is where the
 // deterministic handoff is implemented. The types below mirror just
 // enough of the kernel's surface (Env, Proc, Timeline, Resource) for
-// the inlinepark fixtures to type-check.
+// the parkpath fixtures to type-check.
 package sim
 
 // Go runs fn as a (fixture) scheduler-owned process.

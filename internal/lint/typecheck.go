@@ -9,12 +9,10 @@ import (
 )
 
 // typecheck resolves types for the non-test files of every package, in
-// dependency order. Errors are tolerated: a package that fails to check
-// simply contributes no entries to m.Info, and type-driven analyzers
-// (maporder) skip constructs they cannot resolve. Test files are not
-// checked — every analyzer that needs type information excludes them
-// by scope anyway.
-func (m *Module) typecheck() {
+// dependency order, and returns the first type error. Test files are
+// not checked — every analyzer that needs type information excludes
+// them by scope anyway.
+func (m *Module) typecheck() error {
 	byPath := make(map[string]*Package, len(m.Pkgs))
 	for _, pkg := range m.Pkgs {
 		byPath[pkg.ImportPath] = pkg
@@ -27,19 +25,20 @@ func (m *Module) typecheck() {
 	cfg := &types.Config{
 		Importer:         imp,
 		FakeImportC:      true,
-		Error:            func(error) {}, // collect what resolves, ignore the rest
 		IgnoreFuncBodies: false,
 	}
 	checked := make(map[*Package]bool)
-	var check func(pkg *Package)
-	check = func(pkg *Package) {
+	var check func(pkg *Package) error
+	check = func(pkg *Package) error {
 		if checked[pkg] {
-			return
+			return nil
 		}
-		checked[pkg] = true // pre-mark: tolerate import cycles
+		checked[pkg] = true // pre-mark: an import cycle fails in the importer, not here
 		for _, dep := range pkg.localDeps {
 			if d := byPath[dep]; d != nil {
-				check(d)
+				if err := check(d); err != nil {
+					return err
+				}
 			}
 		}
 		var files []*ast.File
@@ -49,15 +48,18 @@ func (m *Module) typecheck() {
 			}
 		}
 		if len(files) == 0 {
-			return
+			return nil
 		}
-		// Check never returns a nil package; errors still leave partial
-		// type information in m.Info, which is all the analyzers need.
-		pkg.Types, _ = cfg.Check(pkg.ImportPath, m.Fset, files, m.Info)
+		var err error
+		pkg.Types, err = cfg.Check(pkg.ImportPath, m.Fset, files, m.Info)
+		return err
 	}
 	for _, pkg := range m.Pkgs {
-		check(pkg)
+		if err := check(pkg); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // moduleImporter resolves module-local packages from the in-memory
@@ -100,11 +102,8 @@ func (imp *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 // typeOf returns the resolved type of an expression, or nil when the
-// checker could not resolve it.
+// checker recorded none (test files are not type-checked).
 func (m *Module) typeOf(e ast.Expr) types.Type {
-	if m.Info == nil {
-		return nil
-	}
 	if tv, ok := m.Info.Types[e]; ok {
 		return tv.Type
 	}
@@ -118,9 +117,6 @@ func (m *Module) typeOf(e ast.Expr) types.Type {
 
 // objectOf returns the object an identifier denotes, or nil.
 func (m *Module) objectOf(id *ast.Ident) types.Object {
-	if m.Info == nil {
-		return nil
-	}
 	if obj, ok := m.Info.Uses[id]; ok {
 		return obj
 	}

@@ -198,7 +198,7 @@ func (r *Registry) RegisterCounter(name string, c *Counter, labels ...Label) {
 // already keep a cumulative count and only need to export it. fn must
 // be monotone non-decreasing and, like every registry callback, runs
 // inline at scrape time: it must compute from in-memory state and
-// never park a process (sdflint's inlinepark/parkpath enforce this).
+// never park a process (sdflint's parkpath enforces this).
 func (r *Registry) CounterFunc(name string, fn func() int64, labels ...Label) {
 	if r == nil || fn == nil {
 		return
@@ -226,8 +226,8 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // scrape and snapshot. fn runs inline on whatever goroutine samples
 // the registry — like a (*sim.Env).Schedule callback it must compute
 // from in-memory state and return; it must never park a process or
-// call any blocking simulation API (sdflint's inlinepark/parkpath
-// enforce this).
+// call any blocking simulation API (sdflint's parkpath enforces
+// this).
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	if r == nil || fn == nil {
 		return
