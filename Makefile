@@ -64,7 +64,8 @@ examples:
 # kernel-bench is the scheduler perf gate (DESIGN.md "Kernel round 2"):
 # it fails on an allocation regression in the pooled fast paths
 # (TestKernelFastPathAllocs, the numeric form of the -benchmem
-# columns), on a device command or rpcnet fan-out that costs more
+# columns, wait-list fan-in and priority contention included), on a
+# device command or rpcnet fan-out that costs more
 # than a handful of events or allocates per request
 # (TestCommandBudget), or on programmed blocks that retain per-page
 # state (TestCommandBudgetRetainedHeap: -run matches both), or on an
@@ -76,7 +77,8 @@ examples:
 # order a parked process would have had (TestHandlesKeepDispatchOrder),
 # or a replicated read spawns a watcher process or allocates
 # (TestGetBudget), then
-# records the BenchmarkKernel* suite with
+# records the BenchmarkKernel* suite (BenchmarkKernelDeepQueue: FIFO
+# pops under a 100k-item Queue and 1k Resource waiters) with
 # allocation accounting and a CPU profile. CI uploads kernel-bench.txt
 # and kernel-bench.pprof, so every commit carries its kernel perf
 # history.

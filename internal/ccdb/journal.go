@@ -5,6 +5,7 @@ package ccdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sdf/internal/sim"
 	"sdf/internal/trace"
@@ -222,38 +223,64 @@ type rebuiltRun struct {
 // original insertion order, so newest-wins lookups keep working — and
 // a del removes the patch wherever it lives. A del for an unknown ref
 // is a no-op: retiring an aborted compaction output journals a del for
-// a ref that was never added.
+// a ref that was never added. Where a ref is live twice, a del removes
+// the copy a scan of the runs in order meets first: the earliest run's,
+// earliest in that run.
+//
+// Runs are indexed by (tier, run ID) and live copies by ref, so replay
+// is linear in the manifest: a del leaves a nil tombstone in its run,
+// and one pass at the end drops the tombstones.
 func (j *Journal) replayManifest() []*rebuiltRun {
+	type runKey struct {
+		tier  int
+		runID uint64
+	}
+	// liveCopy is a live add at runs[run].r[pos]. A ref's live copies
+	// chain through next from newest[ref]; both hold an index into
+	// copies plus one, so zero ends the chain.
+	type liveCopy struct{ run, pos, next int }
 	var runs []*rebuiltRun
+	runOf := make(map[runKey]int)
+	newest := make(map[Ref]int, len(j.manifest))
+	copies := make([]liveCopy, 0, len(j.manifest))
 	for i := range j.manifest {
 		rec := &j.manifest[i]
 		switch rec.op {
 		case manifestAdd:
-			var rr *rebuiltRun
-			for _, cand := range runs {
-				if cand.tier == rec.tier && cand.runID == rec.runID {
-					rr = cand
-					break
-				}
+			k := runKey{rec.tier, rec.runID}
+			ri, ok := runOf[k]
+			if !ok {
+				ri = len(runs)
+				runOf[k] = ri
+				runs = append(runs, &rebuiltRun{tier: rec.tier, runID: rec.runID})
 			}
-			if rr == nil {
-				rr = &rebuiltRun{tier: rec.tier, runID: rec.runID}
-				runs = append(runs, rr)
-			}
+			rr := runs[ri]
 			pt := &patch{ref: rec.ref, keys: rec.keys, offs: rec.offs, sizes: rec.sizes}
 			pt.index()
+			copies = append(copies, liveCopy{run: ri, pos: len(rr.r), next: newest[rec.ref]})
+			newest[rec.ref] = len(copies)
 			rr.r = append(rr.r, pt)
 		case manifestDel:
-		del:
-			for _, rr := range runs {
-				for k, pt := range rr.r {
-					if pt.ref == rec.ref {
-						rr.r = append(rr.r[:k], rr.r[k+1:]...)
-						break del
-					}
+			prev, first := 0, newest[rec.ref]
+			if first == 0 {
+				continue
+			}
+			for p, c := first, copies[first-1].next; c != 0; p, c = c, copies[c-1].next {
+				if a, b := copies[c-1], copies[first-1]; a.run < b.run || a.run == b.run && a.pos < b.pos {
+					prev, first = p, c
 				}
 			}
+			f := copies[first-1]
+			runs[f.run].r[f.pos] = nil
+			if prev == 0 {
+				newest[rec.ref] = f.next
+			} else {
+				copies[prev-1].next = f.next
+			}
 		}
+	}
+	for _, rr := range runs {
+		rr.r = slices.DeleteFunc(rr.r, func(pt *patch) bool { return pt == nil })
 	}
 	return runs
 }

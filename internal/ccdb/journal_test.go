@@ -178,6 +178,45 @@ func TestManifestCompactionSkippedWhileHalted(t *testing.T) {
 	}
 }
 
+// refReplayManifest is replayManifest as it was before it indexed runs
+// and refs: each add scans the runs for its (tier, run ID) and each del
+// scans every patch for its ref. Kept as the reference
+// TestManifestLiveCountMatchesReplay holds the indexed replay to.
+func (j *Journal) refReplayManifest() []*rebuiltRun {
+	var runs []*rebuiltRun
+	for i := range j.manifest {
+		rec := &j.manifest[i]
+		switch rec.op {
+		case manifestAdd:
+			var rr *rebuiltRun
+			for _, cand := range runs {
+				if cand.tier == rec.tier && cand.runID == rec.runID {
+					rr = cand
+					break
+				}
+			}
+			if rr == nil {
+				rr = &rebuiltRun{tier: rec.tier, runID: rec.runID}
+				runs = append(runs, rr)
+			}
+			pt := &patch{ref: rec.ref, keys: rec.keys, offs: rec.offs, sizes: rec.sizes}
+			pt.index()
+			rr.r = append(rr.r, pt)
+		case manifestDel:
+		del:
+			for _, rr := range runs {
+				for k, pt := range rr.r {
+					if pt.ref == rec.ref {
+						rr.r = append(rr.r[:k], rr.r[k+1:]...)
+						break del
+					}
+				}
+			}
+		}
+	}
+	return runs
+}
+
 // refMaybeCompact is maybeCompact as it was before the journal counted
 // its live records as they are appended: it replays the whole manifest
 // on every call to find out how many are live. Kept as the reference
@@ -212,7 +251,8 @@ func (j *Journal) refMaybeCompact() {
 // retired, and re-adds of retired refs to two journals — one compacting
 // on the incremental live count, one on the replay-every-time reference
 // — and requires the same manifest length and rewrite count after every
-// record, and the same replayed tiers at the end.
+// record, and the same replayed tiers at the end, from replayManifest
+// and from refReplayManifest alike.
 func TestManifestLiveCountMatchesReplay(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -250,16 +290,21 @@ func TestManifestLiveCountMatchesReplay(t *testing.T) {
 		if got.Compactions() == 0 {
 			t.Fatalf("seed %d: the manifest was never rewritten", seed)
 		}
-		if a, b := replayShape(got), replayShape(want); a != b {
+		if a, b := replayShape(got.replayManifest()), replayShape(want.replayManifest()); a != b {
 			t.Fatalf("seed %d: replayed tiers differ:\n got  %s\n want %s", seed, a, b)
+		}
+		for _, j := range []*Journal{got, want} {
+			if a, b := replayShape(j.replayManifest()), replayShape(j.refReplayManifest()); a != b {
+				t.Fatalf("seed %d: indexed and scanning replays differ:\n got  %s\n want %s", seed, a, b)
+			}
 		}
 	}
 }
 
 // replayShape prints the runs a manifest replays to, in order.
-func replayShape(j *Journal) string {
+func replayShape(runs []*rebuiltRun) string {
 	var b strings.Builder
-	for _, rr := range j.replayManifest() {
+	for _, rr := range runs {
 		fmt.Fprintf(&b, "t%d/r%d:", rr.tier, rr.runID)
 		for _, pt := range rr.r {
 			fmt.Fprintf(&b, "%d,", pt.ref)

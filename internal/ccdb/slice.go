@@ -514,17 +514,15 @@ func (s *Slice) Scan(p *sim.Proc, threads int) (int64, error) {
 	for _, pt := range patches {
 		pt.pins++
 	}
-	queue := sim.NewQueue[*patch](s.env)
-	for _, pt := range patches {
-		queue.Put(pt)
-	}
+	next := 0
 	var total int64
 	var firstErr error
 	var workers []*sim.Proc
 	for i := 0; i < threads; i++ {
 		w := s.env.Go("ccdb/scan", func(wp *sim.Proc) {
-			for queue.Len() > 0 {
-				pt := queue.Get(wp)
+			for next < len(patches) {
+				pt := patches[next]
+				next++
 				n, err := s.scanPatch(wp, pt)
 				if err != nil && firstErr == nil {
 					firstErr = err

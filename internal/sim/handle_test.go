@@ -287,6 +287,30 @@ func TestEnrollProcessPanics(t *testing.T) {
 	sig.Enroll(new(Proc))
 }
 
+// TestEnrollWaitingHandlePanics: a handle waits on one signal at a
+// time. Once the first has fired and run it, it may enroll again.
+func TestEnrollWaitingHandlePanics(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	var h Proc
+	e.Handle(&h, func() {})
+	var a, b Signal
+	a.Enroll(&h)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("enrolling a handle that waits on another signal did not panic")
+			}
+		}()
+		b.Enroll(&h)
+	}()
+	a.Fire()
+	e.Run()
+	if !b.Enroll(&h) {
+		t.Fatal("Enroll on an unfired signal after the handle ran enrolled nothing")
+	}
+}
+
 func TestStartAtStartsAtInstant(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()

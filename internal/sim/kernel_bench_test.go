@@ -237,6 +237,63 @@ func handleWakes(env *Env, rounds int) {
 	arm()
 }
 
+// fanIn sets up rounds of: a timer fires a re-armed signal three
+// callback handles are enrolled on, and the last of them to run
+// re-arms the signal and enrolls all three again.
+func fanIn(env *Env, rounds int) {
+	var sig Signal
+	var hs [3]Proc
+	fire := sig.Fire
+	arm := func() {
+		sig = Signal{}
+		for i := range hs {
+			sig.Enroll(&hs[i])
+		}
+		env.Schedule(time.Microsecond, fire)
+	}
+	ran := 0
+	for i := range hs {
+		env.Handle(&hs[i], func() {
+			if ran++; ran%len(hs) == 0 && ran/len(hs) < rounds {
+				arm()
+			}
+		})
+	}
+	arm()
+}
+
+// BenchmarkKernelDeepQueue measures the two FIFO pops under depth: an
+// op is one worker's turn on a capacity-1 Resource that 1,000 workers
+// queue on, during which it takes the head of a Queue 100,000 items
+// deep and puts it back. Both pops must cost the same at any depth.
+func BenchmarkKernelDeepQueue(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	defer env.Close()
+	q := NewQueue[int](env)
+	for i := 0; i < 100000; i++ {
+		q.Put(i)
+	}
+	res := NewResource(env, 1)
+	const workers = 1000
+	for w := 0; w < workers; w++ {
+		n := b.N / workers
+		if w < b.N%workers {
+			n++
+		}
+		env.Go("worker", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				res.Acquire(p)
+				q.Put(q.Get(p))
+				p.Wait(time.Microsecond)
+				res.Release()
+			}
+		})
+	}
+	b.ResetTimer()
+	env.Run()
+}
+
 // runAllocs builds a workload on a fresh Env, runs it to completion,
 // and returns the heap allocations and dispatched events of the run.
 func runAllocs(build func(env *Env)) (allocs, events float64) {
@@ -313,6 +370,32 @@ func TestKernelFastPathAllocs(t *testing.T) {
 		// A callback handle woken through a signal, round after round:
 		// the wake is a grant entry, and the handle's record is reused.
 		{"handle-wake", 0, func(env *Env) { handleWakes(env, 100000) }},
+		// Three handles on one signal, re-armed every round: enrolling
+		// more than one waiter must not allocate.
+		{"signal-fan-in", 0, func(env *Env) { fanIn(env, 50000) }},
+		// Waiters at two priorities on a capacity-1 resource, so the
+		// prio-0 ones overtake, beside a process whose AwaitUntil on a
+		// signal another process waits on times out every round.
+		{"resource-contention", 0, func(env *Env) {
+			res := NewResource(env, 1)
+			for w := 0; w < 4; w++ {
+				prio := w % 2
+				env.Go("worker", func(p *Proc) {
+					for i := 0; i < 20000; i++ {
+						res.AcquirePrio(p, prio)
+						p.Wait(time.Microsecond)
+						res.Release()
+					}
+				})
+			}
+			never := new(Signal)
+			env.Go("waiter", func(p *Proc) { p.Await(never) })
+			env.Go("timeout", func(p *Proc) {
+				for i := 0; i < 20000; i++ {
+					p.AwaitUntil(never, env.Now()+time.Microsecond)
+				}
+			})
+		}},
 		// Request churn: 8 workers spawned and joined per round, so the
 		// carrier pool holds 8 and every later spawn must reuse one.
 		{"spawn-join-churn", 8 * 5000, func(env *Env) {

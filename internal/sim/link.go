@@ -119,9 +119,6 @@ func (l *Link) Rate() float64 { return l.rate }
 // Moved returns the total bytes transferred so far.
 func (l *Link) Moved() int64 { return l.moved }
 
-// Busy reports whether a transfer is in progress or queued.
-func (l *Link) Busy() bool { return l.tl.Busy() }
-
 // SharedLink is a processor-sharing bandwidth resource: all in-flight
 // transfers progress simultaneously, each receiving an equal share of
 // the link rate. It models DMA engines that interleave transactions at
@@ -131,9 +128,9 @@ type SharedLink struct {
 	name   string
 	rate   float64 // bytes per second
 	factor float64 // degradation multiplier (1 = healthy)
-	active []*Xfer
-	last   int64  // virtual time of last progress update
-	gen    uint64 // invalidates stale completion events
+	active []*Xfer // not a waitList: a processor-sharing set advance moves as a whole
+	last   int64   // virtual time of last progress update
+	gen    uint64  // invalidates stale completion events
 	moved  int64
 	// Awaited xfers and fired ticks are reused, so a transfer in steady
 	// state allocates nothing.

@@ -12,7 +12,9 @@
 // waiting for virtual time to pass (Proc.Wait), for a Signal to fire
 // (Proc.Await), or for a Resource or Queue to become available. The
 // scheduler resumes processes in strict (time, sequence) order, so event
-// ordering is deterministic.
+// ordering is deterministic. Signal, Resource and Queue keep their
+// waiters on one intrusive FIFO linked through Proc (waitList), so
+// waiting allocates nothing and a wake-up pops in O(1).
 //
 // Two structural choices make the hot loop cheap (DESIGN.md "Kernel
 // round 2"):
@@ -245,7 +247,7 @@ type tlGrant struct {
 	seq     uint64
 	next    int
 	fired   bool
-	entries []*Proc
+	entries []*Proc // not a waitList: Env.Wake lets a handle be pending in several slots
 }
 
 // Env is a simulation environment: a virtual clock plus an event queue.
@@ -321,9 +323,6 @@ func (e *Env) Tracer() *trace.Collector { return e.tracer }
 // Schedule runs fn after the given virtual delay. fn executes in
 // scheduler context and must not block; use Go for blocking work.
 func (e *Env) Schedule(after time.Duration, fn func()) {
-	if after < 0 {
-		after = 0
-	}
 	e.scheduleAt(e.now+int64(after), event{fn: fn})
 }
 
@@ -331,6 +330,7 @@ func (e *Env) Schedule(after time.Duration, fn func()) {
 // stamping the tie-break sequence. Together with scheduleWake it is
 // the funnel every scheduling path goes through, so (time, sequence)
 // ordering is uniform across callbacks, process resumes, and grants.
+// Both clamp an instant in the past, a negative delay's, to now.
 func (e *Env) scheduleAt(at int64, ev event) {
 	if at < e.now {
 		at = e.now
@@ -487,6 +487,10 @@ type Proc struct {
 	// cb is the body of a callback handle (Env.Handle), nil for a
 	// process.
 	cb func()
+	// wnext links the process into the waitList it is parked or
+	// enrolled on, nil while on none; wprio is its priority there.
+	wnext *Proc
+	wprio int
 }
 
 // carrier is the expensive half of a process: an iter.Pull coroutine
@@ -562,8 +566,9 @@ func (e *Env) StartAt(p *Proc, at time.Duration, name string, fn func(*Proc)) *P
 // passes a completion on therefore costs one call instead of a spawn,
 // a park and a coroutine switch, and leaves the dispatch order of
 // every other event unchanged. fn runs in scheduler context, like a
-// Schedule callback, and must not block. A handle may be enrolled
-// again, from fn or later, any number of times.
+// Schedule callback, and must not block. A handle waits on one Signal
+// at a time: it may be enrolled again once it has run, from fn or
+// later.
 func (e *Env) Handle(h *Proc, fn func()) *Proc {
 	*h = Proc{env: e, cb: fn}
 	return h
@@ -575,9 +580,6 @@ func (e *Env) Handle(h *Proc, fn func()) *Proc {
 // A handle may be pending in several slots at once; each runs fn.
 func (e *Env) Wake(h *Proc, after time.Duration) {
 	h.handle()
-	if after < 0 {
-		after = 0
-	}
 	e.scheduleWake(e.now+int64(after), h)
 }
 
@@ -709,9 +711,6 @@ func (e *Env) wake(p *Proc) {
 // Wait advances the process by d of virtual time.
 func (p *Proc) Wait(d time.Duration) {
 	e := p.env
-	if d < 0 {
-		d = 0
-	}
 	e.scheduleAt(e.now+int64(d), event{proc: p})
 	p.park()
 }
@@ -744,7 +743,7 @@ func (p *Proc) AwaitUntil(s *Signal, at time.Duration) bool {
 	}
 	e.scheduleAt(int64(at), event{proc: p})
 	timer := e.seq
-	s.enroll(p)
+	s.waiters.push(p, 0)
 	p.park()
 	switch {
 	case e.now < int64(at): // s fired first
@@ -755,7 +754,7 @@ func (p *Proc) AwaitUntil(s *Signal, at time.Duration) bool {
 		// this park takes it.
 		p.park()
 	default:
-		s.forget(p)
+		s.waiters.remove(p)
 	}
 	return s.fired
 }
@@ -772,31 +771,25 @@ func (p *Proc) Join(other *Proc) { p.Await(&other.doneSig) }
 
 // Run processes events until the queue is empty. It panics with the
 // original value if any process panicked.
-func (e *Env) Run() { e.run(-1) }
+func (e *Env) Run() { e.run(-1, nil) }
 
 // RunUntil processes events up to and including virtual time limit.
 // Later events remain queued; the clock is left at limit.
-func (e *Env) RunUntil(limit time.Duration) { e.run(int64(limit)) }
+func (e *Env) RunUntil(limit time.Duration) { e.run(int64(limit), nil) }
 
 // RunUntilDone processes events until proc finishes (or the event
 // queue empties). Use it to drive a finite workload in the presence of
 // perpetual background processes (garbage collectors, wear levelers)
 // whose timer events would keep Run from ever returning.
-func (e *Env) RunUntilDone(proc *Proc) {
+func (e *Env) RunUntilDone(proc *Proc) { e.run(-1, proc) }
+
+func (e *Env) run(limit int64, stop *Proc) {
 	if e.closed {
 		panic("sim: Run on closed Env")
 	}
-	e.limit, e.stopProc = -1, proc
+	e.limit, e.stopProc = limit, stop
 	e.drive()
 	e.stopProc = nil
-}
-
-func (e *Env) run(limit int64) {
-	if e.closed {
-		panic("sim: Run on closed Env")
-	}
-	e.limit, e.stopProc = limit, nil
-	e.drive()
 	if limit >= 0 && limit > e.now {
 		e.now = limit
 	}
@@ -832,82 +825,105 @@ func (e *Env) Close() {
 // pooled record holds one by value and re-arms it by assigning
 // Signal{} once it has fired and released its waiters.
 type Signal struct {
-	fired bool
-	// first is the earliest waiter, held inline so the common
-	// one-waiter signal (a Join) needs no slice; waiters are the later
-	// ones in arrival order, non-empty only while first is set.
-	first   *Proc
-	waiters []*Proc
+	fired   bool
+	waiters waitList
 }
 
-// Fire triggers the signal, releasing current and future waiters.
-// Firing twice is a no-op. A burst of waiters coalesces into one
-// batched grant.
+// Fire triggers the signal, releasing current and future waiters in
+// the order they enrolled. Firing twice is a no-op. A burst of waiters
+// coalesces into one batched grant.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	if s.first == nil {
-		return
+	for p := s.waiters.pop(); p != nil; p = s.waiters.pop() {
+		p.env.wake(p)
 	}
-	e := s.first.env
-	e.wake(s.first)
-	for _, w := range s.waiters {
-		e.wake(w)
-	}
-	s.first, s.waiters = nil, nil
 }
 
 // Fired reports whether the signal has been triggered.
 func (s *Signal) Fired() bool { return s.fired }
-
-// forget removes p from the waiters (AwaitUntil's instant came first).
-func (s *Signal) forget(p *Proc) {
-	if s.first != p {
-		for i, w := range s.waiters {
-			if w == p {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				break
-			}
-		}
-		return
-	}
-	s.first = nil
-	if len(s.waiters) > 0 {
-		s.first, s.waiters = s.waiters[0], s.waiters[1:]
-	}
-}
 
 // Await blocks the process until the signal fires.
 func (p *Proc) Await(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.enroll(p)
+	s.waiters.push(p, 0)
 	p.park()
 }
 
 // Enroll adds the callback handle h (Env.Handle) to the waiters, so
 // Fire runs it in the slot where a process awaiting s would resume. It
 // reports false, enrolling nothing, when s has fired already: the
-// caller then carries on at once, as Await returns at once.
+// caller then carries on at once, as Await returns at once. It panics
+// while h is still enrolled on a signal that has not fired.
 func (s *Signal) Enroll(h *Proc) bool {
 	h.handle()
-	if s.fired {
-		return false
+	if !s.fired {
+		s.waiters.push(h, 0)
 	}
-	s.enroll(h)
-	return true
+	return !s.fired
 }
 
-// enroll adds p to the processes Fire will wake.
-func (s *Signal) enroll(p *Proc) {
-	if s.first == nil {
-		s.first = p
-	} else {
-		s.waiters = append(s.waiters, p)
+// waitList is the FIFO of processes (and callback handles) parked on a
+// Signal, a Resource or a Queue. It is intrusive and circular: the link
+// is Proc.wnext and the list holds only its tail, whose wnext is the
+// head, so push, pop and priority insert are pointer moves that
+// allocate nothing. wnext is nil exactly while a Proc is on no list,
+// which is why a Proc waits on one list at a time.
+type waitList struct{ tail *Proc }
+
+// push inserts p behind every member of the same or better (lower)
+// priority (see AcquirePrio); a plain FIFO pushes all at one priority.
+func (l *waitList) push(p *Proc, prio int) {
+	if p.wnext != nil {
+		panic(fmt.Sprintf("sim: process %q is already waiting", p.name))
 	}
+	p.wprio = prio
+	prev := l.tail
+	switch {
+	case prev == nil:
+		p.wnext, l.tail = p, p
+		return
+	case prev.wprio <= prio:
+		l.tail = p
+	default:
+		for prev.wnext.wprio <= prio {
+			prev = prev.wnext
+		}
+	}
+	p.wnext, prev.wnext = prev.wnext, p
+}
+
+// pop removes and returns the head, or nil when the list is empty.
+func (l *waitList) pop() *Proc {
+	t := l.tail
+	if t == nil {
+		return nil
+	}
+	h := t.wnext
+	if t.wnext = h.wnext; h == t {
+		l.tail = nil
+	}
+	h.wnext = nil
+	return h
+}
+
+// remove unlinks p, which must be on l.
+func (l *waitList) remove(p *Proc) {
+	prev := l.tail
+	for prev.wnext != p {
+		prev = prev.wnext
+	}
+	if prev.wnext = p.wnext; l.tail == p {
+		l.tail = prev
+		if prev == p {
+			l.tail = nil
+		}
+	}
+	p.wnext = nil
 }
 
 // Resource is a counting semaphore. It models a device that can serve
@@ -924,12 +940,8 @@ type Resource struct {
 	name    string
 	cap     int
 	inUse   int
-	waiters []prioWaiter
-}
-
-type prioWaiter struct {
-	proc *Proc
-	prio int
+	waiting int
+	waiters waitList
 }
 
 // NewResource returns a resource with the given concurrency capacity.
@@ -948,23 +960,20 @@ func (r *Resource) SetName(name string) { r.name = name }
 func (r *Resource) Acquire(p *Proc) { r.AcquirePrio(p, 0) }
 
 // AcquirePrio obtains one unit at the given priority (lower value is
-// served first), blocking while the resource is saturated.
+// served first), blocking while the resource is saturated. A waiter
+// queues behind every waiter of the same or better priority: in O(1)
+// when the last waiter's priority is no worse, otherwise by walking
+// from the head past the waiters of the same or better priority.
 func (r *Resource) AcquirePrio(p *Proc, prio int) {
 	if r.env.tracer.Full() {
-		r.env.tracer.Emit(r.env.Now(), trace.KindAcquire, 0, 0, r.name, "", int64(len(r.waiters)))
+		r.env.tracer.Emit(r.env.Now(), trace.KindAcquire, 0, 0, r.name, "", int64(r.waiting))
 	}
 	if r.inUse < r.cap {
 		r.inUse++
 		return
 	}
-	// Queue behind every waiter of the same or better priority.
-	i := len(r.waiters)
-	for i > 0 && r.waiters[i-1].prio > prio {
-		i--
-	}
-	r.waiters = append(r.waiters, prioWaiter{})
-	copy(r.waiters[i+1:], r.waiters[i:])
-	r.waiters[i] = prioWaiter{proc: p, prio: prio}
+	r.waiters.push(p, prio)
+	r.waiting++
 	p.park()
 }
 
@@ -981,13 +990,11 @@ func (r *Resource) TryAcquire() bool {
 // directly to the head of the queue.
 func (r *Resource) Release() {
 	if r.env.tracer.Full() {
-		r.env.tracer.Emit(r.env.Now(), trace.KindRelease, 0, 0, r.name, "", int64(len(r.waiters)))
+		r.env.tracer.Emit(r.env.Now(), trace.KindRelease, 0, 0, r.name, "", int64(r.waiting))
 	}
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
-		r.env.wake(w.proc)
+	if p := r.waiters.pop(); p != nil {
+		r.waiting--
+		r.env.wake(p)
 		return
 	}
 	if r.inUse == 0 {
@@ -1000,10 +1007,10 @@ func (r *Resource) Release() {
 func (r *Resource) InUse() int { return r.inUse }
 
 // Idle reports whether no units are held and nobody is waiting.
-func (r *Resource) Idle() bool { return r.inUse == 0 && len(r.waiters) == 0 }
+func (r *Resource) Idle() bool { return r.inUse == 0 && r.waiting == 0 }
 
 // Waiting returns the queue length.
-func (r *Resource) Waiting() int { return len(r.waiters) }
+func (r *Resource) Waiting() int { return r.waiting }
 
 // Use runs fn while holding one unit of the resource.
 func (r *Resource) Use(p *Proc, fn func()) {
@@ -1015,9 +1022,13 @@ func (r *Resource) Use(p *Proc, fn func()) {
 // Queue is an unbounded FIFO channel between processes. Put never
 // blocks; Get blocks while the queue is empty.
 type Queue[T any] struct {
-	env     *Env
+	env *Env
+	// items[head:] are queued. Get compacts the popped prefix away, and
+	// clears it, once it is as long as the rest: a pop costs amortised
+	// O(1), and storage stays within about twice the queue length.
 	items   []T
-	getters []*Proc
+	head    int
+	getters waitList
 }
 
 // NewQueue returns an empty queue bound to env.
@@ -1026,36 +1037,37 @@ func NewQueue[T any](env *Env) *Queue[T] { return &Queue[T]{env: env} }
 // Put appends an item and wakes one waiting getter, if any.
 func (q *Queue[T]) Put(x T) {
 	q.items = append(q.items, x)
-	if len(q.getters) > 0 {
-		w := q.getters[0]
-		copy(q.getters, q.getters[1:])
-		q.getters = q.getters[:len(q.getters)-1]
-		q.env.wake(w)
-	}
+	q.wakeGetter()
 }
 
 // Get removes and returns the head item, blocking while the queue is
 // empty.
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		q.getters = append(q.getters, p)
+	for q.Len() == 0 {
+		q.getters.push(p, 0)
 		p.park()
 	}
-	x := q.items[0]
-	copy(q.items, q.items[1:])
-	var zero T
-	q.items[len(q.items)-1] = zero
-	q.items = q.items[:len(q.items)-1]
-	// If items remain and other getters wait, propagate the wakeup so a
-	// burst of Puts cannot strand a parked getter.
-	if len(q.items) > 0 && len(q.getters) > 0 {
-		w := q.getters[0]
-		copy(q.getters, q.getters[1:])
-		q.getters = q.getters[:len(q.getters)-1]
-		q.env.wake(w)
+	x := q.items[q.head]
+	q.head++
+	if 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	// If items remain, pass the wakeup on so a burst of Puts cannot
+	// strand a parked getter.
+	if q.Len() > 0 {
+		q.wakeGetter()
 	}
 	return x
 }
 
+// wakeGetter wakes the longest-waiting getter, if any.
+func (q *Queue[T]) wakeGetter() {
+	if p := q.getters.pop(); p != nil {
+		q.env.wake(p)
+	}
+}
+
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sdf/internal/trace"
 )
@@ -219,8 +222,8 @@ func TestAwaitUntil(t *testing.T) {
 		if tc.fireAt < 0 && events != 1 {
 			t.Errorf("%s: %d events, want the one WaitUntil costs", tc.name, events)
 		}
-		if s.first != nil || len(s.waiters) != 0 || e.q.size != 0 {
-			t.Errorf("%s: left behind waiters %v %v, %d queued events", tc.name, s.first, s.waiters, e.q.size)
+		if s.waiters.tail != nil || e.q.size != 0 {
+			t.Errorf("%s: left behind waiters %v, %d queued events", tc.name, s.waiters.tail, e.q.size)
 		}
 		e.Close()
 	}
@@ -369,6 +372,100 @@ func TestQueueBurstPutWakesAllGetters(t *testing.T) {
 	e.Run()
 	if served != 3 {
 		t.Fatalf("served = %d, want 3", served)
+	}
+}
+
+// TestQueueStorageBounded fills a queue deep, then drains it while
+// refilling a little: items come out in FIFO order, and the backing
+// slice never holds more than about twice the queued items.
+func TestQueueStorageBounded(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	q := NewQueue[int](e)
+	next, want := 0, 0
+	for ; next < 1000; next++ {
+		q.Put(next)
+	}
+	e.Go("c", func(p *Proc) {
+		for q.Len() > 0 {
+			if got := q.Get(p); got != want {
+				t.Errorf("Get = %d, want %d", got, want)
+				return
+			}
+			want++
+			if want%3 == 0 && next < 1500 {
+				q.Put(next)
+				next++
+			}
+			if len(q.items) > 2*q.Len()+1 {
+				t.Errorf("%d items held in a slice of %d", q.Len(), len(q.items))
+				return
+			}
+		}
+	})
+	e.Run()
+	if want != next {
+		t.Fatalf("drained %d items, put %d", want, next)
+	}
+}
+
+// TestWaitListMatchesSortedInsert runs random pushes at three
+// priorities, pops and removals on a waitList and on the sorted slice
+// Resource kept before it, and requires the same members in the same
+// order after every step.
+func TestWaitListMatchesSortedInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	procs := make([]Proc, 16)
+	var l waitList
+	var ref []*Proc
+	for step := 0; step < 20000; step++ {
+		p := &procs[rng.Intn(len(procs))]
+		switch op := rng.Intn(4); {
+		case op < 2 && p.wnext == nil:
+			prio := rng.Intn(3)
+			l.push(p, prio)
+			i := len(ref)
+			for i > 0 && ref[i-1].wprio > prio {
+				i--
+			}
+			ref = slices.Insert(ref, i, p)
+		case op == 2:
+			var want *Proc
+			if len(ref) > 0 {
+				want, ref = ref[0], ref[1:]
+			}
+			if got := l.pop(); got != want {
+				t.Fatalf("step %d: pop = %p, want %p", step, got, want)
+			}
+		case p.wnext != nil:
+			l.remove(p)
+			ref = slices.DeleteFunc(ref, func(w *Proc) bool { return w == p })
+		}
+		var got []*Proc
+		if l.tail != nil {
+			for w := l.tail.wnext; ; w = w.wnext {
+				got = append(got, w)
+				if w == l.tail {
+					break
+				}
+			}
+		}
+		if !slices.Equal(got, ref) {
+			t.Fatalf("step %d: list holds %d members out of order, want %d", step, len(got), len(ref))
+		}
+	}
+}
+
+// TestWaitRecordSizes pins what the intrusive wait list costs the
+// records every layer pools: a Signal is a flag and a tail pointer, and
+// the link it moved into Proc leaves Proc no larger than its 112 bytes
+// before.
+func TestWaitRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Signal{}); n > 16 {
+		t.Errorf("Signal is %d bytes, want <= 16", n)
+	}
+	if n := unsafe.Sizeof(Proc{}); n > 112 {
+		t.Errorf("Proc is %d bytes, want <= 112", n)
 	}
 }
 

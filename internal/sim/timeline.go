@@ -112,14 +112,3 @@ func (t *Timeline) oneLane() {
 		panic("sim: Free and Commit need a one-lane timeline")
 	}
 }
-
-// Busy reports whether any lane is occupied at the current instant.
-func (t *Timeline) Busy() bool {
-	now := t.env.now
-	for _, l := range t.lanes {
-		if l > now {
-			return true
-		}
-	}
-	return false
-}

@@ -3,6 +3,7 @@ package ssd
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"sdf/internal/sim"
 )
@@ -147,4 +148,92 @@ func TestFTLInvariantsAfterGCChurn(t *testing.T) {
 	}
 	checkInvariants(t, s)
 	env.Close()
+}
+
+// TestDegradedWritesRedirect drives the Gen3 write path after
+// DegradeChannel: pages placed on a dead data channel, some of them
+// written before it died, land on a live channel, enough of them to
+// emit the group's parity pages; every one reads back without
+// reconstruction, and the FTL stays consistent. With every channel
+// down, a write still returns.
+func TestDegradedWritesRedirect(t *testing.T) {
+	prof := HuaweiGen3(0.25).ScaleBlocks(16)
+	env := sim.NewEnv()
+	defer env.Close()
+	s, err := New(env, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pre pages are written before the channel dies, then all pages
+	// after, twice: fewer than a block per plane, and parity ticks.
+	const dead, pre, pages = 0, 5, 25
+	pageSize := int64(s.PageSize())
+	var lpns []int64
+	for lpn := int64(0); len(lpns) < pages; lpn++ {
+		if s.placement(lpn) == dead {
+			lpns = append(lpns, lpn)
+		}
+	}
+	drain := func(p *sim.Proc) {
+		for s.buffer.depth() > 0 {
+			p.Wait(time.Millisecond)
+		}
+	}
+	write := func(p *sim.Proc, lpns []int64) bool {
+		for _, lpn := range lpns {
+			if err := s.Write(p, lpn*pageSize, pageSize); err != nil {
+				t.Error(err)
+				return false
+			}
+		}
+		drain(p)
+		return true
+	}
+	readBack := func(p *sim.Proc) {
+		for _, lpn := range lpns {
+			l := s.mapping[lpn]
+			if ch, _, _, _ := unpackLoc(l); l == unmapped || s.channelDegraded(ch) {
+				t.Errorf("lpn %d maps to %x, not a live channel", lpn, l)
+			}
+			if err := s.Read(p, lpn*pageSize, pageSize); err != nil {
+				t.Error(err)
+			}
+		}
+		if n := s.Stats().RebuiltPages; n != 0 {
+			t.Errorf("%d pages reconstructed reading redirected writes, want 0", n)
+		}
+	}
+	w := env.Go("driver", func(p *sim.Proc) {
+		if !write(p, lpns[:pre]) {
+			return
+		}
+		s.DegradeChannel(dead)
+		parity := s.Stats().ParityPages
+		if !write(p, lpns) {
+			return
+		}
+		want := int64((pre+pages)/prof.ParityRatio - pre/prof.ParityRatio)
+		if got := s.Stats().ParityPages - parity; got != want {
+			t.Errorf("%d parity pages for %d redirected writes, want %d", got, pages, want)
+		}
+		readBack(p)
+		// With the group's parity channel down too, data and parity
+		// both go to a live data channel of the group.
+		s.DegradeChannel(s.parityCh[s.parityGroup(dead)])
+		if write(p, lpns) {
+			readBack(p)
+		}
+	})
+	env.RunUntilDone(w)
+	checkInvariants(t, s)
+
+	for c := 0; c < s.Channels(); c++ {
+		s.DegradeChannel(c)
+	}
+	w = env.Go("all-down", func(p *sim.Proc) { write(p, lpns[:1]) })
+	env.RunUntil(env.Now() + time.Second)
+	if !w.Done() {
+		t.Fatal("a write with every channel degraded did not return")
+	}
+	checkInvariants(t, s)
 }
