@@ -30,13 +30,14 @@
 // traced experiment's document records trace_sha256, the hash of its
 // own events.
 //
-// -metrics turns on the observability pipeline in experiments that
-// support it (faults, codesign): a labeled metrics registry scraped on
-// a virtual-time period plus an SLO engine. Each such experiment
-// writes METRICS_<experiment>.prom (Prometheus text snapshot) and
+// The experiments that run replica groups (faults, codesign) always
+// observe themselves: a labeled metrics registry scraped on a
+// virtual-time period plus an SLO engine. Their SHA-256 hashes and
+// the SLO verdicts land in the bench JSON's "observability" block.
+// -metrics also writes each such experiment's raw exports,
+// METRICS_<experiment>.prom (Prometheus text snapshot) and
 // METRICS_<experiment>.jsonl (sampled time series); both are
-// byte-stable across reruns, and their SHA-256 hashes plus the SLO
-// verdicts land in the bench JSON's "observability" block.
+// byte-stable across reruns.
 //
 // -cpuprofile/-memprofile write pprof profiles of the harness itself,
 // for finding simulator hot spots (see README "Performance").
@@ -77,7 +78,7 @@ func run(args []string, registry []experiments.Entry, stdout, stderr io.Writer) 
 	tracePath := flags.String("trace", "", "write a Chrome trace to this path (and JSONL alongside)")
 	traceFull := flags.Bool("trace-full", false, "with -trace, also record kernel events (spawn/park/acquire/xfer)")
 	faultsPath := flags.String("faults", "", "fault plan JSON for the faults experiment (default: built-in plan)")
-	metricsOut := flags.Bool("metrics", false, "enable the observability pipeline; write METRICS_<experiment>.prom and .jsonl")
+	metricsOut := flags.Bool("metrics", false, "write METRICS_<experiment>.prom and .jsonl for the experiments that export metrics")
 	if err := flags.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
@@ -94,7 +95,7 @@ func run(args []string, registry []experiments.Entry, stdout, stderr io.Writer) 
 		}
 		return 0
 	}
-	opts := experiments.Options{Quick: *quick, Metrics: *metricsOut}
+	opts := experiments.Options{Quick: *quick}
 	if *faultsPath != "" {
 		pl, err := fault.Load(*faultsPath)
 		if err != nil {
@@ -197,8 +198,9 @@ type benchDoc struct {
 	Notes      []string           `json:"notes,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 	// Observability carries the export fingerprints and SLO verdicts
-	// when the experiment ran with -metrics; the raw exports go to
-	// METRICS_<experiment>.prom/.jsonl instead of the bench JSON.
+	// of the experiments that export metrics; the raw exports go to
+	// METRICS_<experiment>.prom/.jsonl (-metrics) instead of the bench
+	// JSON.
 	Observability *experiments.Observability `json:"observability,omitempty"`
 	// TraceSHA256 fingerprints the experiment's own trace events when
 	// it ran with -trace and emitted any.

@@ -234,22 +234,6 @@ func (l *Layer) BlockSize() int { return l.dev.BlockSize() }
 // PageSize returns the read unit (8 KB).
 func (l *Layer) PageSize() int { return l.dev.PageSize() }
 
-// beginOp opens a root span for one block-layer request, reparenting
-// p under it for the duration. The returned func closes it.
-func (l *Layer) beginOp(p *sim.Proc, name string) func() {
-	t := l.env.Tracer()
-	if t == nil {
-		return func() {}
-	}
-	prev := p.Span()
-	op := t.Begin(l.env.Now(), prev, name, trace.PhaseOp)
-	p.SetSpan(op)
-	return func() {
-		p.SetSpan(prev)
-		t.End(l.env.Now(), op)
-	}
-}
-
 // Healthy reports whether channel c should receive new writes: its
 // engine is alive and it is not inside a quarantine window.
 func (l *Layer) Healthy(c int) bool {
@@ -359,7 +343,7 @@ func (l *Layer) Write(p *sim.Proc, id BlockID, data []byte) (Handle, error) {
 	if _, ok := l.blocks[id]; ok {
 		return Handle{}, fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
-	end := l.beginOp(p, "blocklayer/write")
+	end := p.BeginOp("blocklayer/write")
 	defer end()
 	c := l.pickChannel(id)
 	cs := l.chans[c]
@@ -422,7 +406,7 @@ func (l *Layer) Read(p *sim.Proc, id BlockID, off, size int) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
-	end := l.beginOp(p, "blocklayer/read")
+	end := p.BeginOp("blocklayer/read")
 	defer end()
 	l.reads.Inc()
 	for attempt := 0; ; attempt++ {
@@ -711,7 +695,7 @@ func (l *Layer) maybeStaticWL(p *sim.Proc, c int) bool {
 		return false
 	}
 	h := l.blocks[victim]
-	end := l.beginOp(p, "blocklayer/static-wl")
+	end := p.BeginOp("blocklayer/static-wl")
 	defer end()
 	data, err := l.dev.Read(p, c, h.LBN, 0, l.BlockSize())
 	if err != nil {

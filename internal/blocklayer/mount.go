@@ -51,7 +51,7 @@ type MountStats struct {
 func Mount(p *sim.Proc, env *sim.Env, dev *core.Device, cfg Config) (*Layer, MountStats, error) {
 	l := newLayer(env, dev, cfg)
 	var st MountStats
-	end := l.beginOp(p, "blocklayer/mount")
+	end := p.BeginOp("blocklayer/mount")
 	defer end()
 	if t := env.Tracer(); t != nil {
 		span := t.Begin(env.Now(), p.Span(), "blocklayer/rebuild", trace.PhaseRecovery)

@@ -198,7 +198,7 @@ func Mount(env *sim.Env, cfg Config, state *DeviceState) (*Device, error) {
 // card's 44 engines each rebuild their own FTL — and returns the
 // per-channel reports, indexed by channel.
 func (d *Device) Recover(p *sim.Proc) ([]flashchan.RecoveryReport, error) {
-	end := d.beginOp(p, "sdf/recover")
+	end := p.BeginOp("sdf/recover")
 	defer end()
 	op := p.Span()
 	reports := make([]flashchan.RecoveryReport, len(d.channels))
@@ -229,7 +229,7 @@ func (d *Device) Recover(p *sim.Proc) ([]flashchan.RecoveryReport, error) {
 // call it to bound the next remount's scan to post-checkpoint
 // activity.
 func (d *Device) Checkpoint(p *sim.Proc) error {
-	end := d.beginOp(p, "sdf/checkpoint")
+	end := p.BeginOp("sdf/checkpoint")
 	defer end()
 	op := p.Span()
 	errs := make([]error, len(d.channels))
@@ -266,24 +266,6 @@ func (d *Device) CheckpointStats() (written, failures int64, maxAge int) {
 		}
 	}
 	return written, failures, maxAge
-}
-
-// beginOp opens the root span of one device operation and reparents p
-// under it so every instrumented layer below attributes to this I/O.
-// The returned func restores p and closes the span; call it when the
-// operation completes (error paths included).
-func (d *Device) beginOp(p *sim.Proc, name string) func() {
-	t := d.env.Tracer()
-	if t == nil {
-		return func() {}
-	}
-	prev := p.Span()
-	op := t.Begin(d.env.Now(), prev, name, trace.PhaseOp)
-	p.SetSpan(op)
-	return func() {
-		p.SetSpan(prev)
-		t.End(d.env.Now(), op)
-	}
 }
 
 // StartSampler schedules a periodic time-series sampler that records
@@ -454,7 +436,7 @@ func (d *Device) Read(p *sim.Proc, ch, lbn, off, size int) ([]byte, error) {
 	if err := d.checkChannel(ch); err != nil {
 		return nil, err
 	}
-	end := d.beginOp(p, "sdf/read")
+	end := p.BeginOp("sdf/read")
 	defer end()
 	d.stack.Submit(p)
 	t := d.env.Tracer()
@@ -510,7 +492,7 @@ func (d *Device) write(p *sim.Proc, ch, lbn int, data []byte, erase bool, tag *f
 	if erase {
 		name = "sdf/erase-write"
 	}
-	end := d.beginOp(p, name)
+	end := p.BeginOp(name)
 	defer end()
 	d.stack.Submit(p)
 	t := d.env.Tracer()
@@ -542,7 +524,7 @@ func (d *Device) ScanFilter(p *sim.Proc, ch, lbn int, selectivity float64) (int,
 	if err := d.checkChannel(ch); err != nil {
 		return 0, err
 	}
-	end := d.beginOp(p, "sdf/scan-filter")
+	end := p.BeginOp("sdf/scan-filter")
 	defer end()
 	d.stack.Submit(p)
 	matched, err := d.channels[ch].ScanFilter(p, lbn, selectivity)
@@ -567,7 +549,7 @@ func (d *Device) Erase(p *sim.Proc, ch, lbn int) error {
 	if err := d.checkChannel(ch); err != nil {
 		return err
 	}
-	end := d.beginOp(p, "sdf/erase")
+	end := p.BeginOp("sdf/erase")
 	defer end()
 	d.stack.Submit(p)
 	if err := d.channels[ch].Erase(p, lbn); err != nil {

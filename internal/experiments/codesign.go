@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"sdf/internal/blocklayer"
@@ -12,7 +11,6 @@ import (
 	"sdf/internal/coord"
 	"sdf/internal/core"
 	"sdf/internal/fault"
-	"sdf/internal/metrics"
 	"sdf/internal/rpcnet"
 	"sdf/internal/sim"
 )
@@ -54,35 +52,13 @@ const (
 // two modes: coordination keeps the budget, its absence burns it.
 const codesignP99SLO = 0.005
 
-// codesignObjectives declares the SLOs one co-design run is judged
-// against; the read-p99 objective doubles as the admission controller's
-// burn signal.
-func codesignObjectives(devName string) []metrics.Objective {
-	sid := func(name string) string { return fmt.Sprintf("%s{dev=%q}", name, devName) }
-	return []metrics.Objective{
-		{Name: devName + "/read_p99", Kind: metrics.QuantileBelow,
-			Metric: sid("cluster_read_latency_seconds"), Q: 0.99,
-			Threshold: codesignP99SLO, Budget: 0.1},
-		{Name: devName + "/no_lost_reads", Kind: metrics.AlwaysZero,
-			Metric: sid("cluster_lost_reads_total")},
-	}
-}
-
 // codesignResult is one cluster's measured ride through the mixed
-// read/write workload.
+// read/write workload; its counters exclude the preload.
 type codesignResult struct {
-	p99, p999    time.Duration
-	reads        int64   // completed end-to-end reads
-	floor        float64 // worst delivered window, bytes/s
+	replicaResult
 	rpcDeadlines int64
-	stats        cluster.Stats
 	coord        coord.Stats
 	wlMigrations int64
-	slo          []metrics.ObjectiveResult
-	alerts       int
-
-	reg     *metrics.Registry
-	sampler *metrics.Sampler
 }
 
 // codesignRun drives one 3-replica cluster through the mixed workload:
@@ -93,29 +69,16 @@ type codesignResult struct {
 // the replica inside its window) and writes pass SLO admission
 // control.
 func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan, horizon time.Duration) codesignResult {
-	env := opts.newEnv()
-	devName := map[deviceKind]string{devSDF: "sdf", devGen3: "gen3"}[kind]
+	devName := "gen3"
 	if kind == devSDF {
-		if coordinate {
-			devName = "sdf-coord"
-		} else {
-			devName = "sdf-nocoord"
-		}
+		devName = map[bool]string{true: "sdf-coord", false: "sdf-nocoord"}[coordinate]
 	}
-	if opts.Tracer != nil {
-		opts.Tracer.SetDev("codesign/" + devName)
-		env.SetTracer(opts.Tracer)
-	}
-	inj := fault.NewInjector(env)
-	// The registry and SLO engine run unconditionally: the admission
-	// controller feeds on the SLO's error-budget burn, so observability
-	// here is part of the control loop, not just the export pipeline.
-	reg := metrics.NewRegistry()
-	devLabel := metrics.L("dev", devName)
+	run := newReplicaRun(opts, "codesign", devName)
+	defer run.env.Close()
+	env, reg, devLabel := run.env, run.reg, run.devLabel
 
 	var co *coord.Coordinator
 	var adm *coord.Admission
-	var slo *metrics.SLO
 	if coordinate {
 		// With three replicas contending continuously, a full window
 		// rotation (two peer windows plus drain) runs ~30-40 ms; MaxWait
@@ -130,72 +93,65 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 		// The writer offers ~33 writes/s; a 40/s bucket admits all of it
 		// while the read SLO holds, but burn-scaled throttling (rate/burn,
 		// floored at 4/s) bites visibly once the chaos plan sets the
-		// error budget on fire.
+		// error budget on fire. The SLO's burn is the controller's
+		// input, so observability here is part of the control loop.
 		adm = coord.NewAdmission(env, coord.DefaultAdmissionConfig(40), func() float64 {
-			if slo == nil {
+			if run.slo == nil {
 				return 0
 			}
-			return slo.Burn(devName + "/read_p99")
+			return run.slo.Burn(devName + "/read_p99")
 		})
 		adm.RegisterMetrics(reg, devLabel)
+		// The preload is a bulk load, not SLO-bound traffic: it
+		// bypasses the bucket until t0, so the measured delay/shed
+		// counters start from zero there.
+		adm.SetBestEffort(true)
 	}
 
-	var nodes []*cluster.Node
 	var layers []*blocklayer.Layer
-	for _, name := range []string{"r1", "r2", "r3"} {
-		labels := []metrics.Label{devLabel, metrics.L("node", name)}
-		var node *cluster.Node
-		var member *coord.Member
-		switch kind {
-		case devSDF:
-			// A narrower device than the availability run: 12 channels
-			// and 4-page erase blocks. The channel engine is held for a
-			// whole command — an erase occupies it ~6 ms (two planes a
-			// chip, serial), a block program PagesPerBlock x 1.4 ms — so
-			// small blocks keep the program hold (~5.6 ms) just under
-			// the erase hold, and the read tail the coordinator can
-			// remove (synchronized replica erases) is not drowned out
-			// by the tail it cannot.
-			cfg := core.DefaultConfig()
-			cfg.Channels = 12
-			cfg.Channel.Nand.BlocksPerPlane = 96
-			cfg.Channel.Nand.PagesPerBlock = 4
-			cfg.Channel.SparePerPlane = 2
-			// Both SDF modes run the paper's §5 read-over-write
-			// scheduling, so queued programs cost a read at most one
-			// in-service page; the in-service 3 ms erase is then the
-			// tail that only cross-replica coordination can dodge.
-			cfg.Channel.PrioritizeReads = true
-			blCfg := blocklayer.DefaultConfig()
-			// Static WL runs live here (the crash oracle exercises it
-			// under power loss too); at this short horizon the wear
-			// spread stays narrow, so the migration counter mostly
-			// documents that the knob is on, not that media is aging.
-			blCfg.StaticWL = true
-			blCfg.WearSpreadThreshold = 4
-			if co != nil {
-				member = co.Register(name)
-				blCfg.EraseGate = member
-			}
-			// Tight fan-in: two runs per tier keep compaction — and the
-			// patch frees that feed the erase backlog — running for the
-			// whole horizon.
-			r, err := ccdb.NewSDFReplica(env, cfg, blCfg, ccdb.Config{RunsPerTier: 2})
-			if err != nil {
-				panic(err)
-			}
+	var members []*coord.Member
+	run.addReplicas(kind, func(name string) (*ccdb.SDFReplica, error) {
+		// A narrower device than the availability run: 12 channels and
+		// 4-page erase blocks. The channel engine is held for a whole
+		// command — an erase occupies it ~6 ms (two planes a chip,
+		// serial), a block program PagesPerBlock x 1.4 ms — so small
+		// blocks keep the program hold (~5.6 ms) just under the erase
+		// hold, and the read tail the coordinator can remove
+		// (synchronized replica erases) is not drowned out by the tail
+		// it cannot.
+		cfg := core.DefaultConfig()
+		cfg.Channels = 12
+		cfg.Channel.Nand.BlocksPerPlane = 96
+		cfg.Channel.Nand.PagesPerBlock = 4
+		cfg.Channel.SparePerPlane = 2
+		// Both SDF modes run the paper's §5 read-over-write scheduling,
+		// so queued programs cost a read at most one in-service page;
+		// the in-service 3 ms erase is then the tail that only
+		// cross-replica coordination can dodge.
+		cfg.Channel.PrioritizeReads = true
+		blCfg := blocklayer.DefaultConfig()
+		// Static WL runs live here (the crash oracle exercises it under
+		// power loss too); at this short horizon the wear spread stays
+		// narrow, so the migration counter mostly documents that the
+		// knob is on, not that media is aging.
+		blCfg.StaticWL = true
+		blCfg.WearSpreadThreshold = 4
+		if co != nil {
+			member := co.Register(name)
+			blCfg.EraseGate = member
+			members = append(members, member)
+		}
+		// Tight fan-in: two runs per tier keep compaction — and the
+		// patch frees that feed the erase backlog — running for the
+		// whole horizon.
+		r, err := ccdb.NewSDFReplica(env, cfg, blCfg, ccdb.Config{RunsPerTier: 2})
+		if err == nil {
 			layers = append(layers, r.Layer)
-			r.Dev.RegisterMetrics(reg, labels...)
-			r.Layer.RegisterMetrics(reg, labels...)
-			node = cluster.NewSDFNode(env, name, r)
-		case devGen3:
-			node = cluster.NewNode(env, name, newGen3Slice(env, inj, reg, name, labels))
 		}
-		node.Slice.RegisterMetrics(reg, labels...)
-		if member != nil {
-			node.SetWindow(member)
-		}
-		nodes = append(nodes, node)
+		return r, err
+	})
+	for i, m := range members {
+		run.nodes[i].SetWindow(m)
 	}
 	ccfg := cluster.DefaultConfig()
 	// Deadline-aware read routing: a 6 ms per-read deadline, hedged at
@@ -204,13 +160,7 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 	ccfg.HedgeAfter = 2 * time.Millisecond
 	ccfg.ReadDeadline = 6 * time.Millisecond
 	ccfg.Admission = adm
-	group, err := cluster.NewGroup(env, ccfg, nodes...)
-	if err != nil {
-		panic(err)
-	}
-	fault.AttachGroup(inj, group)
-	group.RegisterMetrics(reg, devLabel)
-	inj.RegisterMetrics(reg, devLabel)
+	group := run.join(ccfg)
 
 	// The client network: reads arrive as batched RPCs whose loss
 	// recovery decrements the read's original deadline budget.
@@ -221,52 +171,34 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 	netCfg.RetryBackoff = time.Millisecond
 	netCfg.Seed = 42
 	net := rpcnet.NewNetwork(env, netCfg)
-	fault.AttachNetwork(inj, "net", net)
+	fault.AttachNetwork(run.inj, "net", net)
 	net.RegisterMetrics(reg, devLabel)
 
 	nKeys, nReaders := 768, 4
 	if opts.Quick {
 		nKeys, nReaders = 384, 2
 	}
-	// The preload is a bulk load, not SLO-bound traffic: it bypasses
-	// the admission bucket so the measured delay/shed counters start
-	// from zero at t0.
-	if adm != nil {
-		adm.SetBestEffort(true)
-	}
-	keys := preload(env, group, nKeys)
+	keys := run.preload(nKeys)
 	if adm != nil {
 		adm.SetBestEffort(false)
 	}
 
-	t0 := env.Now()
 	// Baselines: measured counters exclude the preload phase.
-	preload := group.Stats()
+	preloaded := group.Stats()
 	var coordBefore coord.Stats
 	if co != nil {
 		coordBefore = co.Stats()
 	}
-	var wlBefore int64
-	for _, l := range layers {
-		m, _ := l.WearLevelStats()
-		wlBefore += m
-	}
-	if pl != nil {
-		if err := inj.Arm(pl); err != nil {
-			panic(err)
+	migrations := func() (n int64) {
+		for _, l := range layers {
+			m, _ := l.WearLevelStats()
+			n += m
 		}
+		return n
 	}
-	var sampler *metrics.Sampler
-	if opts.Metrics {
-		sampler = metrics.NewSampler(env, reg, 10*time.Millisecond, 0)
-	}
-	slo = metrics.NewSLO(env, reg, codesignWindow, codesignObjectives(devName)...)
-	slo.SetDeadline(t0 + horizon)
+	wlBefore := migrations()
+	run.open(pl, horizon, codesignWindow, readObjectives(devName, codesignP99SLO))
 
-	nWindows := int(horizon / codesignWindow)
-	windows := make([]float64, nWindows)
-	var latencies []time.Duration
-	var reads int64
 	// Open-loop readers: each paces at a fixed arrival rate, so the
 	// offered read load — and, as long as no mode saturates, the
 	// delivered throughput — is identical across the three clusters.
@@ -276,7 +208,7 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 		rng := rand.New(rand.NewSource(int64(200 + r)))
 		client := net.NewClient()
 		env.Go("reader", func(p *sim.Proc) {
-			for next := t0; next < t0+horizon; next += readPeriod {
+			for next := run.t0; next < run.end; next += readPeriod {
 				if now := env.Now(); now < next {
 					p.Wait(next - now)
 				}
@@ -294,11 +226,7 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 				if err != nil || size == 0 {
 					continue // deadline-exhausted RPC or lost read
 				}
-				reads++
-				latencies = append(latencies, env.Now()-start)
-				if w := int((start - t0) / codesignWindow); w < nWindows {
-					windows[w] += float64(size)
-				}
+				run.record(start, size)
 			}
 		})
 	}
@@ -309,7 +237,7 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 	const writeSize = 64 << 10
 	wseq := 0
 	env.Go("writer", func(p *sim.Proc) {
-		for env.Now() < t0+horizon {
+		for env.Now() < run.end {
 			key := fmt.Sprintf("hot%03d", wseq%48)
 			wseq++
 			// Shed and node-down errors are counted by the group; the
@@ -319,12 +247,9 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 		}
 	})
 
-	env.RunUntil(t0 + horizon + time.Second)
-	res := codesignResult{stats: group.Stats(), reads: reads, reg: reg, sampler: sampler}
-	res.stats.Puts -= preload.Puts
-	res.stats.Gets -= preload.Gets
-	res.slo = slo.Report()
-	res.alerts = len(slo.Alerts())
+	res := codesignResult{replicaResult: run.finish(time.Second)}
+	res.stats.Puts -= preloaded.Puts
+	res.stats.Gets -= preloaded.Gets
 	if co != nil {
 		res.coord = co.Stats()
 		res.coord.Grants -= coordBefore.Grants
@@ -332,24 +257,8 @@ func codesignRun(opts Options, kind deviceKind, coordinate bool, pl *fault.Plan,
 		res.coord.Forced -= coordBefore.Forced
 		res.coord.Timeouts -= coordBefore.Timeouts
 	}
-	for _, l := range layers {
-		m, _ := l.WearLevelStats()
-		res.wlMigrations += m
-	}
-	res.wlMigrations -= wlBefore
+	res.wlMigrations = migrations() - wlBefore
 	_, _, res.rpcDeadlines = net.Stats()
-	res.floor = -1
-	for _, b := range windows {
-		if rate := b / codesignWindow.Seconds(); res.floor < 0 || rate < res.floor {
-			res.floor = rate
-		}
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if n := len(latencies); n > 0 {
-		res.p99 = latencies[n*99/100]
-		res.p999 = latencies[n*999/1000]
-	}
-	env.Close()
 	return res
 }
 
@@ -417,20 +326,21 @@ func CoDesign(opts Options) Table {
 	t.metric("coord.forced", float64(coordRes.coord.Forced))
 	t.metric("coord.shed_writes", float64(coordRes.stats.ShedWrites))
 	t.Rows = append(t.Rows, []string{"SLO: window p99 <= 5ms",
-		sloCell(coordRes.slo, "sdf-coord/read_p99"), sloCell(nocoord.slo, "sdf-nocoord/read_p99"), sloCell(gen3.slo, "gen3/read_p99")})
-	t.metric("coord.slo_p99_burn", burnOf(coordRes.slo, "sdf-coord/read_p99"))
-	t.metric("nocoord.slo_p99_burn", burnOf(nocoord.slo, "sdf-nocoord/read_p99"))
-	t.metric("gen3.slo_p99_burn", burnOf(gen3.slo, "gen3/read_p99"))
+		sloCell(coordRes.readP99), sloCell(nocoord.readP99), sloCell(gen3.readP99)})
+	t.metric("coord.slo_p99_burn", coordRes.readP99.Burn)
+	t.metric("nocoord.slo_p99_burn", nocoord.readP99.Burn)
+	t.metric("gen3.slo_p99_burn", gen3.readP99.Burn)
 
 	// Chaos stage: the coordinated cluster under the fault plan — the
 	// Figure-9-style availability view, plus the degradation counters.
 	chaos := codesignRun(opts, devSDF, true, pl, codesignChaosHorizon)
-	t.Rows = append(t.Rows, []string{"chaos: worst delivered window", mb(chaos.floor), "-", "-"})
-	t.Rows = append(t.Rows, []string{"chaos: lost reads / acked-write loss", fmt.Sprintf("%d", chaos.stats.Lost), "-", "-"})
-	t.Rows = append(t.Rows, []string{"chaos: best-effort / delayed / shed writes",
-		fmt.Sprintf("%d / %d / %d", chaos.stats.BestEffortWrites, chaos.stats.DelayedWrites, chaos.stats.ShedWrites), "-", "-"})
-	t.Rows = append(t.Rows, []string{"chaos: forced erases / remounts / rpc deadline hits",
-		fmt.Sprintf("%d / %d / %d", chaos.coord.Forced, chaos.stats.Remounts, chaos.rpcDeadlines), "-", "-"})
+	t.Rows = append(t.Rows,
+		[]string{"chaos: worst delivered window", mb(chaos.floor), "-", "-"},
+		[]string{"chaos: lost reads / acked-write loss", fmt.Sprintf("%d", chaos.stats.Lost), "-", "-"},
+		[]string{"chaos: best-effort / delayed / shed writes",
+			fmt.Sprintf("%d / %d / %d", chaos.stats.BestEffortWrites, chaos.stats.DelayedWrites, chaos.stats.ShedWrites), "-", "-"},
+		[]string{"chaos: forced erases / remounts / rpc deadline hits",
+			fmt.Sprintf("%d / %d / %d", chaos.coord.Forced, chaos.stats.Remounts, chaos.rpcDeadlines), "-", "-"})
 	t.metric("chaos.floor", chaos.floor)
 	t.metric("chaos.lost", float64(chaos.stats.Lost))
 	t.metric("chaos.best_effort", float64(chaos.stats.BestEffortWrites))
@@ -440,20 +350,8 @@ func CoDesign(opts Options) Table {
 	t.metric("chaos.remounts", float64(chaos.stats.Remounts))
 	t.metric("chaos.rpc_deadline", float64(chaos.rpcDeadlines))
 	t.metric("chaos.window_grants", float64(chaos.coord.Grants))
-	t.metric("chaos.slo_p99_burn", burnOf(chaos.slo, "sdf-coord/read_p99"))
+	t.metric("chaos.slo_p99_burn", chaos.readP99.Burn)
 
-	if opts.Metrics {
-		snapshot := metrics.Snapshot(coordRes.reg, nocoord.reg, gen3.reg, chaos.reg)
-		series := metrics.SeriesJSONL(coordRes.sampler, nocoord.sampler, gen3.sampler, chaos.sampler)
-		t.Observability = &Observability{
-			SnapshotSHA256: metrics.HashBytes(snapshot),
-			SeriesSHA256:   metrics.HashBytes(series),
-			SLO: append(append(append(append([]metrics.ObjectiveResult(nil),
-				coordRes.slo...), nocoord.slo...), gen3.slo...), chaos.slo...),
-			Alerts:   coordRes.alerts + nocoord.alerts + gen3.alerts + chaos.alerts,
-			Snapshot: snapshot,
-			Series:   series,
-		}
-	}
+	t.Observability = observe(coordRes.replicaResult, nocoord.replicaResult, gen3.replicaResult, chaos.replicaResult)
 	return t
 }

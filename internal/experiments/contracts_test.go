@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// runContract runs the named experiment in quick mode with the
-// observability pipeline on, as make verify does, and requires its
-// Check to pass.
+// runContract runs the named experiment in quick mode, as make verify
+// does, and requires its Check to pass.
 func runContract(t *testing.T, name string) {
 	t.Helper()
 	e, ok := Lookup(name)
@@ -17,11 +16,8 @@ func runContract(t *testing.T, name string) {
 	if e.Check == nil {
 		t.Fatalf("%s carries no contract", name)
 	}
-	tab := e.Run(Options{Quick: true, Metrics: true})
+	tab := e.Run(Options{Quick: true})
 	checkTable(t, tab, 1)
-	if tab.Observability == nil && name == "faults" {
-		t.Fatal("faults with Options.Metrics produced no observability payload; its SLO contract went unchecked")
-	}
 	if err := e.Check(tab); err != nil {
 		t.Errorf("contract violated:\n%v", err)
 	}
@@ -71,7 +67,7 @@ func TestContractMissingMetricIsViolation(t *testing.T) {
 		want  string
 	}{
 		{"codesign", checkCoDesign, Table{}, `metric "coord.p99_ms" missing`},
-		{"faults", checkFaults, Table{Observability: &Observability{}}, `SLO objective "sdf/read_p99" missing`},
+		{"faults", checkFaults, Table{}, `SLO objective "sdf/read_p99" missing`},
 		{"recovery", checkRecovery, Table{Rows: [][]string{
 			{"10%", "88", "88", "16"}, {"90%", "800", "800", "16"},
 		}}, `metric "recovery_probed_pages_f10" missing`},

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"sdf/internal/blocklayer"
 	"sdf/internal/core"
 	"sdf/internal/fault"
 	"sdf/internal/metrics"
@@ -37,11 +36,6 @@ type Options struct {
 	// Stats, when non-nil, collects kernel counters from every sim.Env
 	// the experiment creates; RunAll sets it to report events.
 	Stats *KernelStats
-	// Metrics enables the observability pipeline in experiments that
-	// support it (Faults and CoDesign): a per-device metrics registry, a
-	// virtual-time sampler, and an SLO engine. The results land in
-	// Table.Observability (sdfbench -metrics writes them out).
-	Metrics bool
 }
 
 // newEnv creates a simulation environment and registers it with the
@@ -50,6 +44,17 @@ type Options struct {
 func (o Options) newEnv() *sim.Env {
 	env := sim.NewEnv()
 	o.Stats.track(env)
+	return env
+}
+
+// newTracedEnv is newEnv with the Tracer, if any, attached and its
+// events labelled dev.
+func (o Options) newTracedEnv(dev string) *sim.Env {
+	env := o.newEnv()
+	if o.Tracer != nil {
+		o.Tracer.SetDev(dev)
+		env.SetTracer(o.Tracer)
+	}
 	return env
 }
 
@@ -72,8 +77,8 @@ type Table struct {
 	// rows (bytes/s, milliseconds, ratios), keyed by a stable
 	// dot-separated name, for machine-readable bench output.
 	Metrics map[string]float64
-	// Observability is the metrics/SLO payload collected when
-	// Options.Metrics was set and the experiment supports it.
+	// Observability is the metrics/SLO payload of the experiments
+	// that run replica groups (Faults and CoDesign), nil elsewhere.
 	Observability *Observability
 }
 
@@ -156,12 +161,6 @@ func newSDF(env *sim.Env, blocksPerPlane int) *core.Device {
 	return d
 }
 
-// blocklayerNew wires the user-space block layer over a device with
-// idle-time erase scheduling enabled.
-func blocklayerNew(env *sim.Env, dev *core.Device) *blocklayer.Layer {
-	return blocklayer.New(env, dev, blocklayer.DefaultConfig())
-}
-
 // newSSD builds a conventional SSD from a profile, panicking on
 // misconfiguration (experiment profiles are fixed).
 func newSSD(env *sim.Env, prof ssd.Profile) *ssd.SSD {
@@ -172,10 +171,8 @@ func newSSD(env *sim.Env, prof ssd.Profile) *ssd.SSD {
 	return s
 }
 
-// throughputWindow measures the aggregate byte rate of ops that start
-// inside [warmup, deadline]: workers is a set of closed-loop processes
-// created by spawn, each reporting per-op bytes through the returned
-// credit function.
+// meterCtx measures the aggregate byte rate of closed-loop workers
+// (loop) over the ops that start inside [warmup, deadline].
 type meterCtx struct {
 	env        *sim.Env
 	warmup     time.Duration

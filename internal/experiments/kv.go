@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"sdf/internal/blocklayer"
 	"sdf/internal/ccdb"
 	"sdf/internal/core"
 	"sdf/internal/rpcnet"
@@ -93,7 +94,7 @@ func newKVNode(env *sim.Env, kind deviceKind, nSlices, patchesPerSlice, valueSiz
 
 // newSDFStoreFrom wires an existing SDF device through the block layer.
 func newSDFStoreFrom(env *sim.Env, dev *core.Device) *ccdb.SDFStore {
-	return ccdb.NewSDFStore(blocklayerNew(env, dev))
+	return ccdb.NewSDFStore(blocklayer.New(env, dev, blocklayer.DefaultConfig()))
 }
 
 // counters returns cumulative (hostRead, hostWrite) bytes at the

@@ -6,25 +6,38 @@ import (
 	"testing"
 )
 
+// observed is a replica-group experiment, which always exports
+// metrics, with a series family each snapshot must hold.
+type observed struct {
+	name   string
+	run    func(Options) Table
+	family string
+}
+
+var (
+	observedFaults   = observed{"faults", Faults, "cluster_gets_total"}
+	observedCoDesign = observed{"codesign", CoDesign, "cluster_admission_delayed_writes_total"}
+)
+
 // obsResult fetches the observability payload or fails the test.
 func obsResult(t *testing.T, tab Table) *Observability {
 	t.Helper()
 	if tab.Observability == nil {
-		t.Fatal("Faults with Options.Metrics produced no observability payload")
+		t.Fatalf("%s produced no observability payload", tab.ID)
 	}
 	return tab.Observability
 }
 
-// TestFaultsObservabilityDeterministic runs the availability experiment
-// twice with the metrics pipeline on and requires byte-identical
-// exports: the Prometheus snapshot hash, the series JSONL hash, and
-// the SLO report must all match across seeded reruns. This is the
-// exporter half of the determinism contract (make verify checks the
-// same hashes through sdfbench).
-func TestFaultsObservabilityDeterministic(t *testing.T) {
-	opts := Options{Quick: true, Metrics: true}
-	a := obsResult(t, Faults(opts))
-	b := obsResult(t, Faults(opts))
+// checkObservabilityDeterministic runs the experiment twice with
+// plain options and requires byte-identical exports: the Prometheus
+// snapshot hash, the series JSONL hash, and the SLO report must all
+// match across seeded reruns. This is the exporter half of the
+// determinism contract (make verify checks the same hashes through
+// sdfbench).
+func checkObservabilityDeterministic(t *testing.T, e observed) {
+	opts := Options{Quick: true}
+	a := obsResult(t, e.run(opts))
+	b := obsResult(t, e.run(opts))
 	if a.SnapshotSHA256 != b.SnapshotSHA256 {
 		t.Errorf("snapshot hash changed across reruns: %s vs %s", a.SnapshotSHA256, b.SnapshotSHA256)
 	}
@@ -50,24 +63,31 @@ func TestFaultsObservabilityDeterministic(t *testing.T) {
 	}
 
 	// The exports must not be trivially empty.
-	if !strings.Contains(string(a.Snapshot), "cluster_gets_total") {
-		t.Error("snapshot is missing cluster_gets_total")
+	if !strings.Contains(string(a.Snapshot), e.family) {
+		t.Errorf("snapshot is missing %s", e.family)
 	}
 	if !strings.Contains(string(a.Series), "cluster_read_latency_seconds") {
 		t.Error("series JSONL is missing the read-latency histogram")
 	}
 }
 
-// TestFaultsObservabilityUnderParallelRunner runs the metrics-enabled
-// availability experiment on a worker pool next to unrelated load and
-// requires the export hashes to match a solo sequential run: the
-// observability pipeline must not notice host-side concurrency.
-func TestFaultsObservabilityUnderParallelRunner(t *testing.T) {
+func TestFaultsObservabilityDeterministic(t *testing.T) {
+	checkObservabilityDeterministic(t, observedFaults)
+}
+
+func TestCoDesignObservabilityDeterministic(t *testing.T) {
+	checkObservabilityDeterministic(t, observedCoDesign)
+}
+
+// checkObservabilityUnderParallelRunner runs the experiment alone and
+// on a worker pool next to unrelated load, and requires the export
+// hashes to match: the observability pipeline must not notice
+// host-side concurrency.
+func checkObservabilityUnderParallelRunner(t *testing.T, e observed) {
 	var mu sync.Mutex
 	var snaps, series []string
-	entry := Entry{Name: "faults", Run: func(o Options) Table {
-		o.Metrics = true
-		tab := Faults(o)
+	entry := Entry{Name: e.name, Run: func(o Options) Table {
+		tab := e.run(o)
 		obs := obsResult(t, tab)
 		mu.Lock()
 		snaps = append(snaps, obs.SnapshotSHA256)
@@ -88,4 +108,12 @@ func TestFaultsObservabilityUnderParallelRunner(t *testing.T) {
 	if series[0] != series[1] {
 		t.Errorf("series hash changed under the parallel runner: %s vs %s", series[0], series[1])
 	}
+}
+
+func TestFaultsObservabilityUnderParallelRunner(t *testing.T) {
+	checkObservabilityUnderParallelRunner(t, observedFaults)
+}
+
+func TestCoDesignUnderParallelRunner(t *testing.T) {
+	checkObservabilityUnderParallelRunner(t, observedCoDesign)
 }

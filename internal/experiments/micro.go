@@ -224,9 +224,7 @@ func Figure8(opts Options) Table {
 	gen3 := func(devLabel string, reqBytes int64, count int) metrics.Series {
 		prof := ssd.HuaweiGen3(0.10).ScaleBlocks(16)
 		prof.BufferBytes = 64 << 20
-		env := opts.newEnv()
-		opts.Tracer.SetDev(devLabel)
-		env.SetTracer(opts.Tracer)
+		env := opts.newTracedEnv(devLabel)
 		dev := newSSD(env, prof)
 		if err := dev.WarmFillRandom(1.0, 6); err != nil {
 			panic(err)
@@ -250,9 +248,7 @@ func Figure8(opts Options) Table {
 	}
 
 	sdfSeries := func(count int) metrics.Series {
-		env := opts.newEnv()
-		opts.Tracer.SetDev("sdf")
-		env.SetTracer(opts.Tracer)
+		env := opts.newTracedEnv("sdf")
 		dev := newSDF(env, 16)
 		// Sample per-channel queue depth and utilization through the
 		// measured run (it self-terminates, so the event loop drains).

@@ -85,12 +85,8 @@ func measureRemount(opts Options, env *sim.Env, dev *core.Device, cfg core.Confi
 	state := dev.State()
 	env.Close()
 
-	renv := opts.newEnv()
+	renv := opts.newTracedEnv(traceDev)
 	defer renv.Close()
-	if opts.Tracer != nil {
-		opts.Tracer.SetDev(traceDev)
-		renv.SetTracer(opts.Tracer)
-	}
 	mounted, err := core.Mount(renv, cfg, state)
 	if err != nil {
 		panic(err)

@@ -205,7 +205,7 @@ func (ch *Channel) encodeCheckpointPayload() []byte {
 	for lbn := range ch.meta {
 		complete := true
 		for i := range ch.planes {
-			if _, ok := ch.planes[i].mapping[lbn]; !ok {
+			if _, ok := ch.planes[i].lookup(lbn); !ok {
 				complete = false
 				break
 			}

@@ -112,8 +112,21 @@ func DefaultConfig() Config {
 type planeState struct {
 	plane   *nand.Plane
 	chip    int
-	free    wearHeap    // unmapped physical blocks, min-erase-count first
-	mapping map[int]int // logical block -> physical block
+	free    wearHeap // unmapped physical blocks, min-erase-count first
+	mapping []int    // logical block -> physical block, or unmapped
+}
+
+// unmapped marks a logical block with no physical block on a plane.
+const unmapped = -1
+
+// lookup returns the physical block lbn maps to on this plane and
+// whether it is mapped; an out-of-range lbn is not.
+func (ps *planeState) lookup(lbn int) (int, bool) {
+	if uint(lbn) >= uint(len(ps.mapping)) {
+		return unmapped, false
+	}
+	phys := ps.mapping[lbn]
+	return phys, phys != unmapped
 }
 
 // wearHeap orders physical block indices by erase count (then index,
@@ -257,10 +270,14 @@ func (ch *Channel) addChip(chip *nand.Chip) {
 	e.run = e.erase
 	ch.erasers = append(ch.erasers, e)
 	for pl := 0; pl < chip.Planes(); pl++ {
+		mapping := make([]int, ch.LogicalBlocks())
+		for lbn := range mapping {
+			mapping[lbn] = unmapped
+		}
 		ch.planes = append(ch.planes, planeState{
 			plane:   chip.Plane(pl),
 			chip:    len(ch.chips),
-			mapping: make(map[int]int),
+			mapping: mapping,
 		})
 		ps := &ch.planes[len(ch.planes)-1]
 		ps.free.plane = ps.plane
@@ -520,9 +537,9 @@ func (ch *Channel) eraseLocked(p *sim.Proc, lbn int) error {
 	// Recycle old mappings first so they are candidates again.
 	for i := range ch.planes {
 		ps := &ch.planes[i]
-		if old, ok := ps.mapping[lbn]; ok {
+		if old, ok := ps.lookup(lbn); ok {
 			heap.Push(&ps.free, old)
-			delete(ps.mapping, lbn)
+			ps.mapping[lbn] = unmapped
 		}
 	}
 	delete(ch.meta, lbn) // the block's previous identity is gone
@@ -562,9 +579,9 @@ func (ch *Channel) eraseLocked(p *sim.Proc, lbn int) error {
 func (ch *Channel) unwindErase(lbn int) {
 	for i := range ch.planes {
 		ps := &ch.planes[i]
-		if phys, ok := ps.mapping[lbn]; ok {
+		if phys, ok := ps.lookup(lbn); ok {
 			heap.Push(&ps.free, phys)
-			delete(ps.mapping, lbn)
+			ps.mapping[lbn] = unmapped
 		}
 	}
 }
@@ -645,7 +662,7 @@ func (ch *Channel) write(p *sim.Proc, lbn int, data []byte, tag *WriteID, erase 
 func (ch *Channel) writeLocked(p *sim.Proc, lbn int, data []byte, tag *WriteID) error {
 	for i := range ch.planes {
 		ps := &ch.planes[i]
-		phys, ok := ps.mapping[lbn]
+		phys, ok := ps.lookup(lbn)
 		if !ok || ps.plane.WritePtr(phys) != 0 {
 			return fmt.Errorf("%w: logical block %d, plane %d", ErrNotErased, lbn, i)
 		}
@@ -737,7 +754,7 @@ func (ch *Channel) ReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error) {
 		pi, within := (off+done)/stripe, (off+done)%stripe
 		first, k := within/pageSize, min(size-done, stripe-within)/pageSize
 		ps := &ch.planes[pi]
-		phys, ok := ps.mapping[lbn]
+		phys, ok := ps.lookup(lbn)
 		if !ok {
 			err = fmt.Errorf("%w: logical block %d never written", ErrBadAddress, lbn)
 			break
@@ -944,7 +961,7 @@ func (ch *Channel) LBNWear(lbn int) (int, bool) {
 	total, n := 0, 0
 	for i := range ch.planes {
 		ps := &ch.planes[i]
-		phys, ok := ps.mapping[lbn]
+		phys, ok := ps.lookup(lbn)
 		if !ok {
 			continue
 		}

@@ -515,7 +515,7 @@ func cutRun(t *testing.T, cfg Config, data []byte, cut time.Duration, ref bool) 
 	images := make([]planeImage, len(ch.planes))
 	for k := range ch.planes {
 		ps := &ch.planes[k]
-		phys, ok := ps.mapping[0]
+		phys, ok := ps.lookup(0)
 		if !ok {
 			images[k].writePtr = -2 // the erase never mapped a block
 			continue

@@ -64,7 +64,7 @@ func (ch *Channel) refEraseWrite(p *sim.Proc, lbn int, data []byte, tag *WriteID
 func (ch *Channel) refWriteLocked(p *sim.Proc, lbn int, data []byte, tag *WriteID) error {
 	for i := range ch.planes {
 		ps := &ch.planes[i]
-		phys, ok := ps.mapping[lbn]
+		phys, ok := ps.lookup(lbn)
 		if !ok || ps.plane.WritePtr(phys) != 0 {
 			return fmt.Errorf("%w: logical block %d, plane %d", ErrNotErased, lbn, i)
 		}
@@ -179,7 +179,7 @@ func (ch *Channel) refReadAt(p *sim.Proc, lbn int, off, size int) ([]byte, error
 		pg := within / pageSize
 		ps := &ch.planes[pi]
 		if pi != lastPi {
-			phys, ok := ps.mapping[lbn]
+			phys, ok := ps.lookup(lbn)
 			if !ok {
 				return nil, fmt.Errorf("%w: logical block %d never written", ErrBadAddress, lbn)
 			}

@@ -475,7 +475,7 @@ func (ch *Channel) Recover(p *sim.Proc) (RecoveryReport, error) {
 		ps := &ch.planes[pi]
 		mapped := make(map[int]bool, len(ps.mapping))
 		for lbn := 0; lbn < ch.LogicalBlocks(); lbn++ {
-			if phys, ok := ps.mapping[lbn]; ok {
+			if phys, ok := ps.lookup(lbn); ok {
 				mapped[phys] = true
 			}
 		}
@@ -561,7 +561,7 @@ func (ch *Channel) SeedRecoverable(lbn int, id WriteID) error {
 	rec := ch.newOOB(lbn, m, false)
 	for i := range ch.planes {
 		ps := &ch.planes[i]
-		if _, ok := ps.mapping[lbn]; ok {
+		if _, ok := ps.lookup(lbn); ok {
 			return fmt.Errorf("flashchan: logical block %d already seeded", lbn)
 		}
 		if ps.free.Len() == 0 {

@@ -93,13 +93,10 @@ func MLC25nm() Params {
 // BlockBytes returns the erase-block size in bytes.
 func (p Params) BlockBytes() int { return p.PageSize * p.PagesPerBlock }
 
-// PlaneBytes returns one plane's capacity in bytes.
-func (p Params) PlaneBytes() int64 {
-	return int64(p.BlockBytes()) * int64(p.BlocksPerPlane)
-}
-
 // ChipBytes returns the chip's raw capacity in bytes.
-func (p Params) ChipBytes() int64 { return p.PlaneBytes() * int64(p.Planes) }
+func (p Params) ChipBytes() int64 {
+	return int64(p.BlockBytes()) * int64(p.BlocksPerPlane) * int64(p.Planes)
+}
 
 // block is the per-erase-block state.
 type block struct {

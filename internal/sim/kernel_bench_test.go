@@ -370,6 +370,17 @@ func TestKernelFastPathAllocs(t *testing.T) {
 		// A callback handle woken through a signal, round after round:
 		// the wake is a grant entry, and the handle's record is reused.
 		{"handle-wake", 0, func(env *Env) { handleWakes(env, 100000) }},
+		// An op span on an untraced env, as core, blocklayer and ssd
+		// open one per request: BeginOp and its closer cost nothing.
+		{"untraced-begin-op", 0, func(env *Env) {
+			env.Go("worker", func(p *Proc) {
+				for i := 0; i < 100000; i++ {
+					end := p.BeginOp("op")
+					p.Wait(time.Microsecond)
+					end()
+				}
+			})
+		}},
 		// Three handles on one signal, re-armed every round: enrolling
 		// more than one waiter must not allocate.
 		{"signal-fan-in", 0, func(env *Env) { fanIn(env, 50000) }},

@@ -521,6 +521,25 @@ func (p *Proc) SetSpan(s trace.SpanID) { p.span = s }
 // Span returns the process's current trace span (0 if none).
 func (p *Proc) Span() trace.SpanID { return p.span }
 
+// BeginOp opens the root span of one operation under the process's
+// current span and reparents p under it, so every instrumented layer
+// below attributes to it. The returned func restores p's span and
+// closes the op; call it when the operation completes (error paths
+// included). Without a tracer it does nothing.
+func (p *Proc) BeginOp(name string) (end func()) {
+	t := p.env.tracer
+	if t == nil {
+		return func() {} // captures nothing, so it is static: no allocation
+	}
+	prev := p.span
+	op := t.Begin(p.env.Now(), prev, name, trace.PhaseOp)
+	p.span = op
+	return func() {
+		p.span = prev
+		t.End(p.env.Now(), op)
+	}
+}
+
 // Go spawns a new process. The process starts at the current virtual
 // time (after already-scheduled events at that time). Go may be called
 // before Run or from inside another process. It panics on a closed Env,

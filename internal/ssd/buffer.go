@@ -21,7 +21,7 @@ type writeBuffer struct {
 	refs     map[int64]bool
 	queue    *sim.Queue[int64]
 	used     int
-	space    *sim.Signal
+	space    sim.Signal // re-armed after each Fire
 	inflight *sim.Resource
 }
 
@@ -44,7 +44,6 @@ func newWriteBuffer(s *SSD, capPages int) *writeBuffer {
 		capPages: capPages,
 		refs:     make(map[int64]bool),
 		queue:    sim.NewQueue[int64](s.env),
-		space:    new(sim.Signal),
 		inflight: sim.NewResource(s.env, inflight),
 	}
 }
@@ -64,7 +63,7 @@ func (b *writeBuffer) insert(p *sim.Proc, lpn int64) {
 		env := b.s.env
 		span := env.Tracer().Begin(env.Now(), p.Span(), "buffer-full", trace.PhaseQueue)
 		for b.used >= b.capPages {
-			p.Await(b.space)
+			p.Await(&b.space)
 		}
 		env.Tracer().End(env.Now(), span)
 	}
@@ -87,7 +86,7 @@ func (b *writeBuffer) flushLoop(p *sim.Proc) {
 			delete(b.refs, lpn)
 			b.used--
 			b.space.Fire()
-			b.space = new(sim.Signal)
+			b.space = sim.Signal{}
 			b.inflight.Release()
 		})
 	}

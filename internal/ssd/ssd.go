@@ -48,8 +48,8 @@ type planeFTL struct {
 	valid    []int32   // valid pages per block
 	writeMu  *sim.Resource
 	gcMu     *sim.Resource // serializes GC and static-WL moves
-	gcKick   *sim.Signal
-	space    *sim.Signal
+	gcKick   sim.Signal    // re-armed by gcLoop once it has run
+	space    sim.Signal    // re-armed after each Fire
 }
 
 // channel groups the planes behind one flash bus.
@@ -131,8 +131,6 @@ func New(env *sim.Env, prof Profile) (*SSD, error) {
 					gcOpen:   -1,
 					writeMu:  sim.NewResource(env, 1),
 					gcMu:     sim.NewResource(env, 1),
-					gcKick:   new(sim.Signal),
-					space:    new(sim.Signal),
 				}
 				nb := pf.plane.Blocks()
 				pf.rev = make([][]int64, nb)
@@ -197,22 +195,6 @@ func New(env *sim.Env, prof Profile) (*SSD, error) {
 	return s, nil
 }
 
-// beginOp opens the root span of one host request and reparents p
-// under it. The returned func closes the span.
-func (s *SSD) beginOp(p *sim.Proc, name string) func() {
-	t := s.env.Tracer()
-	if t == nil {
-		return func() {}
-	}
-	prev := p.Span()
-	op := t.Begin(s.env.Now(), prev, name, trace.PhaseOp)
-	p.SetSpan(op)
-	return func() {
-		p.SetSpan(prev)
-		t.End(s.env.Now(), op)
-	}
-}
-
 // PageSize returns the flash page size in bytes.
 func (s *SSD) PageSize() int { return s.prof.Nand.PageSize }
 
@@ -243,7 +225,7 @@ func (s *SSD) Read(p *sim.Proc, off, size int64) error {
 	if err := s.checkRange(off, size); err != nil {
 		return err
 	}
-	end := s.beginOp(p, "ssd/read")
+	end := p.BeginOp("ssd/read")
 	defer end()
 	s.stack.Submit(p)
 	s.ctrl.Use(p, func() { p.Wait(s.prof.ReqProc) })
@@ -334,7 +316,7 @@ func (s *SSD) Write(p *sim.Proc, off, size int64) error {
 	if err := s.checkRange(off, size); err != nil {
 		return err
 	}
-	end := s.beginOp(p, "ssd/write")
+	end := p.BeginOp("ssd/write")
 	defer end()
 	s.stack.Submit(p)
 	t := s.env.Tracer()
@@ -501,7 +483,7 @@ func (pf *planeFTL) allocHost(p *sim.Proc) (block, page int) {
 			span := env.Tracer().Begin(env.Now(), p.Span(), "gc-stall", trace.PhaseQueue)
 			for len(pf.free) <= prof.GCReserve {
 				pf.kickGC()
-				p.Await(pf.space)
+				p.Await(&pf.space)
 			}
 			env.Tracer().End(env.Now(), span)
 		}
@@ -551,7 +533,7 @@ func (pf *planeFTL) kickGC() {
 
 func (pf *planeFTL) signalSpace() {
 	pf.space.Fire()
-	pf.space = new(sim.Signal)
+	pf.space = sim.Signal{}
 }
 
 // gcLoop is the plane's background garbage collector: when the free
@@ -562,9 +544,9 @@ func (pf *planeFTL) gcLoop(p *sim.Proc) {
 	prof := &pf.ssd.prof
 	for {
 		if !pf.gcKick.Fired() {
-			p.Await(pf.gcKick)
+			p.Await(&pf.gcKick)
 		}
-		pf.gcKick = new(sim.Signal)
+		pf.gcKick = sim.Signal{}
 		for len(pf.free) <= prof.GCLowWater {
 			if pf.ssd.channelDegraded(pf.ch) {
 				break // dead channel: its flash is unreachable, GC parks
