@@ -121,8 +121,8 @@ func TestTraceSummarize(t *testing.T) {
 	wantRows(t, stdout,
 		"9 events, 2 span groups",
 		"device phase span count total mean p50 p99 max cv",
-		"sdf op sdf/read 2 4.00ms 2.00ms 1.00ms 1.00ms 3.00ms 0.50",
-		"sdf flash nand/read 2 2.00ms 1.00ms 500.00µs 500.00µs 1.50ms 0.50")
+		"sdf op sdf/read 2 4.00ms 2.00ms 1.00ms 3.00ms 3.00ms 0.50",
+		"sdf flash nand/read 2 2.00ms 1.00ms 500.00µs 1.50ms 1.50ms 0.50")
 }
 
 // TestReadersRejectMalformedInput feeds each reader a file its parser

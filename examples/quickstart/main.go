@@ -79,7 +79,6 @@ func main() {
 		start = env.Now()
 		var workers []*sim.Proc
 		for ch := 0; ch < dev.Channels(); ch++ {
-			ch := ch
 			w := env.Go("writer", func(wp *sim.Proc) {
 				if err := dev.EraseWrite(wp, ch, 1, payload); err != nil {
 					log.Fatal(err)

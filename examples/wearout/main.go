@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("channel: %d logical blocks of %d KiB, BCH t=%d per %d B sector\n",
-		ch.LogicalBlocks(), ch.BlockSize()>>10, cfg.ECCT, cfg.ECCSector)
+		ch.LogicalBlocks(), ch.BlockSize()>>10, flashchan.ECCT, flashchan.ECCSector)
 
 	main := env.Go("wearout", func(p *sim.Proc) {
 		payload := make([]byte, ch.BlockSize())

@@ -212,7 +212,6 @@ func (l *Layer) startErasers() {
 		return
 	}
 	for c, cs := range l.chans {
-		c := c
 		l.env.Go(fmt.Sprintf("blocklayer/eraser.%d", c), func(p *sim.Proc) {
 			l.eraseLoop(p, c)
 		})
@@ -438,12 +437,6 @@ func (l *Layer) Read(p *sim.Proc, id BlockID, off, size int) ([]byte, error) {
 // Addressing and state errors are permanent.
 func retryable(err error) bool {
 	return errors.Is(err, flashchan.ErrUncorrectable) || errors.Is(err, flashchan.ErrChannelDead)
-}
-
-// Lookup returns the handle for id.
-func (l *Layer) Lookup(id BlockID) (Handle, bool) {
-	h, ok := l.blocks[id]
-	return h, ok
 }
 
 // IDs returns every live block ID in ascending order.

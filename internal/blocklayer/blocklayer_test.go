@@ -229,7 +229,7 @@ func TestLookup(t *testing.T) {
 	d := smallDevice(t, env, false)
 	l := New(env, d, DefaultConfig())
 	w := env.Go("t", func(p *sim.Proc) {
-		if _, ok := l.Lookup(5); ok {
+		if _, ok := l.blocks[5]; ok {
 			t.Error("lookup of unwritten ID succeeded")
 		}
 		h, err := l.Write(p, 5, nil)
@@ -237,9 +237,9 @@ func TestLookup(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, ok := l.Lookup(5)
+		got, ok := l.blocks[5]
 		if !ok || got != h {
-			t.Errorf("Lookup = %v/%v, want %v", got, ok, h)
+			t.Errorf("blocks[5] = %v/%v, want %v", got, ok, h)
 		}
 	})
 	env.RunUntilDone(w)

@@ -102,7 +102,7 @@ func TestMountRecoversTaggedBlocks(t *testing.T) {
 				t.Errorf("id %d read wrong bytes after remount", id)
 			}
 		}
-		if _, ok := l2.Lookup(3); ok {
+		if _, ok := l2.blocks[3]; ok {
 			t.Error("torn write came back addressable")
 		}
 		// The layer must keep serving: a fresh write past the

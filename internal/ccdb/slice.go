@@ -241,9 +241,6 @@ func (s *Slice) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 	}, labels...)
 }
 
-// MemBytes returns the bytes buffered in the container.
-func (s *Slice) MemBytes() int { return s.memUsed }
-
 // Compacting reports whether a merge is running or due.
 func (s *Slice) Compacting() bool {
 	return s.compactBusy || s.overfullTier() >= 0
@@ -472,29 +469,6 @@ func (s *Slice) retire(p *sim.Proc, pt *patch) {
 		_ = s.store.Free(p, pt.ref)
 		s.stats.PatchesFreed++
 	}
-}
-
-// Keys returns the number of distinct keys visible (memtable plus all
-// patches; duplicates across runs counted once). It is an O(n) DRAM
-// walk for tests and tooling.
-func (s *Slice) Keys() int {
-	seen := make(map[string]bool)
-	for _, e := range s.mem {
-		seen[e.Key] = true
-	}
-	for _, e := range s.flushing {
-		seen[e.Key] = true
-	}
-	for _, tier := range s.tiers {
-		for _, r := range tier {
-			for _, pt := range r {
-				for _, k := range pt.keys {
-					seen[k] = true
-				}
-			}
-		}
-	}
-	return len(seen)
 }
 
 // Scan reads every live patch in full using the given number of

@@ -353,7 +353,6 @@ func (g *Group) RestartNode(name string) bool {
 		if node.Name != name || node.alive {
 			continue
 		}
-		node := node
 		if node.lostPower && node.replica != nil {
 			g.env.Go("cluster/remount", func(p *sim.Proc) {
 				t := g.env.Tracer()

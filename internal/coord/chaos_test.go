@@ -85,12 +85,12 @@ func TestNoOverlapUnderSeededChaos(t *testing.T) {
 					myEpoch := epoch[i]
 					if forced {
 						forcedTotal++
-					} else if members[i].Live() {
+					} else if members[i].live {
 						granted[i]++
 						grantedTotal++
 						counted = true
 						for j := 0; j < n; j++ {
-							if j != i && granted[j] > 0 && members[j].Live() {
+							if j != i && granted[j] > 0 && members[j].live {
 								violations++
 							}
 						}
@@ -112,7 +112,7 @@ func TestNoOverlapUnderSeededChaos(t *testing.T) {
 		at := time.Duration(crng.Intn(80)) * time.Millisecond
 		d := time.Duration(1+crng.Intn(5)) * time.Millisecond
 		env.Schedule(at, func() {
-			if members[k].Live() {
+			if members[k].live {
 				members[k].SetLive(false)
 				epoch[k]++
 				granted[k] = 0

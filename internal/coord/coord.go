@@ -195,18 +195,12 @@ type Member struct {
 	span      trace.SpanID
 }
 
-// Name returns the member's registration name.
-func (m *Member) Name() string { return m.name }
-
 // InWindow reports whether the replica is currently inside an erase
 // window — granted or forced. Read routing deprioritizes members for
 // which this is true.
 func (m *Member) InWindow() bool {
 	return (m.c.holder == m.idx) || m.forced > 0
 }
-
-// Live reports the liveness the coordinator believes.
-func (m *Member) Live() bool { return m.live }
 
 // SetLive updates the member's liveness. A dead member's open window
 // is closed (its in-flight erases will fail on the dead engine

@@ -55,7 +55,7 @@ func measure(t *testing.T, cfg Config, warmup, deadline time.Duration, fn func(p
 	if err != nil {
 		t.Fatal(err)
 	}
-	meter := metrics.NewMeter(warmup)
+	var moved int64 // bytes of requests issued at or after warmup
 	for ch := 0; ch < d.Channels(); ch++ {
 		ch := ch
 		env.Go("worker", func(p *sim.Proc) {
@@ -67,13 +67,13 @@ func measure(t *testing.T, cfg Config, warmup, deadline time.Duration, fn func(p
 				start := env.Now()
 				n := fn(p, d, ch)
 				if start >= warmup {
-					meter.Add(int64(n))
+					moved += int64(n)
 				}
 			}
 		})
 	}
 	env.Run()
-	rate := meter.Rate(deadline) / 1e9
+	rate := float64(moved) / (deadline - warmup).Seconds() / 1e9
 	env.Close()
 	return rate
 }
@@ -145,7 +145,7 @@ func TestChannelScalingFigure7(t *testing.T) {
 		}
 		const warmup = 500 * time.Millisecond
 		deadline := 4 * time.Second
-		meter := metrics.NewMeter(warmup)
+		var moved int64 // bytes of requests issued at or after warmup
 		for ch := 0; ch < n; ch++ {
 			ch := ch
 			env.Go("worker", func(p *sim.Proc) {
@@ -160,13 +160,13 @@ func TestChannelScalingFigure7(t *testing.T) {
 						return
 					}
 					if start >= warmup {
-						meter.Add(int64(d.BlockSize()))
+						moved += int64(d.BlockSize())
 					}
 				}
 			})
 		}
 		env.Run()
-		read[n] = meter.Rate(deadline) / 1e9
+		read[n] = float64(moved) / (deadline - warmup).Seconds() / 1e9
 		env.Close()
 	}
 	// 4 channels: ~4 x 37 MB/s = ~0.15 GB/s; linear region.

@@ -163,7 +163,6 @@ func AblationSDFOverProvision(opts Options) Table {
 		deadline := opts.scale(3 * time.Second)
 		m := newMeterCtx(env, warmup, deadline)
 		for ch := 0; ch < dev.Channels(); ch++ {
-			ch := ch
 			lbn := 0
 			m.loop("writer", func(p *sim.Proc) int {
 				if err := dev.EraseWrite(p, ch, lbn, nil); err != nil {
@@ -209,7 +208,6 @@ func AblationInterruptMerging(opts Options) Table {
 		rng := rand.New(rand.NewSource(3))
 		pages := dev.BlockSize() / dev.PageSize()
 		for ch := 0; ch < dev.Channels(); ch++ {
-			ch := ch
 			wrote := false
 			m.loop("reader", func(p *sim.Proc) int {
 				if !wrote {

@@ -35,7 +35,6 @@ func FutureWorkActiveScan(opts Options) Table {
 		rng := rand.New(rand.NewSource(23))
 		pages := dev.BlockSize() / dev.PageSize()
 		for ch := 0; ch < dev.Channels(); ch++ {
-			ch := ch
 			// Setup plus foreground reader.
 			wrote := false
 			fg.loop("fg", func(p *sim.Proc) int {

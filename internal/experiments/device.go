@@ -171,7 +171,6 @@ func EraseThroughput(opts Options) Table {
 	deadline := opts.scale(2 * time.Second)
 	m := newMeterCtx(env, 0, deadline)
 	for ch := 0; ch < dev.Channels(); ch++ {
-		ch := ch
 		lbn := 0
 		m.loop("eraser", func(p *sim.Proc) int {
 			if err := dev.Erase(p, ch, lbn); err != nil {

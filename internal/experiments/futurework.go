@@ -42,10 +42,8 @@ func FutureWorkReadPriority(opts Options) Table {
 		var written int64
 		rng := rand.New(rand.NewSource(12))
 		for ch := 0; ch < dev.Channels(); ch++ {
-			ch := ch
 			// Two write streams per channel keep the queue non-empty.
 			for wtr := 0; wtr < 2; wtr++ {
-				wtr := wtr
 				env.Go("writer", func(p *sim.Proc) {
 					lbn := wtr * (dev.BlocksPerChannel() / 2)
 					for env.Now() < deadline {

@@ -124,7 +124,6 @@ func kvReadRate(opts Options, kind deviceKind, nSlices, batch, valueSize int) fl
 	deadline := start + opts.scale(2500*time.Millisecond)
 	m := newMeterCtx(env, warmup, deadline)
 	for i, slice := range node.slices {
-		slice := slice
 		keys := node.keys[i]
 		client := net.NewClient()
 		m.loop("client", func(p *sim.Proc) int {
@@ -252,7 +251,6 @@ func scanRate(opts Options, kind deviceKind, nSlices, patchesPerSlice int) float
 	var total int64
 	var workers []*sim.Proc
 	for _, slice := range node.slices {
-		slice := slice
 		w := env.Go("scanner", func(p *sim.Proc) {
 			n, err := slice.Scan(p, 6)
 			if err != nil {
@@ -312,8 +310,6 @@ func writeCompactionRates(opts Options, kind deviceKind, nSlices int) (write, re
 	warmup := opts.scale(2 * time.Second)
 	deadline := opts.scale(6 * time.Second)
 	for i, slice := range node.slices {
-		slice := slice
-		i := i
 		client := net.NewClient()
 		seq := 0
 		env.Go("writer", func(p *sim.Proc) {

@@ -24,7 +24,6 @@ func sdfThroughput(opts Options, reqSize int) float64 {
 	m := newMeterCtx(env, warmup, deadline)
 	rng := rand.New(rand.NewSource(7))
 	for ch := 0; ch < dev.Channels(); ch++ {
-		ch := ch
 		lbn := 0
 		wrote := false
 		m.loop("worker", func(p *sim.Proc) int {
@@ -174,7 +173,6 @@ func figure7Point(opts Options, channels int, write bool) float64 {
 	deadline := opts.scale(3 * time.Second)
 	m := newMeterCtx(env, warmup, deadline)
 	for ch := 0; ch < channels; ch++ {
-		ch := ch
 		lbn := 0
 		wrote := false
 		m.loop("worker", func(p *sim.Proc) int {
@@ -257,7 +255,6 @@ func Figure8(opts Options) Table {
 		perCh := (count + dev.Channels() - 1) / dev.Channels()
 		var writers []*sim.Proc
 		for ch := 0; ch < dev.Channels(); ch++ {
-			ch := ch
 			w := env.Go("writer", func(p *sim.Proc) {
 				for i := 0; i < perCh; i++ {
 					start := env.Now()

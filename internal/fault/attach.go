@@ -98,7 +98,6 @@ func AttachSSD(inj *Injector, name string, dev *ssd.SSD) {
 // remounted card, not the dead one.
 func AttachGroup(inj *Injector, g *cluster.Group) {
 	for _, node := range g.Nodes() {
-		node := node
 		inj.Register(node.Name, func(in Injection) func() {
 			switch in.Kind {
 			case NodeCrash:

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -30,8 +32,12 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	data, err := json.MarshalIndent(pl, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := pl.Save(path); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(path)

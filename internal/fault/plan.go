@@ -235,15 +235,6 @@ func Load(path string) (*Plan, error) {
 	return Parse(data)
 }
 
-// Save writes the plan as indented JSON.
-func (pl *Plan) Save(path string) error {
-	data, err := json.MarshalIndent(pl, "", "  ")
-	if err != nil {
-		return fmt.Errorf("fault: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // String renders the plan as an aligned human-readable schedule.
 func (pl *Plan) String() string {
 	var b strings.Builder

@@ -67,12 +67,9 @@ type Config struct {
 	// completes first.
 	PrioritizeReads bool
 
-	// ECC enables the real BCH codec on the data path (requires
-	// Nand.RetainData). ECCSector, ECCM and ECCT configure it.
-	ECC       bool
-	ECCSector int
-	ECCM      int
-	ECCT      int
+	// ECC enables the real BCH codec (ECCSector, ECCM, ECCT) on the
+	// data path; it requires Nand.RetainData.
+	ECC bool
 
 	// VerifyCRC checks each page read against the payload CRC the
 	// write path stored in the page's out-of-band area, after ECC
@@ -102,11 +99,16 @@ func DefaultConfig() Config {
 		BusRate:       40e6,
 		BusOverhead:   10 * time.Microsecond,
 		SparePerPlane: 16,
-		ECCSector:     512,
-		ECCM:          13,
-		ECCT:          8,
 	}
 }
+
+// The channel's BCH code: t = 8 bit errors corrected per 512 B sector
+// over GF(2^13), 104 parity bits per sector.
+const (
+	ECCSector = 512
+	ECCM      = 13
+	ECCT      = 8
+)
 
 // planeState is the channel engine's per-plane FTL state.
 type planeState struct {
@@ -254,7 +256,7 @@ func newChannel(env *sim.Env, cfg Config) (*Channel, error) {
 	}
 	ch.SetLabel("chan")
 	if cfg.ECC {
-		code, err := bch.New(cfg.ECCM, cfg.ECCT, cfg.ECCSector)
+		code, err := bch.New(ECCM, ECCT, ECCSector)
 		if err != nil {
 			return nil, err
 		}
@@ -331,9 +333,6 @@ func (ch *Channel) transferAt(at time.Duration, n int, parent trace.SpanID) time
 
 // PageSize returns the read unit in bytes (8 KB).
 func (ch *Channel) PageSize() int { return ch.cfg.Nand.PageSize }
-
-// Planes returns the number of flash planes on the channel.
-func (ch *Channel) Planes() int { return len(ch.planes) }
 
 // BlockSize returns the write/erase unit in bytes: one erase block per
 // plane (8 MB on the SDF card).
@@ -863,7 +862,7 @@ func (ch *Channel) sensePage(pi, phys, pg int, dst []byte) error {
 // storeParity computes and records BCH parity for each ECC sector of a
 // freshly programmed page (modelling the out-of-band area).
 func (ch *Channel) storeParity(pi, phys, pg int, payload []byte) {
-	sector := ch.cfg.ECCSector
+	sector := ECCSector
 	n := len(payload) / sector
 	parities := make([][]byte, n)
 	for s := 0; s < n; s++ {
@@ -879,7 +878,7 @@ func (ch *Channel) correct(pi, phys, pg int, data []byte) error {
 	if !ok {
 		return nil // written without ECC (timing-only payloads)
 	}
-	sector := ch.cfg.ECCSector
+	sector := ECCSector
 	for s := 0; s < len(parities); s++ {
 		par := append([]byte(nil), parities[s]...)
 		n, err := ch.code.Decode(data[s*sector:(s+1)*sector], par)

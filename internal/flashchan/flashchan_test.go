@@ -592,7 +592,7 @@ func TestReadStepBudget(t *testing.T) {
 			if _, err := ch.ReadAt(p, 0, 0, ch.BlockSize()); err != nil {
 				t.Fatal(err)
 			}
-			if walked, runs := ch.walked-before, ch.Planes(); walked > 4*runs {
+			if walked, runs := ch.walked-before, len(ch.planes); walked > 4*runs {
 				t.Errorf("8 MB read %d: %d pages walked over %d plane runs, budget %d per run", i, walked, runs, 4)
 			}
 		}

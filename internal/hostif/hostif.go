@@ -22,7 +22,6 @@ import (
 // duplex with DMA interleaving (fair sharing); SATA is a single
 // half-duplex serialized link.
 type Interface struct {
-	name string
 	// read moves device-to-host traffic, write host-to-device. For
 	// half-duplex interfaces both point at the same underlying link.
 	read  transferrer
@@ -46,11 +45,7 @@ func PCIe11x8(env *sim.Env) *Interface {
 	read.SetName("pcie/to-host")
 	write := sim.NewSharedLink(env, 1.40e9)
 	write.SetName("pcie/to-device")
-	return &Interface{
-		name:  "PCIe 1.1 x8",
-		read:  read,
-		write: write,
-	}
+	return &Interface{read: read, write: write}
 }
 
 // SATA2 returns a SATA 2.0 interface: 300 MB/s nominal, ~270 MB/s
@@ -58,11 +53,8 @@ func PCIe11x8(env *sim.Env) *Interface {
 func SATA2(env *sim.Env) *Interface {
 	l := sim.NewLink(env, 270e6, 2*time.Microsecond)
 	l.SetName("sata")
-	return &Interface{name: "SATA 2.0", read: l, write: l}
+	return &Interface{read: l, write: l}
 }
-
-// Name returns a human-readable interface name.
-func (i *Interface) Name() string { return i.name }
 
 // ToHost moves n bytes from the device to host memory.
 func (i *Interface) ToHost(p *sim.Proc, n int) { i.read.Transfer(p, n) }

@@ -105,7 +105,7 @@ func TestPerAnalyzerFindings(t *testing.T) {
 		// former inlinepark rule reported; parkpath reports them now.
 		{"inlinepark", "./internal/parkuse", 6, "parkpath"},
 		{"parkpath", "./internal/parktrans", 3, ""},
-		{"spanleak", "./internal/spanuse", 3, ""},
+		{"spanleak", "./internal/spanuse", 5, ""},
 		{"errdrop", "./internal/erruse", 5, ""},
 		{"selectnondet", "./internal/seluse", 2, ""},
 		{"stalesuppress", "./internal/staleuse", 2, ""},

@@ -106,3 +106,55 @@ func Waived(c *trace.Collector, fail bool) {
 	}
 	c.End(1, span)
 }
+
+// BadSwitchReturn leaks the span on the case that returns early; each
+// case is judged from the state before the switch.
+func BadSwitchReturn(c *trace.Collector, n int) error {
+	span := c.Begin(0, 0, "op", trace.PhaseFlash) // want(spanleak)
+	switch n {
+	case 0:
+		return errBoom
+	case 1:
+		c.End(1, span)
+		return nil
+	}
+	c.End(2, span)
+	return nil
+}
+
+// BadSwitchFallThrough leaves the span open on a case that falls out
+// of the switch: a default does not cover the fall-through unless
+// every branch ends the span.
+func BadSwitchFallThrough(c *trace.Collector, n int) {
+	span := c.Begin(0, 0, "op", trace.PhaseFlash) // want(spanleak)
+	switch n {
+	case 0:
+	default:
+		c.End(1, span)
+	}
+}
+
+// GoodSwitchDefault ends the span on every branch of a switch with a
+// default, so falling out of the switch leaves nothing open.
+func GoodSwitchDefault(c *trace.Collector, n int) {
+	span := c.Begin(0, 0, "op", trace.PhaseFlash)
+	switch {
+	case n > 0:
+		c.End(1, span)
+	case n < 0:
+		c.End(2, span)
+	default:
+		c.End(3, span)
+	}
+}
+
+// GoodSelectCases ends the span in the select's comm case: a select
+// without a default blocks until a case runs, so that case covers the
+// fall-through.
+func GoodSelectCases(c *trace.Collector, done <-chan struct{}) {
+	span := c.Begin(0, 0, "op", trace.PhaseFlash)
+	select {
+	case <-done:
+		c.End(1, span)
+	}
+}

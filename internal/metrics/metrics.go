@@ -1,6 +1,6 @@
 // Package metrics provides measurement instruments for simulations:
-// latency histograms with logarithmic buckets, throughput meters keyed
-// to virtual time, and raw sample recorders for latency traces.
+// latency histograms with logarithmic buckets and raw sample recorders
+// for latency traces.
 package metrics
 
 import (
@@ -213,40 +213,6 @@ func (s HistogramState) Delta(prev HistogramState) *Histogram {
 		}
 	}
 	return h
-}
-
-// Meter accumulates a byte (or operation) count over virtual time and
-// reports rates.
-type Meter struct {
-	total int64
-	start time.Duration
-}
-
-// NewMeter returns a meter whose window starts at the given virtual time.
-func NewMeter(start time.Duration) *Meter { return &Meter{start: start} }
-
-// Add accumulates n units (bytes, ops).
-func (m *Meter) Add(n int64) { m.total += n }
-
-// Reset zeroes the count and restarts the window at the given time.
-func (m *Meter) Reset(now time.Duration) {
-	m.total = 0
-	m.start = now
-}
-
-// Rate returns units per second over [start, now].
-func (m *Meter) Rate(now time.Duration) float64 {
-	elapsed := (now - m.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.total) / elapsed
-}
-
-// MBps returns the rate in binary megabytes per second, the unit used
-// throughout the SDF paper's evaluation.
-func (m *Meter) MBps(now time.Duration) float64 {
-	return m.Rate(now) / (1 << 20)
 }
 
 // Series records raw samples (for latency traces like the paper's

@@ -150,35 +150,6 @@ func TestHistogramQuantileOutOfRangeQ(t *testing.T) {
 	}
 }
 
-func TestMeterRate(t *testing.T) {
-	m := NewMeter(0)
-	m.Add(100 << 20) // 100 MB
-	if got := m.MBps(time.Second); got != 100 {
-		t.Fatalf("MBps = %v, want 100", got)
-	}
-	if got := m.Rate(0); got != 0 {
-		t.Fatalf("Rate over zero window = %v, want 0", got)
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	m := NewMeter(0)
-	m.Add(1 << 20)
-	m.Reset(time.Second)
-	m.Add(2 << 20)
-	if got := m.MBps(2 * time.Second); got != 2 {
-		t.Fatalf("MBps after reset = %v, want 2", got)
-	}
-}
-
-func TestMeterWindowStart(t *testing.T) {
-	m := NewMeter(5 * time.Second)
-	m.Add(10 << 20)
-	if got := m.MBps(6 * time.Second); got != 10 {
-		t.Fatalf("MBps = %v, want 10", got)
-	}
-}
-
 func TestSeriesStats(t *testing.T) {
 	var s Series
 	for _, v := range []time.Duration{10, 20, 30, 40, 50} {
@@ -227,21 +198,6 @@ func TestSeriesEmpty(t *testing.T) {
 	var s Series
 	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.StdDev() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty series should report zeros")
-	}
-}
-
-func TestMeterRateAtWindowStart(t *testing.T) {
-	// now == start (and now < start) must not divide by zero.
-	m := NewMeter(3 * time.Second)
-	m.Add(1 << 30)
-	if got := m.Rate(3 * time.Second); got != 0 {
-		t.Fatalf("Rate at window start = %v, want 0", got)
-	}
-	if got := m.MBps(3 * time.Second); got != 0 {
-		t.Fatalf("MBps at window start = %v, want 0", got)
-	}
-	if got := m.Rate(2 * time.Second); got != 0 {
-		t.Fatalf("Rate before window start = %v, want 0", got)
 	}
 }
 

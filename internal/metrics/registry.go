@@ -275,14 +275,6 @@ func (r *Registry) Get(id string) *Instrument {
 	return r.byID[id]
 }
 
-// Len returns the number of registered series.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.byID)
-}
-
 // value reduces an instrument to the scalar the sampler records:
 // counters report their running total, gauges their
 // current value, histograms their observation count (the distribution

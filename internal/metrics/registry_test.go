@@ -57,7 +57,7 @@ func TestNilInstrumentFastPaths(t *testing.T) {
 	r.GaugeFunc("f", func() float64 { return 1 })
 	r.RegisterCounter("x", &Counter{})
 	r.Each(func(*Instrument) { t.Fatal("nil registry has instruments") })
-	if r.Len() != 0 || r.Get("x") != nil {
+	if r.Get("x") != nil {
 		t.Fatal("nil registry not empty")
 	}
 }
@@ -154,7 +154,7 @@ func TestSamplerScrapesOnVirtualPeriod(t *testing.T) {
 		}
 	})
 	env.RunUntil(105 * time.Millisecond)
-	pts := s.Series("ops")
+	pts := s.series["ops"]
 	if len(pts) != 10 {
 		t.Fatalf("got %d points, want 10", len(pts))
 	}
@@ -164,7 +164,7 @@ func TestSamplerScrapesOnVirtualPeriod(t *testing.T) {
 	if pts[0].V != 1 || pts[9].V != 10 {
 		t.Fatalf("counter samples %v..%v, want 1..10", pts[0].V, pts[9].V)
 	}
-	gq := s.Series("queue_depth")
+	gq := s.series["queue_depth"]
 	if gq[4].V != 4 {
 		t.Fatalf("gauge func sample %v, want 4", gq[4].V)
 	}
@@ -183,7 +183,7 @@ func TestSamplerWindowKeep(t *testing.T) {
 		}
 	})
 	env.RunUntil(25 * time.Millisecond)
-	pts := s.Series("n")
+	pts := s.series["n"]
 	if len(pts) != 5 {
 		t.Fatalf("windowed store kept %d points, want 5", len(pts))
 	}

@@ -71,10 +71,6 @@ func (s *Sampler) Scrape() {
 	})
 }
 
-// Series returns the recorded points for a series ID (nil if the
-// series was never scraped).
-func (s *Sampler) Series(id string) []Point { return s.series[id] }
-
 // eachSeries visits the recorded series in sorted-ID order.
 func (s *Sampler) eachSeries(fn func(id string, pts []Point)) {
 	ids := make([]string, 0, len(s.series))

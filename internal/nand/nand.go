@@ -65,10 +65,6 @@ type Params struct {
 	BaseBER float64
 	WearBER float64
 
-	// InitialBadPPM is the manufacturing bad-block rate in parts per
-	// million (typical MLC parts ship with up to 2% bad blocks).
-	InitialBadPPM int
-
 	Seed int64
 }
 
@@ -273,9 +269,6 @@ func New(env *sim.Env, params Params) *Chip {
 		for b := range pm.blocks {
 			pm.blocks[b].writePtr = -1
 			pm.blocks[b].endurance = sampleEndurance(params, rng)
-			if params.InitialBadPPM > 0 && rng.Intn(1_000_000) < params.InitialBadPPM {
-				pm.blocks[b].bad = true
-			}
 		}
 		m.planes = append(m.planes, pm)
 	}
@@ -793,17 +786,6 @@ func (pl *Plane) MarkBad(blockIdx int) { pl.m.blocks[blockIdx].bad = true }
 // WritePtr returns the next programmable page index of a block, or -1
 // if the block needs an erase first.
 func (pl *Plane) WritePtr(blockIdx int) int { return pl.m.blocks[blockIdx].writePtr }
-
-// BadBlocks returns the number of bad blocks in the plane.
-func (pl *Plane) BadBlocks() int {
-	n := 0
-	for i := range pl.m.blocks {
-		if pl.m.blocks[i].bad {
-			n++
-		}
-	}
-	return n
-}
 
 // Blocks returns the number of blocks in the plane.
 func (pl *Plane) Blocks() int { return len(pl.m.blocks) }

@@ -352,7 +352,13 @@ func TestMarkBad(t *testing.T) {
 		c := New(env, tinyParams())
 		pl := c.Plane(1)
 		pl.MarkBad(5)
-		if !pl.Bad(5) || pl.BadBlocks() != 1 {
+		bad := 0
+		for i := range pl.m.blocks {
+			if pl.m.blocks[i].bad {
+				bad++
+			}
+		}
+		if !pl.Bad(5) || bad != 1 {
 			t.Fatal("MarkBad did not take effect")
 		}
 		if err := pl.Erase(p, 5); !errors.Is(err, ErrBadBlock) {

@@ -18,7 +18,6 @@ func plParams() Params {
 	p.RetainData = true
 	p.BaseBER = 0
 	p.WearBER = 0
-	p.InitialBadPPM = 0
 	p.Seed = 1
 	return p
 }

@@ -12,10 +12,8 @@
 //	P(sector UCE) = P(Binomial(n, ber) > t)
 //
 // with n the codeword length in bits. The package exposes this
-// per-sector probability, aggregates it to device and fleet scale,
-// and inverts it to answer operational questions: what raw BER (and
-// hence what wear) a fleet can tolerate before uncorrectable errors
-// become routine, and whether the paper's field anecdote — one
+// per-sector probability and aggregates it to device and fleet scale,
+// which answers whether the paper's field anecdote — one
 // uncorrectable error across 2000+ cards in six months (§2.2) — is
 // consistent with healthy flash.
 package reliability
@@ -131,27 +129,6 @@ func (m Model) DeviceUCEPerRead(wear, pageBytes int) float64 {
 func (m Model) FleetUCEs(wear int, readBytesPerDay float64, devices, days int) float64 {
 	sectorsPerDay := readBytesPerDay / float64(m.SectorBytes)
 	return m.SectorUCE(wear) * sectorsPerDay * float64(devices) * float64(days)
-}
-
-// MaxWearFor returns the highest wear at which the expected fleet
-// UCE count stays at or below budget, by bisection over wear.
-func (m Model) MaxWearFor(budget, readBytesPerDay float64, devices, days int) int {
-	if m.EraseLimit <= 0 {
-		return 0
-	}
-	lo, hi := 0, 4*m.EraseLimit
-	if m.FleetUCEs(lo, readBytesPerDay, devices, days) > budget {
-		return 0
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if m.FleetUCEs(mid, readBytesPerDay, devices, days) <= budget {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
 }
 
 // String summarizes the model.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestBERGrowsWithWear(t *testing.T) {
@@ -113,36 +112,6 @@ func TestDeviceUCEPerReadScalesWithSectors(t *testing.T) {
 	// For small p, 16 sectors ~ 16x the probability.
 	if ratio := page / one; ratio < 14 || ratio > 16.1 {
 		t.Fatalf("sector scaling ratio %.2f, want ~16", ratio)
-	}
-}
-
-func TestMaxWearForInvertsFleetUCEs(t *testing.T) {
-	m := SDFModel()
-	budget := 1.0
-	perDay := 1e12
-	wear := m.MaxWearFor(budget, perDay, 2000, 180)
-	if wear <= 0 {
-		t.Fatal("MaxWearFor returned 0 for a sane budget")
-	}
-	at := m.FleetUCEs(wear, perDay, 2000, 180)
-	above := m.FleetUCEs(wear+1, perDay, 2000, 180)
-	if at > budget {
-		t.Fatalf("expectation %.3g at returned wear exceeds budget", at)
-	}
-	if above <= budget {
-		t.Fatalf("wear+1 still within budget (%.3g); not maximal", above)
-	}
-}
-
-func TestMaxWearForProperty(t *testing.T) {
-	m := SDFModel()
-	f := func(budgetSeed uint8) bool {
-		budget := 0.1 + float64(budgetSeed)
-		wear := m.MaxWearFor(budget, 1e12, 1000, 365)
-		return m.FleetUCEs(wear, 1e12, 1000, 365) <= budget
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 

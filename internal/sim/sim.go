@@ -996,15 +996,6 @@ func (r *Resource) AcquirePrio(p *Proc, prio int) {
 	p.park()
 }
 
-// TryAcquire obtains a unit without blocking; it reports success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns one unit. If a process is waiting, the unit transfers
 // directly to the head of the queue.
 func (r *Resource) Release() {
@@ -1021,9 +1012,6 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
 
 // Idle reports whether no units are held and nobody is waiting.
 func (r *Resource) Idle() bool { return r.inUse == 0 && r.waiting == 0 }

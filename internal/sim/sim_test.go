@@ -312,22 +312,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	r := NewResource(e, 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded on full resource")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
@@ -538,8 +522,8 @@ func TestUseReleasesOnReturn(t *testing.T) {
 	r := NewResource(e, 1)
 	e.Go("u", func(p *Proc) {
 		r.Use(p, func() { p.Wait(time.Millisecond) })
-		if r.InUse() != 0 {
-			t.Errorf("InUse = %d after Use, want 0", r.InUse())
+		if r.inUse != 0 {
+			t.Errorf("inUse = %d after Use, want 0", r.inUse)
 		}
 	})
 	e.Run()

@@ -163,7 +163,7 @@ func (s *SSD) WarmFillRandom(frac float64, seed int64) error {
 func (pf *planeFTL) warmFillRandom(lpns []int64, rng *rand.Rand) error {
 	prof := &pf.ssd.prof
 	ppb := prof.Nand.PagesPerBlock
-	keep := prof.GCLowWater + 1
+	keep := gcLowWater + 1
 	use := len(pf.free) - keep
 	if use < 1 {
 		return fmt.Errorf("ssd: plane %d.%d has no blocks to warm-fill", pf.ch, pf.pi)
@@ -248,7 +248,7 @@ func (pf *planeFTL) warmFill(lpns []int64) error {
 	prof := &pf.ssd.prof
 	perBlock := prof.Nand.PagesPerBlock
 	for start := 0; start < len(lpns); start += perBlock {
-		if len(pf.free) <= prof.GCReserve {
+		if len(pf.free) <= gcReserve {
 			return fmt.Errorf("ssd: WarmFill exhausted free blocks on channel %d plane %d", pf.ch, pf.pi)
 		}
 		b := pf.popFree()

@@ -69,11 +69,6 @@ type Profile struct {
 	WritePageProc time.Duration
 	IngestProc    time.Duration
 
-	// GCLowWater starts background GC when a plane's free-block count
-	// drops to it; host allocation stalls at GCReserve.
-	GCLowWater int
-	GCReserve  int
-
 	// StaticWL enables background static wear leveling (conventional
 	// drives have it; SDF deliberately does not; §2.2).
 	StaticWL bool
@@ -83,11 +78,16 @@ type Profile struct {
 
 	Stack hostif.StackParams
 
-	// RetainData stores payloads (functional tests only).
-	RetainData bool
-
 	Seed int64
 }
+
+// Background GC starts when a plane's free-block count drops to
+// gcLowWater; host allocation stalls at gcReserve. Every profile
+// uses these values.
+const (
+	gcLowWater = 3
+	gcReserve  = 1
+)
 
 // Intel320 is the paper's low-end drive: SATA 2.0, 10 channels, 40
 // planes, 300/300 MB/s raw, measured 219/153 MB/s at 20% OP (Table 1).
@@ -111,8 +111,6 @@ func Intel320(overProvision float64) Profile {
 		ReadPageProc:  34 * time.Microsecond,
 		WritePageProc: 48 * time.Microsecond,
 		IngestProc:    2 * time.Microsecond,
-		GCLowWater:    3,
-		GCReserve:     1,
 		StaticWL:      true,
 		Stack:         hostif.KernelStack(),
 	}
@@ -141,8 +139,6 @@ func HuaweiGen3(overProvision float64) Profile {
 		ReadPageProc:  7200 * time.Nanosecond,
 		WritePageProc: 15 * time.Microsecond,
 		IngestProc:    1 * time.Microsecond,
-		GCLowWater:    3,
-		GCReserve:     1,
 		StaticWL:      true,
 		Stack:         hostif.KernelStack(),
 	}
@@ -173,8 +169,6 @@ func HighEnd(overProvision float64) Profile {
 		ReadPageProc:  6300 * time.Nanosecond,
 		WritePageProc: 12 * time.Microsecond,
 		IngestProc:    1 * time.Microsecond,
-		GCLowWater:    3,
-		GCReserve:     1,
 		StaticWL:      true,
 		Stack:         hostif.KernelStack(),
 	}
@@ -187,12 +181,6 @@ func HighEnd(overProvision float64) Profile {
 func (p Profile) ScaleBlocks(n int) Profile {
 	p.Nand.BlocksPerPlane = n
 	return p
-}
-
-// RawBytes returns raw capacity across all channels (including parity
-// channels).
-func (p Profile) RawBytes() int64 {
-	return p.Nand.ChipBytes() * int64(p.Chips) * int64(p.Channels)
 }
 
 // newInterface builds the profile's host link on env.

@@ -172,7 +172,7 @@ func New(env *sim.Env, prof Profile) (*SSD, error) {
 	pagesPerChannel := int64(prof.Nand.PagesPerBlock) * int64(prof.Nand.BlocksPerPlane) *
 		int64(prof.Nand.Planes) * int64(prof.Chips)
 	rawDataPages := pagesPerChannel * int64(len(s.dataCh))
-	reserveBlocks := int64(prof.GCLowWater+3) * int64(len(s.dataCh)) * int64(prof.Nand.Planes*prof.Chips)
+	reserveBlocks := int64(gcLowWater+3) * int64(len(s.dataCh)) * int64(prof.Nand.Planes*prof.Chips)
 	s.logicalPages = int64(math.Floor(float64(rawDataPages)*(1-prof.OverProvision))) -
 		reserveBlocks*int64(prof.Nand.PagesPerBlock)
 	if s.logicalPages < 1 {
@@ -200,10 +200,6 @@ func (s *SSD) PageSize() int { return s.prof.Nand.PageSize }
 
 // Capacity returns the logical (host-visible) capacity in bytes.
 func (s *SSD) Capacity() int64 { return s.logicalPages * int64(s.PageSize()) }
-
-// RawCapacity returns total flash bytes including parity channels and
-// over-provisioned space.
-func (s *SSD) RawCapacity() int64 { return s.prof.RawBytes() }
 
 // placement returns the channel and lpn-independent plane cursor for a
 // logical page: data pages stripe over data channels; parity rows live
@@ -476,19 +472,19 @@ func (pf *planeFTL) allocHost(p *sim.Proc) (block, page int) {
 			}
 			pf.hostOpen = -1
 		}
-		if len(pf.free) <= prof.GCReserve {
+		if len(pf.free) <= gcReserve {
 			// The stall behind garbage collection — the dominant term
 			// of the Gen3's worst-case write latency (Figure 8).
 			env := pf.ssd.env
 			span := env.Tracer().Begin(env.Now(), p.Span(), "gc-stall", trace.PhaseQueue)
-			for len(pf.free) <= prof.GCReserve {
+			for len(pf.free) <= gcReserve {
 				pf.kickGC()
 				p.Await(&pf.space)
 			}
 			env.Tracer().End(env.Now(), span)
 		}
 		b := pf.popFree()
-		if len(pf.free) <= prof.GCLowWater {
+		if len(pf.free) <= gcLowWater {
 			pf.kickGC()
 		}
 		if pf.eraseFresh(p, b) {
@@ -541,13 +537,12 @@ func (pf *planeFTL) signalSpace() {
 // fewest valid pages, moves those pages to the GC-open block, and
 // reclaims the victim.
 func (pf *planeFTL) gcLoop(p *sim.Proc) {
-	prof := &pf.ssd.prof
 	for {
 		if !pf.gcKick.Fired() {
 			p.Await(&pf.gcKick)
 		}
 		pf.gcKick = sim.Signal{}
-		for len(pf.free) <= prof.GCLowWater {
+		for len(pf.free) <= gcLowWater {
 			if pf.ssd.channelDegraded(pf.ch) {
 				break // dead channel: its flash is unreachable, GC parks
 			}

@@ -27,7 +27,7 @@ func seqBandwidth(t *testing.T, prof Profile, write bool, reqSize int64, k int) 
 	}
 	const warmup = 500 * time.Millisecond
 	deadline := 4 * time.Second
-	meter := metrics.NewMeter(warmup)
+	var moved int64 // bytes of requests issued at or after warmup
 	span := s.Capacity() / int64(k) / reqSize * reqSize
 	if span < reqSize {
 		t.Fatalf("device too small for %d workers", k)
@@ -48,7 +48,7 @@ func seqBandwidth(t *testing.T, prof Profile, write bool, reqSize int64, k int) 
 					return
 				}
 				if start >= warmup {
-					meter.Add(reqSize)
+					moved += reqSize
 				}
 				off += reqSize
 				if off+reqSize > base+span {
@@ -58,7 +58,7 @@ func seqBandwidth(t *testing.T, prof Profile, write bool, reqSize int64, k int) 
 		})
 	}
 	env.RunUntil(deadline)
-	mbps := meter.Rate(deadline) / 1e6
+	mbps := float64(moved) / (deadline - warmup).Seconds() / 1e6
 	env.Close()
 	return mbps
 }
@@ -136,7 +136,8 @@ func TestCapacityAccounting(t *testing.T) {
 		t.Fatalf("capacity with OP (%d) >= without (%d)", b.Capacity(), a.Capacity())
 	}
 	// Parity (1 of 10 channels) plus hidden reserve: usable well below raw.
-	if frac := float64(a.Capacity()) / float64(a.RawCapacity()); frac > 0.90 {
+	raw := a.prof.Nand.ChipBytes() * int64(a.prof.Chips) * int64(a.prof.Channels)
+	if frac := float64(a.Capacity()) / float64(raw); frac > 0.90 {
 		t.Fatalf("0%%-OP usable fraction %.2f; parity+reserve should cap it below 0.90", frac)
 	}
 }
@@ -156,7 +157,7 @@ func randomWriteThroughput(t *testing.T, prof Profile, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	const warmup = 5 * time.Second
 	deadline := 8 * time.Second
-	meter := metrics.NewMeter(warmup)
+	var moved int64 // bytes of requests issued at or after warmup
 	slots := s.Capacity() / 4096
 	for w := 0; w < 32; w++ {
 		env.Go("writer", func(p *sim.Proc) {
@@ -168,13 +169,13 @@ func randomWriteThroughput(t *testing.T, prof Profile, seed int64) float64 {
 					return
 				}
 				if start >= warmup {
-					meter.Add(4096)
+					moved += 4096
 				}
 			}
 		})
 	}
 	env.RunUntil(deadline)
-	mbps := meter.Rate(deadline) / 1e6
+	mbps := float64(moved) / (deadline - warmup).Seconds() / 1e6
 	env.Close()
 	return mbps
 }

@@ -110,12 +110,14 @@ func phaseOrder(phase string) int {
 	return len(phaseRank)
 }
 
-// percentile returns the exact p-th percentile of sorted durations.
+// percentile returns the nearest-rank p-th percentile of sorted
+// durations: the smallest value with at least p% of the samples at or
+// below it, so the p99 of a group under 100 samples is its maximum.
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p / 100 * float64(len(sorted)-1))
+	idx := int(math.Ceil(p*float64(len(sorted))/100)) - 1
 	if idx < 0 {
 		idx = 0
 	}

@@ -240,3 +240,32 @@ func TestFormatSummary(t *testing.T) {
 		t.Fatalf("got %d lines, want header + 3 rows:\n%s", len(lines), out)
 	}
 }
+
+// TestSummaryPercentilesAreNearestRank checks p50 and p99 on groups of
+// 1, 2, 3 and 100 spans lasting 1..n ms, closed in reverse order: the
+// p-th percentile is the ceil(p/100*n)-th smallest duration, so a
+// group of two reports its larger span as p99.
+func TestSummaryPercentilesAreNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n        int
+		p50, p99 time.Duration
+	}{
+		{1, 1 * time.Millisecond, 1 * time.Millisecond},
+		{2, 1 * time.Millisecond, 2 * time.Millisecond},
+		{3, 2 * time.Millisecond, 3 * time.Millisecond},
+		{100, 50 * time.Millisecond, 99 * time.Millisecond},
+	} {
+		c := NewCollector()
+		for i := tc.n; i >= 1; i-- {
+			at := time.Duration(i) * time.Second
+			c.End(at+time.Duration(i)*time.Millisecond, c.Begin(at, 0, "op", PhaseOp))
+		}
+		stats := Summarize(c.Events())
+		if len(stats) != 1 || stats[0].Count != tc.n {
+			t.Fatalf("n=%d: stats %+v, want one group of %d", tc.n, stats, tc.n)
+		}
+		if got := stats[0]; got.P50 != tc.p50 || got.P99 != tc.p99 {
+			t.Errorf("n=%d: p50/p99 = %v/%v, want %v/%v", tc.n, got.P50, got.P99, tc.p50, tc.p99)
+		}
+	}
+}

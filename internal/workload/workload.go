@@ -16,11 +16,6 @@ import (
 // SizeDist draws value sizes.
 type SizeDist func(rng *rand.Rand) int
 
-// Fixed returns a constant-size distribution.
-func Fixed(n int) SizeDist {
-	return func(*rand.Rand) int { return n }
-}
-
 // Uniform returns sizes uniform in [min, max].
 func Uniform(min, max int) SizeDist {
 	if max < min {
@@ -51,9 +46,6 @@ func NewKeys(prefix string, n int, seed int64) *Keys {
 // All returns the population in generation order.
 func (k *Keys) All() []string { return k.keys }
 
-// Len returns the population size.
-func (k *Keys) Len() int { return len(k.keys) }
-
 // Pick returns a uniformly random key.
 func (k *Keys) Pick() string { return k.keys[k.rng.Intn(len(k.keys))] }
 
@@ -75,7 +67,6 @@ func PreloadParallel(p *sim.Proc, env *sim.Env, slices []*ccdb.Slice, keySets []
 	var workers []*sim.Proc
 	errs := make([]error, len(slices))
 	for i := range slices {
-		i := i
 		w := env.Go(fmt.Sprintf("workload/preload.%d", i), func(wp *sim.Proc) {
 			errs[i] = Preload(wp, slices[i], keySets[i], valueSize)
 		})

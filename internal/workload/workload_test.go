@@ -11,16 +11,6 @@ import (
 	"sdf/internal/sim"
 )
 
-func TestFixedSize(t *testing.T) {
-	d := Fixed(512 << 10)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10; i++ {
-		if got := d(rng); got != 512<<10 {
-			t.Fatalf("Fixed = %d", got)
-		}
-	}
-}
-
 func TestUniformSizeBounds(t *testing.T) {
 	f := func(a, b uint16) bool {
 		min, max := int(a)+1, int(b)+1
@@ -55,8 +45,8 @@ func TestPaperWriteMixRange(t *testing.T) {
 
 func TestKeysUniqueAndPickable(t *testing.T) {
 	k := NewKeys("t", 500, 1)
-	if k.Len() != 500 {
-		t.Fatalf("Len = %d", k.Len())
+	if len(k.keys) != 500 {
+		t.Fatalf("len(keys) = %d", len(k.keys))
 	}
 	seen := make(map[string]bool)
 	for _, key := range k.All() {
