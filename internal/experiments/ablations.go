@@ -51,28 +51,7 @@ func AblationWriteBuffer(opts Options) Table {
 		n = 40
 	}
 	for _, buf := range []int64{0, 64 << 20} {
-		prof := ssd.HuaweiGen3(0.10).ScaleBlocks(16)
-		prof.BufferBytes = buf
-		env := opts.newEnv()
-		dev := newSSD(env, prof)
-		if err := dev.WarmFillRandom(1.0, 6); err != nil {
-			panic(err)
-		}
-		var series metrics.Series
-		rng := rand.New(rand.NewSource(4))
-		slots := dev.Capacity() / (8 << 20)
-		w := env.Go("writer", func(p *sim.Proc) {
-			for i := 0; i < n; i++ {
-				off := rng.Int63n(slots) * (8 << 20)
-				start := env.Now()
-				if err := dev.Write(p, off, 8<<20); err != nil {
-					return
-				}
-				series.Observe(env.Now() - start)
-			}
-		})
-		env.RunUntilDone(w)
-		env.Close()
+		series := gen3WriteLatencies(opts.newEnv(), buf, 8<<20, n)
 		name := "none (write-through)"
 		if buf > 0 {
 			name = "64 MB"
@@ -159,21 +138,7 @@ func AblationSDFOverProvision(opts Options) Table {
 		if usable < 1 {
 			usable = 1
 		}
-		warmup := opts.scale(500 * time.Millisecond)
-		deadline := opts.scale(3 * time.Second)
-		m := newMeterCtx(env, warmup, deadline)
-		for ch := 0; ch < dev.Channels(); ch++ {
-			lbn := 0
-			m.loop("writer", func(p *sim.Proc) int {
-				if err := dev.EraseWrite(p, ch, lbn, nil); err != nil {
-					return -1
-				}
-				lbn = (lbn + 1) % usable
-				return dev.BlockSize()
-			})
-		}
-		rate := m.rate()
-		env.Close()
+		rate := loopRate(env, dev.Channels(), opts.scale(500*time.Millisecond), opts.scale(3*time.Second), sdfBlockWrites(dev, usable))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0f%%", reserve*100), gb(rate),
 		})
@@ -202,30 +167,11 @@ func AblationInterruptMerging(opts Options) Table {
 		if err != nil {
 			panic(err)
 		}
-		warmup := opts.scale(500 * time.Millisecond)
-		deadline := opts.scale(2 * time.Second)
-		m := newMeterCtx(env, warmup, deadline)
 		rng := rand.New(rand.NewSource(3))
 		pages := dev.BlockSize() / dev.PageSize()
-		for ch := 0; ch < dev.Channels(); ch++ {
-			wrote := false
-			m.loop("reader", func(p *sim.Proc) int {
-				if !wrote {
-					if err := dev.EraseWrite(p, ch, 0, nil); err != nil {
-						return -1
-					}
-					wrote = true
-					return 0
-				}
-				off := rng.Intn(pages) * dev.PageSize()
-				if _, err := dev.Read(p, ch, 0, off, dev.PageSize()); err != nil {
-					return -1
-				}
-				return dev.PageSize()
-			})
-		}
-		rate := m.rate()
-		env.Close()
+		rate := loopRate(env, dev.Channels(), opts.scale(500*time.Millisecond), opts.scale(2*time.Second), sdfBlockReads(dev, dev.PageSize(), func() int {
+			return rng.Intn(pages) * dev.PageSize()
+		}))
 		name := "off"
 		if merge > 1 {
 			name = fmt.Sprintf("%d-way", merge)

@@ -15,39 +15,21 @@ import (
 // writes "sequentially in erase-block units" through a deep queue).
 func seqBandwidth(opts Options, prof ssd.Profile, write bool, k int) float64 {
 	env := opts.newEnv()
-	defer env.Close()
 	dev := newSSD(env, prof)
-	if !write {
-		if err := dev.WarmFill(0.9); err != nil {
-			panic(err)
-		}
-	}
 	const reqSize = 2 << 20
-	warmup := opts.scale(500 * time.Millisecond)
-	deadline := opts.scale(4 * time.Second)
-	m := newMeterCtx(env, warmup, deadline)
 	span := dev.Capacity() / int64(k) / reqSize * reqSize
-	for w := 0; w < k; w++ {
-		base := int64(w) * span
-		off := base
-		m.loop("seq", func(p *sim.Proc) int {
-			var err error
-			if write {
-				err = dev.Write(p, off, reqSize)
-			} else {
-				err = dev.Read(p, off, reqSize)
-			}
-			if err != nil {
-				return -1
-			}
-			off += reqSize
-			if off+reqSize > base+span {
-				off = base
-			}
-			return reqSize
-		})
+	cursor := make([]int64, k)
+	for w := range cursor {
+		cursor[w] = int64(w) * span
 	}
-	return m.rate()
+	next := func(w int) int64 {
+		off := cursor[w]
+		if cursor[w] += reqSize; cursor[w]+reqSize > int64(w+1)*span {
+			cursor[w] = int64(w) * span
+		}
+		return off
+	}
+	return loopRate(env, k, opts.scale(500*time.Millisecond), opts.scale(4*time.Second), ssdIO(dev, write, reqSize, next))
 }
 
 // Table1 regenerates Table 1: specifications and measured sequential
@@ -111,22 +93,11 @@ func Figure1(opts Options) Table {
 			panic(err)
 		}
 		rng := rand.New(rand.NewSource(42))
-		warmup := opts.scale(5 * time.Second)
-		deadline := opts.scale(8 * time.Second)
-		m := newMeterCtx(env, warmup, deadline)
 		slots := dev.Capacity() / 4096
-		for w := 0; w < 32; w++ {
-			m.loop("writer", func(p *sim.Proc) int {
-				off := rng.Int63n(slots) * 4096
-				if err := dev.Write(p, off, 4096); err != nil {
-					return -1
-				}
-				return 4096
-			})
-		}
-		rate := m.rate()
+		rate := loopRate(env, 32, opts.scale(5*time.Second), opts.scale(8*time.Second), ssdIO(dev, true, 4096, func(int) int64 {
+			return rng.Int63n(slots) * 4096
+		}))
 		st := dev.Stats()
-		env.Close()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d%%", opPct),
 			mb(rate),
@@ -168,20 +139,16 @@ func SoftwareStack(opts Options) Table {
 func EraseThroughput(opts Options) Table {
 	env := opts.newEnv()
 	dev := newSDF(env, 64)
-	deadline := opts.scale(2 * time.Second)
-	m := newMeterCtx(env, 0, deadline)
-	for ch := 0; ch < dev.Channels(); ch++ {
+	rate := loopRate(env, dev.Channels(), 0, opts.scale(2*time.Second), func(ch int) func(p *sim.Proc) int {
 		lbn := 0
-		m.loop("eraser", func(p *sim.Proc) int {
+		return func(p *sim.Proc) int {
 			if err := dev.Erase(p, ch, lbn); err != nil {
 				return -1
 			}
 			lbn = (lbn + 1) % dev.BlocksPerChannel()
 			return dev.BlockSize()
-		})
-	}
-	rate := m.rate()
-	env.Close()
+		}
+	})
 	return Table{
 		ID:     "E12 (sec 3.2)",
 		Title:  "SDF aggregate erase throughput",

@@ -220,3 +220,76 @@ func (m *meterCtx) rate() float64 {
 	}
 	return float64(m.total) / (m.lastEnd - m.firstStart).Seconds()
 }
+
+// loopRate runs n closed-loop workers on env, worker(i) building the
+// i-th (spawned in index order), meters them over [warmup, deadline],
+// closes env and returns the rate.
+func loopRate(env *sim.Env, n int, warmup, deadline time.Duration, worker func(i int) func(p *sim.Proc) int) float64 {
+	defer env.Close()
+	m := newMeterCtx(env, warmup, deadline)
+	for i := 0; i < n; i++ {
+		m.loop("worker", worker(i))
+	}
+	return m.rate()
+}
+
+// sdfBlockWrites builds per-channel workers that erase+write their
+// channel's logical blocks [0, blocks) round robin.
+func sdfBlockWrites(dev *core.Device, blocks int) func(ch int) func(p *sim.Proc) int {
+	return func(ch int) func(p *sim.Proc) int {
+		lbn := 0
+		return func(p *sim.Proc) int {
+			if err := dev.EraseWrite(p, ch, lbn, nil); err != nil {
+				return -1
+			}
+			lbn = (lbn + 1) % blocks
+			return dev.BlockSize()
+		}
+	}
+}
+
+// sdfBlockReads builds per-channel workers that write their channel's
+// block 0 once, uncredited, then read size bytes of it at off().
+func sdfBlockReads(dev *core.Device, size int, off func() int) func(ch int) func(p *sim.Proc) int {
+	return func(ch int) func(p *sim.Proc) int {
+		wrote := false
+		return func(p *sim.Proc) int {
+			if !wrote {
+				if err := dev.EraseWrite(p, ch, 0, nil); err != nil {
+					return -1
+				}
+				wrote = true
+				return 0
+			}
+			if _, err := dev.Read(p, ch, 0, off(), size); err != nil {
+				return -1
+			}
+			return size
+		}
+	}
+}
+
+// ssdIO builds workers that read size bytes of a 90%-filled dev, or
+// write them, at the offsets next(w) returns for worker w.
+func ssdIO(dev *ssd.SSD, write bool, size int64, next func(w int) int64) func(w int) func(p *sim.Proc) int {
+	if !write {
+		if err := dev.WarmFill(0.9); err != nil {
+			panic(err)
+		}
+	}
+	return func(w int) func(p *sim.Proc) int {
+		return func(p *sim.Proc) int {
+			off := next(w)
+			var err error
+			if write {
+				err = dev.Write(p, off, size)
+			} else {
+				err = dev.Read(p, off, size)
+			}
+			if err != nil {
+				return -1
+			}
+			return int(size)
+		}
+	}
+}

@@ -108,9 +108,8 @@ func FutureWorkPlacement(opts Options) Table {
 		rng := rand.New(rand.NewSource(19))
 		warmup := env.Now() + opts.scale(time.Second)
 		deadline := env.Now() + opts.scale(5*time.Second)
-		m := newMeterCtx(env, warmup, deadline)
-		for w := 0; w < 12; w++ {
-			m.loop("writer", func(p *sim.Proc) int {
+		rate := loopRate(env, 12, warmup, deadline, func(int) func(p *sim.Proc) int {
+			return func(p *sim.Proc) int {
 				id := blocklayer.BlockID(rng.Uint64())
 				if _, err := layer.Write(p, id, nil); err != nil {
 					return -1
@@ -119,10 +118,8 @@ func FutureWorkPlacement(opts Options) Table {
 					return -1
 				}
 				return layer.BlockSize()
-			})
-		}
-		rate := m.rate()
-		env.Close()
+			}
+		})
 		name, busy := "hash (production)", "~10.5 of 44"
 		if policy == blocklayer.PlacementLeastLoaded {
 			name, busy = "least-loaded", "12 of 44"

@@ -122,11 +122,10 @@ func kvReadRate(opts Options, kind deviceKind, nSlices, batch, valueSize int) fl
 	start := env.Now()
 	warmup := start + opts.scale(500*time.Millisecond)
 	deadline := start + opts.scale(2500*time.Millisecond)
-	m := newMeterCtx(env, warmup, deadline)
-	for i, slice := range node.slices {
-		keys := node.keys[i]
+	return loopRate(env, nSlices, warmup, deadline, func(i int) func(p *sim.Proc) int {
+		slice, keys := node.slices[i], node.keys[i]
 		client := net.NewClient()
-		m.loop("client", func(p *sim.Proc) int {
+		return func(p *sim.Proc) int {
 			subs := make([]rpcnet.SubRequest, batch)
 			for j := range subs {
 				key := keys.Pick()
@@ -139,11 +138,8 @@ func kvReadRate(opts Options, kind deviceKind, nSlices, batch, valueSize int) fl
 				}
 			}
 			return client.Call(p, 256, subs)
-		})
-	}
-	rate := m.rate()
-	env.Close()
-	return rate
+		}
+	})
 }
 
 // Figure10 regenerates Figure 10: one slice, random 512 KB reads,

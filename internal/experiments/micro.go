@@ -21,40 +21,18 @@ func sdfThroughput(opts Options, reqSize int) float64 {
 	if reqSize >= dev.BlockSize() || reqSize == 0 {
 		deadline = opts.scale(4 * time.Second)
 	}
-	m := newMeterCtx(env, warmup, deadline)
-	rng := rand.New(rand.NewSource(7))
-	for ch := 0; ch < dev.Channels(); ch++ {
-		lbn := 0
-		wrote := false
-		m.loop("worker", func(p *sim.Proc) int {
-			if reqSize == 0 { // write benchmark
-				if err := dev.EraseWrite(p, ch, lbn, nil); err != nil {
-					return -1
-				}
-				lbn = (lbn + 1) % dev.BlocksPerChannel()
-				return dev.BlockSize()
-			}
-			if !wrote {
-				if err := dev.EraseWrite(p, ch, 0, nil); err != nil {
-					return -1
-				}
-				wrote = true
+	worker := sdfBlockWrites(dev, dev.BlocksPerChannel())
+	if reqSize > 0 {
+		rng := rand.New(rand.NewSource(7))
+		span := dev.BlockSize() - reqSize
+		worker = sdfBlockReads(dev, reqSize, func() int {
+			if span <= 0 {
 				return 0
 			}
-			span := dev.BlockSize() - reqSize
-			off := 0
-			if span > 0 {
-				off = rng.Intn(span/dev.PageSize()+1) * dev.PageSize()
-			}
-			if _, err := dev.Read(p, ch, 0, off, reqSize); err != nil {
-				return -1
-			}
-			return reqSize
+			return rng.Intn(span/dev.PageSize()+1) * dev.PageSize()
 		})
 	}
-	rate := m.rate()
-	env.Close()
-	return rate
+	return loopRate(env, dev.Channels(), warmup, deadline, worker)
 }
 
 // ssdThroughput measures a conventional SSD with k concurrent workers
@@ -66,39 +44,18 @@ func ssdThroughput(opts Options, prof ssd.Profile, reqSize, k int) float64 {
 	write := reqSize == 0
 	if write {
 		reqSize = 8 << 20
-	} else if err := dev.WarmFill(0.9); err != nil {
-		panic(err)
 	}
 	warmup := opts.scale(500 * time.Millisecond)
 	deadline := opts.scale(2 * time.Second)
 	if reqSize >= 8<<20 {
 		deadline = opts.scale(4 * time.Second)
 	}
-	m := newMeterCtx(env, warmup, deadline)
 	rng := rand.New(rand.NewSource(9))
 	page := int64(dev.PageSize())
-	slots := dev.Capacity()*9/10/int64(reqSize) - 1
-	if slots < 1 {
-		slots = 1
-	}
-	for w := 0; w < k; w++ {
-		m.loop("worker", func(p *sim.Proc) int {
-			off := rng.Int63n(slots) * int64(reqSize) / page * page
-			var err error
-			if write {
-				err = dev.Write(p, off, int64(reqSize))
-			} else {
-				err = dev.Read(p, off, int64(reqSize))
-			}
-			if err != nil {
-				return -1
-			}
-			return reqSize
-		})
-	}
-	rate := m.rate()
-	env.Close()
-	return rate
+	slots := max(dev.Capacity()*9/10/int64(reqSize)-1, 1)
+	return loopRate(env, k, warmup, deadline, ssdIO(dev, write, int64(reqSize), func(int) int64 {
+		return rng.Int63n(slots) * int64(reqSize) / page * page
+	}))
 }
 
 // Table4 regenerates Table 4: device throughput for random reads of
@@ -169,36 +126,11 @@ func Figure7(opts Options) Table {
 func figure7Point(opts Options, channels int, write bool) float64 {
 	env := opts.newEnv()
 	dev := newSDF(env, 16)
-	warmup := opts.scale(500 * time.Millisecond)
-	deadline := opts.scale(3 * time.Second)
-	m := newMeterCtx(env, warmup, deadline)
-	for ch := 0; ch < channels; ch++ {
-		lbn := 0
-		wrote := false
-		m.loop("worker", func(p *sim.Proc) int {
-			if write {
-				if err := dev.EraseWrite(p, ch, lbn, nil); err != nil {
-					return -1
-				}
-				lbn = (lbn + 1) % dev.BlocksPerChannel()
-				return dev.BlockSize()
-			}
-			if !wrote {
-				if err := dev.EraseWrite(p, ch, 0, nil); err != nil {
-					return -1
-				}
-				wrote = true
-				return 0
-			}
-			if _, err := dev.Read(p, ch, 0, 0, dev.BlockSize()); err != nil {
-				return -1
-			}
-			return dev.BlockSize()
-		})
+	worker := sdfBlockReads(dev, dev.BlockSize(), func() int { return 0 })
+	if write {
+		worker = sdfBlockWrites(dev, dev.BlocksPerChannel())
 	}
-	rate := m.rate()
-	env.Close()
-	return rate
+	return loopRate(env, channels, opts.scale(500*time.Millisecond), opts.scale(3*time.Second), worker)
 }
 
 // Figure8 regenerates Figure 8: write-latency traces on nearly full
@@ -217,32 +149,6 @@ func Figure8(opts Options) Table {
 	n := 120
 	if opts.Quick {
 		n = 60
-	}
-
-	gen3 := func(devLabel string, reqBytes int64, count int) metrics.Series {
-		prof := ssd.HuaweiGen3(0.10).ScaleBlocks(16)
-		prof.BufferBytes = 64 << 20
-		env := opts.newTracedEnv(devLabel)
-		dev := newSSD(env, prof)
-		if err := dev.WarmFillRandom(1.0, 6); err != nil {
-			panic(err)
-		}
-		var series metrics.Series
-		rng := rand.New(rand.NewSource(4))
-		slots := dev.Capacity() / reqBytes
-		w := env.Go("writer", func(p *sim.Proc) {
-			for i := 0; i < count; i++ {
-				off := rng.Int63n(slots) * reqBytes
-				start := env.Now()
-				if err := dev.Write(p, off, reqBytes); err != nil {
-					return
-				}
-				series.Observe(env.Now() - start)
-			}
-		})
-		env.RunUntilDone(w)
-		env.Close()
-		return series
 	}
 
 	sdfSeries := func(count int) metrics.Series {
@@ -292,8 +198,36 @@ func Figure8(opts Options) Table {
 			fmt.Sprintf("%.2f", s.CoeffVar()),
 		})
 	}
-	addRow("Huawei Gen3, 8 MB writes", "gen3_8m", gen3("gen3-8M", 8<<20, n))
-	addRow("Huawei Gen3, 352 MB writes", "gen3_352m", gen3("gen3-352M", 352<<20, n/4))
+	addRow("Huawei Gen3, 8 MB writes", "gen3_8m", gen3WriteLatencies(opts.newTracedEnv("gen3-8M"), 64<<20, 8<<20, n))
+	addRow("Huawei Gen3, 352 MB writes", "gen3_352m", gen3WriteLatencies(opts.newTracedEnv("gen3-352M"), 64<<20, 352<<20, n/4))
 	addRow("Baidu SDF, 8 MB erase+write", "sdf_8m", sdfSeries(n))
 	return t
+}
+
+// gen3WriteLatencies runs count random writes of reqBytes, one at a
+// time, on a randomly full Gen3 with a bufBytes write buffer, closes
+// env and returns their latencies.
+func gen3WriteLatencies(env *sim.Env, bufBytes, reqBytes int64, count int) metrics.Series {
+	defer env.Close()
+	prof := ssd.HuaweiGen3(0.10).ScaleBlocks(16)
+	prof.BufferBytes = bufBytes
+	dev := newSSD(env, prof)
+	if err := dev.WarmFillRandom(1.0, 6); err != nil {
+		panic(err)
+	}
+	var series metrics.Series
+	rng := rand.New(rand.NewSource(4))
+	slots := dev.Capacity() / reqBytes
+	w := env.Go("writer", func(p *sim.Proc) {
+		for i := 0; i < count; i++ {
+			off := rng.Int63n(slots) * reqBytes
+			start := env.Now()
+			if err := dev.Write(p, off, reqBytes); err != nil {
+				return
+			}
+			series.Observe(env.Now() - start)
+		}
+	})
+	env.RunUntilDone(w)
+	return series
 }

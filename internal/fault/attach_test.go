@@ -8,6 +8,7 @@ import (
 	"sdf/internal/ccdb"
 	"sdf/internal/cluster"
 	"sdf/internal/core"
+	"sdf/internal/rpcnet"
 	"sdf/internal/sim"
 )
 
@@ -62,5 +63,30 @@ func TestSDFNodeTargetsFollowRemount(t *testing.T) {
 	}
 	if got := cut.PCIe().RateFactor(); got != 1 {
 		t.Errorf("pre-cut n2/pcie rate factor = %v, want 1 (untouched)", got)
+	}
+}
+
+// TestNetworkLinkDegrade throttles an attached network's server NIC
+// pool for 20 ms: the pool runs at the plan's factor inside the
+// window and at full rate again after it.
+func TestNetworkLinkDegrade(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	inj := NewInjector(env)
+	net := rpcnet.NewNetwork(env, rpcnet.DefaultConfig())
+	AttachNetwork(inj, "net", net)
+	pl := &Plan{Seed: 1, Injections: []Injection{
+		{At: 10 * time.Millisecond, Kind: LinkDegrade, Target: "net", Factor: 0.25, Duration: 20 * time.Millisecond},
+	}}
+	if err := inj.Arm(pl); err != nil {
+		t.Fatal(err)
+	}
+	env.RunUntil(20 * time.Millisecond)
+	if got := net.ServerLink().RateFactor(); got != 0.25 {
+		t.Errorf("server link rate factor inside the window = %v, want 0.25", got)
+	}
+	env.RunUntil(40 * time.Millisecond)
+	if got := net.ServerLink().RateFactor(); got != 1 {
+		t.Errorf("server link rate factor after the window = %v, want 1", got)
 	}
 }

@@ -62,12 +62,6 @@ func (i *Interface) ToHost(p *sim.Proc, n int) { i.read.Transfer(p, n) }
 // ToDevice moves n bytes from host memory to the device.
 func (i *Interface) ToDevice(p *sim.Proc, n int) { i.write.Transfer(p, n) }
 
-// ReadRate returns the device-to-host data rate in bytes per second.
-func (i *Interface) ReadRate() float64 { return i.read.Rate() }
-
-// WriteRate returns the host-to-device data rate in bytes per second.
-func (i *Interface) WriteRate() float64 { return i.write.Rate() }
-
 // SetRateFactor scales both DMA directions by f (0 < f <= 1 degrades;
 // 1 restores full speed). Fault plans use it to model a PCIe card
 // renegotiating down to fewer lanes or a lower generation.

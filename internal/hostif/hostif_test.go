@@ -14,11 +14,11 @@ func TestPCIeFullDuplex(t *testing.T) {
 	var readEnd, writeEnd time.Duration
 	e9 := func(rate float64) int { return int(rate) } // 1 second of traffic
 	env.Go("r", func(p *sim.Proc) {
-		pcie.ToHost(p, e9(pcie.ReadRate()))
+		pcie.ToHost(p, e9(pcie.read.Rate()))
 		readEnd = env.Now()
 	})
 	env.Go("w", func(p *sim.Proc) {
-		pcie.ToDevice(p, e9(pcie.WriteRate()))
+		pcie.ToDevice(p, e9(pcie.write.Rate()))
 		writeEnd = env.Now()
 	})
 	env.Run()
@@ -37,7 +37,7 @@ func TestPCIeFairSharing(t *testing.T) {
 	done := 0
 	for i := 0; i < 4; i++ {
 		env.Go("r", func(p *sim.Proc) {
-			pcie.ToHost(p, int(pcie.ReadRate()/4))
+			pcie.ToHost(p, int(pcie.read.Rate()/4))
 			done++
 		})
 	}
@@ -56,7 +56,7 @@ func TestSATAHalfDuplex(t *testing.T) {
 	defer env.Close()
 	sata := SATA2(env)
 	var ends []time.Duration
-	n := int(sata.ReadRate()) / 10 // 100 ms of traffic each
+	n := int(sata.read.Rate()) / 10 // 100 ms of traffic each
 	env.Go("r", func(p *sim.Proc) {
 		sata.ToHost(p, n)
 		ends = append(ends, env.Now())

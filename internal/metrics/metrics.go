@@ -292,8 +292,8 @@ func (s *Series) CoeffVar() float64 {
 	return float64(s.StdDev()) / float64(mean)
 }
 
-// Percentile returns the exact p-th percentile (0-100) by sorting a
-// copy of the samples.
+// Percentile returns the exact nearest-rank p-th percentile (0-100),
+// the ceil(p·n/100)-th smallest sample, by sorting a copy of them.
 func (s *Series) Percentile(p float64) time.Duration {
 	if len(s.samples) == 0 {
 		return 0
@@ -301,7 +301,7 @@ func (s *Series) Percentile(p float64) time.Duration {
 	sorted := make([]time.Duration, len(s.samples))
 	copy(sorted, s.samples)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
+	idx := int(math.Ceil(p*float64(len(sorted))/100)) - 1
 	if idx < 0 {
 		idx = 0
 	}

@@ -237,3 +237,29 @@ func TestSeriesSingleSample(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesPercentileNearestRank pins the nearest-rank rule: the
+// p-th percentile of n samples is the ceil(p·n/100)-th smallest, so a
+// short series' p99 is its maximum, never a lower sample. p7 and p55
+// of 100 pin the expression's order: p/100·n rounds them up a rank.
+func TestSeriesPercentileNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		p    float64
+		want time.Duration // samples are 1..n ms
+	}{
+		{1, 99, 1}, {1, 50, 1},
+		{2, 99, 2}, {2, 50, 1},
+		{3, 99, 3}, {3, 50, 2}, {3, 34, 2}, {3, 33, 1},
+		{100, 99, 99}, {100, 50, 50}, {100, 100, 100}, {100, 1, 1},
+		{100, 7, 7}, {100, 55, 55},
+	} {
+		var s Series
+		for v := c.n; v >= 1; v-- {
+			s.Observe(time.Duration(v) * time.Millisecond)
+		}
+		if got := s.Percentile(c.p); got != c.want*time.Millisecond {
+			t.Errorf("n=%d: Percentile(%v) = %v, want %v", c.n, c.p, got, c.want*time.Millisecond)
+		}
+	}
+}
