@@ -66,9 +66,10 @@ examples:
 # (TestKernelFastPathAllocs, the numeric form of the -benchmem
 # columns, wait-list fan-in and priority contention included), on a
 # device command or rpcnet fan-out that costs more
-# than a handful of events or allocates per request
-# (TestCommandBudget), or on programmed blocks that retain per-page
-# state (TestCommandBudgetRetainedHeap: -run matches both), or on an
+# than a handful of events or allocates per request, or an erase that
+# spawns a process (TestCommandBudget), or on programmed blocks that
+# retain per-page state (TestCommandBudgetRetainedHeap: -run matches
+# both), or on an
 # 8 MB write whose planes are stepped page by page instead of filled
 # once their pipeline settles, or that lists the filled pulses one by
 # one (TestWriteStepBudget), or on an 8 MB read whose plane runs are

@@ -683,7 +683,7 @@ func (l *Layer) maybeStaticWL(p *sim.Proc, c int) bool {
 	}
 	// Only data parked on genuinely cold media is worth moving: the
 	// victim must sit in the bottom half of the spread, or migration
-	// would churn blocks the dynamic wear heap already rotates.
+	// would churn blocks dynamic wear leveling already rotates.
 	if wear < 0 || wear > ws.MinErase+l.cfg.WearSpreadThreshold/2 {
 		return false
 	}

@@ -115,13 +115,18 @@ func TestCommandBudget(t *testing.T) {
 		eraseEvents = max(eraseEvents, rig.events)
 		writeAllocs += mallocs(write)
 	}
-	// An erase spawns one worker per chip, each erasing its two planes
-	// in turn: 9 events on two chips.
+	// An erase is stepped by one callback handle at admission and at
+	// each of its two pulse ends, and the command parks once: 6 events,
+	// the host stack's two included.
 	if eraseAllocs != 0 {
 		t.Errorf("8 MB erase: %d allocations in 20 commands, want 0", eraseAllocs)
 	}
-	if eraseEvents > 9 {
-		t.Errorf("8 MB erase: %d scheduler events, budget 9", eraseEvents)
+	if eraseEvents > 6 {
+		t.Errorf("8 MB erase: %d scheduler events, budget 6", eraseEvents)
+	}
+	// No process stands in for a chip: the erase spawns nothing.
+	if spawned := spawnsIn(rig, erase); len(spawned) != 0 {
+		t.Errorf("8 MB erase: spawned %v, want no process", spawned)
 	}
 	if writeAllocs != 0 {
 		t.Errorf("8 MB write: %d allocations in 20 commands, want 0", writeAllocs)
@@ -160,13 +165,8 @@ func TestCommandBudget(t *testing.T) {
 	// the CPU claim before and the response legs after are callback
 	// hand-offs, so a sub-request that does not park in do() does not
 	// park at all.
-	tr := trace.NewCollector()
-	tr.SetLevel(trace.LevelFull)
-	rig.env.SetTracer(tr)
-	rig.do(call)
-	rig.env.SetTracer(nil)
 	var spawns, parks int
-	for _, ev := range tr.Events() {
+	for _, ev := range traceOf(rig, call) {
 		switch {
 		case ev.Name != "rpcnet/sub":
 		case ev.Kind == trace.KindProcSpawn:
@@ -179,6 +179,28 @@ func TestCommandBudget(t *testing.T) {
 		t.Errorf("batch-44 Call of 512 KB responses: %d rpcnet/sub spawns and %d parks, want %d and 0",
 			spawns, parks, len(batch))
 	}
+}
+
+// traceOf runs op through rig with a full-level tracer attached and
+// returns the events it recorded, kernel events included.
+func traceOf(rig *budgetRig, op func(*sim.Proc)) []trace.Event {
+	tr := trace.NewCollector()
+	tr.SetLevel(trace.LevelFull)
+	rig.env.SetTracer(tr)
+	rig.do(op)
+	rig.env.SetTracer(nil)
+	return tr.Events()
+}
+
+// spawnsIn returns the names of the processes op spawned.
+func spawnsIn(rig *budgetRig, op func(*sim.Proc)) []string {
+	var names []string
+	for _, ev := range traceOf(rig, op) {
+		if ev.Kind == trace.KindProcSpawn {
+			names = append(names, ev.Name)
+		}
+	}
+	return names
 }
 
 // TestCommandBudgetRetainedHeap is the gate on what a programmed block

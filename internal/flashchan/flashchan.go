@@ -15,9 +15,11 @@
 package flashchan
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"sdf/internal/bch"
@@ -114,7 +116,7 @@ const (
 type planeState struct {
 	plane   *nand.Plane
 	chip    int
-	free    wearHeap // unmapped physical blocks, min-erase-count first
+	free    wearList // unmapped physical blocks, least-worn last
 	mapping []int    // logical block -> physical block, or unmapped
 }
 
@@ -131,30 +133,30 @@ func (ps *planeState) lookup(lbn int) (int, bool) {
 	return phys, phys != unmapped
 }
 
-// wearHeap orders physical block indices by erase count (then index,
-// for determinism).
-type wearHeap struct {
+// wearList keeps a plane's free blocks sorted by descending (erase
+// count, index), a total order, so the least-worn block pops off the end.
+type wearList struct {
 	plane *nand.Plane
 	idx   []int
 }
 
-func (h wearHeap) Len() int { return len(h.idx) }
-func (h wearHeap) Less(i, j int) bool {
-	a, b := h.idx[i], h.idx[j]
-	ea, eb := h.plane.EraseCount(a), h.plane.EraseCount(b)
-	if ea != eb {
-		return ea < eb
-	}
-	return a < b
+func (w *wearList) Len() int { return len(w.idx) }
+
+func (w *wearList) moreWorn(a, b int) int {
+	return cmp.Or(cmp.Compare(w.plane.EraseCount(b), w.plane.EraseCount(a)), cmp.Compare(b, a))
 }
-func (h wearHeap) Swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *wearHeap) Push(x any)   { h.idx = append(h.idx, x.(int)) }
-func (h *wearHeap) Pop() any {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
+
+func (w *wearList) init() { slices.SortFunc(w.idx, w.moreWorn) }
+
+func (w *wearList) push(b int) {
+	i, _ := slices.BinarySearchFunc(w.idx, b, w.moreWorn)
+	w.idx = slices.Insert(w.idx, i, b)
+}
+
+func (w *wearList) pop() int {
+	b := w.idx[len(w.idx)-1]
+	w.idx = w.idx[:len(w.idx)-1]
+	return b
 }
 
 // Channel is one exposed SDF channel with its engine.
@@ -197,32 +199,7 @@ type Channel struct {
 	wr  blockWrite  // the block write in service (program.go)
 	oob *oobPool    // its recycled out-of-band records (recovery.go)
 	cut *sim.Signal // fired by PowerOff: wakes the block write it cut
-
-	erasers []*eraser // one per chip, for eraseLocked
-}
-
-// eraser is one chip's share of an erase command: the flashchan/erase
-// process that erases the chip's planes, ch.planes[first:end], one
-// after another. The Proc is embedded and the body bound when the chip
-// is added, so an erase spawns its workers without allocating
-// (DESIGN.md §15).
-type eraser struct {
-	ch         *Channel
-	proc       sim.Proc
-	run        func(*sim.Proc)
-	first, end int
-	lbn        int
-	parent     trace.SpanID
-	err        error // the first of its planes' failures
-}
-
-func (e *eraser) erase(wp *sim.Proc) {
-	wp.SetSpan(e.parent)
-	for pi := e.first; pi < e.end; pi++ {
-		if err := e.ch.erasePlane(wp, pi, e.lbn); err != nil && e.err == nil {
-			e.err = err
-		}
-	}
+	er  blockErase  // the erase in service
 }
 
 type parityKey struct {
@@ -254,6 +231,7 @@ func newChannel(env *sim.Env, cfg Config) (*Channel, error) {
 		oob:     new(oobPool),
 		cut:     new(sim.Signal),
 	}
+	env.Handle(&ch.er.step, ch.stepErase)
 	ch.SetLabel("chan")
 	if cfg.ECC {
 		code, err := bch.New(ECCM, ECCT, ECCSector)
@@ -266,11 +244,9 @@ func newChannel(env *sim.Env, cfg Config) (*Channel, error) {
 }
 
 // addChip appends a chip's planes to the channel, unmapped and with
-// empty free pools, and the chip's eraser.
+// empty free pools, and the chip's share of an erase.
 func (ch *Channel) addChip(chip *nand.Chip) {
-	e := &eraser{ch: ch, first: len(ch.planes), end: len(ch.planes) + chip.Planes()}
-	e.run = e.erase
-	ch.erasers = append(ch.erasers, e)
+	ch.er.chips = append(ch.er.chips, eraseChip{first: len(ch.planes), end: len(ch.planes) + chip.Planes()})
 	for pl := 0; pl < chip.Planes(); pl++ {
 		mapping := make([]int, ch.LogicalBlocks())
 		for lbn := range mapping {
@@ -306,7 +282,7 @@ func New(env *sim.Env, cfg Config) (*Channel, error) {
 				ps.free.idx = append(ps.free.idx, b)
 			}
 		}
-		heap.Init(&ps.free)
+		ps.free.init()
 	}
 	if ch.code != nil {
 		ch.parity = make(map[parityKey][][]byte)
@@ -461,7 +437,7 @@ func (ch *Channel) GrowBadBlocks(n int) int {
 			if ps.free.Len() == 0 {
 				continue
 			}
-			phys := heap.Pop(&ps.free).(int)
+			phys := ps.free.pop()
 			ps.plane.MarkBad(phys)
 			marked++
 			progressed = true
@@ -532,12 +508,41 @@ func (ch *Channel) Erase(p *sim.Proc, lbn int) error {
 	return ch.eraseLocked(p, lbn)
 }
 
+// blockErase is the erase command in service: where each chip is, and
+// the callback handle that steps them. It lives in the Channel (the
+// engine serves one command at a time) and is reused, so an erase
+// allocates nothing in steady state.
+type blockErase struct {
+	lbn    int
+	parent trace.SpanID
+	chips  []eraseChip // one per chip, built when the chip is added
+	step   sim.Proc    // callback handle running stepErase
+	done   sim.Signal  // fired when every chip is through
+}
+
+// eraseChip is one chip's share of an erase: it erases the chip's
+// planes, ch.planes[first:end], one after another; plane pi is the one
+// at hand, and while busy its block phys is in a pulse ending at until.
+type eraseChip struct {
+	first, end, pi int
+	phys           int
+	until          time.Duration
+	busy           bool
+	span           trace.SpanID
+	err            error // the first of its planes' failures
+}
+
+// eraseLocked recycles lbn's blocks and maps the least-worn free block
+// of each plane in their place, retiring any block that wears out on
+// the way. Chips erase in parallel and the planes of a chip one after
+// another (one erase pulse per die at a time); stepErase runs the pulses
+// and the command parks once, until every chip is through.
 func (ch *Channel) eraseLocked(p *sim.Proc, lbn int) error {
 	// Recycle old mappings first so they are candidates again.
 	for i := range ch.planes {
 		ps := &ch.planes[i]
 		if old, ok := ps.lookup(lbn); ok {
-			heap.Push(&ps.free, old)
+			ps.free.push(old)
 			ps.mapping[lbn] = unmapped
 		}
 	}
@@ -550,23 +555,91 @@ func (ch *Channel) eraseLocked(p *sim.Proc, lbn int) error {
 			return fmt.Errorf("%w: plane %d spare pool exhausted", ErrOutOfSpace, i)
 		}
 	}
-	// Erase chips in parallel, planes within a chip sequentially (one
-	// erase pulse per die at a time).
-	for _, e := range ch.erasers {
-		e.lbn, e.parent, e.err = lbn, p.Span(), nil
-		ch.env.Start(&e.proc, "flashchan/erase", e.run)
+	er := &ch.er
+	er.lbn, er.parent, er.done = lbn, p.Span(), sim.Signal{}
+	for i := range er.chips {
+		c := &er.chips[i]
+		c.pi, c.err = c.first, nil
 	}
-	for _, e := range ch.erasers {
-		p.Join(&e.proc)
-	}
-	for _, e := range ch.erasers {
-		if e.err != nil {
+	ch.env.Wake(&er.step, 0)
+	p.Await(&er.done)
+	for _, c := range er.chips {
+		if c.err != nil {
 			ch.unwindErase(lbn)
-			return e.err
+			return c.err
 		}
 	}
 	ch.blocksErased++
 	return nil
+}
+
+// stepErase runs when an erase is admitted and then whenever a pulse of
+// it ends. Each chip in turn settles the pulse it finished
+// (nand.Plane.SettleErase, which rules on a power cut during it) and
+// begins its next, on the plane's least-worn free block. These are the
+// slots a process per chip would be dispatched in (its start, each
+// Occupy's resume, the join's wake), so spans, the media a sampler
+// reads mid-command and the order of every other event are the process
+// form's (DESIGN.md §10). A chip the power left stops at the pulse it
+// was in; its remaining planes fail their admission check.
+func (ch *Channel) stepErase() {
+	er, t := &ch.er, ch.env.Tracer()
+	now, wake := ch.env.Now(), time.Duration(math.MaxInt64)
+	for i := range er.chips {
+		c := &er.chips[i]
+		if c.busy && c.until <= now {
+			c.busy = false
+			t.End(now, c.span)
+			ps := &ch.planes[c.pi]
+			switch err := ps.plane.SettleErase(c.phys, c.until-ch.cfg.Nand.TErase); {
+			case err == nil:
+				ps.mapping[er.lbn] = c.phys
+				if ch.parity != nil {
+					for pg := 0; pg < ch.cfg.Nand.PagesPerBlock; pg++ {
+						delete(ch.parity, parityKey{c.pi, c.phys, pg})
+					}
+				}
+				c.pi++
+			case errors.Is(err, nand.ErrWornOut): // retired; the plane's next block
+			default:
+				c.fail(err)
+				c.pi++
+			}
+		}
+		for !c.busy && c.pi < c.end {
+			ps := &ch.planes[c.pi]
+			if ps.free.Len() == 0 {
+				c.fail(fmt.Errorf("%w: plane %d", ErrOutOfSpace, c.pi))
+				c.pi++
+				continue
+			}
+			c.phys = ps.free.pop()
+			switch err := ps.plane.Erasable(c.phys); {
+			case errors.Is(err, nand.ErrBadBlock): // retired already; the next
+			case err != nil:
+				c.fail(err)
+				c.pi++
+			default:
+				c.span = t.Begin(now, er.parent, "nand/erase", trace.PhaseFlash)
+				_, c.until = ps.plane.Timeline().Reserve(ch.cfg.Nand.TErase)
+				c.busy = true
+			}
+		}
+		if c.busy {
+			wake = min(wake, c.until)
+		}
+	}
+	if wake == math.MaxInt64 {
+		er.done.Fire()
+		return
+	}
+	ch.env.Wake(&er.step, wake-now)
+}
+
+func (c *eraseChip) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
 }
 
 // unwindErase reverts a partially completed erase command: planes
@@ -579,35 +652,9 @@ func (ch *Channel) unwindErase(lbn int) {
 	for i := range ch.planes {
 		ps := &ch.planes[i]
 		if phys, ok := ps.lookup(lbn); ok {
-			heap.Push(&ps.free, phys)
+			ps.free.push(phys)
 			ps.mapping[lbn] = unmapped
 		}
-	}
-}
-
-// erasePlane allocates and erases one physical block on plane pi,
-// retiring worn-out blocks until a healthy one is found.
-func (ch *Channel) erasePlane(p *sim.Proc, pi, lbn int) error {
-	ps := &ch.planes[pi]
-	for {
-		if ps.free.Len() == 0 {
-			return fmt.Errorf("%w: plane %d", ErrOutOfSpace, pi)
-		}
-		phys := heap.Pop(&ps.free).(int)
-		err := ps.plane.Erase(p, phys)
-		if err == nil {
-			ps.mapping[lbn] = phys
-			if ch.parity != nil {
-				for pg := 0; pg < ch.cfg.Nand.PagesPerBlock; pg++ {
-					delete(ch.parity, parityKey{pi, phys, pg})
-				}
-			}
-			return nil
-		}
-		if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrBadBlock) {
-			continue // retired; try the next least-worn block
-		}
-		return err
 	}
 }
 

@@ -1,17 +1,19 @@
 package flashchan
 
-// Differential tests: the closed-form ReadAt/writeLocked against the
-// park-per-page reference in pipeline_ref_test.go. Same seeded case run
-// through both must agree on every instant, span, counter and byte.
+// Differential tests: the closed-form ReadAt/writeLocked/eraseLocked
+// against the park-per-page reference in pipeline_ref_test.go. Same
+// seeded case run through both must agree on every instant, span,
+// counter and byte, and on the FTL state: mappings, free pools, wear.
 
 import (
 	"bytes"
-	"container/heap"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ import (
 // diffCmd is one command of a differential case.
 type diffCmd struct {
 	delay     time.Duration // issue instant, after the set-up writes
-	kind      int           // 0 read, 1 erase-write, 2 erase then write
+	kind      int           // 0 read, 1 erase-write, 2 erase then write, 3 erase
 	lbn       int
 	off, size int
 	data      []byte
@@ -44,6 +46,10 @@ type diffCase struct {
 	// slowRead: TRead exceeds a bus slot, so a read's plane runs never
 	// turn steady and ReadAt walks every page.
 	slowRead bool
+	// wear erases cycle through the last logical blocks after the set-up
+	// writes; with a low EraseLimit they retire worn-out blocks inside
+	// erase commands and run planes' free pools dry.
+	wear int
 }
 
 // diffResult is everything a run exposes that the two pipelines must
@@ -57,9 +63,11 @@ type diffResult struct {
 	busMoved int64
 	lanes    string // the instants the bus and each plane next free
 	counters string
-	probe    []byte // a final raw read: the chips' RNG streams, continued
+	probe    []byte   // a final raw read: the chips' RNG streams, continued
+	wear     []string // each wear erase's return instant and verdict
 	endAt    time.Duration
 	media    uint32 // CRC over every block's write pointer and every page's spare
+	ftl      uint32 // CRC over the mappings, the free pools and every block's wear
 	steps    int    // worker steps of the last write scheduled (closed form only)
 	walked   int    // pages ReadAt stepped one at a time (closed form only)
 }
@@ -178,6 +186,18 @@ func newDiffCase(seed int64, shape int) diffCase {
 	if tail {
 		c.cmds = append(c.cmds, diffCmd{lbn: rng.Intn(nset), size: blockSize})
 	}
+	// Wear and plain erases come from a stream of their own, so the draws
+	// above make the cases they always made.
+	wrng := rand.New(rand.NewSource(^seed))
+	if wrng.Intn(3) == 0 {
+		c.cfg.Nand.EraseLimit = 1 + wrng.Intn(3)
+		c.wear = 8 + wrng.Intn(40)
+	}
+	for i := range c.cmds {
+		if c.cmds[i].kind == 2 && wrng.Intn(2) == 0 {
+			c.cmds[i].kind = 3
+		}
+	}
 	// A third of the cases also read a partially programmed block: the
 	// power is cut mid-write, leaving each plane's write pointer
 	// mid-block and its in-flight page torn, so reads of it fail in the
@@ -233,12 +253,8 @@ func (c diffCase) cutMedia(t *testing.T) (*Persistent, []int) {
 func (c diffCase) mapTorn(ch *Channel, phys []int) {
 	for k := range ch.planes {
 		ps := &ch.planes[k]
-		for i, b := range ps.free.idx {
-			if b == phys[k] {
-				heap.Remove(&ps.free, i)
-				break
-			}
-		}
+		ps.free.idx = slices.DeleteFunc(ps.free.idx, func(b int) bool { return b == phys[k] })
+		ps.free.init()
 		ps.mapping[c.torn] = phys[k]
 	}
 }
@@ -264,11 +280,11 @@ func (c diffCase) run(t *testing.T, ref bool) diffResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := ch.ReadAt
+	read, erase := ch.ReadAt, ch.Erase
 	write := func(p *sim.Proc, lbn int, data []byte, tag *WriteID) error { return ch.write(p, lbn, data, tag, false) }
 	eraseWrite := func(p *sim.Proc, lbn int, data []byte, tag *WriteID) error { return ch.write(p, lbn, data, tag, true) }
 	if ref {
-		read, write, eraseWrite = ch.refReadAt, ch.refWrite, ch.refEraseWrite
+		read, erase, write, eraseWrite = ch.refReadAt, ch.refErase, ch.refWrite, ch.refEraseWrite
 	}
 	n := len(c.cmds)
 	res := diffResult{
@@ -296,6 +312,10 @@ func (c diffCase) run(t *testing.T, ref bool) diffResult {
 				t.Errorf("filler write: %v", err)
 			}
 		}
+		for i := 0; i < c.wear; i++ {
+			err := erase(p, ch.LogicalBlocks()-1-i%3)
+			res.wear = append(res.wear, fmt.Sprint(env.Now(), err))
+		}
 		for i := range c.cmds {
 			i, cmd := i, c.cmds[i]
 			env.Go("cmd", func(p *sim.Proc) {
@@ -308,10 +328,12 @@ func (c diffCase) run(t *testing.T, ref bool) diffResult {
 					out, err = read(p, cmd.lbn, cmd.off, cmd.size)
 				case 1:
 					err = eraseWrite(p, cmd.lbn, cmd.data, &WriteID{Hi: 7, Lo: uint64(i)})
-				default:
-					if err = ch.Erase(p, cmd.lbn); err == nil {
+				case 2:
+					if err = erase(p, cmd.lbn); err == nil {
 						err = write(p, cmd.lbn, cmd.data, nil)
 					}
+				default:
+					err = erase(p, cmd.lbn)
 				}
 				res.doneAt[i] = env.Now()
 				if err != nil {
@@ -349,6 +371,7 @@ func (c diffCase) run(t *testing.T, ref bool) diffResult {
 		}
 	}
 	res.media = media.Sum32()
+	res.ftl = ftlSum(ch)
 	// Continue each chip's RNG stream through one more read of block 0,
 	// by the shipped pipeline on both sides: equal bytes (and, under
 	// ECC, equal correction counts) mean equal RNG states.
@@ -358,6 +381,25 @@ func (c diffCase) run(t *testing.T, ref bool) diffResult {
 	})
 	env.RunUntilDone(probe)
 	return res
+}
+
+// ftlSum is a CRC over ch's FTL state and its media's wear: every
+// plane's mapping and free pool in pop order, every block's erase count
+// and bad mark, the plane's interrupted erases, and each chip's counts.
+func ftlSum(ch *Channel) uint32 {
+	h := crc32.NewIEEE()
+	for k := range ch.planes {
+		ps := &ch.planes[k]
+		fmt.Fprint(h, ps.mapping, ps.free.idx, ps.plane.InterruptedErases())
+		for b := 0; b < ps.plane.Blocks(); b++ {
+			fmt.Fprint(h, ps.plane.EraseCount(b), ps.plane.Bad(b))
+		}
+	}
+	for _, chip := range ch.chips {
+		r, pr, er := chip.Counters()
+		fmt.Fprint(h, r, pr, er)
+	}
+	return h.Sum32()
 }
 
 // spanKeys returns every closed span as "name start end parent-name",
@@ -390,7 +432,10 @@ func spanKeys(col *trace.Collector) []string {
 // point its planes settle — except in the bus-bound regime, where it
 // must step every page — then 12 tail cases (seeds 85–96) in which
 // ReadAt lays out the steady part of each plane run in closed form —
-// except in the slow-read regime, where it must walk every page.
+// except in the slow-read regime, where it must walk every page. Half
+// the erase-then-write commands are plain erases, and a third of the
+// cases first run 8–47 erases under an EraseLimit of 1–3, which retire
+// worn-out blocks inside commands and run free pools dry mid-command.
 func TestPipelineMatchesReference(t *testing.T) {
 	short, long, tails := int64(60), int64(24), int64(12)
 	if testing.Short() {
@@ -458,6 +503,12 @@ func TestPipelineMatchesReference(t *testing.T) {
 		if want.media != got.media {
 			t.Errorf("seed %d: write pointers or out-of-band records on the media differ", seed)
 		}
+		if want.ftl != got.ftl {
+			t.Errorf("seed %d: mappings, free pools or wear differ", seed)
+		}
+		if fmt.Sprint(want.wear) != fmt.Sprint(got.wear) {
+			t.Errorf("seed %d: wear erases returned\n ref  %v\n got  %v", seed, want.wear, got.wear)
+		}
 		if len(want.spans) != len(got.spans) {
 			t.Errorf("seed %d: %d spans, reference %d", seed, len(got.spans), len(want.spans))
 			continue
@@ -481,43 +532,63 @@ type planeImage struct {
 	spares   [][]byte
 }
 
-// cutRun starts one tagged erase-write over a previously written block,
-// cuts the channel's power at the given instant, and returns what each
-// plane of the new generation holds, the command's verdict, the pulse
-// starts the closed form scheduled, and the instant the command
-// returned.
-func cutRun(t *testing.T, cfg Config, data []byte, cut time.Duration, ref bool) ([]planeImage, error, [][]time.Duration, time.Duration) {
+// cutOutcome is what cutRun observed.
+type cutOutcome struct {
+	images  []planeImage
+	verdict error
+	pulses  [][]time.Duration // the program pulse starts the closed form scheduled
+	done    time.Duration     // the instant the command returned
+	erases  []string          // the measured command's nand/erase spans (spanKeys)
+	ftl     uint32            // ftlSum
+}
+
+// cutRun erases logical block 1 warm times, then starts one tagged
+// erase-write of block 0, cuts the channel's power at the given instant,
+// and returns what each plane of the new generation holds and the rest
+// of a cutOutcome.
+func cutRun(t *testing.T, cfg Config, data []byte, warm int, cut time.Duration, ref bool) cutOutcome {
 	t.Helper()
 	env := sim.NewEnv()
 	defer env.Close()
+	col := trace.NewCollector()
+	env.SetTracer(col)
 	ch, err := New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	erase := ch.Erase
 	eraseWrite := func(p *sim.Proc, lbn int, data []byte, tag *WriteID) error { return ch.write(p, lbn, data, tag, true) }
 	if ref {
-		eraseWrite = ch.refEraseWrite
+		erase, eraseWrite = ch.refErase, ch.refEraseWrite
 	}
-	var verdict error
-	var done time.Duration
+	var out cutOutcome
 	env.Go("w", func(p *sim.Proc) {
-		verdict = eraseWrite(p, 0, data, &WriteID{Lo: 9})
-		done = env.Now()
+		for i := 0; i < warm; i++ {
+			erase(p, 1)
+		}
+		p.SetSpan(col.Begin(env.Now(), 0, "measured", trace.PhaseOp))
+		out.verdict = eraseWrite(p, 0, data, &WriteID{Lo: 9})
+		out.done = env.Now()
 	})
 	if cut >= 0 {
 		env.Schedule(cut, ch.PowerOff)
 	}
 	env.Run()
-	var pulses [][]time.Duration
 	for k := range ch.wr.workers {
-		pulses = append(pulses, ch.wr.workers[k].schedule(cfg.Nand.TProg))
+		out.pulses = append(out.pulses, ch.wr.workers[k].schedule(cfg.Nand.TProg))
 	}
-	images := make([]planeImage, len(ch.planes))
+	for _, key := range spanKeys(col) {
+		if strings.HasPrefix(key, "nand/erase ") && strings.HasSuffix(key, " measured") {
+			out.erases = append(out.erases, key)
+		}
+	}
+	out.ftl = ftlSum(ch)
+	out.images = make([]planeImage, len(ch.planes))
 	for k := range ch.planes {
 		ps := &ch.planes[k]
 		phys, ok := ps.lookup(0)
 		if !ok {
-			images[k].writePtr = -2 // the erase never mapped a block
+			out.images[k].writePtr = -2 // the erase never mapped a block
 			continue
 		}
 		img := planeImage{writePtr: ps.plane.WritePtr(phys)}
@@ -525,9 +596,9 @@ func cutRun(t *testing.T, cfg Config, data []byte, cut time.Duration, ref bool) 
 			img.torn = append(img.torn, ps.plane.Torn(phys, pg))
 			img.spares = append(img.spares, ps.plane.Spare(phys, pg))
 		}
-		images[k] = img
+		out.images[k] = img
 	}
-	return images, verdict, pulses, done
+	return out
 }
 
 // schedule returns the start of every pulse wk scheduled, by page: the
@@ -541,46 +612,61 @@ func (wk *progWorker) schedule(tProg time.Duration) []time.Duration {
 }
 
 // TestPowerCutMatchesReference cuts power at seeded instants inside an
-// EraseWriteTagged — every pulse start, every pulse end (in the
+// EraseWriteTagged — every program pulse start, every pulse end (in the
 // program-bound regime also the next pulse's start), one nanosecond
-// either side of every pulse boundary, mid-pulse, mid-transfer, and
-// uniformly drawn ones — and requires the write pointer, torn set and
-// spares the closed form leaves on each plane to equal the reference's.
-// Both engines settle through nand.Plane.SettleProgramRun, whose rule
-// for a cut exactly on a pulse boundary does not depend on whether the
-// kernel dispatches the cut or the plane's wake-up first; nand's
-// TestSettleProgramRunCutRule pins that rule itself.
+// either side of every pulse boundary, mid-pulse, mid-transfer, the same
+// instants around every erase pulse, and uniformly drawn ones — and
+// requires the write pointer, torn set and spares the closed form leaves
+// on each plane to equal the reference's, and every block's wear, the
+// mappings, the free pools and the erase spans. Both engines settle through
+// nand.Plane.SettleProgramRun, whose rule for a cut exactly on a pulse
+// boundary does not depend on whether the kernel dispatches the cut or
+// the plane's wake-up first, and through SettleErase, applied at each
+// erase pulse's end in the slot the reference's process resumed in;
+// nand's TestSettleProgramRunCutRule and TestSettleEraseCutRule pin
+// those rules themselves.
 //
-// The instant the failed command returns: the reference's planes each
-// gave up at their next step after the cut, so it returned within one
-// TProg of it; the closed form wakes at the cut itself (DESIGN.md §9,
-// command granularity), never later than the reference.
+// The instant the failed command returns: in the erase, when the last
+// pulse the chips had reached ends, as the reference's per-chip
+// processes did, and with the same verdict. In the write, the
+// reference's planes each gave up at their next step after the cut, so
+// it returned within one TProg of it; the closed form wakes at the cut
+// itself (DESIGN.md §9, command granularity), never later than the
+// reference.
 //
 // The 32-page variants settle after a few worker steps, so most of
-// their cuts land in the part of the write scheduleWrite filled.
+// their cuts land in the part of the write scheduleWrite filled. The
+// wear variant first cycles logical block 1 through every block of each
+// plane under an EraseLimit of 2, so the measured erase retires worn-out
+// blocks and pulses their replacements, and cuts land in those too.
 func TestPowerCutMatchesReference(t *testing.T) {
-	t.Run("data", func(t *testing.T) { testPowerCut(t, 6, true) })    // a CRC per page
-	t.Run("timing", func(t *testing.T) { testPowerCut(t, 6, false) }) // no payload, no CRCs
-	t.Run("data-32", func(t *testing.T) { testPowerCut(t, 32, true) })
-	t.Run("timing-32", func(t *testing.T) { testPowerCut(t, 32, false) })
+	t.Run("data", func(t *testing.T) { testPowerCut(t, 6, true, 0) })    // a CRC per page
+	t.Run("timing", func(t *testing.T) { testPowerCut(t, 6, false, 0) }) // no payload, no CRCs
+	t.Run("data-32", func(t *testing.T) { testPowerCut(t, 32, true, 0) })
+	t.Run("timing-32", func(t *testing.T) { testPowerCut(t, 32, false, 0) })
+	t.Run("wear", func(t *testing.T) { testPowerCut(t, 6, false, 2) })
 }
 
-func testPowerCut(t *testing.T, pages int, dataMode bool) {
+func testPowerCut(t *testing.T, pages int, dataMode bool, eraseLimit int) {
 	cfg := smallConfig()
 	cfg.Nand.PagesPerBlock = pages
 	cfg.Nand.RetainData = dataMode
+	warm := 0
+	if eraseLimit > 0 {
+		cfg.Nand.EraseLimit, warm = eraseLimit, cfg.Nand.BlocksPerPlane
+	}
 	var data []byte
 	if dataMode {
 		data = make([]byte, cfg.Nand.PageSize*cfg.Nand.PagesPerBlock*cfg.Chips*cfg.Nand.Planes)
 		rand.New(rand.NewSource(11)).Read(data)
 	}
-	_, err, pulses, uncut := cutRun(t, cfg, data, -1, false)
-	if err != nil {
-		t.Fatal(err)
+	uncut := cutRun(t, cfg, data, warm, -1, false)
+	if uncut.verdict != nil {
+		t.Fatal(uncut.verdict)
 	}
 	var cuts []time.Duration
 	var last time.Duration
-	for _, plane := range pulses {
+	for _, plane := range uncut.pulses {
 		for _, s := range plane {
 			e := s + cfg.Nand.TProg
 			cuts = append(cuts, s, s+1, e-1, e, e+1, s+cfg.Nand.TProg/3)
@@ -589,28 +675,49 @@ func testPowerCut(t *testing.T, pages int, dataMode bool) {
 			}
 		}
 	}
-	first := pulses[0][0]
+	retired := len(uncut.erases) - cfg.Chips*cfg.Nand.Planes
+	if eraseLimit > 0 && retired == 0 {
+		t.Fatal("the measured erase retired no block")
+	}
+	for _, key := range uncut.erases {
+		var name, parent string
+		var s, e time.Duration
+		if _, err := fmt.Sscan(key, &name, &s, &e, &parent); err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, s, s+1, e-1, e, e+1, (s+e)/2)
+	}
+	first := uncut.pulses[0][0]
 	cuts = append(cuts, first-100*time.Microsecond, first-1) // first transfers in flight
 	rng := rand.New(rand.NewSource(12))
-	for len(cuts) < 270 {
+	for n := len(cuts); len(cuts) < n+200; {
 		cuts = append(cuts, time.Duration(rng.Int63n(int64(last+time.Millisecond))))
 	}
 	for _, cut := range cuts {
-		want, wantErr, _, wantDone := cutRun(t, cfg, data, cut, true)
-		got, gotErr, scheduled, gotDone := cutRun(t, cfg, data, cut, false)
-		if errors.Is(wantErr, ErrPowerLoss) != errors.Is(gotErr, ErrPowerLoss) || (wantErr == nil) != (gotErr == nil) {
+		want := cutRun(t, cfg, data, warm, cut, true)
+		got := cutRun(t, cfg, data, warm, cut, false)
+		wantErr, gotErr := want.verdict, got.verdict
+		admitted := len(got.pulses) > 0 && len(got.pulses[0]) > 0 // the write was scheduled
+		if errors.Is(wantErr, ErrPowerLoss) != errors.Is(gotErr, ErrPowerLoss) || (wantErr == nil) != (gotErr == nil) ||
+			!admitted && fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
 			t.Errorf("cut %v: reference verdict %v, closed form %v", cut, wantErr, gotErr)
 		}
 		switch {
-		case len(scheduled) > 0 && len(scheduled[0]) > 0 && cut < uncut: // cut inside the admitted write
-			if gotDone != cut || wantDone < cut || wantDone > cut+cfg.Nand.TProg {
-				t.Errorf("cut %v: closed form returned at %v (want the cut), reference at %v (want within one TProg of it)", cut, gotDone, wantDone)
+		case admitted && cut < uncut.done: // cut inside the admitted write
+			if got.done != cut || want.done < cut || want.done > cut+cfg.Nand.TProg {
+				t.Errorf("cut %v: closed form returned at %v (want the cut), reference at %v (want within one TProg of it)", cut, got.done, want.done)
 			}
-		case gotDone != wantDone: // cut during the erase, or after the command
-			t.Errorf("cut %v: closed form returned at %v, reference at %v", cut, gotDone, wantDone)
+		case got.done != want.done: // cut during the erase, or after the command
+			t.Errorf("cut %v: closed form returned at %v, reference at %v", cut, got.done, want.done)
 		}
-		for k := range want {
-			w, g := want[k], got[k]
+		if want.ftl != got.ftl {
+			t.Errorf("cut %v: mappings, free pools or wear differ", cut)
+		}
+		if fmt.Sprint(want.erases) != fmt.Sprint(got.erases) {
+			t.Errorf("cut %v: erase spans\n ref  %v\n got  %v", cut, want.erases, got.erases)
+		}
+		for k := range want.images {
+			w, g := want.images[k], got.images[k]
 			if w.writePtr != g.writePtr {
 				t.Errorf("cut %v plane %d: write pointer %d, reference %d", cut, k, g.writePtr, w.writePtr)
 				continue
@@ -623,4 +730,95 @@ func testPowerCut(t *testing.T, pages int, dataMode bool) {
 			}
 		}
 	}
+}
+
+// TestEraseDispatchMatchesReference runs three issuers' erases on one
+// channel among bystanders that wake on the erase pulses' own grid and
+// on a grid half as fine, each leaving a counter of the channel's total
+// wear and now and then a span, and requires
+// the whole trace — every event's instant, sequence number and span ID —
+// and every verdict to equal what the reference's per-chip processes
+// produce: stepErase takes the dispatch slots those processes took, with
+// worn-out blocks retired inside commands, pools run dry, and a power
+// cut mid-pulse or exactly at a pulse's end.
+func TestEraseDispatchMatchesReference(t *testing.T) {
+	te := smallConfig().Nand.TErase
+	for _, tc := range []struct {
+		name  string
+		limit int           // EraseLimit, 0 for the default
+		cut   time.Duration // -1: none
+	}{
+		{"plain", 0, -1},
+		{"wear", 1, -1},
+		{"cut-mid-pulse", 0, 5*te + te/3},
+		{"cut-at-pulse-end", 0, 6 * te},
+		{"wear-cut-at-pulse-end", 1, 83 * te},
+		{"wear-cut-mid-pulse", 1, 83*te + te/2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, wantVerdicts := eraseTrace(t, tc.limit, tc.cut, true)
+			got, gotVerdicts := eraseTrace(t, tc.limit, tc.cut, false)
+			if trace.Hash(want) != trace.Hash(got) {
+				for i := range min(len(want), len(got)) {
+					if want[i] != got[i] {
+						t.Fatalf("%d and %d events; first difference at %d:\n ref  %+v\n got  %+v", len(want), len(got), i, want[i], got[i])
+					}
+				}
+				t.Fatalf("%d events, reference %d", len(got), len(want))
+			}
+			if fmt.Sprint(wantVerdicts) != fmt.Sprint(gotVerdicts) {
+				t.Errorf("verdicts\n ref  %v\n got  %v", wantVerdicts, gotVerdicts)
+			}
+		})
+	}
+}
+
+// eraseTrace runs TestEraseDispatchMatchesReference's scenario through
+// the reference or the laid-out erase and returns its trace and the
+// erases' verdicts.
+func eraseTrace(t *testing.T, limit int, cut time.Duration, ref bool) ([]trace.Event, []string) {
+	t.Helper()
+	cfg := smallConfig()
+	cfg.Nand.EraseLimit = limit
+	te := cfg.Nand.TErase
+	env := sim.NewEnv()
+	defer env.Close()
+	col := trace.NewCollector()
+	env.SetTracer(col)
+	ch, err := New(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	erase := ch.Erase
+	if ref {
+		erase = ch.refErase
+	}
+	var verdicts []string
+	for w := 0; w < 3; w++ {
+		env.Go("issuer", func(p *sim.Proc) {
+			for i := 0; i < 24; i++ {
+				span := col.Begin(env.Now(), 0, "erase", trace.PhaseOp)
+				p.SetSpan(span)
+				err := erase(p, w)
+				col.End(env.Now(), span)
+				verdicts = append(verdicts, fmt.Sprint(w, env.Now(), err))
+			}
+		})
+	}
+	for _, period := range []time.Duration{te, te / 2} {
+		env.Go("grid", func(p *sim.Proc) {
+			for i := 0; env.Now() < 200*te; i++ {
+				p.Wait(period)
+				col.Counter(env.Now(), "wear", ch.Wear().TotalErase)
+				if i%3 == 0 {
+					env.Schedule(0, func() { col.End(env.Now(), col.Begin(env.Now(), 0, "bystander", trace.PhaseOp)) })
+				}
+			}
+		})
+	}
+	if cut >= 0 {
+		env.Schedule(cut, ch.PowerOff)
+	}
+	env.Run()
+	return col.Events(), verdicts
 }

@@ -2,20 +2,25 @@ package flashchan
 
 // The park-per-page channel pipeline this package used before commands
 // were scheduled in closed form, kept verbatim as the reference the
-// differential tests (pipeline_diff_test.go) hold ReadAt and
-// writeLocked to: refReadAt parks the caller twice per page
+// differential tests (pipeline_diff_test.go) hold ReadAt, writeLocked
+// and eraseLocked to: refReadAt parks the caller twice per page
 // (Plane.ReadPage, then the cache-register drain), refWriteLocked
-// spawns a worker per plane that parks once or twice per page. The only
-// edits are the ref prefix and correct's one-value return. This file is
-// the only place that loop survives — and, with makePageOOB and
-// encodeOOBInto below, the page-by-page construction of the out-of-band
-// records that writeOOB.Spare now renders on demand.
+// spawns a worker per plane that parks once or twice per page, and
+// refEraseLocked spawns a flashchan/erase process per chip that erases
+// its planes one Plane.Erase at a time. The only edits are the ref
+// prefix, correct's one-value return, the erasers built per command
+// instead of per chip, and the wear list's typed push and pop. This
+// file is the only place those loops survive — and, with makePageOOB
+// and encodeOOBInto below, the page-by-page construction of the
+// out-of-band records that writeOOB.Spare now renders on demand.
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
 
+	"sdf/internal/nand"
 	"sdf/internal/sim"
 	"sdf/internal/trace"
 )
@@ -51,7 +56,7 @@ func (ch *Channel) refEraseWrite(p *sim.Proc, lbn int, data []byte, tag *WriteID
 	if err := ch.checkAlive(); err != nil {
 		return err
 	}
-	if err := ch.eraseLocked(p, lbn); err != nil {
+	if err := ch.refEraseLocked(p, lbn); err != nil {
 		return err
 	}
 	if err := ch.refWriteLocked(p, lbn, data, tag); err != nil {
@@ -59,6 +64,124 @@ func (ch *Channel) refEraseWrite(p *sim.Proc, lbn int, data []byte, tag *WriteID
 	}
 	ch.maybeCheckpoint(p)
 	return nil
+}
+
+// refErase is Channel.Erase over refEraseLocked.
+func (ch *Channel) refErase(p *sim.Proc, lbn int) error {
+	if err := ch.checkLBN(lbn); err != nil {
+		return err
+	}
+	if err := ch.checkAlive(); err != nil {
+		return err
+	}
+	ch.acquire(p, ch.writePrio())
+	defer ch.mu.Release()
+	if err := ch.checkAlive(); err != nil { // killed while queued
+		return err
+	}
+	return ch.refEraseLocked(p, lbn)
+}
+
+// refEraser is one chip's share of an erase command: the flashchan/erase
+// process that erases the chip's planes, ch.planes[first:end], one
+// after another.
+type refEraser struct {
+	ch         *Channel
+	proc       sim.Proc
+	first, end int
+	lbn        int
+	parent     trace.SpanID
+	err        error // the first of its planes' failures
+}
+
+func (e *refEraser) erase(wp *sim.Proc) {
+	wp.SetSpan(e.parent)
+	for pi := e.first; pi < e.end; pi++ {
+		if err := e.ch.refErasePlane(wp, pi, e.lbn); err != nil && e.err == nil {
+			e.err = err
+		}
+	}
+}
+
+func (ch *Channel) refEraseLocked(p *sim.Proc, lbn int) error {
+	var erasers []*refEraser
+	for c, first := 0, 0; c < len(ch.chips); c++ {
+		erasers = append(erasers, &refEraser{ch: ch, first: first, end: first + ch.chips[c].Planes()})
+		first += ch.chips[c].Planes()
+	}
+	// Recycle old mappings first so they are candidates again.
+	for i := range ch.planes {
+		ps := &ch.planes[i]
+		if old, ok := ps.lookup(lbn); ok {
+			ps.free.push(old)
+			ps.mapping[lbn] = unmapped
+		}
+	}
+	delete(ch.meta, lbn) // the block's previous identity is gone
+	// Spare-exhaustion precheck: a plane with an empty free pool can
+	// never complete this command, so fail before burning erase cycles
+	// (and endurance) on the planes that still have spares.
+	for i := range ch.planes {
+		if ch.planes[i].free.Len() == 0 {
+			return fmt.Errorf("%w: plane %d spare pool exhausted", ErrOutOfSpace, i)
+		}
+	}
+	// Erase chips in parallel, planes within a chip sequentially (one
+	// erase pulse per die at a time).
+	for _, e := range erasers {
+		e.lbn, e.parent, e.err = lbn, p.Span(), nil
+		ch.env.Start(&e.proc, "flashchan/erase", e.erase)
+	}
+	for _, e := range erasers {
+		p.Join(&e.proc)
+	}
+	for _, e := range erasers {
+		if e.err != nil {
+			ch.refUnwindErase(lbn)
+			return e.err
+		}
+	}
+	ch.blocksErased++
+	return nil
+}
+
+// refUnwindErase reverts a partially completed erase command: planes
+// that already allocated and erased a block for lbn return it to the
+// free pool and the logical block ends fully unmapped.
+func (ch *Channel) refUnwindErase(lbn int) {
+	for i := range ch.planes {
+		ps := &ch.planes[i]
+		if phys, ok := ps.lookup(lbn); ok {
+			ps.free.push(phys)
+			ps.mapping[lbn] = unmapped
+		}
+	}
+}
+
+// refErasePlane allocates and erases one physical block on plane pi,
+// retiring worn-out blocks until a healthy one is found.
+func (ch *Channel) refErasePlane(p *sim.Proc, pi, lbn int) error {
+	ps := &ch.planes[pi]
+	for {
+		if ps.free.Len() == 0 {
+			return fmt.Errorf("%w: plane %d", ErrOutOfSpace, pi)
+		}
+		phys := ps.free.pop()
+		err := ps.plane.Erase(p, phys)
+		if err == nil {
+			ps.mapping[lbn] = phys
+			if ch.parity != nil {
+				for pg := 0; pg < ch.cfg.Nand.PagesPerBlock; pg++ {
+					delete(ch.parity, parityKey{pi, phys, pg})
+				}
+			}
+			return nil
+		}
+		if errors.Is(err, nand.ErrWornOut) || errors.Is(err, nand.ErrBadBlock) {
+			continue // retired; try the next least-worn block
+		}
+		return err
+	}
 }
 
 func (ch *Channel) refWriteLocked(p *sim.Proc, lbn int, data []byte, tag *WriteID) error {

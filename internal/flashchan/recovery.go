@@ -20,7 +20,6 @@
 package flashchan
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -489,7 +488,7 @@ func (ch *Channel) Recover(p *sim.Proc) (RecoveryReport, error) {
 				}
 			}
 		}
-		// Rebuild the wear heap: every healthy, unmapped physical
+		// Rebuild the wear list: every healthy, unmapped physical
 		// block is allocatable again (erase counts live in the media).
 		// Checkpoint home blocks never enter the pool.
 		ps.free.idx = ps.free.idx[:0]
@@ -498,7 +497,7 @@ func (ch *Channel) Recover(p *sim.Proc) (RecoveryReport, error) {
 				ps.free.idx = append(ps.free.idx, phys)
 			}
 		}
-		heap.Init(&ps.free)
+		ps.free.init()
 	}
 	ch.nextSeq = maxSeq + 1
 	if cp != nil && cp.watermark > ch.nextSeq {
@@ -567,7 +566,7 @@ func (ch *Channel) SeedRecoverable(lbn int, id WriteID) error {
 		if ps.free.Len() == 0 {
 			return fmt.Errorf("%w: plane %d", ErrOutOfSpace, i)
 		}
-		phys := heap.Pop(&ps.free).(int)
+		phys := ps.free.pop()
 		if err := ps.plane.PreloadSpares(phys, pagesPerBlock, rec, i*pagesPerBlock); err != nil {
 			return err
 		}

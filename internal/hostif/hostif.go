@@ -30,28 +30,33 @@ type Interface struct {
 
 type transferrer interface {
 	Transfer(p *sim.Proc, n int)
-	Rate() float64
 	Moved() int64
 	SetRateFactor(f float64)
 	RateFactor() float64
 }
 
-// PCIe11x8 returns a PCIe 1.1 x8 interface. The nominal rate is
-// 2 GB/s per direction; after 8b/10b coding and TLP overhead the
-// effective rates measured in the paper are 1.61 GB/s (read, i.e.
-// device to host) and 1.40 GB/s (write) (§3.2).
+// Effective interface rates in bytes/s. PCIe 1.1 x8 is 2 GB/s per
+// direction nominal; after 8b/10b coding and TLP overhead the paper
+// measures 1.61 GB/s device to host and 1.40 GB/s host to device
+// (§3.2). SATA 2.0 is 300 MB/s nominal, ~270 MB/s after framing.
+const (
+	pcieToHost   = 1.61e9
+	pcieToDevice = 1.40e9
+	sataRate     = 270e6
+)
+
+// PCIe11x8 returns a PCIe 1.1 x8 interface, full duplex.
 func PCIe11x8(env *sim.Env) *Interface {
-	read := sim.NewSharedLink(env, 1.61e9)
+	read := sim.NewSharedLink(env, pcieToHost)
 	read.SetName("pcie/to-host")
-	write := sim.NewSharedLink(env, 1.40e9)
+	write := sim.NewSharedLink(env, pcieToDevice)
 	write.SetName("pcie/to-device")
 	return &Interface{read: read, write: write}
 }
 
-// SATA2 returns a SATA 2.0 interface: 300 MB/s nominal, ~270 MB/s
-// effective after framing, half duplex.
+// SATA2 returns a SATA 2.0 interface, half duplex.
 func SATA2(env *sim.Env) *Interface {
-	l := sim.NewLink(env, 270e6, 2*time.Microsecond)
+	l := sim.NewLink(env, sataRate, 2*time.Microsecond)
 	l.SetName("sata")
 	return &Interface{read: l, write: l}
 }

@@ -12,13 +12,12 @@ func TestPCIeFullDuplex(t *testing.T) {
 	defer env.Close()
 	pcie := PCIe11x8(env)
 	var readEnd, writeEnd time.Duration
-	e9 := func(rate float64) int { return int(rate) } // 1 second of traffic
 	env.Go("r", func(p *sim.Proc) {
-		pcie.ToHost(p, e9(pcie.read.Rate()))
+		pcie.ToHost(p, pcieToHost) // 1 second of traffic
 		readEnd = env.Now()
 	})
 	env.Go("w", func(p *sim.Proc) {
-		pcie.ToDevice(p, e9(pcie.write.Rate()))
+		pcie.ToDevice(p, pcieToDevice)
 		writeEnd = env.Now()
 	})
 	env.Run()
@@ -37,7 +36,7 @@ func TestPCIeFairSharing(t *testing.T) {
 	done := 0
 	for i := 0; i < 4; i++ {
 		env.Go("r", func(p *sim.Proc) {
-			pcie.ToHost(p, int(pcie.read.Rate()/4))
+			pcie.ToHost(p, pcieToHost/4)
 			done++
 		})
 	}
@@ -56,7 +55,7 @@ func TestSATAHalfDuplex(t *testing.T) {
 	defer env.Close()
 	sata := SATA2(env)
 	var ends []time.Duration
-	n := int(sata.read.Rate()) / 10 // 100 ms of traffic each
+	n := int(sataRate / 10) // 100 ms of traffic each
 	env.Go("r", func(p *sim.Proc) {
 		sata.ToHost(p, n)
 		ends = append(ends, env.Now())

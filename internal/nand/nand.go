@@ -669,44 +669,52 @@ func (pl *Plane) SettleProgramRun(blockIdx, first int, pulses Pulses, data []byt
 // erase count passes its endurance becomes bad and returns ErrWornOut;
 // the caller (the channel engine's bad block manager) must retire it.
 func (pl *Plane) Erase(p *sim.Proc, blockIdx int) error {
-	if err := pl.checkAddr(blockIdx, 0); err != nil {
+	if err := pl.Erasable(blockIdx); err != nil {
 		return err
-	}
-	b := &pl.m.blocks[blockIdx]
-	if b.bad {
-		return fmt.Errorf("%w: plane %d block %d", ErrBadBlock, pl.index, blockIdx)
-	}
-	if pl.chip.off {
-		return fmt.Errorf("%w: plane %d", ErrPowerLoss, pl.index)
 	}
 	env := pl.chip.env
 	span := env.Tracer().Begin(env.Now(), p.Span(), "nand/erase", trace.PhaseFlash)
 	pl.tl.Occupy(p, pl.chip.params.TErase)
 	env.Tracer().End(env.Now(), span)
+	return pl.SettleErase(blockIdx, env.Now()-pl.chip.params.TErase)
+}
+
+// Erasable is the admission check of a block erase: the address, the
+// block's health, power.
+func (pl *Plane) Erasable(blockIdx int) error {
+	if err := pl.checkAddr(blockIdx, 0); err != nil {
+		return err
+	}
+	if pl.m.blocks[blockIdx].bad {
+		return fmt.Errorf("%w: plane %d block %d", ErrBadBlock, pl.index, blockIdx)
+	}
 	if pl.chip.off {
-		// Pulse at [Now-TErase, Now): if it began before the power
-		// died, the cells are partially erased — retained pages are
-		// gone, wear is charged, and the block needs a fresh erase
-		// before reuse. A pulse that never started leaves no trace.
-		if env.Now()-pl.chip.params.TErase < pl.chip.offAt {
-			b.eraseCount++
-			pl.m.wipe(blockIdx, pl.chip.params.PagesPerBlock)
-			b.writePtr = -1
-			pl.m.interruptedErases++
-			if b.eraseCount > b.endurance {
-				b.bad = true
-			}
-		}
+		return fmt.Errorf("%w: plane %d", ErrPowerLoss, pl.index)
+	}
+	return nil
+}
+
+// SettleErase applies the erase pulse [pulseStart, now) of a block that
+// passed Erasable, at the pulse's end. With the power on, the block is
+// erased (ErrWornOut past its endurance). If the power died during the
+// pulse, the cells are partially erased: wear charged, retained pages
+// gone, a fresh erase needed before reuse; a pulse that never started
+// leaves no trace. Both return ErrPowerLoss.
+func (pl *Plane) SettleErase(blockIdx int, pulseStart time.Duration) error {
+	c, b := pl.chip, &pl.m.blocks[blockIdx]
+	if c.off && pulseStart >= c.offAt {
 		return fmt.Errorf("%w: plane %d block %d", ErrPowerLoss, pl.index, blockIdx)
 	}
-	pl.chip.erases++
 	b.eraseCount++
-	pl.m.wipe(blockIdx, pl.chip.params.PagesPerBlock)
-	if b.eraseCount > b.endurance {
-		b.bad = true
-		b.writePtr = -1
-		return fmt.Errorf("%w: plane %d block %d after %d cycles",
-			ErrWornOut, pl.index, blockIdx, b.eraseCount)
+	pl.m.wipe(blockIdx, c.params.PagesPerBlock)
+	b.writePtr, b.bad = -1, b.eraseCount > b.endurance
+	if c.off {
+		pl.m.interruptedErases++
+		return fmt.Errorf("%w: plane %d block %d", ErrPowerLoss, pl.index, blockIdx)
+	}
+	c.erases++
+	if b.bad {
+		return fmt.Errorf("%w: plane %d block %d after %d cycles", ErrWornOut, pl.index, blockIdx, b.eraseCount)
 	}
 	b.writePtr = 0
 	return nil

@@ -258,3 +258,67 @@ func TestSettleProgramCutRule(t *testing.T) {
 		env.Close()
 	}
 }
+
+// TestSettleEraseCutRule pins the power-cut rule for an erase pulse
+// settled at its end, on a block holding two programmed pages: with the
+// power still on, the pulse erased the block; if the cut came during the
+// pulse — at its very end included, when the cut is dispatched first —
+// it left the block partially erased (wear charged, pages gone, a fresh
+// erase needed); and a pulse beginning at or after the cut left no trace.
+func TestSettleEraseCutRule(t *testing.T) {
+	params := plParams()
+	te := params.TErase
+	for _, tc := range []struct {
+		name        string
+		start       time.Duration // the pulse's start, relative to the cut
+		wear        int           // erase count after it
+		writePtr    int
+		interrupted int
+		err         error
+	}{
+		{"ended before the cut", -te - 1, 2, 0, 0, nil},
+		{"ended at the cut", -te, 2, -1, 1, ErrPowerLoss},
+		{"cut one ns before its end", -te + 1, 2, -1, 1, ErrPowerLoss},
+		{"cut one ns after its start", -1, 2, -1, 1, ErrPowerLoss},
+		{"begins at the cut", 0, 1, 2, 0, ErrPowerLoss},
+		{"begins after the cut", 1, 1, 2, 0, ErrPowerLoss},
+	} {
+		env := sim.NewEnv()
+		chip := New(env, params)
+		pl := chip.Plane(0)
+		data := make([]byte, params.PageSize)
+		prep := env.Go("prep", func(p *sim.Proc) {
+			if err := pl.Erase(p, 0); err != nil {
+				t.Error(err)
+			}
+			for pg := 0; pg < 2; pg++ {
+				if err := pl.Program(p, 0, pg, data); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		env.RunUntilDone(prep)
+		now := env.Now()
+		cut := now + 2*te
+		env.Schedule(cut-now, chip.PowerOff)
+		var err error
+		env.Schedule(cut+tc.start+te-now, func() { err = pl.SettleErase(0, cut+tc.start) })
+		_, _, erasesBefore := chip.Counters()
+		env.Run()
+		_, _, erases := chip.Counters()
+		if (err == nil) != (tc.err == nil) || !errors.Is(err, tc.err) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.err)
+		}
+		if pl.EraseCount(0) != tc.wear || pl.WritePtr(0) != tc.writePtr || pl.InterruptedErases() != tc.interrupted {
+			t.Errorf("%s: erase count %d, write pointer %d, interrupted erases %d; want %d, %d, %d", tc.name,
+				pl.EraseCount(0), pl.WritePtr(0), pl.InterruptedErases(), tc.wear, tc.writePtr, tc.interrupted)
+		}
+		if completed := tc.err == nil; (erases-erasesBefore == 1) != completed {
+			t.Errorf("%s: chip counted %d erases, completed %v", tc.name, erases-erasesBefore, completed)
+		}
+		if _, retained := pl.m.data[pl.pageIndex(0, 0)]; retained != (tc.writePtr == 2) {
+			t.Errorf("%s: page 0 payload retained %v", tc.name, retained)
+		}
+		env.Close()
+	}
+}

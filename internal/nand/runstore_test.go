@@ -287,3 +287,54 @@ func TestRunStoreMatchesPageModel(t *testing.T) {
 		env.Close()
 	}
 }
+
+// TestEraseReleasesEveryRun programs a block in two runs from two
+// sources, which the block keeps as a runList, and settles an erase of
+// it: an erase that completed or that the cut came during wipes the
+// block and releases each source exactly once; one the cut came before
+// keeps both runs and releases neither.
+func TestEraseReleasesEveryRun(t *testing.T) {
+	params := plParams()
+	te, tp := params.TErase, params.TProg
+	for _, tc := range []struct {
+		name     string
+		start    time.Duration // the erase pulse's start, relative to the cut
+		released int
+	}{
+		{"completed", -te - 1, 1},
+		{"interrupted", -te / 2, 1},
+		{"not begun", 0, 0},
+	} {
+		env := sim.NewEnv()
+		chip := New(env, params)
+		pl := chip.Plane(0)
+		prep := env.Go("prep", func(p *sim.Proc) {
+			if err := pl.Erase(p, 0); err != nil {
+				t.Error(err)
+			}
+		})
+		env.RunUntilDone(prep)
+		a, b := &seqSource{tag: 1}, &seqSource{tag: 2}
+		now := env.Now()
+		if _, err := pl.SettleProgramRun(0, 0, Pulses{TailStart: now, Tail: 2}, nil, a, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pl.SettleProgramRun(0, 2, Pulses{TailStart: now + 2*tp, Tail: 2}, nil, b, 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := pl.m.spares[0].src.(*runList); !ok {
+			t.Fatalf("%s: a block programmed in two runs keeps %T, want *runList", tc.name, pl.m.spares[0].src)
+		}
+		cut := now + 4*tp + te
+		env.Schedule(cut-now, chip.PowerOff)
+		env.Schedule(cut+tc.start+te-now, func() { pl.SettleErase(0, cut+tc.start) })
+		env.Run()
+		if a.released != tc.released || b.released != tc.released {
+			t.Errorf("%s: sources released %d and %d times, want %d each", tc.name, a.released, b.released, tc.released)
+		}
+		if got, want := pl.Spare(0, 3), []byte{2, 6, 0}; tc.released == 0 != bytes.Equal(got, want) {
+			t.Errorf("%s: page 3 spare %v after the erase", tc.name, got)
+		}
+		env.Close()
+	}
+}

@@ -113,9 +113,6 @@ func (l *Link) Commit(end time.Duration, bytes int) {
 	l.tl.Commit(end)
 }
 
-// Rate returns the link data rate in bytes per second.
-func (l *Link) Rate() float64 { return l.rate }
-
 // Moved returns the total bytes transferred so far.
 func (l *Link) Moved() int64 { return l.moved }
 
@@ -130,12 +127,15 @@ type SharedLink struct {
 	factor float64 // degradation multiplier (1 = healthy)
 	active []*Xfer // not a waitList: a processor-sharing set advance moves as a whole
 	last   int64   // virtual time of last progress update
-	gen    uint64  // invalidates stale completion events
 	moved  int64
-	// Awaited xfers and fired ticks are reused, so a transfer in steady
-	// state allocates nothing.
+	// The pending progress event (tickSeq 0: none), withdrawn in place
+	// when a reschedule supersedes it, and its body, bound once.
+	tickAt  int64
+	tickSeq uint64
+	onTick  func()
+	// Awaited xfers are reused, so a transfer in steady state allocates
+	// nothing.
 	freeXfers []*Xfer
-	freeTicks []*linkTick
 }
 
 // Xfer is one transfer on a SharedLink, from Start until it is
@@ -149,30 +149,21 @@ type Xfer struct {
 	proc      *Proc
 }
 
-// linkTick is one scheduled progress event. fire is its method value,
-// bound once, so rescheduling passes a ready func to Env.Schedule
-// instead of building a closure over gen.
-type linkTick struct {
-	l    *SharedLink
-	gen  uint64
-	fire func()
-}
-
-func (t *linkTick) run() {
-	l, current := t.l, t.gen == t.l.gen
-	l.freeTicks = append(l.freeTicks, t)
-	if current {
-		l.complete()
-	}
-}
-
 // NewSharedLink returns a fair-share link with the given aggregate data
 // rate in bytes per second.
 func NewSharedLink(env *Env, bytesPerSec float64) *SharedLink {
 	if bytesPerSec <= 0 {
 		panic("sim: shared link rate must be positive")
 	}
-	return &SharedLink{env: env, rate: bytesPerSec, factor: 1}
+	l := &SharedLink{env: env, rate: bytesPerSec, factor: 1}
+	l.onTick = l.tick
+	return l
+}
+
+// tick is the progress event: the transfers that drain first are done.
+func (l *SharedLink) tick() {
+	l.tickSeq = 0
+	l.complete()
 }
 
 // SetRateFactor scales the link's effective aggregate rate by f
@@ -190,9 +181,6 @@ func (l *SharedLink) SetRateFactor(f float64) {
 
 // RateFactor returns the current degradation multiplier.
 func (l *SharedLink) RateFactor() float64 { return l.factor }
-
-// Rate returns the aggregate link rate in bytes per second.
-func (l *SharedLink) Rate() float64 { return l.rate }
 
 // Moved returns the total bytes transferred so far.
 func (l *SharedLink) Moved() int64 { return l.moved }
@@ -291,9 +279,14 @@ func (l *SharedLink) advance() {
 }
 
 // reschedule computes the next completion instant and schedules a
-// progress event for it, invalidating any previously scheduled one.
+// progress event for it, withdrawing the one it supersedes: that event
+// keeps its slot and fires nothing (calendarQueue.withdraw).
 func (l *SharedLink) reschedule() {
-	l.gen++
+	e := l.env
+	if l.tickSeq != 0 {
+		e.q.withdraw(l.tickAt, l.tickSeq)
+		l.tickSeq = 0
+	}
 	if len(l.active) == 0 {
 		return
 	}
@@ -308,16 +301,9 @@ func (l *SharedLink) reschedule() {
 	// Round up one nanosecond so the completion check sees zero
 	// remaining despite floating-point truncation.
 	eta++
-	var t *linkTick
-	if k := len(l.freeTicks); k > 0 {
-		t = l.freeTicks[k-1]
-		l.freeTicks = l.freeTicks[:k-1]
-	} else {
-		t = &linkTick{l: l}
-		t.fire = t.run
-	}
-	t.gen = l.gen
-	l.env.Schedule(eta, t.fire)
+	l.tickAt = e.now + int64(eta)
+	e.scheduleAt(l.tickAt, event{fn: l.onTick})
+	l.tickSeq = e.seq
 }
 
 // complete finishes all transfers that have drained, wakes the
