@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint verify examples kernel-bench perf-smoke check
+.PHONY: all build vet test race lint verify kernel-bench perf-smoke check
 
 all: check
 
@@ -50,16 +50,6 @@ verify:
 		diff -u $$base verify-out/$$json; \
 	done; \
 	rm verify-out/sdfbench
-
-# examples runs every examples/* main once; `go build ./...` only
-# compiles them. Each is a small end-to-end scenario over the
-# DefaultConfig()s of the layers it wires, so a non-zero exit (a
-# log.Fatal or a panic) fails the target.
-examples:
-	@set -e; for dir in examples/*/; do \
-		echo "$(GO) run ./$${dir%/}"; \
-		$(GO) run ./$${dir%/}; \
-	done
 
 # kernel-bench is the scheduler perf gate (DESIGN.md "Kernel round 2"):
 # it fails on an allocation regression in the pooled fast paths

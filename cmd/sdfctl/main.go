@@ -1,5 +1,7 @@
-// Command sdfctl inspects and exercises a simulated SDF device, the
-// way an operator pokes at /dev/sda0../dev/sda43 on a production box.
+// Command sdfctl prints a simulated SDF device's geometry and reads
+// the artifacts sdfbench writes: traces, fault plans and metrics
+// exports. The experiments themselves, device scenarios included, run
+// through sdfbench, where make verify checks them.
 //
 // Usage:
 //
@@ -7,10 +9,8 @@
 //
 // Commands:
 //
-//	info      print device geometry and bandwidth envelope
-//	exercise  erase/write/read every channel once and report timing
-//	wear      hammer one channel and report wear leveling and ECC stats
-//	stack     compare the kernel and bypass software paths
+//	info      print device geometry and bandwidth envelope (-channels,
+//	          -blocks scale it)
 //
 //	trace summarize <file.jsonl>
 //	          read a JSONL trace written by sdfbench -trace and print
@@ -38,14 +38,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"sdf/internal/core"
 	"sdf/internal/experiments"
 	"sdf/internal/fault"
-	"sdf/internal/flashchan"
-	"sdf/internal/hostif"
-	"sdf/internal/metrics"
 	"sdf/internal/sim"
 	"sdf/internal/trace"
 )
@@ -85,18 +81,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // command dispatches one command line (flags already parsed).
 func command(args []string, channels, blocks int, w io.Writer) error {
 	if len(args) < 1 {
-		return usageError("usage: sdfctl [-channels N] [-blocks N] info|exercise|wear|stack|trace|faults|metrics")
+		return usageError("usage: sdfctl [-channels N] [-blocks N] info|trace|faults|metrics")
 	}
 	switch args[0] {
 	case "info":
 		return info(w, channels, blocks)
-	case "exercise":
-		return exercise(w, channels, blocks)
-	case "wear":
-		return wear(w)
-	case "stack":
-		stack(w)
-		return nil
 	case "trace":
 		if len(args) != 3 || args[1] != "summarize" {
 			return usageError("usage: sdfctl trace summarize <file.jsonl>")
@@ -165,26 +154,19 @@ func faults(w io.Writer, path string) error {
 	return nil
 }
 
-func newDevice(channels, blocks int) (*sim.Env, *core.Device, error) {
+// info prints the geometry and bandwidth envelope of a device with
+// the given channel count and blocks per plane.
+func info(w io.Writer, channels, blocks int) error {
 	env := sim.NewEnv()
+	defer env.Close()
 	cfg := core.DefaultConfig()
 	cfg.Channels = channels
 	cfg.Channel.Nand.BlocksPerPlane = blocks
 	cfg.Channel.SparePerPlane = 2
 	dev, err := core.New(env, cfg)
 	if err != nil {
-		env.Close()
-		return nil, nil, err
-	}
-	return env, dev, nil
-}
-
-func info(w io.Writer, channels, blocks int) error {
-	env, dev, err := newDevice(channels, blocks)
-	if err != nil {
 		return err
 	}
-	defer env.Close()
 	fmt.Fprintf(w, "channels:            %d (exposed as independent devices)\n", dev.Channels())
 	fmt.Fprintf(w, "write/erase unit:    %d MiB (block-aligned)\n", dev.BlockSize()>>20)
 	fmt.Fprintf(w, "read unit:           %d KiB\n", dev.PageSize()>>10)
@@ -197,90 +179,4 @@ func info(w io.Writer, channels, blocks int) error {
 	fmt.Fprintf(w, "raw write bandwidth: %.2f GB/s (program limited)\n", dev.RawWriteBandwidth()/1e9)
 	fmt.Fprintf(w, "host interface:      PCIe 1.1 x8 (1.61/1.40 GB/s effective)\n")
 	return nil
-}
-
-func exercise(w io.Writer, channels, blocks int) error {
-	env, dev, err := newDevice(channels, blocks)
-	if err != nil {
-		return err
-	}
-	defer env.Close()
-	var erase, write, read metrics.Series
-	var workers []*sim.Proc
-	errs := make([]error, dev.Channels())
-	for ch := 0; ch < dev.Channels(); ch++ {
-		wk := env.Go("exercise", func(p *sim.Proc) {
-			t0 := env.Now()
-			if errs[ch] = dev.Erase(p, ch, 0); errs[ch] != nil {
-				return
-			}
-			erase.Observe(env.Now() - t0)
-			t0 = env.Now()
-			if errs[ch] = dev.Write(p, ch, 0, nil); errs[ch] != nil {
-				return
-			}
-			write.Observe(env.Now() - t0)
-			t0 = env.Now()
-			if _, errs[ch] = dev.Read(p, ch, 0, 0, dev.BlockSize()); errs[ch] != nil {
-				return
-			}
-			read.Observe(env.Now() - t0)
-		})
-		workers = append(workers, wk)
-	}
-	waiter := env.Go("wait", func(p *sim.Proc) {
-		for _, wk := range workers {
-			p.Join(wk)
-		}
-	})
-	env.RunUntilDone(waiter)
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	total := int64(dev.Channels()) * int64(dev.BlockSize())
-	elapsed := env.Now()
-	fmt.Fprintf(w, "all %d channels: erase+write+read one 8 MiB block each\n", dev.Channels())
-	fmt.Fprintf(w, "erase:  mean %v (min %v, max %v)\n", erase.Mean(), erase.Min(), erase.Max())
-	fmt.Fprintf(w, "write:  mean %v (min %v, max %v)\n", write.Mean(), write.Min(), write.Max())
-	fmt.Fprintf(w, "read:   mean %v (min %v, max %v)\n", read.Mean(), read.Min(), read.Max())
-	fmt.Fprintf(w, "moved %d MiB in %v of device time\n", 2*total>>20, elapsed.Round(time.Millisecond))
-	return nil
-}
-
-func wear(w io.Writer) error {
-	env := sim.NewEnv()
-	defer env.Close()
-	cfg := flashchan.DefaultConfig()
-	cfg.Nand.BlocksPerPlane = 12
-	cfg.Nand.PagesPerBlock = 16
-	cfg.Nand.EraseLimit = 100
-	cfg.SparePerPlane = 3
-	cfg.Seed = 1
-	ch, err := flashchan.New(env, cfg)
-	if err != nil {
-		return err
-	}
-	cycles := 0
-	hammer := env.Go("wear", func(p *sim.Proc) {
-		for ch.EraseWrite(p, cycles%ch.LogicalBlocks(), nil) == nil {
-			cycles++
-		}
-	})
-	env.RunUntilDone(hammer)
-	st := ch.Wear()
-	fmt.Fprintf(w, "channel wore out after %d erase+write cycles\n", cycles)
-	fmt.Fprintf(w, "erase counts: %d..%d (dynamic wear leveling)\n", st.MinErase, st.MaxErase)
-	fmt.Fprintf(w, "bad blocks retired: %d\n", st.BadBlocks)
-	return nil
-}
-
-func stack(w io.Writer) {
-	env := sim.NewEnv()
-	defer env.Close()
-	kernel := hostif.NewStack(env, hostif.KernelStack())
-	bypass := hostif.NewStack(env, hostif.BypassStack())
-	fmt.Fprintf(w, "kernel I/O stack:   %v per request\n", kernel.PerRequestCost())
-	fmt.Fprintf(w, "user-space bypass:  %v per request (interrupts merged 4-way)\n", bypass.PerRequestCost())
-	fmt.Fprintf(w, "ratio:              %.1fx\n",
-		float64(kernel.PerRequestCost())/float64(bypass.PerRequestCost()))
 }

@@ -1,10 +1,14 @@
 package sdf
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,6 +25,12 @@ var (
 	// rootDocs are the Markdown files at the root that document this
 	// tree; the others there are reference or task material.
 	rootDocs = map[string]bool{"README.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true, "ROADMAP.md": true, "CHANGES.md": true}
+	// goRunRE matches the package directory of a `go run`; sdfctlRE
+	// the command word of an sdfctl command line, after any flags,
+	// where the line runs or quotes sdfctl rather than naming its
+	// directory.
+	goRunRE  = regexp.MustCompile(`go run (?:-\S+ )*\./(\S+)`)
+	sdfctlRE = regexp.MustCompile("(?:\\./cmd/|[`(]|^)sdfctl(?:\\s+-\\S+(?:\\s+\\d+)?)*\\s+([a-z]+)")
 )
 
 // designChapters returns DESIGN.md's text and its chapter titles by
@@ -133,4 +143,94 @@ func TestDesignInventoryListsEveryPackage(t *testing.T) {
 			t.Errorf("internal/%s is missing from DESIGN §3's inventory", e.Name())
 		}
 	}
+}
+
+// TestDocCommandsResolve fails when README.md, DESIGN.md or
+// EXPERIMENTS.md tells the reader to `go run` a directory that holds
+// no main package, or to run an sdfctl command that cmd/sdfctl's
+// command function does not dispatch.
+func TestDocCommandsResolve(t *testing.T) {
+	dispatched := sdfctlCommands(t)
+	refs := 0
+	for _, path := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(buf), "\n") {
+			for _, m := range goRunRE.FindAllStringSubmatch(line, -1) {
+				refs++
+				if !isMainPackage(t, m[1]) {
+					t.Errorf("%s:%d: go run ./%s names no main package", path, i+1, m[1])
+				}
+			}
+			for _, m := range sdfctlRE.FindAllStringSubmatch(line, -1) {
+				refs++
+				if !dispatched[m[1]] {
+					t.Errorf("%s:%d: sdfctl %s is not an sdfctl command", path, i+1, m[1])
+				}
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("found no go run or sdfctl command lines at all; the patterns have drifted from the docs")
+	}
+}
+
+// sdfctlCommands returns the command words cmd/sdfctl dispatches: the
+// string labels of the switch cases in its command function.
+func sdfctlCommands(t *testing.T) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "sdfctl", "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := make(map[string]bool)
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "command" {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if cc, ok := n.(*ast.CaseClause); ok {
+				for _, e := range cc.List {
+					if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						word, err := strconv.Unquote(lit.Value)
+						if err != nil {
+							t.Fatal(err)
+						}
+						words[word] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(words) == 0 {
+		t.Fatal("cmd/sdfctl/main.go has no command function with string cases")
+	}
+	return words
+}
+
+// isMainPackage reports whether dir holds a non-test Go file of
+// package main.
+func isMainPackage(t *testing.T, dir string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(filepath.FromSlash(dir), "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name.Name == "main" {
+			return true
+		}
+	}
+	return false
 }

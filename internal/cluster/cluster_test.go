@@ -49,6 +49,9 @@ func TestReplicatedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if g.Replicas() != 3 {
+		t.Fatalf("Replicas = %d, want 3", g.Replicas())
+	}
 	val := bytes.Repeat([]byte{0xCD}, 40_000)
 	w := env.Go("t", func(p *sim.Proc) {
 		if err := g.Put(p, "page-1", val, len(val)); err != nil {

@@ -161,3 +161,40 @@ func checkFaults(tab Table) error {
 	c.require(slo["sdf/availability"].Met, "SDF missed its availability objective: %s", slo["sdf/availability"])
 	return c.err()
 }
+
+// checkWearout is the §2.2 per-channel reliability contract: BCH
+// corrects the wear-dependent bit errors, worn blocks are retired
+// before they lose data, and dynamic wear leveling keeps every healthy
+// block's erase count within 3 of the others'.
+func checkWearout(tab Table) error {
+	c := &contract{tab: tab}
+	corrected := c.metric("bch_corrected_bits")
+	c.require(corrected > 0, "BCH corrected %.0f bits: no wear-dependent error reached the codec", corrected)
+	retired := c.metric("retired_blocks")
+	c.require(retired > 0, "%.0f blocks retired: the channel wore out without retiring a block", retired)
+	lost := c.metric("uncorrectable_sectors")
+	c.require(lost == 0, "%.0f uncorrectable sectors: a worn block lost data before it was retired", lost)
+	lo, hi := c.metric("erase_min"), c.metric("erase_max")
+	c.require(hi-lo <= 3, "erase counts spread %.0f..%.0f, more than 3 apart: dynamic wear leveling failed", lo, hi)
+	return c.err()
+}
+
+// checkReliability guards the reliability model's calibration: the
+// per-read uncorrectable probability strictly grows with wear, and
+// the fleet of the paper's field anecdote expects within 2x of the one
+// event the paper saw.
+func checkReliability(tab Table) error {
+	c := &contract{tab: tab}
+	prev := 0.0
+	for i, wear := range reliabilityWears {
+		p := c.metric(fmt.Sprintf("uce_per_8k_read.pe%d", wear))
+		if i > 0 {
+			c.require(p > prev, "P(uncorrectable per 8 KB read) %.2e at %d P/E is not above %.2e at %d P/E",
+				p, wear, prev, reliabilityWears[i-1])
+		}
+		prev = p
+	}
+	fleet := c.metric("fleet_uces")
+	c.require(fleet >= 0.5 && fleet <= 2, "fleet expects %.2f uncorrectable events, not within 2x of the paper's one", fleet)
+	return c.err()
+}

@@ -71,10 +71,39 @@ func TestContractMissingMetricIsViolation(t *testing.T) {
 		{"recovery", checkRecovery, Table{Rows: [][]string{
 			{"10%", "88", "88", "16"}, {"90%", "800", "800", "16"},
 		}}, `metric "recovery_probed_pages_f10" missing`},
+		{"wearout", checkWearout, Table{}, `metric "bch_corrected_bits" missing`},
+		{"reliability", checkReliability, Table{}, `metric "uce_per_8k_read.pe500" missing`},
 	} {
 		err := tc.check(tc.tab)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Check of an incomplete table = %v, want a violation containing %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestContractReportsBrokenPredicate breaks one predicate of a
+// committed baseline and requires that one violation, and only it, to
+// be reported with its numbers.
+func TestContractReportsBrokenPredicate(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		check func(Table) error
+		key   string
+		value float64
+		want  string
+	}{
+		{"wearout", checkWearout, "uncorrectable_sectors", 1,
+			"1 uncorrectable sectors: a worn block lost data before it was retired"},
+		{"reliability", checkReliability, "uce_per_8k_read.pe3000", 1e-13,
+			"P(uncorrectable per 8 KB read) 1.00e-13 at 3000 P/E is not above 1.23e-12 at 1500 P/E"},
+	} {
+		tab := baseline(t, tc.name)
+		if err := tc.check(tab); err != nil {
+			t.Fatalf("%s: baseline violates its contract: %v", tc.name, err)
+		}
+		tab.Metrics[tc.key] = tc.value
+		if err := tc.check(tab); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Check with %s = %g returned %v, want exactly %q", tc.name, tc.key, tc.value, err, tc.want)
 		}
 	}
 }

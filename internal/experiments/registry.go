@@ -31,6 +31,7 @@ func Registry() []Entry {
 		{"figure14", "write + compaction throughput", Figure14, nil},
 		{"stack", "kernel vs user-space I/O path cost", SoftwareStack, nil},
 		{"erase", "SDF aggregate erase throughput", EraseThroughput, nil},
+		{"wearout", "BCH, wear leveling and retirement on a wearing channel", Wearout, checkWearout},
 		{"stripe", "ablation: striping unit", AblationStripeUnit, nil},
 		{"buffer", "ablation: DRAM write buffer", AblationWriteBuffer, nil},
 		{"erasesched", "ablation: erase scheduling", AblationEraseScheduling, nil},
@@ -41,6 +42,7 @@ func Registry() []Entry {
 		{"readprio", "future work: reads over writes/erases", FutureWorkReadPriority, nil},
 		{"placement", "future work: load-balanced write placement", FutureWorkPlacement, nil},
 		{"activescan", "future work: in-storage filtered scan", FutureWorkActiveScan, nil},
+		{"reliability", "future work: uncorrectable-error model vs wear", Reliability, checkReliability},
 		{"faults", "availability under injected faults", Faults, checkFaults},
 		{"recovery", "mount-time recovery scan vs fill level", Recovery, checkRecovery},
 		{"codesign", "deadline-aware erase/write co-scheduling", CoDesign, checkCoDesign},

@@ -9,10 +9,10 @@ import (
 )
 
 // runnerSubset is a cheap slice of the suite (sub-second experiments
-// covering SDF, the conventional SSD, the cluster, and fault
-// injection) so the sequential-vs-parallel comparison stays fast
+// covering SDF, the conventional SSD, the cluster, fault injection and
+// the analytic reliability model) so the sequential-vs-parallel comparison stays fast
 // enough for `go test -race ./...` in CI.
-var runnerSubset = []string{"stack", "erase", "erasesched", "placement", "sdfop", "faults", "recovery"}
+var runnerSubset = []string{"stack", "erase", "erasesched", "placement", "sdfop", "faults", "recovery", "reliability"}
 
 func subsetEntries(t *testing.T) []Entry {
 	t.Helper()
@@ -56,8 +56,8 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 				entries[i].Name, seq[i].Events, par[i].Events)
 		}
 	}
-	// stack is analytical (no virtual time passes), but the rest of the
-	// subset simulates; the counters must show it.
+	// stack and reliability are analytical (no virtual time passes), but
+	// the rest of the subset simulates; the counters must show it.
 	var total uint64
 	for _, r := range seq {
 		total += r.Events

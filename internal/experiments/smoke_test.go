@@ -24,6 +24,16 @@ func checkTable(t *testing.T, tab Table, wantRows int) {
 	}
 }
 
+// TestDeviceKindNames pins the device names Figure 12's row labels
+// carry.
+func TestDeviceKindNames(t *testing.T) {
+	for kind, want := range map[deviceKind]string{devSDF: "Baidu SDF", devGen3: "Huawei Gen3", devIntel: "Intel 320"} {
+		if got := kind.String(); got != want {
+			t.Errorf("deviceKind %d is %q, want %q", kind, got, want)
+		}
+	}
+}
+
 func TestSoftwareStackTable(t *testing.T) {
 	checkTable(t, SoftwareStack(quick), 2)
 }

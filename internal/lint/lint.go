@@ -10,8 +10,8 @@
 // longer replayable. Each analyzer in this package enforces one of
 // those invariants:
 //
-//   - nowallclock: no time.Now/Sleep/timers outside cmd/, examples/,
-//     and tests — simulation code reads time from sim.Env only.
+//   - nowallclock: no time.Now/Sleep/timers outside cmd/ and tests —
+//     simulation code reads time from sim.Env only.
 //   - seededrand: no package-level math/rand functions in non-test
 //     internal/ code — randomness flows through an explicit
 //     *rand.Rand built from a config-threaded seed.
@@ -94,7 +94,7 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	// Applies reports whether the file is in the analyzer's scope.
-	// Out-of-scope files (generally cmd/, examples/ and tests) may use
+	// Out-of-scope files (generally cmd/ and tests) may use
 	// the forbidden constructs freely.
 	Applies func(f *File) bool
 	// Run reports violations in an in-scope file.

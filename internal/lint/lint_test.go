@@ -135,13 +135,13 @@ func TestPerAnalyzerFindings(t *testing.T) {
 	}
 }
 
-// TestScopeExemptions asserts that cmd/, examples/ and _test.go files
-// may use the wall clock and the global rand source, and that pool/'s
-// rawgo waiver, out of rawgo's scope, is not stale even when no
-// selected file needs the call graph that consumes it.
+// TestScopeExemptions asserts that cmd/ and _test.go files may use the
+// wall clock and the global rand source, and that pool/'s rawgo
+// waiver, out of rawgo's scope, is not stale even when no selected
+// file needs the call graph that consumes it.
 func TestScopeExemptions(t *testing.T) {
 	root := fixtureRoot(t)
-	for _, pattern := range []string{"./cmd/...", "./examples/...", "./internal/clean", "./internal/sim", "./pool"} {
+	for _, pattern := range []string{"./cmd/...", "./internal/clean", "./internal/sim", "./pool"} {
 		got, err := Run(root, []string{pattern})
 		if err != nil {
 			t.Fatal(err)

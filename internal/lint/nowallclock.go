@@ -22,13 +22,13 @@ var wallClockFuncs = map[string]string{
 
 // NoWallClock forbids wall-clock reads and timers in simulation code.
 // The host clock differs between runs, so any value derived from it
-// poisons replay identity; cmd/, examples/ and tests run outside the
-// simulated world and may use it freely.
+// poisons replay identity; cmd/ and tests run outside the simulated
+// world and may use it freely.
 var NoWallClock = &Analyzer{
 	Name: "nowallclock",
-	Doc:  "forbid time.Now/Sleep/After/Tick/NewTimer outside cmd/, examples/ and tests",
+	Doc:  "forbid time.Now/Sleep/After/Tick/NewTimer outside cmd/ and tests",
 	Applies: func(f *File) bool {
-		return !f.IsTest() && !f.In("cmd") && !f.In("examples")
+		return !f.IsTest() && !f.In("cmd")
 	},
 	Run: runNoWallClock,
 }

@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -151,12 +150,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// String summarizes the distribution.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v min=%v max=%v",
-		h.count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Min(), h.Max())
-}
-
 // HistogramState is a point-in-time copy of a histogram's cumulative
 // buckets, taken with State. Two states bracket a window; Delta
 // recovers the distribution of just that window's observations, which
@@ -180,9 +173,6 @@ func (h *Histogram) State() HistogramState {
 		sum:    h.sum,
 	}
 }
-
-// Count returns the observation count at snapshot time.
-func (s HistogramState) Count() uint64 { return s.count }
 
 // Delta returns a histogram holding the observations recorded after
 // prev and up to s (both snapshots of the same instrument). Exact

@@ -41,6 +41,17 @@ func TestSLOQuantileMet(t *testing.T) {
 	}
 }
 
+func TestObjectiveResultString(t *testing.T) {
+	r := ObjectiveResult{Name: "sdf/read_p99", Windows: 10, Violations: 1, Budget: 0.1, Burn: 1, Met: true}
+	if got, want := r.String(), "sdf/read_p99                 met        1/ 10 windows violated, budget 10%, burn 100%"; got != want {
+		t.Errorf("met result renders %q, want %q", got, want)
+	}
+	r.Violations, r.Burn, r.Met = 3, 3, false
+	if got, want := r.String(), "sdf/read_p99                 VIOLATED   3/ 10 windows violated, budget 10%, burn 300%"; got != want {
+		t.Errorf("violated result renders %q, want %q", got, want)
+	}
+}
+
 func TestSLOQuantileBudgetBurn(t *testing.T) {
 	// One bad window out of ten fits a 10% budget exactly (burn 100%);
 	// the same run misses a zero-budget objective.

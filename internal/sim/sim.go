@@ -506,9 +506,6 @@ type carrier struct {
 	yieldFn  func(struct{}) bool
 }
 
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
 // Env returns the environment this process runs in.
 func (p *Proc) Env() *Env { return p.env }
 

@@ -585,6 +585,9 @@ func TestLinkRateFactorRetimesLaterTransfers(t *testing.T) {
 		l.Transfer(p, 1e5) // 100ms
 		ends = append(ends, e.Now())
 		l.SetRateFactor(0.5)
+		if f := l.RateFactor(); f != 0.5 {
+			t.Errorf("RateFactor = %v after SetRateFactor(0.5)", f)
+		}
 		l.Transfer(p, 1e5) // same size, half the rate: 200ms
 		ends = append(ends, e.Now())
 		l.SetRateFactor(1)

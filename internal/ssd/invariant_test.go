@@ -146,6 +146,9 @@ func TestFTLInvariantsAfterGCChurn(t *testing.T) {
 	if s.Stats().GCMovedPages == 0 {
 		t.Fatal("GC never ran; churn test ineffective")
 	}
+	if lo, hi := s.Wear(); hi == 0 || lo > hi {
+		t.Fatalf("Wear = %d..%d after GC churn, want a non-empty range of erase counts", lo, hi)
+	}
 	checkInvariants(t, s)
 	env.Close()
 }
