@@ -54,7 +54,8 @@ verify:
 # kernel-bench is the scheduler perf gate (DESIGN.md "Kernel round 2"):
 # it fails on an allocation regression in the pooled fast paths
 # (TestKernelFastPathAllocs, the numeric form of the -benchmem
-# columns, wait-list fan-in and priority contention included), on a
+# columns, wait-list fan-in, priority contention and a fresh Env's
+# spawns on pooled carriers included), on a
 # device command or rpcnet fan-out that costs more
 # than a handful of events or allocates per request, or an erase that
 # spawns a process (TestCommandBudget), or on programmed blocks that
@@ -69,7 +70,9 @@ verify:
 # or a replicated read spawns a watcher process or allocates
 # (TestGetBudget), then
 # records the BenchmarkKernel* suite (BenchmarkKernelDeepQueue: FIFO
-# pops under a 100k-item Queue and 1k Resource waiters) with
+# pops under a 100k-item Queue and 1k Resource waiters;
+# BenchmarkKernelEnvChurn: build an Env, run 700 concurrent processes
+# on the carriers earlier Envs released, close it) with
 # allocation accounting and a CPU profile. CI uploads kernel-bench.txt
 # and kernel-bench.pprof, so every commit carries its kernel perf
 # history.

@@ -7,6 +7,7 @@ import (
 
 	"sdf/internal/ccdb"
 	"sdf/internal/cluster"
+	"sdf/internal/core"
 	"sdf/internal/fault"
 	"sdf/internal/metrics"
 	"sdf/internal/sim"
@@ -71,19 +72,59 @@ func (r *replicaRun) addReplicas(kind deviceKind, build func(name string) (*ccdb
 			fault.AttachSSD(r.inj, name, dev)
 			dev.RegisterMetrics(r.reg, labels...)
 			slice := ccdb.NewSlice(r.env, ccdb.NewSSDStore(dev, 1<<20), ccdb.Config{PatchBytes: 1 << 20, RunsPerTier: 4})
+			slice.RegisterMetrics(r.reg, labels...)
 			node = cluster.NewNode(r.env, name, slice)
 		} else {
 			sdf, err := build(name)
 			if err != nil {
 				panic(err)
 			}
-			sdf.Dev.RegisterMetrics(r.reg, labels...)
-			sdf.Layer.RegisterMetrics(r.reg, labels...)
+			r.registerReplica(sdf, labels)
 			node = cluster.NewSDFNode(r.env, name, sdf)
 		}
-		node.Slice.RegisterMetrics(r.reg, labels...)
 		r.nodes = append(r.nodes, node)
 	}
+}
+
+// registerReplica registers the metrics of sdf's device, block layer
+// and slice so that they read the replica's current objects: Remount
+// replaces all three after a power cut, and a series bound to the old
+// ones would keep reading a dead stack. Each series forwards to the
+// same series of a registry the current objects registered into, built
+// again when the device changes. A counter adds what the stacks Remount
+// replaced had counted, so it stays monotone across a remount.
+func (r *replicaRun) registerReplica(sdf *ccdb.SDFReplica, labels []metrics.Label) {
+	var (
+		dev  *core.Device
+		cur  *metrics.Registry
+		base = map[string]int64{}
+	)
+	current := func() *metrics.Registry {
+		if sdf.Dev != dev {
+			cur.Each(func(in *metrics.Instrument) {
+				if in.Kind == metrics.KindCounter {
+					base[in.ID()] += in.Counter.Value()
+				}
+			})
+			dev, cur = sdf.Dev, metrics.NewRegistry()
+			sdf.Dev.RegisterMetrics(cur, labels...)
+			sdf.Layer.RegisterMetrics(cur, labels...)
+			sdf.Slice.RegisterMetrics(cur, labels...)
+		}
+		return cur
+	}
+	current().Each(func(in *metrics.Instrument) {
+		id := in.ID()
+		switch in.Kind {
+		case metrics.KindCounter:
+			r.reg.CounterFunc(in.Name, func() int64 {
+				n := current().Get(id).Counter.Value()
+				return base[id] + n
+			}, in.Labels...)
+		case metrics.KindGauge:
+			r.reg.GaugeFunc(in.Name, func() float64 { return current().Get(id).Gauge.Value() }, in.Labels...)
+		}
+	})
 }
 
 // join wires the nodes into one group under cfg, hands it to

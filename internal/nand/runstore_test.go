@@ -338,3 +338,59 @@ func TestEraseReleasesEveryRun(t *testing.T) {
 		env.Close()
 	}
 }
+
+// TestEraseReleasesLiteralSpares erases blocks holding pages programmed
+// with explicit spare bytes (ProgramOOB), one alone and one sharing its
+// block with a counted run: the erase releases each block's sources,
+// the counted one exactly once however often the block is erased
+// again, and no spare survives it.
+func TestEraseReleasesLiteralSpares(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	pl := New(env, plParams()).Plane(0)
+	src := &seqSource{tag: 5}
+	done := env.Go("t", func(p *sim.Proc) {
+		for b := 0; b < 2; b++ {
+			if err := pl.Erase(p, b); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := pl.ProgramOOB(p, b, 0, nil, []byte("lit")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if _, err := pl.SettleProgramRun(1, 1, Pulses{TailStart: env.Now(), Tail: 2}, nil, src, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		for b := 0; b < 2; b++ {
+			if got := pl.Spare(b, 0); !bytes.Equal(got, []byte("lit")) {
+				t.Errorf("block %d page 0 spare %q before the erase, want %q", b, got, "lit")
+				return
+			}
+		}
+		for round := 0; round < 2; round++ {
+			for b := 0; b < 2; b++ {
+				if err := pl.Erase(p, b); err != nil {
+					t.Error(err)
+					return
+				}
+				for pg := 0; pg < 3; pg++ {
+					if sp := pl.Spare(b, pg); sp != nil {
+						t.Errorf("erase %d of block %d left page %d's spare %q", round+1, b, pg, sp)
+						return
+					}
+				}
+			}
+			if src.released != 1 {
+				t.Errorf("after erase %d the counted run was released %d times, want 1", round+1, src.released)
+				return
+			}
+		}
+	})
+	env.RunUntilDone(done)
+	if !done.Done() {
+		t.Fatal("test process did not finish")
+	}
+}

@@ -113,14 +113,17 @@ func logChoose(n, k int) float64 {
 }
 
 // DeviceUCEPerRead returns the probability that a page-sized read
-// (pageBytes of payload) hits at least one uncorrectable sector.
+// (pageBytes of payload) hits at least one uncorrectable sector:
+// 1 - (1-p)^sectors, computed as -expm1(sectors·log1p(-p)) so that a p
+// below float64's epsilon, where 1-p rounds to 1, still gives about
+// sectors·p instead of 0.
 func (m Model) DeviceUCEPerRead(wear, pageBytes int) float64 {
 	sectors := pageBytes / m.SectorBytes
 	if sectors < 1 {
 		sectors = 1
 	}
 	p := m.SectorUCE(wear)
-	return 1 - math.Pow(1-p, float64(sectors))
+	return -math.Expm1(float64(sectors) * math.Log1p(-p))
 }
 
 // FleetUCEs returns the expected number of uncorrectable events for a

@@ -115,6 +115,23 @@ func TestDeviceUCEPerReadScalesWithSectors(t *testing.T) {
 	}
 }
 
+// TestDeviceUCEPerReadBelowEpsilon reads a page at 500 P/E, where the
+// sector probability is far below float64's epsilon, so 1-p rounds to
+// 1: the page probability must still be about sectors·p, not 0.
+func TestDeviceUCEPerReadBelowEpsilon(t *testing.T) {
+	m := SDFModel()
+	const pageBytes = 8192
+	p := m.SectorUCE(500)
+	if p <= 0 || p >= 1e-17 {
+		t.Fatalf("sector UCE %g at 500 P/E, want a positive value below epsilon", p)
+	}
+	want := float64(pageBytes/m.SectorBytes) * p
+	got := m.DeviceUCEPerRead(500, pageBytes)
+	if got <= 0 || math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("page UCE %g at 500 P/E, want ~%g (sectors·p)", got, want)
+	}
+}
+
 func TestLogChoose(t *testing.T) {
 	// log C(10, 3) = log 120.
 	if got := math.Exp(logChoose(10, 3)); math.Abs(got-120) > 1e-9*120 {

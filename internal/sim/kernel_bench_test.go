@@ -190,6 +190,41 @@ func BenchmarkKernelSpawnJoin(b *testing.B) {
 	env.Run()
 }
 
+// BenchmarkKernelEnvChurn measures what every registry point and
+// benchmark repetition pays to start: an op builds an Env, runs 700
+// concurrent request processes (a kv-read Env's peak) to completion and
+// closes it. Carriers outlive their Env, so after the first op the
+// processes run on the coroutines earlier Envs released and an op
+// allocates the Procs, not 700 coroutines.
+func BenchmarkKernelEnvChurn(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		churnEnv(700)
+	}
+}
+
+// churnEnv builds an Env, runs n concurrent processes joined by a
+// parent, and closes it.
+func churnEnv(n int) {
+	env := NewEnv()
+	defer env.Close()
+	env.Go("parent", func(p *Proc) { fanOut(p, n) })
+	env.Run()
+}
+
+// fanOut spawns n workers at once, with a body that captures nothing,
+// and joins them.
+func fanOut(p *Proc, n int) {
+	env := p.Env()
+	kids := make([]*Proc, n)
+	for k := range kids {
+		kids[k] = env.Go("worker", func(wp *Proc) { wp.Wait(time.Microsecond) })
+	}
+	for _, kid := range kids {
+		p.Join(kid)
+	}
+}
+
 // spawnJoin runs rounds of: spawn fan workers whose body closes over
 // per-worker state (as request closures do), then join them all.
 func spawnJoin(p *Proc, rounds, fan int) {
@@ -313,19 +348,21 @@ func runAllocs(build func(env *Env)) (allocs, events float64) {
 // Bounds are loose (0.05 allocs/event) to absorb one-time costs —
 // heap growth, coroutine stacks — without letting a per-event closure
 // (1+ allocs/event) sneak back in. A case with spawns > 0 is bounded
-// per spawn instead: the Proc handle and the caller's body closure, 2,
-// where creating a coroutine per spawn costs ~15.
+// per spawn instead, by perSpawn: the Proc handle and, where the body
+// captures state, its closure, where creating a coroutine per spawn
+// costs ~15.
 func TestKernelFastPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	const bound = 0.05
 	cases := []struct {
-		name   string
-		spawns int
-		build  func(env *Env)
+		name     string
+		spawns   int
+		perSpawn float64
+		build    func(env *Env)
 	}{
-		{"timed-callback-chain", 0, func(env *Env) {
+		{"timed-callback-chain", 0, 0, func(env *Env) {
 			remaining := 200000
 			var fire func()
 			fire = func() {
@@ -336,14 +373,14 @@ func TestKernelFastPathAllocs(t *testing.T) {
 			}
 			env.Schedule(time.Microsecond, fire)
 		}},
-		{"proc-wait-loop", 0, func(env *Env) {
+		{"proc-wait-loop", 0, 0, func(env *Env) {
 			env.Go("worker", func(p *Proc) {
 				for i := 0; i < 100000; i++ {
 					p.Wait(time.Microsecond)
 				}
 			})
 		}},
-		{"timeline-occupy", 0, func(env *Env) {
+		{"timeline-occupy", 0, 0, func(env *Env) {
 			tl := NewTimeline(env, 2)
 			for w := 0; w < 3; w++ {
 				env.Go("worker", func(p *Proc) {
@@ -357,7 +394,7 @@ func TestKernelFastPathAllocs(t *testing.T) {
 		// batches 64 wakeups into one grant (grant pool) and drains one
 		// bucket per instant (bucket free list). Steady state must
 		// recycle both — a leak here shows up as ~1/64 allocs/event.
-		{"same-instant-grant-burst", 0, func(env *Env) {
+		{"same-instant-grant-burst", 0, 0, func(env *Env) {
 			tl := NewTimeline(env, 64)
 			for w := 0; w < 64; w++ {
 				env.Go("worker", func(p *Proc) {
@@ -369,10 +406,10 @@ func TestKernelFastPathAllocs(t *testing.T) {
 		}},
 		// A callback handle woken through a signal, round after round:
 		// the wake is a grant entry, and the handle's record is reused.
-		{"handle-wake", 0, func(env *Env) { handleWakes(env, 100000) }},
+		{"handle-wake", 0, 0, func(env *Env) { handleWakes(env, 100000) }},
 		// An op span on an untraced env, as core, blocklayer and ssd
 		// open one per request: BeginOp and its closer cost nothing.
-		{"untraced-begin-op", 0, func(env *Env) {
+		{"untraced-begin-op", 0, 0, func(env *Env) {
 			env.Go("worker", func(p *Proc) {
 				for i := 0; i < 100000; i++ {
 					end := p.BeginOp("op")
@@ -383,11 +420,11 @@ func TestKernelFastPathAllocs(t *testing.T) {
 		}},
 		// Three handles on one signal, re-armed every round: enrolling
 		// more than one waiter must not allocate.
-		{"signal-fan-in", 0, func(env *Env) { fanIn(env, 50000) }},
+		{"signal-fan-in", 0, 0, func(env *Env) { fanIn(env, 50000) }},
 		// Waiters at two priorities on a capacity-1 resource, so the
 		// prio-0 ones overtake, beside a process whose AwaitUntil on a
 		// signal another process waits on times out every round.
-		{"resource-contention", 0, func(env *Env) {
+		{"resource-contention", 0, 0, func(env *Env) {
 			res := NewResource(env, 1)
 			for w := 0; w < 4; w++ {
 				prio := w % 2
@@ -409,16 +446,23 @@ func TestKernelFastPathAllocs(t *testing.T) {
 		}},
 		// Request churn: 8 workers spawned and joined per round, so the
 		// carrier pool holds 8 and every later spawn must reuse one.
-		{"spawn-join-churn", 8 * 5000, func(env *Env) {
+		{"spawn-join-churn", 8 * 5000, 2, func(env *Env) {
 			env.Go("parent", func(p *Proc) { spawnJoin(p, 5000, 8) })
+		}},
+		// A fresh Env after an earlier one closed: its 700 concurrent
+		// workers (and their parent) start on the carriers the closed
+		// Env released, so a spawn+join allocates only the Proc.
+		{"fresh-env", 700, 1, func(env *Env) {
+			churnEnv(700)
+			env.Go("parent", func(p *Proc) { fanOut(p, 700) })
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs, events := runAllocs(tc.build)
 			if tc.spawns > 0 {
-				if got := allocs / float64(tc.spawns); got > 2+bound {
-					t.Errorf("%s: %.4f allocs/spawn, want <= %.2f", tc.name, got, 2+bound)
+				if got := allocs / float64(tc.spawns); got > tc.perSpawn+bound {
+					t.Errorf("%s: %.4f allocs/spawn, want <= %.2f", tc.name, got, tc.perSpawn+bound)
 				}
 				return
 			}

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"sync"
 	"time"
 
 	"sdf/internal/trace"
@@ -495,11 +496,12 @@ type Proc struct {
 
 // carrier is the expensive half of a process: an iter.Pull coroutine
 // with its grown stack and switch closures. It runs one body at a time
-// and between bodies waits on Env.idle. resumeFn/stopFn switch into the
-// coroutine and are invoked only from the driver goroutine; yieldFn
+// and between bodies waits on Env.idle, or in carriers once its Env has
+// closed. resumeFn/stopFn switch into the coroutine and are invoked
+// only from the goroutine driving the carrier's current Env; yieldFn
 // switches back out and is invoked only from inside the coroutine.
 type carrier struct {
-	env      *Env
+	env      *Env  // the Env it runs processes of; nil while in carriers
 	proc     *Proc // the process being run; nil while idle
 	resumeFn func() (struct{}, bool)
 	stopFn   func()
@@ -606,12 +608,24 @@ func (h *Proc) handle() {
 	}
 }
 
-// spawn binds p to a carrier, an idle one when there is one; control
-// then transfers to the carrier like any other resume, and the body
-// starts on that switch. The dispatch chain between spawn and first
-// resume is unbroken (the driver trampolines the deposited transfer
-// before checking any stop condition), so a started process always
-// enters its body.
+// carriers holds the idle carriers of closed Envs, LIFO (the warmest
+// stack goes first), for any Env of the program to take. It holds only
+// what Envs released, so it is bounded by the program's own peak
+// process concurrency. Which carrier runs a process is invisible to the
+// simulation. It is not a sync.Pool: that drops items at a collection,
+// and a dropped carrier is a parked goroutine nothing would ever end.
+var carriers struct {
+	sync.Mutex
+	free []*carrier
+}
+
+// spawn binds p to a carrier: one of the Env's own idle carriers when
+// there is one, else one a closed Env released to carriers, else a new
+// coroutine. Control then transfers to the carrier like any other
+// resume, and the body starts on that switch. The dispatch chain
+// between spawn and first resume is unbroken (the driver trampolines
+// the deposited transfer before checking any stop condition), so a
+// started process always enters its body.
 func (e *Env) spawn(p *Proc) {
 	if e.tracer.Full() {
 		e.tracer.Emit(e.Now(), trace.KindProcSpawn, 0, 0, p.name, "", 0)
@@ -622,8 +636,18 @@ func (e *Env) spawn(p *Proc) {
 		e.idle[n-1] = nil
 		e.idle = e.idle[:n-1]
 	} else {
-		c = &carrier{env: e}
-		c.resumeFn, c.stopFn = iter.Pull(c.loop)
+		carriers.Lock()
+		if n := len(carriers.free); n > 0 {
+			c = carriers.free[n-1]
+			carriers.free[n-1] = nil
+			carriers.free = carriers.free[:n-1]
+		}
+		carriers.Unlock()
+		if c == nil {
+			c = new(carrier)
+			c.resumeFn, c.stopFn = iter.Pull(c.loop)
+		}
+		c.env = e
 	}
 	c.proc, p.c = p, c
 	p.prev = e.liveTail
@@ -636,19 +660,19 @@ func (e *Env) spawn(p *Proc) {
 }
 
 // loop is the body of a carrier coroutine: run the process it was bound
-// to, then wait on the idle list for the next one. The idle yield
+// to, then wait on its Env's idle list for the next one. The idle yield
 // leaves Env.xfer nil, so the driver re-evaluates its stop conditions
 // and continues dispatch exactly as it does when a coroutine returns.
-// A body that panicked, or was unwound by Close, ends the coroutine
-// instead: its stack is not trusted with another process.
+// c.env is read afresh after every body, and no frame keeps it across
+// the yield, because Close may hand the carrier to another Env while
+// it waits there; an idle carrier is never stopped. A body that
+// panicked, or was unwound by Close, ends the coroutine instead: its
+// stack is not trusted with another process.
 func (c *carrier) loop(yield func(struct{}) bool) {
 	c.yieldFn = yield
-	e := c.env
 	for c.run() {
-		e.idle = append(e.idle, c)
-		if !yield(struct{}{}) {
-			return // Close is draining the idle list
-		}
+		c.env.idle = append(c.env.idle, c)
+		yield(struct{}{})
 	}
 }
 
@@ -812,10 +836,13 @@ func (e *Env) run(limit int64, stop *Proc) {
 }
 
 // Close terminates all blocked processes, in start order, unwinding
-// their coroutines, then ends the idle carriers: afterwards no
-// coroutine of this Env exists. After Close the environment must not be
-// used. Close is idempotent. It must be called from outside Run (not
-// from a process).
+// their coroutines, which end. It then releases the idle carriers to a
+// program-wide pool, where the next Env to spawn takes them, so a fresh
+// Env starts with warm coroutines. Afterwards the Env holds no carrier
+// and no carrier refers to it, so it can be collected; an Env that is
+// never closed keeps its idle carriers parked for good. After Close the
+// environment must not be used. Close is idempotent. It must be called
+// from outside Run (not from a process).
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -830,8 +857,11 @@ func (e *Env) Close() {
 		p = next
 	}
 	for _, c := range e.idle {
-		c.stopFn()
+		c.env = nil
 	}
+	carriers.Lock()
+	carriers.free = append(carriers.free, e.idle...)
+	carriers.Unlock()
 	e.idle = nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -835,19 +836,24 @@ func TestPanicOnRecycledCarrier(t *testing.T) {
 	if len(e.idle) != 0 {
 		t.Fatalf("idle carriers = %d, want 0: a carrier whose body panicked must not be pooled", len(e.idle))
 	}
+	e.Close()
+	if slices.Contains(pooledCarriers(), c) {
+		t.Fatal("Close released the carrier whose body panicked to the pool")
+	}
 }
 
-func TestCloseEndsIdleAndBlockedCarriers(t *testing.T) {
-	before := runtime.NumGoroutine()
+func TestClosePoolsIdleCarriers(t *testing.T) {
 	e := NewEnv()
 	const idle, blocked = 5, 3
 	for i := 0; i < idle; i++ {
 		e.Go("short", func(p *Proc) { p.Wait(time.Millisecond) })
 	}
 	cleaned := 0
+	var stuck []*carrier
 	for i := 0; i < blocked; i++ {
 		e.Go("stuck", func(p *Proc) {
 			defer func() { cleaned++ }()
+			stuck = append(stuck, p.c)
 			p.Wait(time.Hour)
 		})
 	}
@@ -855,9 +861,7 @@ func TestCloseEndsIdleAndBlockedCarriers(t *testing.T) {
 	if len(e.idle) != idle {
 		t.Fatalf("idle carriers = %d, want %d", len(e.idle), idle)
 	}
-	if got := runtime.NumGoroutine(); got != before+idle+blocked {
-		t.Fatalf("goroutines = %d with %d carriers alive, want %d", got, idle+blocked, before+idle+blocked)
-	}
+	released := slices.Clone(e.idle)
 	e.Close()
 	e.Close() // idempotent
 	if cleaned != blocked {
@@ -866,9 +870,156 @@ func TestCloseEndsIdleAndBlockedCarriers(t *testing.T) {
 	if e.liveHead != nil || e.liveTail != nil || len(e.idle) != 0 {
 		t.Fatal("Close left processes or carriers registered")
 	}
-	if got := runtime.NumGoroutine(); got != before {
-		t.Fatalf("goroutines = %d after Close, want %d", got, before)
+	pooled := pooledCarriers()
+	for _, c := range released {
+		if !slices.Contains(pooled, c) || c.env != nil || c.proc != nil {
+			t.Fatal("an idle carrier was not released to the pool unbound")
+		}
 	}
+	for _, c := range stuck {
+		if slices.Contains(pooled, c) {
+			t.Fatal("the carrier of an unwound process was pooled")
+		}
+	}
+
+	// A fresh Env takes the released carriers before it builds any, so
+	// running as many processes at once starts no goroutine.
+	before := runtime.NumGoroutine()
+	f := NewEnv()
+	defer f.Close()
+	var ran []*carrier
+	for i := 0; i < idle; i++ {
+		f.Go("warm", func(p *Proc) {
+			ran = append(ran, p.c)
+			p.Wait(time.Millisecond)
+		})
+	}
+	f.RunUntil(time.Microsecond)
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutines = %d with %d processes on pooled carriers, want at most %d", got, idle, before)
+	}
+	for _, c := range ran {
+		if c.env != f {
+			t.Fatal("a pooled carrier is not bound to the Env that took it")
+		}
+	}
+	f.Run()
+}
+
+// pooledCarriers returns a copy of the program-wide carrier pool.
+func pooledCarriers() []*carrier {
+	carriers.Lock()
+	defer carriers.Unlock()
+	return slices.Clone(carriers.free)
+}
+
+// TestEnvChurnKeepsGoroutinesFlat builds, runs and closes Envs the way
+// the registry and the benchmark repetitions do: processes that finish,
+// processes still blocked at Close, and nested spawns. After the first
+// cycle every Env runs on pooled carriers, building new ones only for
+// the processes Close unwound, so the goroutine count never rises above
+// where the first cycle left it (it falls while earlier tests' carriers
+// are used up), nor does the count of goroutines that are not pooled
+// carriers.
+func TestEnvChurnKeepsGoroutinesFlat(t *testing.T) {
+	cycle := func() {
+		e := NewEnv()
+		defer e.Close()
+		never := new(Signal)
+		for i := 0; i < 20; i++ {
+			d := time.Duration(i+1) * time.Microsecond
+			e.Go("req", func(p *Proc) {
+				kid := e.Go("sub", func(kp *Proc) { kp.Wait(d) })
+				p.Join(kid)
+			})
+		}
+		for i := 0; i < 4; i++ {
+			e.Go("stuck", func(p *Proc) { p.Await(never) })
+		}
+		e.Run()
+	}
+	cycle()
+	most := runtime.NumGoroutine()
+	others := most - len(pooledCarriers())
+	for i := 1; i < 50; i++ {
+		cycle()
+		got, pooled := runtime.NumGoroutine(), len(pooledCarriers())
+		if got > most {
+			t.Fatalf("cycle %d: goroutines = %d, more than the %d after the first", i+1, got, most)
+		}
+		if got-pooled > others {
+			t.Fatalf("cycle %d: %d goroutines besides %d pooled carriers, more than the %d after the first", i+1, got-pooled, pooled, others)
+		}
+	}
+}
+
+// TestEnvsShareCarriersAcrossGoroutines drives Envs from several
+// goroutines at once, as RunAll's parallel workers do: carriers move
+// between goroutines through the pool, and each Env must still see its
+// own processes run to completion (run it under -race).
+func TestEnvsShareCarriersAcrossGoroutines(t *testing.T) {
+	const workers, cycles, procs = 4, 25, 16
+	var wg sync.WaitGroup
+	errs := make([]int, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				e := NewEnv()
+				done := 0
+				for k := 0; k < procs; k++ {
+					e.Go("req", func(p *Proc) {
+						p.Wait(time.Duration(k+1) * time.Microsecond)
+						if p.c.env != e {
+							errs[w]++
+						}
+						done++
+					})
+				}
+				e.Run()
+				e.Close()
+				if done != procs {
+					errs[w]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, n := range errs {
+		if n != 0 {
+			t.Errorf("worker %d: %d cycles ran a process on a carrier of another Env or lost one", w, n)
+		}
+	}
+}
+
+// TestClosedEnvIsCollected checks that the pool keeps nothing of a
+// closed Env alive: its finalizer fires once the caller drops it, after
+// it ran finished, nested and still-blocked processes.
+func TestClosedEnvIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		e := NewEnv()
+		never := new(Signal)
+		for i := 0; i < 8; i++ {
+			e.Go("req", func(p *Proc) {
+				p.Join(e.Go("sub", func(kp *Proc) { kp.Wait(time.Microsecond) }))
+			})
+			e.Go("stuck", func(p *Proc) { p.Await(never) })
+		}
+		e.Run()
+		e.Close()
+		runtime.SetFinalizer(e, func(*Env) { close(collected) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a closed Env is still reachable: its finalizer never ran")
 }
 
 func TestGoFromFinishingProcess(t *testing.T) {
@@ -1034,7 +1185,6 @@ func TestStartOnLiveProcPanics(t *testing.T) {
 }
 
 func TestCloseUnwindsProcessesStartedOnStorage(t *testing.T) {
-	before := runtime.NumGoroutine()
 	e := NewEnv()
 	recs := []*startRec{newStartRec(), newStartRec(), newStartRec()}
 	cleaned := 0
@@ -1057,9 +1207,6 @@ func TestCloseUnwindsProcessesStartedOnStorage(t *testing.T) {
 	}
 	if e.liveHead != nil || e.liveTail != nil {
 		t.Fatal("Close left processes registered")
-	}
-	if got := runtime.NumGoroutine(); got != before {
-		t.Fatalf("goroutines = %d after Close, want %d", got, before)
 	}
 }
 
